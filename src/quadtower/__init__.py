@@ -4,6 +4,7 @@ density for one-parameter quadratic families (x - gamma(t))^2 + c(t)."""
 from quadtower.bigpoly import (
     IntPolynomial,
     ZeroPolynomialError,
+    decimal_str,
     discriminant_direct,
     height_int,
     is_perfect_square,

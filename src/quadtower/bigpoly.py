@@ -313,3 +313,61 @@ def is_perfect_square(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
+
+
+# -- decimal output ----------------------------------------------------------
+
+# Below this many bits the builtin str() is faster than splitting (measured
+# crossover about 40,000 bits on CPython 3.11).
+_DECIMAL_STR_CUTOFF = 1 << 15
+# Pieces at most this wide convert directly with Decimal(int).
+_DECIMAL_LEAF_BITS = 1024
+
+
+def decimal_str(n: int) -> str:
+    """Exactly str(n), in subquadratic time for big n.
+
+    CPython before 3.12 converts int to decimal in quadratic time.  Above the
+    cutoff, |n| is split at powers of two and the halves are recombined in the
+    decimal module (exact: Inexact is trapped), whose multiplication is
+    subquadratic.
+
+    >>> decimal_str(-12345)
+    '-12345'
+    >>> decimal_str(10 ** 30 - 1) == "9" * 30
+    True
+    """
+    if n.bit_length() <= _DECIMAL_STR_CUTOFF:
+        return str(n)
+    import decimal
+
+    two = decimal.Decimal(2)
+    powers: dict[int, decimal.Decimal] = {}  # w -> 2^w, per call
+
+    def pow2(w: int) -> decimal.Decimal:
+        p = powers.get(w)
+        if p is None:
+            if w <= _DECIMAL_LEAF_BITS:
+                p = two ** w
+            elif w - 1 in powers:
+                p = powers[w - 1] * 2
+            else:
+                half = w >> 1
+                p = pow2(half) * pow2(w - half)
+            powers[w] = p
+        return p
+
+    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2^w
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text

@@ -13,7 +13,12 @@ import json
 import sys
 from dataclasses import dataclass
 
-from quadtower.bigpoly import IntPolynomial, ZeroPolynomialError, discriminant_direct
+from quadtower.bigpoly import (
+    IntPolynomial,
+    ZeroPolynomialError,
+    decimal_str,
+    discriminant_direct,
+)
 from quadtower.density import DEFAULT_SEGMENT_SIZE, density_curve
 from quadtower.factor import (
     Budget,
@@ -291,9 +296,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(obj: dict, cfg: RunConfig, text_lines) -> None:
+def _emit(json_dict, cfg: RunConfig, text_lines) -> None:
+    """Print json_dict() in --format json, else the text lines; each side
+    builds its own strings, so big integers convert to decimal once."""
     if cfg.fmt == "json":
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(json_dict(), indent=2))
     else:
         for line in text_lines():
             print(line)
@@ -340,15 +347,19 @@ def cmd_family_info(cfg: RunConfig) -> int:
             yield ("bound constants: " + ", ".join(f"{k}={bcd[k]}" for k in ("A1", "A2", "A3", "A4", "B1", "threshold")))
         yield f"F_phi: {out['exceptional_set']}"
 
-    _emit(out, cfg, text)
+    _emit(lambda: out, cfg, text)
     return 0
 
 
-def _orbit_rows(values) -> list[dict]:
+def _orbit_rows(values, start: int = 0) -> list[dict]:
     return [
-        {"n": i, "value": str(v), "bits": v.bit_length()}
-        for i, v in enumerate(values)
+        {"n": i, "value": decimal_str(v), "bits": v.bit_length()}
+        for i, v in enumerate(values, start=start)
     ]
+
+
+def _orbit_line(row: dict) -> str:
+    return f"{row['n']}: {row['value']} ({row['bits']} bits)"
 
 
 def cmd_orbit(cfg: RunConfig) -> int:
@@ -361,52 +372,47 @@ def cmd_orbit(cfg: RunConfig) -> int:
             print(json.dumps(row))
     else:
         for row in rows:
-            print(f"{row['n']}: {row['value']} ({row['bits']} bits)")
+            print(_orbit_line(row))
     return 0
 
 
 def cmd_critical_orbit(cfg: RunConfig) -> int:
     crit = critical_orbit(cfg.map(), cfg.depth, cfg.bits)
-    rows = [
-        {"n": i + 1, "value": str(v), "bits": v.bit_length()}
-        for i, v in enumerate(crit.values)
-    ]
+    rows = _orbit_rows(crit.values, start=1)
     out = {"condition_one_holds": crit.condition_one_holds, "values": rows}
 
     def text():
         for row in rows:
-            yield f"{row['n']}: {row['value']} ({row['bits']} bits)"
+            yield _orbit_line(row)
         yield f"condition (1) holds: {crit.condition_one_holds}"
 
-    _emit(out, cfg, text)
+    _emit(lambda: out, cfg, text)
     return 0
 
 
 def cmd_stability(cfg: RunConfig) -> int:
     report = stability_scan(cfg.map(), cfg.depth, cfg.bits)
-    out = report.to_json_dict()
 
     def text():
         yield f"verdict: {report.verdict}"
         for n, root in report.squares_found:
-            yield f"level {n}: square with root {root}"
+            yield f"level {n}: square with root {decimal_str(root)}"
 
-    _emit(out, cfg, text)
+    _emit(report.to_json_dict, cfg, text)
     return 0
 
 
 def cmd_certify(cfg: RunConfig) -> int:
     report = certify_tower(cfg.map(), cfg.from_level, cfg.to_level, cfg.bits)
-    out = report.to_json_dict()
 
     def text():
         for cert in report.certificates:
             yield f"level {cert.level}: {cert.status}" + (
-                f" (witness {cert.witness})" if cert.witness is not None else ""
+                f" (witness {decimal_str(cert.witness)})" if cert.witness is not None else ""
             )
         yield "counts: " + ", ".join(f"{k}={v}" for k, v in report.counts.items())
 
-    _emit(out, cfg, text)
+    _emit(report.to_json_dict, cfg, text)
     return 0
 
 
@@ -416,37 +422,37 @@ def cmd_primitive_divisors(cfg: RunConfig) -> int:
         report = primitive_divisor_exact(crit.values, cfg.level, cfg.budget())
     else:
         report = primitive_divisor_certificate(crit.values, cfg.level)
-    out = report.to_json_dict()
 
     def text():
         yield f"level {report.level} ({report.method}): certified={report.certified}"
         if report.witness is not None:
-            yield f"witness R = {report.witness}"
+            yield f"witness R = {decimal_str(report.witness)}"
         if report.primes:
-            yield "primes: " + ", ".join(str(p) for p in report.primes)
+            yield "primes: " + ", ".join(decimal_str(p) for p in report.primes)
 
-    _emit(out, cfg, text)
+    _emit(report.to_json_dict, cfg, text)
     return 0
 
 
 def cmd_discriminant(cfg: RunConfig) -> int:
     m = cfg.map()
     value = discriminant_recurrence(m, cfg.level, cfg.bits)
-    out: dict = {"level": cfg.level, "recurrence": str(value)}
+    recurrence = decimal_str(value)
+    out: dict = {"level": cfg.level, "recurrence": recurrence}
     if cfg.direct:
         phi_n = m.phi_polynomial()
         for _ in range(cfg.level - 1):
             phi_n = phi_n.compose(m.phi_polynomial())
         direct = abs(discriminant_direct(phi_n))
-        out["direct"] = str(direct)
+        out["direct"] = decimal_str(direct)
         out["agree"] = direct == value
 
     def text():
-        yield f"|disc(phi_a^{cfg.level})| = {value}"
+        yield f"|disc(phi_a^{cfg.level})| = {recurrence}"
         if cfg.direct:
             yield f"direct: {out['direct']} (agree: {out['agree']})"
 
-    _emit(out, cfg, text)
+    _emit(lambda: out, cfg, text)
     return 0
 
 
@@ -455,21 +461,27 @@ def cmd_curve(cfg: RunConfig) -> int:
     crit = critical_orbit(m, cfg.level, cfg.bits)
     dec = squarefree_decompose(crit.values[cfg.level - 1], cfg.budget())
     model = curve_model(m, cfg.level, dec, cfg.genus)
-    out = model.to_json_dict()
+    verified = None
     if cfg.genus == 1 and cfg.level >= 2:
-        out["forced_point_verified"] = verify_forced_point(model, m, cfg.level, dec, cfg.bits)
-    if cfg.search:
-        pts = search_integral_points(model, cfg.search)
-        out["integral_points"] = [p.to_json_dict() for p in pts]
+        verified = verify_forced_point(model, m, cfg.level, dec, cfg.bits)
+    pts = search_integral_points(model, cfg.search) if cfg.search else None
+
+    def json_dict():
+        out = model.to_json_dict()
+        if verified is not None:
+            out["forced_point_verified"] = verified
+        if pts is not None:
+            out["integral_points"] = [p.to_json_dict() for p in pts]
+        return out
 
     def text():
         yield model.equation()
-        if "forced_point_verified" in out:
-            yield f"forced point verified: {out['forced_point_verified']}"
-        for p in out.get("integral_points", []):
-            yield f"point ({p['x']}, {p['y']}) ratio {p['hall_lang_ratio']}"
+        if verified is not None:
+            yield f"forced point verified: {verified}"
+        for p in pts or ():
+            yield f"point ({decimal_str(p.x)}, {decimal_str(p.y)}) ratio {p.hall_lang_ratio}"
 
-    _emit(out, cfg, text)
+    _emit(json_dict, cfg, text)
     return 0
 
 
@@ -506,20 +518,19 @@ def cmd_nphi_bound(cfg: RunConfig) -> int:
         for key, value in out.items():
             yield f"{key}: {value}"
 
-    _emit(out, cfg, text)
+    _emit(lambda: out, cfg, text)
     return 0
 
 
 def cmd_index_bound(cfg: RunConfig) -> int:
     if cfg.n is None:
         raise UsageError("--n is required")
-    value = index_bound(cfg.n)
-    out = {"n_phi": cfg.n, "index_bound": str(value)}
+    value = decimal_str(index_bound(cfg.n))
 
     def text():
         yield f"[Aut(T_inf) : G_inf] <= {value}"
 
-    _emit(out, cfg, text)
+    _emit(lambda: {"n_phi": cfg.n, "index_bound": value}, cfg, text)
     return 0
 
 

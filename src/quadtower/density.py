@@ -101,6 +101,8 @@ def primes_up_to(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[i
     """All primes <= x in increasing order, by a segmented sieve."""
     if x < 2:
         raise ValueError("need x >= 2")
+    if segment_size < 1:
+        raise ValueError("segment_size must be >= 1")
     return _primes_in_range(2, x, segment_size)
 
 
@@ -184,6 +186,8 @@ def density_curve(
         raise ValueError("need x_max >= 2")
     if shards < 1 or workers < 1:
         raise ValueError("shards and workers must be >= 1")
+    if segment_size < 1:
+        raise ValueError("segment_size must be >= 1")
     if checkpoints is None:
         checkpoints = default_checkpoints(x_max)
     if not checkpoints or sorted(set(checkpoints)) != list(checkpoints):

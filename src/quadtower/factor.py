@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from quadtower.bigpoly import is_perfect_square
+from quadtower.bigpoly import decimal_str, is_perfect_square
 
 
 class ZeroInputError(ValueError):
@@ -83,8 +83,8 @@ class Factorization:
     def to_json_dict(self) -> dict:
         return {
             "sign": self.sign,
-            "factors": [[str(p), e] for p, e in self.factors],
-            "cofactor": str(self.cofactor),
+            "factors": [[decimal_str(p), e] for p, e in self.factors],
+            "cofactor": decimal_str(self.cofactor),
             "complete": self.complete,
         }
 
@@ -128,10 +128,10 @@ class PrimitiveDivisorReport:
             "level": self.level,
             "method": self.method,
             "certified": self.certified,
-            "primes": [str(p) for p in self.primes],
+            "primes": [decimal_str(p) for p in self.primes],
         }
         if self.witness is not None:
-            out["witness"] = str(self.witness)
+            out["witness"] = decimal_str(self.witness)
         if self.two_primitive is not None:
             out["two_primitive"] = self.two_primitive
         return out

@@ -9,10 +9,12 @@ FailedSquareOverQ are proved, Unknown is exactly that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from quadtower.bigpoly import (
     IntPolynomial,
+    decimal_str,
     discriminant_direct,
     height_int,
     is_perfect_square,
@@ -35,8 +37,9 @@ class SingularModelError(ValueError):
 class StabilityReport:
     """Square scan of the critical orbit up to some depth.
 
-    A square at level n is an instability witness; no square up to depth N is
-    a one-sided no-obstruction certificate, not a proof of stability.
+    A square at level n witnesses that the level-n tower step is not maximal;
+    it is not a witness of instability.  No square up to depth N is a
+    one-sided no-obstruction certificate, not a proof of stability.
     """
 
     map: SpecializedMap
@@ -58,7 +61,7 @@ class StabilityReport:
             "depth": self.depth,
             "verdict": self.verdict,
             "squares_found": [
-                {"level": n, "root": str(r)} for n, r in self.squares_found
+                {"level": n, "root": decimal_str(r)} for n, r in self.squares_found
             ],
         }
 
@@ -80,7 +83,7 @@ class MaximalityCertificate:
         return {
             "level": self.level,
             "status": self.status,
-            "witness": None if self.witness is None else str(self.witness),
+            "witness": None if self.witness is None else decimal_str(self.witness),
         }
 
 
@@ -127,8 +130,8 @@ class CurveModel:
             "level": self.level,
             "genus": self.genus,
             "e": self.e,
-            "d": str(self.d),
-            "rhs_coeffs": [str(c) for c in self.rhs.coeffs],
+            "d": decimal_str(self.d),
+            "rhs_coeffs": [decimal_str(c) for c in self.rhs.coeffs],
             "equation": self.equation(),
         }
 
@@ -140,7 +143,11 @@ class IntegralPoint:
     hall_lang_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {"x": str(self.x), "y": str(self.y), "hall_lang_ratio": self.hall_lang_ratio}
+        return {
+            "x": decimal_str(self.x),
+            "y": decimal_str(self.y),
+            "hall_lang_ratio": self.hall_lang_ratio,
+        }
 
 
 def stability_scan(
@@ -184,16 +191,37 @@ def _budget_check(value: int, max_bits: int) -> None:
         )
 
 
-def _certify_from_values(values: tuple[int, ...], n: int) -> MaximalityCertificate:
+def _rigid_gcds(map: SpecializedMap, values: tuple[int, ...], n: int) -> list[int]:
+    """gcd(v_n, v_k) for k = 1..n-1, where v_k = phi_a^k(gamma_a) is nonzero.
+
+    phi_a has integer coefficients, so v_n = phi_a^(n-k)(v_k) is congruent to
+    phi_a^(n-k)(0) mod v_k and gcd(v_n, v_k) = gcd(v_k, phi_a^(n-k)(0)).  The
+    residue is iterated mod |v_k|, so neither v_n nor the orbit of 0 is ever
+    touched at full size.
+    """
+    gcds = []
+    for k, v in enumerate(values[: n - 1], start=1):
+        modulus = abs(v)
+        x = 0
+        for _ in range(n - k):
+            x = map.apply(x) % modulus
+        gcds.append(math.gcd(modulus, x))
+    return gcds
+
+
+def _certify_from_values(
+    map: SpecializedMap, values: tuple[int, ...], n: int
+) -> MaximalityCertificate:
     value = values[n - 1]
     root = is_perfect_square(value)
     if root is not None:
         return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=root)
-    earlier = values[: n - 1]
-    if any(e == 0 for e in earlier):
+    if any(e == 0 for e in values[: n - 1]):
         # degenerate orbit through 0; nothing can be stripped meaningfully
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
-    r = stripped_cofactor(value, earlier)
+    # stripping removes whole primes, and gcd(v_n, v_k) has exactly the primes
+    # v_n shares with v_k, so the cofactor is the one stripping against v_k gives
+    r =stripped_cofactor(value, _rigid_gcds(map, values, n))
     if r > 1 and is_perfect_square(r) is None:
         return MaximalityCertificate(level=n, status=CERTIFIED_MAXIMAL, witness=r)
     return MaximalityCertificate(level=n, status=UNKNOWN, witness=r)
@@ -213,7 +241,7 @@ def certify_level_maximal(
     if n < 1:
         raise ValueError("level must be >= 1")
     crit = critical_orbit(map, n, max_bits)
-    return _certify_from_values(crit.values, n)
+    return _certify_from_values(map, crit.values, n)
 
 
 def certify_tower(
@@ -234,7 +262,7 @@ def certify_tower(
         values = tuple(err.partial)
         budget_error = err
     certs = tuple(
-        _certify_from_values(values, n)
+        _certify_from_values(map, values, n)
         for n in range(first_level, min(last_level, len(values)) + 1)
     )
     report = TowerReport(

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtower.bigpoly import (
+    _DECIMAL_STR_CUTOFF,
     IntPolynomial,
     ZeroPolynomialError,
+    decimal_str,
     discriminant_direct,
     height_int,
     is_perfect_square,
@@ -199,6 +203,40 @@ def test_is_perfect_square_random():
         assert is_perfect_square(k * k + 1) in (None, k + 1)  # k=1 edge: 2 not square
         if k > 1:
             assert is_perfect_square(k * k + 1) is None
+
+
+def _near_powers():
+    """0, +-1, and 2^k +- 1, 10^k +- 1 (either sign) on both sides of the
+    decimal_str cutoff."""
+    yield from (0, 1, -1)
+    digits = int(_DECIMAL_STR_CUTOFF * math.log10(2))
+    for base, exps in ((2, (_DECIMAL_STR_CUTOFF - 1, _DECIMAL_STR_CUTOFF,
+                            _DECIMAL_STR_CUTOFF + 1, 3 * _DECIMAL_STR_CUTOFF)),
+                       (10, (digits - 1, digits, digits + 1, 3 * digits))):
+        for k in exps:
+            for n in (base ** k - 1, base ** k, base ** k + 1):
+                yield n
+                yield -n
+
+
+def test_decimal_str_near_powers():
+    for n in _near_powers():
+        assert decimal_str(n) == str(n)
+
+
+@st.composite
+def ints_either_side_of_cutoff(draw):
+    """Random ints of a drawn bit length, half of them above the cutoff."""
+    bits = draw(st.one_of(st.integers(1, _DECIMAL_STR_CUTOFF),
+                          st.integers(_DECIMAL_STR_CUTOFF + 1, 3 * _DECIMAL_STR_CUTOFF)))
+    n = draw(st.randoms(use_true_random=False)).getrandbits(bits) | (1 << (bits - 1))
+    return -n if draw(st.booleans()) else n
+
+
+@settings(max_examples=100, deadline=None)
+@given(ints_either_side_of_cutoff())
+def test_decimal_str_matches_str(n):
+    assert decimal_str(n) == str(n)
 
 
 def test_doctests():

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import quadtower
 from quadtower.cli import main
 from quadtower.family import HallLangConstants, QuadraticFamily
 from quadtower.galois import certify_tower
@@ -201,6 +206,23 @@ def test_depth_zero_is_usage_error(capsys):
     )
     assert code == 1
     assert "depth" in err
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_density_segment_size_below_one_exits_one_quickly(size):
+    # a separate process with a timeout, so a regression to the endless
+    # sieve loop fails instead of hanging the suite
+    src = pathlib.Path(quadtower.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadtower.cli", "density", "--gamma", "0",
+         "--c", "0,1", "--a", "1", "--b", "0", "--X", "1000",
+         "--segment-size", size],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "segment_size" in proc.stderr
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -39,6 +39,14 @@ def test_segment_size_does_not_matter():
     assert a == b
 
 
+@pytest.mark.parametrize("size", [0, -1, -4096])
+def test_segment_size_below_one_rejected(size):
+    with pytest.raises(ValueError):
+        primes_up_to(100, segment_size=size)
+    with pytest.raises(ValueError):
+        density_curve(X2P1, 0, 100, segment_size=size)
+
+
 def test_orbit_hits_zero_examples():
     assert orbit_hits_zero_mod_p(X2P1, 0, 2) is True
     assert orbit_hits_zero_mod_p(X2P1, 0, 3) is False

@@ -2,19 +2,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadtower.bigpoly import IntPolynomial, discriminant_direct
+from quadtower.bigpoly import IntPolynomial, discriminant_direct, is_perfect_square
 from quadtower.factor import (
     Budget,
     IncompleteFactorizationError,
     SquareFreeDecomposition,
     squarefree_decompose,
+    stripped_cofactor,
 )
 from quadtower.family import QuadraticFamily, SpecializedMap
 from quadtower.galois import (
     CERTIFIED_MAXIMAL,
     FAILED_SQUARE_OVER_Q,
     UNKNOWN,
+    MaximalityCertificate,
     SingularModelError,
     certify_level_maximal,
     certify_tower,
@@ -24,9 +28,9 @@ from quadtower.galois import (
     stability_scan,
     verify_forced_point,
 )
-from quadtower.orbit import DigitBudgetError, critical_orbit
+from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
 
-from conftest import ACCEPTANCE_MAPS, JONES_A
+from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A
 
 X2P1 = SpecializedMap.make(1, 0, 1)
 X2P2 = SpecializedMap.make(2, 0, 2)
@@ -170,6 +174,51 @@ def test_certificates_never_factor(monkeypatch):
 
     monkeypatch.setattr(factor_mod, "factorize", boom)
     assert certify_tower(X2P2, 1, 8) == before
+
+
+def _full_strip_certificate(values, n) -> MaximalityCertificate:
+    """Reference: strip the level-n value against the full lower values."""
+    value = values[n - 1]
+    root = is_perfect_square(value)
+    if root is not None:
+        return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=root)
+    earlier = values[: n - 1]
+    if any(e == 0 for e in earlier):
+        return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
+    r = stripped_cofactor(value, earlier)
+    status = CERTIFIED_MAXIMAL if r > 1 and is_perfect_square(r) is None else UNKNOWN
+    return MaximalityCertificate(level=n, status=status, witness=r)
+
+
+small_coeffs = st.lists(st.integers(-4, 4), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gamma=small_coeffs, c=small_coeffs, a=st.integers(-4, 4), depth=st.integers(1, 12))
+def test_rigid_gcd_stripping_matches_full_stripping(gamma, c, a, depth):
+    m = QuadraticFamily.of(gamma, c).specialize(a)
+    values = critical_orbit(m, depth).values
+    expected = tuple(_full_strip_certificate(values, n) for n in range(1, depth + 1))
+    assert certify_tower(m, 1, depth).certificates == expected
+    assert certify_level_maximal(m, depth) == expected[-1]
+
+
+def test_rigid_gcd_stripping_matches_full_stripping_on_corpus():
+    for entry in CORPUS:
+        m = entry.map()
+        values = critical_orbit(m, 10).values
+        for cert in certify_tower(m, 1, 10).certificates:
+            assert cert == _full_strip_certificate(values, cert.level)
+
+
+def test_certify_tower_level_20_within_budget():
+    # phi^19(0) needs more than the default 2^20-bit budget on this map, so
+    # the stripping must never build the orbit of 0 at full size
+    m = next(e for e in CORPUS if e.name == "shifted-jones-small").map()
+    with pytest.raises(DigitBudgetError):
+        orbit(m, 0, 19)
+    report = certify_tower(m, 1, 20)
+    assert [c.level for c in report.certificates] == list(range(1, 21))
 
 
 def test_curve_model_x2p1_level4():
