@@ -18,6 +18,20 @@ class ZeroPolynomialError(ValueError):
     """The operation needed a nonzero (or nonconstant) polynomial."""
 
 
+# phi^15(gamma) of a small map is already ~32k bits; 2^20 bits of headroom
+# keeps desk-scale work comfortable while stopping runaway doubling early.
+DEFAULT_MAX_BITS = 1 << 20
+
+
+class DigitBudgetError(RuntimeError):
+    """A value outgrew the bit budget; .partial holds the orbit values
+    computed before the overflow."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial if partial is not None else []
+
+
 @dataclass(frozen=True, init=False)
 class IntPolynomial:
     """Dense integer polynomial with coefficients stored low-to-high.

@@ -253,7 +253,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa3", type=float)
     p.set_defaults(handler=cmd_nphi_bound)
 
-    p = sub.add_parser("index-bound", parents=[common],
+    p = sub.add_parser("index-bound", parents=[common, bits],
                        help="the uniform index bound 2^(2^n - n - 1)")
     p.add_argument("--n", type=int)
     p.set_defaults(handler=cmd_index_bound)
@@ -293,6 +293,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"unknown method: {cfg.method!r}")
     if cfg.genus not in (1, 2):
         raise UsageError("genus must be 1 or 2")
+    if cfg.bits < 1:
+        raise UsageError("--bits must be >= 1")
     return cfg
 
 
@@ -525,7 +527,7 @@ def cmd_nphi_bound(cfg: RunConfig) -> int:
 def cmd_index_bound(cfg: RunConfig) -> int:
     if cfg.n is None:
         raise UsageError("--n is required")
-    value = decimal_str(index_bound(cfg.n))
+    value = decimal_str(index_bound(cfg.n, cfg.bits))
 
     def text():
         yield f"[Aut(T_inf) : G_inf] <= {value}"

@@ -10,6 +10,7 @@ across processes with bit-identical output.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -180,7 +181,8 @@ def density_curve(
 
     The prime range splits into contiguous shards whose merge is order-fixed,
     so any shard count and worker count produce identical curves; worker
-    processes only pay off for large x_max.
+    processes only pay off for large x_max.  At most min(workers, shards,
+    os.cpu_count()) processes start.
     """
     if x_max < 2:
         raise ValueError("need x_max >= 2")
@@ -202,6 +204,7 @@ def density_curve(
         for i in range(shards)
         if bounds[i] <= bounds[i + 1] - 1
     ]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers == 1:
         results = [_scan_shard(job) for job in jobs]
     else:

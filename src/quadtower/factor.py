@@ -1,7 +1,8 @@
 """Desk-scale integer factorization and primitive-prime-divisor machinery.
 
-Trial division plus Brent-variant Pollard rho, strong-probable-prime tests,
-square-free decompositions 2^e * d * y^2, and the gcd-stripping cofactor that
+Trial division, Pollard p-1 stage 1 to B1 = rho_iters // 100, then
+Brent-variant Pollard rho; strong-probable-prime tests, square-free
+decompositions 2^e * d * y^2, and the gcd-stripping cofactor that
 lets tower certificates avoid factoring altogether.  Everything is
 deterministic given the budget and its seed.
 """
@@ -36,7 +37,9 @@ class Budget:
     """Effort knobs for factorize; defaults favour reproducibility over speed.
 
     trial_bound -- trial-divide by primes up to this bound
-    rho_iters   -- Brent rho iterations allowed per composite cofactor
+    rho_iters   -- Brent rho iterations allowed per composite cofactor; also
+                   sets the Pollard p-1 stage 1 bound B1 = rho_iters // 100,
+                   run on each composite cofactor before rho
     mr_rounds   -- random strong-probable-prime rounds for inputs >= 2^64
     seed        -- seeds rho parameters and the large Miller-Rabin bases
     """
@@ -225,8 +228,29 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int | None:
     return None
 
 
+def _pollard_pm1(n: int, bound: int) -> int | None:
+    """Pollard p-1 stage 1 with base 2 on the odd composite n.
+
+    Returns a nontrivial factor when some prime p | n has the order of 2
+    mod p dividing the product of the prime powers <= bound (so whenever
+    p - 1 divides it), and None when no prime or every prime of n does.
+    """
+    if bound < 2:
+        return None
+    e = 1
+    for p in _small_primes(bound):
+        if p > bound:
+            break
+        q = p
+        while q * p <= bound:
+            q *= p
+        e *= q
+    g = math.gcd(pow(2, e, n) - 1, n)
+    return g if 1 < g < n else None
+
+
 def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
-    """Factor n by trial division then budgeted Brent rho.
+    """Factor n by trial division, Pollard p-1 stage 1, then budgeted Brent rho.
 
     Every reported prime passes the strong-probable-prime test; whatever
     resists the budget is returned as a composite cofactor with
@@ -261,7 +285,9 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
         if root is not None:
             pending += [root, root]
             continue
-        f = _brent_rho(x, rng, budget.rho_iters)
+        f = _pollard_pm1(x, budget.rho_iters // 100)
+        if f is None:
+            f = _brent_rho(x, rng, budget.rho_iters)
         if f is None:
             stuck.append(x)
             continue

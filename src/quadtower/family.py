@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from quadtower.bigpoly import (
+    DEFAULT_MAX_BITS,
+    DigitBudgetError,
     IntPolynomial,
     ZeroPolynomialError,
     poly_height,
@@ -316,10 +318,18 @@ class QuadraticFamily:
         )
 
 
-def index_bound(n_phi: int) -> int:
-    """Uniform index bound 2^(2^n_phi - n_phi - 1) as an exact big integer."""
+def index_bound(n_phi: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
+    """Uniform index bound 2^(2^n_phi - n_phi - 1) as an exact big integer.
+
+    The result needs 2^n_phi - n_phi >= 2^(n_phi - 1) bits; DigitBudgetError
+    is raised before anything that size is built when that exceeds max_bits.
+    """
     if n_phi < 1:
         raise ValueError("n_phi must be >= 1")
+    if n_phi > max_bits.bit_length() + 1 or (1 << n_phi) - n_phi > max_bits:
+        raise DigitBudgetError(
+            f"index bound needs 2^{n_phi} - {n_phi} bits; budget is {max_bits}"
+        )
     return 1 << ((1 << n_phi) - n_phi - 1)
 
 

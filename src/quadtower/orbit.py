@@ -11,23 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quadtower.bigpoly import height_int
+from quadtower.bigpoly import DEFAULT_MAX_BITS, DigitBudgetError, height_int
 from quadtower.family import SpecializedMap
 
 _LOG2 = math.log(2.0)
-
-# phi^15(gamma) of a small map is already ~32k bits; 2^20 bits of headroom
-# keeps desk-scale work comfortable while stopping runaway doubling early.
-DEFAULT_MAX_BITS = 1 << 20
-
-
-class DigitBudgetError(RuntimeError):
-    """An orbit value outgrew the bit budget; .partial holds the values
-    computed before the overflow."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial if partial is not None else []
 
 
 class PostCriticallyFiniteError(ValueError):

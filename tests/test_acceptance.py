@@ -9,6 +9,8 @@ import functools
 import random
 import time
 
+import pytest
+
 from quadtower.bigpoly import discriminant_direct
 from quadtower.density import density_curve, primes_up_to
 from quadtower.factor import (
@@ -97,6 +99,7 @@ def test_criterion_03_discriminant_agreement():
     assert time.perf_counter() - start < 30.0
 
 
+@pytest.mark.slow
 @criterion(4, "forced-point identity at levels 2..9 wherever decompositions complete")
 def test_criterion_04_forced_point():
     budget = Budget(trial_bound=10 ** 6, rho_iters=10 ** 6)

@@ -18,6 +18,18 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*args, **kwargs):
+    """The CLI in a fresh interpreter with a 60 s timeout, for inputs whose
+    regression would hang or exhaust the test process."""
+    src = pathlib.Path(quadtower.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "quadtower.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60, **kwargs,
+    )
+
+
 def test_family_info_json(capsys):
     code, out, _ = run(capsys, "family-info", "--gamma", "0", "--c", "0,1", "--json")
     assert code == 0
@@ -208,19 +220,51 @@ def test_depth_zero_is_usage_error(capsys):
     assert "depth" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("critical-orbit", ("--depth", "3")),
+    ("certify", ("--to", "3")),
+])
+@pytest.mark.parametrize("bits", ["-5", "-1", "0"])
+def test_bits_below_one_is_usage_error(capsys, command, extra, bits):
+    code, out, err = run(capsys, command, "--gamma", "0", "--c", "0,1",
+                         "--a", "2", *extra, "--bits", bits)
+    assert code == 1
+    assert out == ""
+    assert "--bits" in err
+
+
+def test_index_bound_small_n_unchanged(capsys):
+    for n in range(1, 9):
+        code, out, _ = run(capsys, "index-bound", "--n", str(n))
+        assert code == 0
+        assert out == f"[Aut(T_inf) : G_inf] <= {1 << (2 ** n - n - 1)}\n"
+    code, out, _ = run(capsys, "index-bound", "--n", "7", "--bits", "120")
+    assert code == 2
+    assert json.loads(out)["error"] == "digit-budget-exceeded"
+
+
+def test_index_bound_n40_stops_at_the_guard():
+    # 2^(2^40 - 41) would take about 128 GiB; run in a separate process
+    # under a 1 GiB address-space cap, so a missing guard fails the test with
+    # a MemoryError instead of exhausting the machine
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = run_subprocess("index-bound", "--n", "40", preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "digit-budget-exceeded"
+    assert "2^40 - 40 bits" in proc.stderr
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_density_segment_size_below_one_exits_one_quickly(size):
     # a separate process with a timeout, so a regression to the endless
     # sieve loop fails instead of hanging the suite
-    src = pathlib.Path(quadtower.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadtower.cli", "density", "--gamma", "0",
-         "--c", "0,1", "--a", "1", "--b", "0", "--X", "1000",
-         "--segment-size", size],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_subprocess("density", "--gamma", "0", "--c", "0,1", "--a", "1",
+                          "--b", "0", "--X", "1000", "--segment-size", size)
     assert proc.returncode == 1
     assert "segment_size" in proc.stderr
 

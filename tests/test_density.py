@@ -152,6 +152,40 @@ def test_density_decay_from_fixture():
     assert rows[10 ** 6] < rows[10 ** 3]
 
 
+@pytest.mark.parametrize("workers, shards, cores, expected", [
+    (64, 8, 3, 3),       # capped at the core count
+    (64, 2, 16, 2),      # capped at the shard count
+    (4, 8, 16, 4),       # as asked
+    (8, 1, 16, None),    # one shard: no pool at all
+    (8, 8, None, None),  # core count unknown: no pool at all
+])
+def test_density_worker_count_is_clamped(monkeypatch, workers, shards, cores, expected):
+    import quadtower.density as density_mod
+
+    seen = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(density_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: cores)
+    curve = density_curve(X2P1, 0, 1000, shards=shards, workers=workers)
+    assert seen == ([] if expected is None else [expected])
+    assert curve.to_csv() == density_curve(X2P1, 0, 1000).to_csv()
+
+
 @pytest.mark.slow
 def test_density_x1e6_regression_matches_fixture():
     data = json.loads(FIXTURE.read_text())

@@ -1,8 +1,12 @@
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quadtower.factor as factor_mod
 from quadtower.factor import (
     Budget,
     IncompleteFactorizationError,
@@ -86,6 +90,51 @@ def test_factorize_incomplete_on_hard_semiprime():
     assert not fac.complete
     assert fac.cofactor > 1
     assert fac.value() == p
+
+
+def test_pm1_splits_semiprime_out_of_rho_reach(monkeypatch):
+    # p - 1 is 100-smooth, so p-1 stage 1 at B1 = 10^4 // 100 finds p; rho
+    # would need about sqrt(p) ~ 2^31 steps.  q - 1 has a prime above 100.
+    p = 2 * 3 * 5 * 7 * 13 * 23 * 31 * 37 * 41 * 47 * 53 * 61 * 67 * 79 + 1
+    q = 2 ** 67 + 3
+    assert is_probable_prime(p) and is_probable_prime(q)
+    budget = Budget(rho_iters=10 ** 4)
+    fac = factorize(p * q, budget)
+    assert fac.complete
+    assert fac.factors == ((p, 1), (q, 1))
+    monkeypatch.setattr(factor_mod, "_pollard_pm1", lambda n, bound: None)
+    fac = factorize(p * q, budget)
+    assert not fac.complete
+    assert fac.cofactor == p * q
+
+
+def test_factorize_completes_x2p7_levels_7_and_8():
+    from quadtower.orbit import critical_orbit
+
+    values = critical_orbit(QuadraticFamily.of([0], [0, 1]).specialize(7), 8).values
+    budget = Budget(rho_iters=10 ** 6)
+    start = time.perf_counter()
+    for n in (7, 8):
+        fac = factorize(values[n - 1], budget)
+        assert fac.complete, n
+        assert fac.value() == values[n - 1]
+        assert all(is_probable_prime(p) for p, _ in fac.factors)
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=st.lists(st.integers(2, 2 ** 64), min_size=1, max_size=4),
+    sign=st.sampled_from((1, -1)),
+)
+def test_factorize_reconstructs_with_probable_primes(parts, sign):
+    n = sign * math.prod(parts)
+    fac = factorize(n, Budget(trial_bound=10 ** 3, rho_iters=10 ** 4))
+    assert fac.value() == n
+    assert all(is_probable_prime(p) for p, _ in fac.factors)
+    assert fac.complete == (fac.cofactor == 1)
+    if not fac.complete:
+        assert not is_probable_prime(fac.cofactor)
 
 
 def test_factorize_respects_trial_bound_despite_warm_cache():

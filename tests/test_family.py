@@ -14,6 +14,7 @@ from quadtower.family import (
     SpecializedMap,
     index_bound,
 )
+from quadtower.orbit import DigitBudgetError
 
 T = IntPolynomial((0, 1))
 X2PT = QuadraticFamily.of([0], [0, 1])  # phi_a = x^2 + a
@@ -263,3 +264,13 @@ def test_index_bound():
     assert index_bound(1) == 1
     with pytest.raises(ValueError):
         index_bound(0)
+
+
+def test_index_bound_bit_budget():
+    # the value needs 2^n - n bits
+    assert index_bound(20).bit_length() == 2 ** 20 - 20
+    with pytest.raises(DigitBudgetError):
+        index_bound(21)
+    assert index_bound(6, max_bits=58) == 1 << 57
+    with pytest.raises(DigitBudgetError):
+        index_bound(7, max_bits=120)
