@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class ZeroPolynomialError(ValueError):
@@ -338,21 +338,22 @@ _DECIMAL_STR_CUTOFF = 1 << 15
 _DECIMAL_LEAF_BITS = 1024
 
 
-def decimal_str(n: int) -> str:
-    """Exactly str(n), in subquadratic time for big n.
+def _exact_context():
+    """A decimal context in which integer +, -, * and // are exact: maximal
+    precision and exponent range, and Inexact trapped in case they are not."""
+    import decimal
 
-    CPython before 3.12 converts int to decimal in quadratic time.  Above the
-    cutoff, |n| is split at powers of two and the halves are recombined in the
-    decimal module (exact: Inexact is trapped), whose multiplication is
-    subquadratic.
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = True
+    return ctx
 
-    >>> decimal_str(-12345)
-    '-12345'
-    >>> decimal_str(10 ** 30 - 1) == "9" * 30
-    True
+
+def _to_decimal(n: int):
+    """Decimal(n) in subquadratic time; call it under _exact_context().
+
+    |n| is split at powers of two and the halves are recombined in the
+    decimal module, whose multiplication is subquadratic.
     """
-    if n.bit_length() <= _DECIMAL_STR_CUTOFF:
-        return str(n)
     import decimal
 
     two = decimal.Decimal(2)
@@ -378,10 +379,72 @@ def decimal_str(n: int) -> str:
         hi = m >> half
         return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        text = str(convert(abs(n), n.bit_length()))
-    return "-" + text if n < 0 else text
+    d = convert(abs(n), n.bit_length())
+    return -d if n < 0 else d
+
+
+def decimal_str(n: int) -> str:
+    """Exactly str(n), in subquadratic time for big n.
+
+    CPython before 3.12 converts int to decimal in quadratic time.  Above the
+    cutoff, n goes through _to_decimal instead.
+
+    >>> decimal_str(-12345)
+    '-12345'
+    >>> decimal_str(10 ** 30 - 1) == "9" * 30
+    True
+    """
+    if n.bit_length() <= _DECIMAL_STR_CUTOFF:
+        return str(n)
+    import decimal
+
+    with decimal.localcontext(_exact_context()):
+        return str(_to_decimal(n))
+
+
+def orbit_divisor_strs(
+    gamma: int, c: int, values: Sequence[int], divisors: Sequence[int | None]
+) -> list[str | None]:
+    """[decimal_str(d) for d in divisors], with None kept as None, where
+    values[i + 1] = (values[i] - gamma)^2 + c and each d divides values[i].
+
+    A d above the decimal_str cutoff whose cofactor q = values[i] / d is at
+    most that cutoff is printed as values[i] // q in decimal arithmetic:
+    values[0] is converted once and the orbit is stepped forward in exact
+    decimal arithmetic, so each level costs one decimal squaring instead of a
+    base conversion.  Only the current decimal value is held.  The other d,
+    among them square roots (whose cofactor is as big as they are), go
+    through decimal_str.  Passing d = values[i] prints the orbit itself.
+
+    >>> orbit_divisor_strs(0, 1, [1, 2, 5, 26], [None, 2, 5, 13])
+    [None, '2', '5', '13']
+    """
+    import decimal
+
+    out: list[str | None] = []
+    x = None  # the decimal value of values[at], once needed
+    at = 0
+    with decimal.localcontext(_exact_context()):
+        for i, (v, d) in enumerate(zip(values, divisors, strict=True)):
+            if d is None:
+                out.append(None)
+                continue
+            if (d.bit_length() <= _DECIMAL_STR_CUTOFF
+                    or v.bit_length() - d.bit_length() > _DECIMAL_STR_CUTOFF):
+                out.append(decimal_str(d))
+                continue
+            q, rem = divmod(v, d)
+            if rem:
+                raise ValueError(f"values[{i}] is not a multiple of divisors[{i}]")
+            if x is None:
+                x, g, k = _to_decimal(values[0]), _to_decimal(gamma), _to_decimal(c)
+            for _ in range(i - at):
+                y = x - g
+                x = y * y + k
+            at = i
+            text = str(x if q == 1 else x // decimal.Decimal(q))
+            # the trailing digits tie the decimal orbit back to the int values
+            if int(text[-18:]) != abs(d) % 10 ** 18:
+                raise ValueError("values is not an orbit of (x - gamma)^2 + c")
+            out.append(text)
+    return out

@@ -18,6 +18,7 @@ from quadtower.bigpoly import (
     ZeroPolynomialError,
     decimal_str,
     discriminant_direct,
+    orbit_divisor_strs,
 )
 from quadtower.density import DEFAULT_SEGMENT_SIZE, density_curve
 from quadtower.factor import (
@@ -353,10 +354,17 @@ def cmd_family_info(cfg: RunConfig) -> int:
     return 0
 
 
-def _orbit_rows(values, start: int = 0) -> list[dict]:
+def _orbit_rows(values, map=None, start: int = 0) -> list[dict]:
+    """One row per orbit value; with the map, values[i + 1] = map(values[i])
+    and the values print along the orbit (orbit_divisor_strs, every value its
+    own divisor), else one by one."""
+    if map is None:
+        texts = [decimal_str(v) for v in values]
+    else:
+        texts = orbit_divisor_strs(map.gamma_a, map.c_a, values, values)
     return [
-        {"n": i, "value": decimal_str(v), "bits": v.bit_length()}
-        for i, v in enumerate(values, start=start)
+        {"n": i, "value": text, "bits": v.bit_length()}
+        for i, (v, text) in enumerate(zip(values, texts), start=start)
     ]
 
 
@@ -368,7 +376,7 @@ def cmd_orbit(cfg: RunConfig) -> int:
     if cfg.b is None:
         raise UsageError("--b is required")
     sl = orbit(cfg.map(), cfg.b, cfg.depth, cfg.bits)
-    rows = _orbit_rows(sl.values)
+    rows = _orbit_rows(sl.values, sl.map)
     if cfg.fmt == "json":
         for row in rows:  # orbit dumps are JSON lines
             print(json.dumps(row))
@@ -380,7 +388,7 @@ def cmd_orbit(cfg: RunConfig) -> int:
 
 def cmd_critical_orbit(cfg: RunConfig) -> int:
     crit = critical_orbit(cfg.map(), cfg.depth, cfg.bits)
-    rows = _orbit_rows(crit.values, start=1)
+    rows = _orbit_rows(crit.values, crit.map, start=1)
     out = {"condition_one_holds": crit.condition_one_holds, "values": rows}
 
     def text():
@@ -408,9 +416,9 @@ def cmd_certify(cfg: RunConfig) -> int:
     report = certify_tower(cfg.map(), cfg.from_level, cfg.to_level, cfg.bits)
 
     def text():
-        for cert in report.certificates:
+        for cert, witness in zip(report.certificates, report.witness_strs()):
             yield f"level {cert.level}: {cert.status}" + (
-                f" (witness {decimal_str(cert.witness)})" if cert.witness is not None else ""
+                f" (witness {witness})" if witness is not None else ""
             )
         yield "counts: " + ", ".join(f"{k}={v}" for k, v in report.counts.items())
 
@@ -436,7 +444,19 @@ def cmd_primitive_divisors(cfg: RunConfig) -> int:
     return 0
 
 
+# phi_a^n has degree 2^n, and composing it then taking its resultant grows
+# steeply: for x^2 + 1, 0.8 s at level 9, 4.8 s at level 10 and 54 s at
+# level 11 (CPython 3.11, one core).  --direct refuses higher levels before
+# composing.
+DIRECT_DISCRIMINANT_MAX_LEVEL = 10
+
+
 def cmd_discriminant(cfg: RunConfig) -> int:
+    if cfg.direct and cfg.level > DIRECT_DISCRIMINANT_MAX_LEVEL:
+        raise DigitBudgetError(
+            f"direct discriminant at level {cfg.level} is refused; "
+            f"--direct goes up to level {DIRECT_DISCRIMINANT_MAX_LEVEL}"
+        )
     m = cfg.map()
     value = discriminant_recurrence(m, cfg.level, cfg.bits)
     recurrence = decimal_str(value)

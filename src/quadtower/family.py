@@ -73,12 +73,6 @@ class SpecializedMap:
         g = self.gamma_a
         return IntPolynomial((g * g + self.c_a, -2 * g, 1))
 
-    def sigma_polynomial(self) -> IntPolynomial:
-        return IntPolynomial((self.v_a, 0, 1))
-
-    def describe(self) -> str:
-        return f"(x - {self.gamma_a})^2 + {self.c_a}"
-
 
 @dataclass(frozen=True)
 class HallLangConstants:

@@ -10,7 +10,7 @@ FailedSquareOverQ are proved, Unknown is exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from quadtower.bigpoly import (
     IntPolynomial,
@@ -18,6 +18,7 @@ from quadtower.bigpoly import (
     discriminant_direct,
     height_int,
     is_perfect_square,
+    orbit_divisor_strs,
     poly_height,
 )
 from quadtower.factor import SquareFreeDecomposition, stripped_cofactor
@@ -79,20 +80,24 @@ class MaximalityCertificate:
     status: str
     witness: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "status": self.status,
-            "witness": None if self.witness is None else decimal_str(self.witness),
-        }
+    def to_json_dict(self, witness_text: str | None = None) -> dict:
+        """witness_text, when given, is the witness already in decimal."""
+        if witness_text is None and self.witness is not None:
+            witness_text = decimal_str(self.witness)
+        return {"level": self.level, "status": self.status, "witness": witness_text}
 
 
 @dataclass(frozen=True)
 class TowerReport:
+    """Certificates for first_level..last_level; values is the critical orbit
+    phi_a^n(gamma_a), n = 1.., they were computed from (shorter than
+    last_level when the bit budget ran out)."""
+
     map: SpecializedMap
     first_level: int
     last_level: int
     certificates: tuple[MaximalityCertificate, ...]
+    values: tuple[int, ...] = field(repr=False)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -101,11 +106,23 @@ class TowerReport:
             out[cert.status] += 1
         return out
 
+    def witness_strs(self) -> list[str | None]:
+        """Each certificate's witness in decimal, or None.  A witness R is an
+        exact divisor of its critical value, so it prints along the critical
+        orbit (see orbit_divisor_strs) rather than by base conversion."""
+        divisors: list[int | None] = [None] * len(self.values)
+        for cert in self.certificates:
+            divisors[cert.level - 1] = cert.witness
+        texts = orbit_divisor_strs(self.map.gamma_a, self.map.c_a, self.values, divisors)
+        return [texts[cert.level - 1] for cert in self.certificates]
+
     def to_json_dict(self) -> dict:
         return {
             "from": self.first_level,
             "to": self.last_level,
-            "certificates": [c.to_json_dict() for c in self.certificates],
+            "certificates": [
+                c.to_json_dict(text) for c, text in zip(self.certificates, self.witness_strs())
+            ],
             "counts": self.counts,
         }
 
@@ -196,8 +213,9 @@ def _rigid_gcds(map: SpecializedMap, values: tuple[int, ...], n: int) -> list[in
 
     phi_a has integer coefficients, so v_n = phi_a^(n-k)(v_k) is congruent to
     phi_a^(n-k)(0) mod v_k and gcd(v_n, v_k) = gcd(v_k, phi_a^(n-k)(0)).  The
-    residue is iterated mod |v_k|, so neither v_n nor the orbit of 0 is ever
-    touched at full size.
+    residue is iterated mod |v_k| and kept in (-|v_k|/2, |v_k|/2], so neither
+    v_n nor the orbit of 0 is ever touched at full size, and a small residue
+    such as -3 stays small instead of becoming |v_k| - 3 and being squared.
     """
     gcds = []
     for k, v in enumerate(values[: n - 1], start=1):
@@ -205,6 +223,8 @@ def _rigid_gcds(map: SpecializedMap, values: tuple[int, ...], n: int) -> list[in
         x = 0
         for _ in range(n - k):
             x = map.apply(x) % modulus
+            if 2 * x > modulus:
+                x -= modulus
         gcds.append(math.gcd(modulus, x))
     return gcds
 
@@ -221,7 +241,7 @@ def _certify_from_values(
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
     # stripping removes whole primes, and gcd(v_n, v_k) has exactly the primes
     # v_n shares with v_k, so the cofactor is the one stripping against v_k gives
-    r =stripped_cofactor(value, _rigid_gcds(map, values, n))
+    r = stripped_cofactor(value, _rigid_gcds(map, values, n))
     if r > 1 and is_perfect_square(r) is None:
         return MaximalityCertificate(level=n, status=CERTIFIED_MAXIMAL, witness=r)
     return MaximalityCertificate(level=n, status=UNKNOWN, witness=r)
@@ -266,7 +286,11 @@ def certify_tower(
         for n in range(first_level, min(last_level, len(values)) + 1)
     )
     report = TowerReport(
-        map=map, first_level=first_level, last_level=last_level, certificates=certs
+        map=map,
+        first_level=first_level,
+        last_level=last_level,
+        certificates=certs,
+        values=values,
     )
     if budget_error is not None:
         raise DigitBudgetError(str(budget_error), partial=report)

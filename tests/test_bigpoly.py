@@ -14,6 +14,7 @@ from quadtower.bigpoly import (
     discriminant_direct,
     height_int,
     is_perfect_square,
+    orbit_divisor_strs,
     poly_height,
     resultant,
 )
@@ -237,6 +238,34 @@ def ints_either_side_of_cutoff(draw):
 @given(ints_either_side_of_cutoff())
 def test_decimal_str_matches_str(n):
     assert decimal_str(n) == str(n)
+
+
+def _orbit(gamma, c, x, length):
+    values = [x]
+    for _ in range(length - 1):
+        values.append((values[-1] - gamma) ** 2 + c)
+    return values
+
+
+def test_orbit_divisor_strs_prints_values_and_divisors():
+    # a start below -2^(cutoff) makes every value big, the first one negative
+    values = _orbit(5, -7, -(3 ** 21000), 3)
+    assert orbit_divisor_strs(5, -7, values, values) == [str(v) for v in values]
+    # cofactors -3 and 2^13, a skipped level, and a square root, whose
+    # cofactor is as big as the root
+    values = _orbit(0, 0, -3 << 40000, 4)
+    divisors = [1 << 40000, values[1] >> 13, None, values[2]]
+    assert orbit_divisor_strs(0, 0, values, divisors) == [
+        str(d) if d is not None else None for d in divisors
+    ]
+
+
+def test_orbit_divisor_strs_rejects_a_non_divisor_and_a_non_orbit():
+    values = _orbit(0, 1, 3 ** 30000, 2)
+    with pytest.raises(ValueError, match="not a multiple"):
+        orbit_divisor_strs(0, 1, values, [values[0] + 2, None])
+    with pytest.raises(ValueError, match="not an orbit"):
+        orbit_divisor_strs(0, 2, values, [None, values[1]])
 
 
 def test_doctests():

@@ -7,9 +7,13 @@ import sys
 import pytest
 
 import quadtower
+from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
 from quadtower.cli import main
 from quadtower.family import HallLangConstants, QuadraticFamily
 from quadtower.galois import certify_tower
+from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
+
+from conftest import ACCEPTANCE_MAPS, CorpusEntry
 
 
 def run(capsys, *args):
@@ -57,6 +61,79 @@ def test_certify_matches_library(capsys):
     report = certify_tower(QuadraticFamily.of([0], [0, 1]).specialize(2), 1, 6)
     assert data["certificates"] == [c.to_json_dict() for c in report.certificates]
     assert data["counts"]["CertifiedMaximal"] == 5
+
+
+# The maps the tower-20 benchmark certifies to level 20.
+TOWER_MAPS = [CorpusEntry("x2+1", (0,), (0, 1), 1)] + [
+    e for e in ACCEPTANCE_MAPS
+    if e.name in ("x2+2", "x2+3", "x2-3", "shift-by-1", "shifted-jones-small")
+]
+
+
+def _certify_rendering(report) -> tuple[str, str]:
+    """Reference for certify's text and JSON output: every witness converted
+    on its own by decimal_str."""
+    witnesses = [None if c.witness is None else decimal_str(c.witness)
+                 for c in report.certificates]
+    lines = [f"level {c.level}: {c.status}" + ("" if w is None else f" (witness {w})")
+             for c, w in zip(report.certificates, witnesses)]
+    lines.append("counts: " + ", ".join(f"{k}={v}" for k, v in report.counts.items()))
+    doc = {
+        "from": report.first_level,
+        "to": report.last_level,
+        "certificates": [{"level": c.level, "status": c.status, "witness": w}
+                         for c, w in zip(report.certificates, witnesses)],
+        "counts": report.counts,
+    }
+    return "\n".join(lines) + "\n", json.dumps(doc, indent=2) + "\n"
+
+
+def _map_args(entry):
+    return ("--gamma", ",".join(map(str, entry.gamma)), "--c", ",".join(map(str, entry.c)),
+            f"--a={entry.a}")
+
+
+@pytest.mark.parametrize("entry", TOWER_MAPS, ids=lambda e: e.name)
+def test_certify_level_20_prints_every_witness_as_decimal_str(capsys, entry):
+    text, doc = _certify_rendering(certify_tower(entry.map(), 1, 20))
+    args = ("certify", *_map_args(entry), "--from", "1", "--to", "20")
+    assert run(capsys, *args) == (0, text, "")
+    assert run(capsys, *args, "--format", "json") == (0, doc, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_certify_partial_report_prints_as_decimal_str(capsys, fmt):
+    # levels 17 and 18 of x^2+2 (85 and 170 kbit) fit 200,000 bits, level 19 not
+    m = QuadraticFamily.of([0], [0, 1]).specialize(2)
+    with pytest.raises(DigitBudgetError) as err:
+        certify_tower(m, 1, 20, max_bits=200_000)
+    partial = err.value.partial
+    assert len(partial.certificates) == 18
+    code, out, _ = run(capsys, "certify", "--gamma", "0", "--c", "0,1", "--a", "2",
+                       "--to", "20", "--bits", "200000", "--format", fmt)
+    assert code == 2
+    assert json.loads(out)["partial"] == json.loads(_certify_rendering(partial)[1])
+
+
+def test_orbit_rows_print_as_decimal_str(capsys):
+    m = QuadraticFamily.of([0, 1], [1, 1]).specialize(4)
+    args = ("--gamma", "0,1", "--c", "1,1", "--a", "4", "--depth", "18")
+    values = critical_orbit(m, 18).values
+    assert values[-1].bit_length() > 2 * _DECIMAL_STR_CUTOFF
+    code, out, _ = run(capsys, "critical-orbit", *args)
+    assert code == 0
+    assert out.splitlines()[:-1] == [
+        f"{n}: {decimal_str(v)} ({v.bit_length()} bits)" for n, v in enumerate(values, 1)
+    ]
+    code, out, _ = run(capsys, "critical-orbit", *args, "--json")
+    assert [row["value"] for row in json.loads(out)["values"]] == list(map(decimal_str, values))
+
+    values = orbit(m, -5, 18).values
+    code, out, _ = run(capsys, "orbit", *args, "--b=-5", "--json")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"n": n, "value": decimal_str(v), "bits": v.bit_length()} for n, v in enumerate(values)
+    ]
 
 
 def test_orbit_json_lines(capsys):
@@ -125,6 +202,16 @@ def test_primitive_divisors_both_methods(capsys):
     data = json.loads(out)
     assert data["certified"] is True
     assert data["witness"] == "13"
+
+
+@pytest.mark.parametrize("level", ["12", "40"])
+def test_discriminant_direct_refuses_above_level_ten(level):
+    # a separate process with a timeout: composing phi^12 took over 90 s
+    proc = run_subprocess("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1",
+                          "--level", level, "--direct")
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "digit-budget-exceeded"
+    assert f"level {level}" in proc.stderr
 
 
 def test_discriminant_direct_cross_check(capsys):

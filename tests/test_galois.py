@@ -27,6 +27,7 @@ from quadtower.galois import (
     search_integral_points,
     stability_scan,
     verify_forced_point,
+    _rigid_gcds,
 )
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
 
@@ -209,6 +210,27 @@ def test_rigid_gcd_stripping_matches_full_stripping_on_corpus():
         values = critical_orbit(m, 10).values
         for cert in certify_tower(m, 1, 10).certificates:
             assert cert == _full_strip_certificate(values, cert.level)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.lists(st.integers(-9, 9), max_size=2),
+       c=st.tuples(st.one_of(st.integers(-9, 9), st.integers(-10 ** 6, -1000),
+                             st.integers(1000, 10 ** 6)), st.integers(-9, 9)),
+       a=st.integers(-9, 9), depth=st.one_of(st.integers(1, 12), st.integers(13, 14)))
+def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
+    # |c| of 1000 or more puts levels 13 and 14 above the 2^15-bit
+    # decimal_str cutoff, where witnesses print along the decimal orbit
+    m = QuadraticFamily.of(gamma, c).specialize(a)
+    report = certify_tower(m, 1, depth)
+    assert report.witness_strs() == [
+        None if cert.witness is None else str(cert.witness) for cert in report.certificates
+    ]
+    values = report.values
+    for n in range(1, depth + 1):
+        if 0 not in values[: n - 1]:
+            assert _rigid_gcds(m, values, n) == [
+                math.gcd(abs(values[n - 1]), abs(v)) for v in values[: n - 1]
+            ]
 
 
 def test_certify_tower_level_20_within_budget():
