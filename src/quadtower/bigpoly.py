@@ -25,11 +25,12 @@ DEFAULT_MAX_BITS = 1 << 20
 
 class DigitBudgetError(RuntimeError):
     """A value outgrew the bit budget; .partial holds the orbit values
-    computed before the overflow."""
+    computed before the overflow (or a report built from them), and None
+    when the refused computation has no orbit behind it."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
-        self.partial = partial if partial is not None else []
+        self.partial = partial
 
 
 @dataclass(frozen=True, init=False)

@@ -207,7 +207,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_critical_orbit)
 
     p = sub.add_parser("stability", parents=[common, fam, spot, bits],
-                       help="scan the critical orbit for perfect squares")
+                       help="scan the adjusted critical orbit for perfect squares")
     p.add_argument("--depth", type=int)
     p.set_defaults(handler=cmd_stability)
 

@@ -1,7 +1,8 @@
 """Desk-scale integer factorization and primitive-prime-divisor machinery.
 
-Trial division, Pollard p-1 stage 1 to B1 = rho_iters // 100, then
-Brent-variant Pollard rho; strong-probable-prime tests, square-free
+Trial division, Pollard p-1 stage 1 to B1 = rho_iters // 100, Brent-variant
+Pollard rho for at most 2^17 iterations, then elliptic-curve factoring (ECM)
+with the rest of rho_iters; strong-probable-prime tests, square-free
 decompositions 2^e * d * y^2, and the gcd-stripping cofactor that
 lets tower certificates avoid factoring altogether.  Everything is
 deterministic given the budget and its seed.
@@ -9,6 +10,7 @@ deterministic given the budget and its seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -37,9 +39,12 @@ class Budget:
     """Effort knobs for factorize; defaults favour reproducibility over speed.
 
     trial_bound -- trial-divide by primes up to this bound
-    rho_iters   -- Brent rho iterations allowed per composite cofactor; also
-                   sets the Pollard p-1 stage 1 bound B1 = rho_iters // 100,
-                   run on each composite cofactor before rho
+    rho_iters   -- factoring effort per composite cofactor, in Brent rho
+                   iterations: p-1 stage 1 runs first to B1 = rho_iters // 100,
+                   then rho for min(rho_iters, 2^17) iterations, then
+                   (rho_iters - 2^17) // 60,000 ECM curves (14 at 10^6, 164
+                   at 10^7), each costing at most about 60,000 rho iterations
+                   of wall time; up to 2^17 no curve runs
     mr_rounds   -- random strong-probable-prime rounds for inputs >= 2^64
     seed        -- seeds rho parameters and the large Miller-Rabin bases
     """
@@ -228,6 +233,20 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int | None:
     return None
 
 
+def _prime_power_product(bound: int) -> int:
+    """The product of the maximal prime powers <= bound: every integer whose
+    prime powers are all <= bound divides it."""
+    e = 1
+    for p in _small_primes(bound):
+        if p > bound:
+            break
+        q = p
+        while q * p <= bound:
+            q *= p
+        e *= q
+    return e
+
+
 def _pollard_pm1(n: int, bound: int) -> int | None:
     """Pollard p-1 stage 1 with base 2 on the odd composite n.
 
@@ -237,20 +256,136 @@ def _pollard_pm1(n: int, bound: int) -> int | None:
     """
     if bound < 2:
         return None
-    e = 1
-    for p in _small_primes(bound):
-        if p > bound:
-            break
-        q = p
-        while q * p <= bound:
-            q *= p
-        e *= q
-    g = math.gcd(pow(2, e, n) - 1, n)
+    g = math.gcd(pow(2, _prime_power_product(bound), n) - 1, n)
     return g if 1 < g < n else None
 
 
+def _xdbl(p: tuple[int, int], a24: int, n: int) -> tuple[int, int]:
+    """x(2P) from x(P) = (X:Z) mod n on the Montgomery curve with
+    (A + 2) / 4 = a24."""
+    s, d = (p[0] + p[1]) ** 2 % n, (p[0] - p[1]) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
+    """x(P + Q) from x(P), x(Q) and x(P - Q), all projective (X:Z) mod n."""
+    u = (p[0] - p[1]) * (q[0] + q[1]) % n
+    v = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _ladder(k: int, p: tuple[int, int], a24: int, n: int) -> tuple[int, int]:
+    """x(k*P) for k >= 1 by the Montgomery ladder, which keeps the pair
+    (j*P, (j + 1)*P) so that each addition knows its difference P."""
+    r0, r1 = p, _xdbl(p, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            r0, r1 = _xadd(r0, r1, p, n), _xdbl(r1, a24, n)
+        else:
+            r0, r1 = _xdbl(r0, a24, n), _xadd(r0, r1, p, n)
+    return r0
+
+
+# rho runs at most _RHO_ITERS_CAP iterations per composite cofactor; the rest
+# of rho_iters buys ECM curves at _ECM_CURVE_COST iterations each.  One curve
+# took the wall time of 20-23k rho iterations on 123-840-bit cofactors
+# (CPython 3.11, best of 4 runs) and up to about 70k in noisy runs, so the
+# curves take no longer than the rho iterations they replace.
+_RHO_ITERS_CAP = 1 << 17
+_ECM_CURVE_COST = 60_000
+_ECM_B1 = 2000
+_ECM_B2 = 100 * _ECM_B1
+_ECM_D = 2310  # 2*3*5*7*11
+_ECM_BABIES = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
+
+
+@functools.cache
+def _ecm_stage2_plan() -> tuple[tuple[int, ...], ...]:
+    """Entry m - 1 lists the baby steps j (as indices into _ECM_BABIES) that
+    pair with the giant step m*D: each prime p in (B1, B2] is m*D +- j with
+    0 < j < D/2 and gcd(j, D) = 1, and x(m*D*Q) = x(j*Q) mod p exactly when
+    (m*D + j)*Q or (m*D - j)*Q vanishes mod p."""
+    index = {j: i for i, j in enumerate(_ECM_BABIES)}
+    plan: list[list[int]] = [[] for _ in range((_ECM_B2 + _ECM_D // 2) // _ECM_D)]
+    for p in _small_primes(_ECM_B2):
+        if p > _ECM_B2:
+            break
+        if p > _ECM_B1:
+            m = (p + _ECM_D // 2) // _ECM_D
+            plan[m - 1].append(index[abs(p - m * _ECM_D)])
+    return tuple(tuple(sorted(set(row))) for row in plan)
+
+
+def _ecm(n: int, rng: random.Random, curves: int) -> int | None:
+    """Lenstra's elliptic-curve method on the odd composite n: up to `curves`
+    curves, each with its sigma drawn from rng.  Returns a nontrivial
+    factor, or None when every curve failed."""
+    for _ in range(curves):
+        g = _ecm_curve(n, rng.randrange(6, 1 << 32))
+        if 1 < g < n:
+            return g
+    return None
+
+
+def _ecm_curve(n: int, sigma: int) -> int:
+    """One ECM curve: the x-only Montgomery curve of Suyama's
+    parametrization at sigma, stage 1 to B1 = _ECM_B1 and Montgomery's
+    baby-step giant-step stage 2 to B2 = _ECM_B2.
+
+    Returns a divisor of n found along the way: 1 or n when the curve failed.
+    An inversion that fails mod n is a find like any other.
+    """
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    # one inversion gives both a24 = (v - u)^3 (3u + v) / (16 u^3 v) and the
+    # normalized start x = u^3 / v^3
+    u3, v3 = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * u3 * v3 % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    w = pow(den, -1, n)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * v * v * w % n
+    q = _ladder(_prime_power_product(_ECM_B1), (16 * u3 * u3 * w % n, 1), a24, n)
+    g = math.gcd(q[1], n)
+    if g != 1:
+        return g
+    # baby steps j*Q for odd j < D/2; keep those coprime to D and normalize
+    # them to x_j = X_j / Z_j with one inversion
+    q2 = _xdbl(q, a24, n)
+    odd = [q, _xadd(q2, q, q, n)]
+    while len(odd) < _ECM_D // 4:
+        odd.append(_xadd(odd[-1], q2, odd[-2], n))
+    babies = [odd[j // 2] for j in _ECM_BABIES]
+    prefix = [1]
+    for _x, z in babies:
+        prefix.append(prefix[-1] * z % n)
+    g = math.gcd(prefix[-1], n)
+    if g != 1:
+        return g
+    inv = pow(prefix[-1], -1, n)
+    xs = [0] * len(babies)
+    for i in range(len(babies) - 1, -1, -1):
+        xs[i] = babies[i][0] * prefix[i] % n * inv % n
+        inv = inv * babies[i][1] % n
+    # giant steps m*D*Q, m = 1, 2, ...: accumulate X_G - x_j * Z_G over the
+    # plan, one gcd per curve
+    step = _ladder(_ECM_D, q, a24, n)
+    plan = _ecm_stage2_plan()
+    giants = [step, _xdbl(step, a24, n)]
+    while len(giants) < len(plan):
+        giants.append(_xadd(giants[-1], step, giants[-2], n))
+    acc = 1
+    for (gx, gz), row in zip(giants, plan):
+        for i in row:
+            acc = acc * (gx - xs[i] * gz) % n
+    return math.gcd(acc, n)
+
+
 def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
-    """Factor n by trial division, Pollard p-1 stage 1, then budgeted Brent rho.
+    """Factor n by trial division, Pollard p-1 stage 1, Brent rho, then ECM,
+    all within budget.rho_iters per composite cofactor.
 
     Every reported prime passes the strong-probable-prime test; whatever
     resists the budget is returned as a composite cofactor with
@@ -274,6 +409,7 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
                 m //= p
     pending = [m] if m > 1 else []
     rng = random.Random(f"rho:{budget.seed}:{abs(n)}")
+    ecm_curves = (budget.rho_iters - _RHO_ITERS_CAP) // _ECM_CURVE_COST
     stuck: list[int] = []
     while pending:
         x = pending.pop()
@@ -287,7 +423,9 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
             continue
         f = _pollard_pm1(x, budget.rho_iters // 100)
         if f is None:
-            f = _brent_rho(x, rng, budget.rho_iters)
+            f = _brent_rho(x, rng, min(budget.rho_iters, _RHO_ITERS_CAP))
+        if f is None and ecm_curves > 0:
+            f = _ecm(x, rng, ecm_curves)
         if f is None:
             stuck.append(x)
             continue

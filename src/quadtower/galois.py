@@ -1,6 +1,7 @@
 """One-sided certificates for the arboreal Galois tower.
 
-Stability scanning (perfect squares in the critical orbit), the discriminant
+Stability scanning (perfect squares in the adjusted critical orbit
+-c_a, phi^2(gamma_a), phi^3(gamma_a), ...), the discriminant
 recurrence, level-maximality certificates built from stripped cofactors,
 hyperelliptic curve models with their forced integral points, and a naive
 integral-point search.  Certificates never over-claim: CertifiedMaximal and
@@ -36,7 +37,8 @@ class SingularModelError(ValueError):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Square scan of the critical orbit up to some depth.
+    """Square scan of the adjusted critical orbit -c_a, phi_a^n(gamma_a)
+    (n >= 2) up to some depth.
 
     A square at level n witnesses that the level-n tower step is not maximal;
     it is not a witness of instability.  No square up to depth N is a
@@ -73,7 +75,8 @@ class MaximalityCertificate:
 
     CertifiedMaximal: witness is the stripped cofactor R > 1, non-square,
     coprime to 2 and to all lower critical values.  FailedSquareOverQ:
-    witness is the integer square root.  Unknown: nothing survived stripping.
+    witness is the integer square root of the adjusted value (-c_a at level
+    1, the critical value above).  Unknown: nothing survived stripping.
     """
 
     level: int
@@ -170,11 +173,13 @@ class IntegralPoint:
 def stability_scan(
     map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS
 ) -> StabilityReport:
-    """Square-test every critical value phi_a^n(gamma_a), n = 1..depth."""
+    """Square-test the adjusted critical orbit -c_a, phi_a^n(gamma_a) for
+    n = 2..depth: level 1 is Q(sqrt(-c_a)), level n >= 2 adjoins
+    sqrt(phi_a^n(gamma_a)) over level n - 1."""
     crit = critical_orbit(map, depth, max_bits)
     squares = []
     for n, value in enumerate(crit.values, start=1):
-        root = is_perfect_square(value)
+        root = is_perfect_square(-value if n == 1 else value)
         if root is not None:
             squares.append((n, root))
     return StabilityReport(map=map, depth=depth, squares_found=tuple(squares))
@@ -233,7 +238,9 @@ def _certify_from_values(
     map: SpecializedMap, values: tuple[int, ...], n: int
 ) -> MaximalityCertificate:
     value = values[n - 1]
-    root = is_perfect_square(value)
+    # level 1 is Q(sqrt(-c_a)), where phi_a(gamma_a) = c_a; past the square
+    # test, a non-square odd part of |c_a| still certifies it below
+    root = is_perfect_square(-value if n == 1 else value)
     if root is not None:
         return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=root)
     if any(e == 0 for e in values[: n - 1]):
@@ -252,7 +259,8 @@ def certify_level_maximal(
 ) -> MaximalityCertificate:
     """Certify maximality of the level-n tower step.
 
-    A perfect-square critical value disproves maximality over Q.  Otherwise
+    A perfect-square adjusted value (-c_a at level 1, the critical value
+    phi_a^n(gamma_a) above) disproves maximality over Q.  Otherwise
     the stripped cofactor R of the level value against all lower values is
     odd, unramified below, and keeps full valuations; R > 1 and non-square
     certify a square-free primitive prime divisor and hence maximality.

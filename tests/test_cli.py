@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadtower
 from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
@@ -210,7 +215,7 @@ def test_discriminant_direct_refuses_above_level_ten(level):
     proc = run_subprocess("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1",
                           "--level", level, "--direct")
     assert proc.returncode == 2, proc.stderr
-    assert json.loads(proc.stdout)["error"] == "digit-budget-exceeded"
+    assert json.loads(proc.stdout) == {"error": "digit-budget-exceeded", "partial": None}
     assert f"level {level}" in proc.stderr
 
 
@@ -286,6 +291,18 @@ def test_budget_error_exits_two_with_partial(capsys):
     assert "budget" in err
 
 
+def test_budget_error_without_orbit_prints_null_partial(capsys):
+    # no orbit lies behind these refusals, so there is nothing partial to print
+    for argv in (("index-bound", "--n", "7", "--bits", "120"),
+                 ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1",
+                  "--level", "3", "--bits", "16")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == '{\n  "error": "digit-budget-exceeded",\n  "partial": null\n}\n'
+        assert "budget" in err
+    assert DigitBudgetError("refused").partial is None
+
+
 def test_incomplete_factorization_exits_two(capsys):
     code, out, err = run(
         capsys, "curve", "--gamma", "0", "--c", "0,1", "--a", "2",
@@ -342,7 +359,7 @@ def test_index_bound_n40_stops_at_the_guard():
 
     proc = run_subprocess("index-bound", "--n", "40", preexec_fn=limit)
     assert proc.returncode == 2, proc.stderr
-    assert json.loads(proc.stdout)["error"] == "digit-budget-exceeded"
+    assert json.loads(proc.stdout) == {"error": "digit-budget-exceeded", "partial": None}
     assert "2^40 - 40 bits" in proc.stderr
 
 
@@ -378,3 +395,71 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, "family-info", "--config", str(cfg))
     assert code == 1
     assert "bogus" in err
+
+
+# A bounded grid of subcommands and small flag values, valid and invalid.
+# Flags whose default would mean a long run (--X, --rho-iters) are always
+# set, and --direct stays at level 8 or below, or at refused levels.
+_FAMILIES = st.sampled_from([("0", "0,1"), ("0", "0,1"), ("0,1", "1,1"), ("1", "0,-1"),
+                             ("0", "-1,0,1"), ("1", "3"), ("0", "x")])
+_POINT = st.integers(-3, 12)
+_SMALL = st.one_of(st.integers(1, 12), st.sampled_from([None, -1, 0]))
+_RHO = st.sampled_from([0, 10, 1000])
+_FLAGS = {
+    "family-info": {"--rho-iters": _RHO},
+    "orbit": {"--a": _POINT, "--b": _POINT, "--depth": _SMALL,
+              "--bits": st.sampled_from([None, -1, 0, 64, 4096])},
+    "critical-orbit": {"--a": _POINT, "--depth": _SMALL,
+                       "--bits": st.sampled_from([None, 0, 64, 4096])},
+    "stability": {"--a": _POINT, "--depth": _SMALL, "--bits": st.sampled_from([None, 64])},
+    "certify": {"--a": _POINT, "--from": _SMALL, "--to": _SMALL,
+                "--bits": st.sampled_from([None, -5, 256])},
+    "primitive-divisors": {"--a": _POINT, "--level": st.integers(-1, 7),
+                           "--method": st.sampled_from([None, "exact", "certificate"]),
+                           "--rho-iters": _RHO},
+    "discriminant": {"--a": _POINT,
+                     "--level": st.one_of(st.integers(-1, 8), st.sampled_from([11, 12, 40])),
+                     "--direct": st.sampled_from([None, True]),
+                     "--bits": st.sampled_from([None, 16, 64])},
+    "curve": {"--a": _POINT, "--level": st.integers(-1, 7),
+              "--genus": st.sampled_from([None, 1, 2]), "--search": st.integers(0, 20),
+              "--rho-iters": _RHO},
+    "density": {"--a": _POINT, "--b": _POINT, "--X": st.integers(-10, 3000),
+                "--segment-size": st.sampled_from([None, None, -1, 0, 7, 1000])},
+    "nphi-bound": {"--kappa1": st.sampled_from([None, -1, 0.5, 1, 2.5]),
+                   "--kappa2": st.sampled_from([0, 1, 3]),
+                   "--kappa3": st.sampled_from([0, 1, 3])},
+    "index-bound": {"--n": st.integers(-2, 40), "--bits": st.sampled_from([None, 0, 120])},
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command != "index-bound":
+        gamma, c = draw(_FAMILIES)
+        argv += ["--gamma", gamma, "--c", c]
+    for flag, values in _FLAGS[command].items():
+        value = draw(values)
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_exit_code_is_0_1_or_2_and_quick(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags themselves
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert time.perf_counter() - start < 20, argv

@@ -108,6 +108,113 @@ def test_pm1_splits_semiprime_out_of_rho_reach(monkeypatch):
     assert fac.cofactor == p * q
 
 
+# a 46-bit prime whose p - 1 has the prime 511243 > 10^4, so p-1 stage 1 at
+# B1 = 10^6 // 100 misses it and rho would need about 2^23 steps
+ECM_P = 35184372088891
+ECM_Q = 2 ** 100 + 277
+
+
+def test_ecm_splits_semiprime_out_of_rho_reach(monkeypatch):
+    assert is_probable_prime(ECM_P) and is_probable_prime(ECM_Q)
+    budget = Budget(rho_iters=10 ** 6)
+    fac = factorize(ECM_P * ECM_Q, budget)
+    assert fac.complete
+    assert fac.factors == ((ECM_P, 1), (ECM_Q, 1))
+    monkeypatch.setattr(factor_mod, "_ecm", lambda n, rng, curves: None)
+    fac = factorize(ECM_P * ECM_Q, budget)
+    assert not fac.complete
+    assert fac.cofactor == ECM_P * ECM_Q
+
+
+def test_ecm_needs_stage_two_for_the_semiprime(monkeypatch):
+    plan = factor_mod._ecm_stage2_plan()
+    monkeypatch.setattr(factor_mod, "_ecm_stage2_plan", lambda: tuple(() for _ in plan))
+    assert not factorize(ECM_P * ECM_Q, Budget(rho_iters=10 ** 6)).complete
+
+
+def test_ecm_run_is_deterministic(monkeypatch):
+    calls = []
+    ecm = factor_mod._ecm
+
+    def spy(n, rng, curves):
+        calls.append(curves)
+        return ecm(n, rng, curves)
+
+    monkeypatch.setattr(factor_mod, "_ecm", spy)
+    budget = Budget(rho_iters=10 ** 6, seed=3)
+    first = factorize(ECM_P * ECM_Q, budget)
+    assert factorize(ECM_P * ECM_Q, budget) == first
+    assert calls == [14, 14]  # (10^6 - 2^17) // 60,000 curves, each time
+    assert first.complete
+
+
+def test_ecm_curve_count_follows_rho_iters(monkeypatch):
+    calls = []
+    monkeypatch.setattr(factor_mod, "_ecm", lambda n, rng, curves: calls.append(curves))
+    monkeypatch.setattr(factor_mod, "_brent_rho", lambda n, rng, iters: calls.append(iters))
+    for rho_iters in (2 ** 17, 2 ** 17 + 59_999, 2 ** 17 + 60_000, 10 ** 7):
+        factorize(ECM_P * ECM_Q, Budget(trial_bound=10 ** 3, rho_iters=rho_iters))
+    assert calls == [2 ** 17, 2 ** 17, 2 ** 17, 1, 2 ** 17, 164]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(2 ** 20, 2 ** 40), q=st.integers(2 ** 20, 2 ** 60),
+       seed=st.integers(0, 3))
+def test_ecm_returns_a_proper_divisor(p, q, seed):
+    n = (2 * p + 1) * (2 * q + 1)
+    g = factor_mod._ecm(n, random.Random(seed), 2)
+    assert g is None or (1 < g < n and n % g == 0)
+
+
+def _pm1_rho_reference(n, budget):
+    """factorize as it was before ECM: trial division, p-1 stage 1 to
+    B1 = rho_iters // 100, then Brent rho for all of rho_iters."""
+    sign = -1 if n < 0 else 1
+    m = abs(n)
+    counts = {}
+    for p in factor_mod._small_primes(budget.trial_bound):
+        if p > budget.trial_bound or p * p > m:
+            break
+        while m % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
+    pending = [m] if m > 1 else []
+    rng = random.Random(f"rho:{budget.seed}:{abs(n)}")
+    cofactor = 1
+    while pending:
+        x = pending.pop()
+        if x < budget.trial_bound ** 2 or is_probable_prime(x, budget):
+            counts[x] = counts.get(x, 0) + 1
+            continue
+        root = math.isqrt(x)
+        if root * root == x:
+            pending += [root, root]
+            continue
+        f = factor_mod._pollard_pm1(x, budget.rho_iters // 100)
+        if f is None:
+            f = factor_mod._brent_rho(x, rng, budget.rho_iters)
+        if f is None:
+            cofactor *= x
+            continue
+        pending += [f, x // f]
+    return sign, tuple(sorted(counts.items())), cofactor
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=st.lists(st.integers(2, 2 ** 40), min_size=1, max_size=3),
+    sign=st.sampled_from((1, -1)),
+    rho_iters=st.one_of(st.integers(0, 3000), st.sampled_from((16_382, 65_534, 2 ** 17))),
+    seed=st.integers(0, 2),
+)
+def test_factorize_matches_pm1_rho_up_to_rho_cap(parts, sign, rho_iters, seed):
+    # up to 2^17 rho iterations no ECM curve runs, so nothing may change
+    n = sign * math.prod(parts)
+    budget = Budget(trial_bound=10 ** 3, rho_iters=rho_iters, seed=seed)
+    fac = factorize(n, budget)
+    assert (fac.sign, fac.factors, fac.cofactor) == _pm1_rho_reference(n, budget)
+
+
 def test_factorize_completes_x2p7_levels_7_and_8():
     from quadtower.orbit import critical_orbit
 
@@ -296,7 +403,10 @@ def test_doubling_check_holds_wherever_preconditions_do():
 def test_doctests():
     import doctest
 
-    import quadtower.factor as mod
+    import quadtower.bigpoly
+    import quadtower.factor
 
-    failures, _ = doctest.testmod(mod)
-    assert failures == 0
+    for mod in (quadtower.factor, quadtower.bigpoly):
+        failures, attempted = doctest.testmod(mod)
+        assert failures == 0, mod.__name__
+        assert attempted > 0, mod.__name__

@@ -38,9 +38,15 @@ X2P2 = SpecializedMap.make(2, 0, 2)
 
 
 def test_stability_scan_examples():
+    # level 1 is Q(sqrt(-c_a)): Q(i) for x^2 + 1, and 1, 2, 5, 26, 677, 458330
+    # holds no square after it
     rep = stability_scan(X2P1, 6)
+    assert rep.verdict == "NoSquareUpTo(6)"
+    assert rep.squares_found == ()
+
+    rep = stability_scan(SpecializedMap.make(-9, 0, -9), 1)  # x^2 - 9
     assert rep.verdict == "SquareFoundAt(1)"
-    assert rep.squares_found[0] == (1, 1)
+    assert rep.squares_found == ((1, 3),)
 
     rep = stability_scan(X2P2, 6)
     assert rep.verdict == "NoSquareUpTo(6)"
@@ -50,12 +56,14 @@ def test_stability_scan_examples():
 def test_stability_scan_negative_start():
     m = SpecializedMap.make(-16, 0, -16)  # x^2 - 16
     rep = stability_scan(m, 6)
-    # oracle: rescan the critical orbit directly
+    # oracle: rescan the adjusted critical orbit -c_a, v_2, v_3, ... directly
     values = critical_orbit(m, 6).values
+    adjusted = (-values[0],) + values[1:]
     expected = tuple(
-        (n, math.isqrt(v)) for n, v in enumerate(values, start=1)
+        (n, math.isqrt(v)) for n, v in enumerate(adjusted, start=1)
         if v >= 0 and math.isqrt(v) ** 2 == v
     )
+    assert rep.squares_found[0] == (1, 4)  # -c_a = 16
     assert rep.squares_found == expected
 
 
@@ -98,9 +106,31 @@ def test_certify_level_examples():
     assert cert.status == CERTIFIED_MAXIMAL
     assert cert.witness == 19
 
+    # level 1 is Q(sqrt(-c_a)) = Q(i): -1 is no square, and the odd part 1
+    # of c_a = 1 proves nothing
     cert = certify_level_maximal(X2P1, 1)
-    assert cert.status == FAILED_SQUARE_OVER_Q
+    assert cert.status == UNKNOWN
     assert cert.witness == 1
+
+    # x^2 - 9 = (x - 3)(x + 3): -c_a = 9 is the square of the witness
+    cert = certify_level_maximal(SpecializedMap.make(-9, 0, -9), 1)
+    assert cert.status == FAILED_SQUARE_OVER_Q
+    assert cert.witness == 3
+
+    # x^2 + 9: -9 is no square, but the odd part 9 of c_a is, so nothing proved
+    cert = certify_level_maximal(SpecializedMap.make(9, 0, 9), 1)
+    assert cert.status == UNKNOWN
+    assert cert.witness == 9
+
+    # x^2 - 12: odd part 3 of c_a is a non-square, so -c_a = 12 is one too
+    cert = certify_level_maximal(SpecializedMap.make(-12, 0, -12), 1)
+    assert cert.status == CERTIFIED_MAXIMAL
+    assert cert.witness == 3
+
+    # c_a = 0: x^2 is reducible, witness 0
+    cert = certify_level_maximal(SpecializedMap.make(0, 0, 0), 1)
+    assert cert.status == FAILED_SQUARE_OVER_Q
+    assert cert.witness == 0
 
     # 2^k times a square: nothing survives stripping
     m = SpecializedMap.make(0, 0, 8)
@@ -119,8 +149,8 @@ def test_certify_tower_x2p2():
 
 def test_certify_tower_x2p1():
     report = certify_tower(X2P1, 1, 3)
-    assert report.certificates[0].status == FAILED_SQUARE_OVER_Q
-    assert [c.status for c in report.certificates[1:]] == [UNKNOWN, CERTIFIED_MAXIMAL]
+    assert [c.status for c in report.certificates] == [UNKNOWN, UNKNOWN, CERTIFIED_MAXIMAL]
+    assert report.certificates[0].witness == 1
 
 
 def test_certify_tower_v_zero_degenerate():
@@ -146,6 +176,33 @@ def test_failed_square_iff_stability_square():
         square_levels = {n for n, _ in scan.squares_found}
         for cert in report.certificates:
             assert (cert.status == FAILED_SQUARE_OVER_Q) == (cert.level in square_levels)
+
+
+def test_certificates_against_sympy_galois_groups():
+    # level 1: phi_a is irreducible exactly when the level-1 step is maximal;
+    # level 2: G_2 is the dihedral group of order 8 when both steps are
+    # maximal, and smaller when a square shows up
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.galoisgroups import galois_group
+
+    x = sympy.symbols("x")
+    checked = {CERTIFIED_MAXIMAL: 0, FAILED_SQUARE_OVER_Q: 0}
+    for gamma in range(-2, 3):
+        for c in range(-20, 21):
+            m = SpecializedMap.make(0, gamma, c)
+            level1, level2 = certify_tower(m, 1, 2).certificates
+            phi = sympy.Poly((x - gamma) ** 2 + c, x)
+            assert (level1.status == FAILED_SQUARE_OVER_Q) == (not phi.is_irreducible), (gamma, c)
+            phi2 = sympy.Poly(phi.as_expr().subs(x, phi.as_expr()), x)
+            statuses = {level1.status, level2.status}
+            if statuses == {CERTIFIED_MAXIMAL}:
+                assert galois_group(phi2, by_name=False)[0].order() == 8, (gamma, c)
+                checked[CERTIFIED_MAXIMAL] += 1
+            elif FAILED_SQUARE_OVER_Q in statuses:
+                assert (not phi2.is_irreducible
+                        or galois_group(phi2, by_name=False)[0].order() < 8), (gamma, c)
+                checked[FAILED_SQUARE_OVER_Q] += 1
+    assert min(checked.values()) >= 10, checked
 
 
 def test_certified_witness_invariants():
@@ -178,9 +235,10 @@ def test_certificates_never_factor(monkeypatch):
 
 
 def _full_strip_certificate(values, n) -> MaximalityCertificate:
-    """Reference: strip the level-n value against the full lower values."""
+    """Reference: strip the level-n value against the full lower values;
+    level 1 square-tests the adjusted value -c_a."""
     value = values[n - 1]
-    root = is_perfect_square(value)
+    root = is_perfect_square(-value if n == 1 else value)
     if root is not None:
         return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=root)
     earlier = values[: n - 1]
