@@ -23,7 +23,6 @@ from quadtower.factor import (
     doubling_check,
     factorize,
     is_probable_prime,
-    primitive_divisor_certificate,
     primitive_divisor_exact,
     squarefree_decompose,
     stripped_cofactor,
@@ -52,6 +51,7 @@ from quadtower.galois import (
     certify_tower,
     curve_model,
     discriminant_recurrence,
+    primitive_divisor_certificate,
     search_integral_points,
     stability_scan,
     verify_forced_point,

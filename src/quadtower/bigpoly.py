@@ -33,6 +33,15 @@ class DigitBudgetError(RuntimeError):
         self.partial = partial
 
 
+def check_bits(value: int, max_bits: int, what: str, partial=None) -> None:
+    """Raise DigitBudgetError, naming what the value is, when value needs
+    more than max_bits bits."""
+    if value.bit_length() > max_bits:
+        raise DigitBudgetError(
+            f"{what} needs {value.bit_length()} bits; budget is {max_bits}", partial=partial
+        )
+
+
 @dataclass(frozen=True, init=False)
 class IntPolynomial:
     """Dense integer polynomial with coefficients stored low-to-high.

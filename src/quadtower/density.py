@@ -15,9 +15,9 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
+from quadtower.factor import small_primes
 from quadtower.family import SpecializedMap
 
 DEFAULT_SEGMENT_SIZE = 1 << 16
@@ -61,26 +61,12 @@ class DensityCurve:
         }
 
 
-@lru_cache(maxsize=8)
-def _base_primes(limit: int) -> tuple[int, ...]:
-    if limit < 2:
-        return ()
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return tuple(i for i in range(limit + 1) if flags[i])
-
-
 def _primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = _base_primes(math.isqrt(hi))
+    base = small_primes(math.isqrt(hi))
     for p in base:
-        if p > hi:
-            return
         if p >= lo:
             yield p
     start = max(lo, (base[-1] if base else 1) + 1)
@@ -150,15 +136,21 @@ def orbit_hits_zero_mod_p(map: SpecializedMap, b: int, p: int) -> bool:
     return _hits_zero(map.gamma_a, map.c_a, b, p)
 
 
-def _scan_shard(args: tuple) -> tuple[int, list[int]]:
-    gamma_a, c_a, b, lo, hi, segment_size = args
+def _scan_shard(args: tuple) -> tuple[list[int], list[int]]:
+    """Scan the primes in [lo, hi]: for each checkpoint, how many of them are
+    <= it, and the members among them."""
+    gamma_a, c_a, b, lo, hi, segment_size, checkpoints = args
+    tested: list[int] = []
     members: list[int] = []
     count = 0
     for p in _primes_in_range(lo, hi, segment_size):
+        while len(tested) < len(checkpoints) and checkpoints[len(tested)] < p:
+            tested.append(count)
         count += 1
         if _hits_zero(gamma_a, c_a, b, p):
             members.append(p)
-    return count, members
+    tested += [count] * (len(checkpoints) - len(tested))
+    return tested, members
 
 
 def default_checkpoints(x: int) -> list[int]:
@@ -200,7 +192,7 @@ def density_curve(
     span = x_max - 1  # integers 2..x_max
     bounds = [2 + span * i // shards for i in range(shards + 1)]
     jobs = [
-        (map.gamma_a, map.c_a, b, bounds[i], bounds[i + 1] - 1, segment_size)
+        (map.gamma_a, map.c_a, b, bounds[i], bounds[i + 1] - 1, segment_size, checkpoints)
         for i in range(shards)
         if bounds[i] <= bounds[i + 1] - 1
     ]
@@ -214,12 +206,9 @@ def density_curve(
     members: list[int] = []
     for _, shard_members in results:
         members.extend(shard_members)
-    all_primes = list(primes_up_to(x_max, segment_size))
-    assert sum(count for count, _ in results) == len(all_primes)
-
     rows = []
-    for cp in checkpoints:
-        tested = bisect_right(all_primes, cp)
+    for i, cp in enumerate(checkpoints):
+        tested = sum(counts[i] for counts, _ in results)
         hit = bisect_right(members, cp)
         rows.append(
             DensityRow(x=cp, primes_tested=tested, members=hit, proportion=Fraction(hit, tested))

@@ -11,9 +11,10 @@ deterministic given the budget and its seed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from quadtower.bigpoly import decimal_str, is_perfect_square
 
@@ -64,10 +65,6 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
-
-# Small budget used only to annotate certificate witnesses with their prime
-# factors when that happens to be easy.
-_COURTESY_BUDGET = Budget(trial_bound=10 ** 4, rho_iters=10 ** 5)
 
 # Deterministic strong-probable-prime bases; complete below 2^64.
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -122,6 +119,7 @@ class PrimitiveDivisorReport:
     means R > 1 and R is not a perfect square, which proves such a prime
     exists without factoring (one-sided: not-certified means unknown).
     two_primitive is exact-route metadata for the excluded prime 2.
+    witness_text, when set, is the witness already in decimal.
     """
 
     level: int
@@ -130,6 +128,7 @@ class PrimitiveDivisorReport:
     certified: bool
     witness: int | None = None
     two_primitive: bool | None = None
+    witness_text: str | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -139,7 +138,8 @@ class PrimitiveDivisorReport:
             "primes": [decimal_str(p) for p in self.primes],
         }
         if self.witness is not None:
-            out["witness"] = decimal_str(self.witness)
+            text = self.witness_text
+            out["witness"] = decimal_str(self.witness) if text is None else text
         if self.two_primitive is not None:
             out["two_primitive"] = self.two_primitive
         return out
@@ -147,22 +147,17 @@ class PrimitiveDivisorReport:
 
 # -- primes ------------------------------------------------------------------
 
-_primes_list: list[int] = []
-_primes_bound = 0
-
-
-def _small_primes(bound: int) -> list[int]:
-    """Primes up to bound by a plain sieve, cached and grown on demand."""
-    global _primes_list, _primes_bound
-    if bound > _primes_bound:
-        flags = bytearray([1]) * (bound + 1)
-        flags[0:2] = b"\x00\x00"
-        for i in range(2, math.isqrt(bound) + 1):
-            if flags[i]:
-                flags[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
-        _primes_list = [i for i in range(bound + 1) if flags[i]]
-        _primes_bound = bound
-    return _primes_list
+@functools.lru_cache(maxsize=8)
+def small_primes(bound: int) -> tuple[int, ...]:
+    """The primes <= bound, by a plain sieve; the last few bounds are cached."""
+    if bound < 2:
+        return ()
+    flags = bytearray([1]) * (bound + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
+    return tuple(itertools.compress(range(bound + 1), flags))
 
 
 def is_probable_prime(n: int, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -237,9 +232,7 @@ def _prime_power_product(bound: int) -> int:
     """The product of the maximal prime powers <= bound: every integer whose
     prime powers are all <= bound divides it."""
     e = 1
-    for p in _small_primes(bound):
-        if p > bound:
-            break
+    for p in small_primes(bound):
         q = p
         while q * p <= bound:
             q *= p
@@ -308,9 +301,7 @@ def _ecm_stage2_plan() -> tuple[tuple[int, ...], ...]:
     (m*D + j)*Q or (m*D - j)*Q vanishes mod p."""
     index = {j: i for i, j in enumerate(_ECM_BABIES)}
     plan: list[list[int]] = [[] for _ in range((_ECM_B2 + _ECM_D // 2) // _ECM_D)]
-    for p in _small_primes(_ECM_B2):
-        if p > _ECM_B2:
-            break
+    for p in small_primes(_ECM_B2):
         if p > _ECM_B1:
             m = (p + _ECM_D // 2) // _ECM_D
             plan[m - 1].append(index[abs(p - m * _ECM_D)])
@@ -400,9 +391,8 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     m = abs(n)
     counts: dict[int, int] = {}
     if m > 1:
-        # the cache may hold primes past this budget's bound; stop at both
-        for p in _small_primes(budget.trial_bound):
-            if p > budget.trial_bound or p * p > m:
+        for p in small_primes(budget.trial_bound):
+            if p * p > m:
                 break
             while m % p == 0:
                 counts[p] = counts.get(p, 0) + 1
@@ -526,38 +516,6 @@ def primitive_divisor_exact(
         method="exact",
         certified=bool(primes),
         two_primitive=two_primitive,
-    )
-
-
-def primitive_divisor_certificate(
-    critical_values: list[int] | tuple[int, ...], n: int
-) -> PrimitiveDivisorReport:
-    """Certify a square-free primitive prime divisor at level n without
-    factoring.
-
-    R = stripped_cofactor(level n, lower levels) is odd, coprime to every
-    lower level, and keeps full valuations, so R > 1 and R not a perfect
-    square force some prime of R to divide level n to odd order while
-    dividing nothing earlier.  One-sided: not certified only means unknown.
-    """
-    if not 1 <= n <= len(critical_values):
-        raise ValueError(f"level {n} outside computed orbit")
-    value = critical_values[n - 1]
-    if value == 0:
-        raise ZeroInputError("level value is zero")
-    r = stripped_cofactor(value, critical_values[: n - 1])
-    certified = r > 1 and is_perfect_square(r) is None
-    primes: tuple[int, ...] = ()
-    if certified:
-        fac = factorize(r, _COURTESY_BUDGET)
-        if fac.complete:
-            primes = tuple(p for p, _ in fac.factors)
-    return PrimitiveDivisorReport(
-        level=n,
-        primes=primes,
-        method="certificate",
-        certified=certified,
-        witness=r,
     )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from quadtower.bigpoly import (
     IntPolynomial,
+    check_bits,
     decimal_str,
     discriminant_direct,
     height_int,
@@ -22,13 +23,23 @@ from quadtower.bigpoly import (
     orbit_divisor_strs,
     poly_height,
 )
-from quadtower.factor import SquareFreeDecomposition, stripped_cofactor
+from quadtower.factor import (
+    Budget,
+    PrimitiveDivisorReport,
+    SquareFreeDecomposition,
+    ZeroInputError,
+    factorize,
+    stripped_cofactor,
+)
 from quadtower.family import SpecializedMap
-from quadtower.orbit import DEFAULT_MAX_BITS, DigitBudgetError, critical_orbit
+from quadtower.orbit import DEFAULT_MAX_BITS, CriticalOrbit, DigitBudgetError, critical_orbit
 
 CERTIFIED_MAXIMAL = "CertifiedMaximal"
 FAILED_SQUARE_OVER_Q = "FailedSquareOverQ"
 UNKNOWN = "Unknown"
+
+# A small budget, only to list a certificate witness's primes when that is easy.
+_COURTESY_BUDGET = Budget(trial_bound=10 ** 4, rho_iters=10 ** 5)
 
 
 class SingularModelError(ValueError):
@@ -202,15 +213,8 @@ def discriminant_recurrence(
                 f"discriminant at level {k} needs more than {max_bits} bits"
             )
         delta = delta * delta * (1 << (1 << k)) * abs(crit.values[k - 1])
-        _budget_check(delta, max_bits)
+        check_bits(delta, max_bits, "discriminant")
     return delta
-
-
-def _budget_check(value: int, max_bits: int) -> None:
-    if value.bit_length() > max_bits:
-        raise DigitBudgetError(
-            f"discriminant needs {value.bit_length()} bits; budget is {max_bits}"
-        )
 
 
 def _rigid_gcds(map: SpecializedMap, values: tuple[int, ...], n: int) -> list[int]:
@@ -234,6 +238,19 @@ def _rigid_gcds(map: SpecializedMap, values: tuple[int, ...], n: int) -> list[in
     return gcds
 
 
+def _primitive_cofactor(map: SpecializedMap, values: tuple[int, ...], n: int) -> int | None:
+    """The stripped cofactor R of v_n against v_1, ..., v_(n-1), or None when
+    one of those is 0.
+
+    Stripping removes whole primes, and gcd(v_n, v_k) has exactly the primes
+    v_n shares with v_k, so stripping against the small rigid gcds gives the
+    cofactor that stripping against the full lower values would.
+    """
+    if 0 in values[: n - 1]:
+        return None
+    return stripped_cofactor(values[n - 1], _rigid_gcds(map, values, n))
+
+
 def _certify_from_values(
     map: SpecializedMap, values: tuple[int, ...], n: int
 ) -> MaximalityCertificate:
@@ -243,12 +260,10 @@ def _certify_from_values(
     root = is_perfect_square(-value if n == 1 else value)
     if root is not None:
         return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=root)
-    if any(e == 0 for e in values[: n - 1]):
+    r = _primitive_cofactor(map, values, n)
+    if r is None:
         # degenerate orbit through 0; nothing can be stripped meaningfully
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
-    # stripping removes whole primes, and gcd(v_n, v_k) has exactly the primes
-    # v_n shares with v_k, so the cofactor is the one stripping against v_k gives
-    r = stripped_cofactor(value, _rigid_gcds(map, values, n))
     if r > 1 and is_perfect_square(r) is None:
         return MaximalityCertificate(level=n, status=CERTIFIED_MAXIMAL, witness=r)
     return MaximalityCertificate(level=n, status=UNKNOWN, witness=r)
@@ -325,26 +340,63 @@ def curve_model(
 
 def verify_forced_point(
     model: CurveModel,
-    map: SpecializedMap,
+    crit: CriticalOrbit,
     n: int,
     dec: SquareFreeDecomposition,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> bool:
     """Substitute the forced integral point
     (phi^(n-1)(gamma), 2^e * d * y * (phi^(n-2)(gamma) - gamma)) into the
-    genus-1 model; this is an algebraic identity of the whole pipeline and
-    must come back True for every n >= 2."""
+    genus-1 model, reading the values from the critical orbit crit; this is
+    an algebraic identity of the whole pipeline and must come back True for
+    every n >= 2."""
     if model.genus != 1:
         raise ValueError("the forced point lives on the genus-1 model")
-    if n < 2:
-        raise ValueError("the forced point needs level >= 2")
-    crit = critical_orbit(map, n, max_bits)
+    if not 2 <= n <= len(crit.values):
+        raise ValueError("the forced point needs 2 <= level <= the orbit's depth")
     if dec.value() != crit.values[n - 1]:
         raise ValueError("decomposition does not reconstruct the level value")
     x = crit.values[n - 2]
-    prev = crit.values[n - 3] if n >= 3 else map.gamma_a
-    y = (1 << dec.e) * dec.d * dec.y * (prev - map.gamma_a)
+    gamma = crit.map.gamma_a
+    prev = crit.values[n - 3] if n >= 3 else gamma
+    y = (1 << dec.e) * dec.d * dec.y * (prev - gamma)
     return y * y == model.rhs.evaluate(x)
+
+
+def primitive_divisor_certificate(crit: CriticalOrbit, n: int) -> PrimitiveDivisorReport:
+    """Certify a square-free primitive prime divisor at level n without
+    factoring.
+
+    R, the stripped cofactor of the level-n value against the lower values,
+    is odd, coprime to every lower level, and keeps full valuations, so
+    R > 1 and R not a perfect square force some prime of R to divide level n
+    to odd order while dividing nothing earlier.  One-sided: not certified
+    only means unknown.  R is an exact divisor of the level-n value, so its
+    decimal text prints along the orbit.
+    """
+    if not 1 <= n <= len(crit.values):
+        raise ValueError(f"level {n} outside computed orbit")
+    if crit.values[n - 1] == 0:
+        raise ZeroInputError("level value is zero")
+    r = _primitive_cofactor(crit.map, crit.values, n)
+    if r is None:
+        raise ZeroInputError("earlier values must be nonzero")
+    certified = r > 1 and is_perfect_square(r) is None
+    primes: tuple[int, ...] = ()
+    if certified:
+        # annotate the witness with its primes when that happens to be easy
+        fac = factorize(r, _COURTESY_BUDGET)
+        if fac.complete:
+            primes = tuple(p for p, _ in fac.factors)
+    text = orbit_divisor_strs(crit.map.gamma_a, crit.map.c_a, crit.values[:n],
+                              [None] * (n - 1) + [r])[-1]
+    return PrimitiveDivisorReport(
+        level=n,
+        primes=primes,
+        method="certificate",
+        certified=certified,
+        witness=r,
+        witness_text=text,
+    )
 
 
 def search_integral_points(model: CurveModel, xbound: int) -> list[IntegralPoint]:

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quadtower.bigpoly import DEFAULT_MAX_BITS, DigitBudgetError, height_int
+# DigitBudgetError is importable from here as well as from bigpoly
+from quadtower.bigpoly import DEFAULT_MAX_BITS, DigitBudgetError, check_bits, height_int
 from quadtower.family import SpecializedMap
 
 _LOG2 = math.log(2.0)
@@ -43,24 +44,16 @@ class CriticalOrbit:
     condition_one_holds: bool
 
 
-def _guard(value: int, max_bits: int, partial) -> None:
-    if value.bit_length() > max_bits:
-        raise DigitBudgetError(
-            f"orbit value needs {value.bit_length()} bits; budget is {max_bits}",
-            partial=list(partial),
-        )
-
-
 def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> OrbitSlice:
     """The first depth+1 orbit values b, phi(b), ..., phi^depth(b)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     x = int(b)
     values = [x]
-    _guard(x, max_bits, values)
+    check_bits(x, max_bits, "orbit value", values)
     for _ in range(depth):
         x = map.apply(x)
-        _guard(x, max_bits, values)
+        check_bits(x, max_bits, "orbit value", values)
         values.append(x)
     return OrbitSlice(map=map, start=int(b), values=tuple(values))
 
@@ -73,7 +66,7 @@ def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_
     x = map.gamma_a
     for _ in range(depth):
         x = map.apply(x)
-        _guard(x, max_bits, values)
+        check_bits(x, max_bits, "orbit value", values)
         values.append(x)
     second = values[1] if depth >= 2 else map.apply(values[0])
     return CriticalOrbit(
@@ -94,7 +87,7 @@ def sigma_orbit_identity(map: SpecializedMap, depth: int, max_bits: int = DEFAUL
     for _ in range(depth):
         sig = map.apply_sigma(sig)
         phi = map.apply(phi)
-        _guard(phi, max_bits, seen)
+        check_bits(phi, max_bits, "orbit value", seen)
         seen.append(phi)
         if sig != phi - map.gamma_a:
             return False
@@ -131,12 +124,13 @@ def canonical_height(
         cur = start.numerator
         for _ in range(k):
             cur = cur * cur + v
-            _guard(cur, max_bits, [])
+            check_bits(cur, max_bits, "orbit value", [])
         return height_int(cur) / (1 << k)
     cur_f = start
     for _ in range(k):
         cur_f = cur_f * cur_f + v
-        _guard(max(abs(cur_f.numerator), cur_f.denominator), max_bits, [])
+        height_bound = max(abs(cur_f.numerator), cur_f.denominator)
+        check_bits(height_bound, max_bits, "orbit value", [])
     return height_int(cur_f) / (1 << k)
 
 

@@ -106,14 +106,15 @@ def test_criterion_04_forced_point():
     verified = 0
     for entry in ACCEPTANCE_MAPS:
         m = entry.map()
-        values = critical_orbit(m, 9).values
+        crit = critical_orbit(m, 9)
+        values = crit.values
         for n in range(2, 10):
             try:
                 dec = squarefree_decompose(values[n - 1], budget)
             except IncompleteFactorizationError:
                 continue
             model = curve_model(m, n, dec, genus=1)
-            assert verify_forced_point(model, m, n, dec), (entry.name, n)
+            assert verify_forced_point(model, crit, n, dec), (entry.name, n)
             verified += 1
     assert verified >= 30
 

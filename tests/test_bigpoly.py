@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from quadtower.bigpoly import (
     _DECIMAL_STR_CUTOFF,
+    DigitBudgetError,
     IntPolynomial,
     ZeroPolynomialError,
+    check_bits,
     decimal_str,
     discriminant_direct,
     height_int,
@@ -275,3 +277,10 @@ def test_doctests():
 
     failures, _ = doctest.testmod(mod)
     assert failures == 0
+
+
+def test_check_bits_names_the_quantity():
+    check_bits(255, 8, "orbit value")
+    with pytest.raises(DigitBudgetError, match="^discriminant needs 9 bits; budget is 8$") as err:
+        check_bits(-256, 8, "discriminant", partial=[1, 2])
+    assert err.value.partial == [1, 2]

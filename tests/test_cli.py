@@ -463,3 +463,98 @@ def test_cli_exit_code_is_0_1_or_2_and_quick(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert time.perf_counter() - start < 20, argv
+
+
+def test_discriminant_direct_refusal_needs_a_map_first(capsys):
+    # without a map the call is a usage error; with one, the level refusal
+    # prints the budget error before any composing
+    code, out, err = run(capsys, "discriminant", "--level", "12", "--direct")
+    assert (code, out, err) == (1, "", "quadtower: error: --a is required\n")
+    code, out, err = run(capsys, "discriminant", "--gamma", "0", "--c", "0,1", "--a", "1",
+                         "--level", "12", "--direct")
+    assert code == 2
+    assert out == '{\n  "error": "digit-budget-exceeded",\n  "partial": null\n}\n'
+    assert "level 12" in err
+
+
+# every config key: a long flag without its dashes, with - written as _
+CONFIG_KEYS = {
+    "gamma", "c", "a", "b", "depth", "bits", "trial_bound", "rho_iters", "X", "checkpoints",
+    "format", "seed", "shards", "threads", "segment_size", "level", "genus", "search",
+    "from", "to", "method", "kappa1", "kappa2", "kappa3", "n", "direct",
+}
+
+
+def _run_config(capsys, tmp_path, text, *argv):
+    """run() with a config file holding text; argparse's exit is a return."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    try:
+        return run(capsys, *argv, "--config", str(cfg))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def test_config_keys_are_the_long_flags(tmp_path, capsys):
+    assert len(CONFIG_KEYS) == 26
+    for key in CONFIG_KEYS:
+        # index-bound takes only format, seed, bits and n; it ignores the rest
+        _, _, err = _run_config(capsys, tmp_path, json.dumps({key: "1"}),
+                                "index-bound", "--n", "1")
+        assert "unknown config key" not in err, key
+    for key in ("config", "json", "help", "trial-bound", "segment-size", "x_max", "fmt"):
+        code, out, err = _run_config(capsys, tmp_path, json.dumps({key: "1"}),
+                                     "index-bound", "--n", "1")
+        assert (code, out) == (1, ""), key
+        assert f"unknown config key: {key!r}" in err
+
+
+@pytest.mark.parametrize("text, argv", [
+    ('{"a": 2.7}', ("orbit", "--gamma", "0", "--c", "0,1", "--b", "0")),
+    ('{"a": true}', ("orbit", "--gamma", "0", "--c", "0,1", "--b", "0")),
+    ('{"a": 1, "depth": false}', ("orbit", "--gamma", "0", "--c", "0,1", "--b", "0")),
+    ('{"a": null}', ("orbit", "--gamma", "0", "--c", "0,1", "--b", "0")),
+    ('{"a": {"value": 1}}', ("orbit", "--gamma", "0", "--c", "0,1", "--b", "0")),
+    ('{"c": [0, true]}', ("orbit", "--gamma", "0", "--a", "1", "--b", "0")),
+    ('{"direct": "false"}', ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1")),
+    ('{"X": 1e3}', ("density", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0")),
+    ('{"genus": 3}', ("curve", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "2")),
+    ('{"format": "xml"}', ("index-bound", "--n", "1")),
+    ('[1, 2]', ("index-bound", "--n", "1")),
+])
+def test_config_values_of_the_wrong_type_exit_one(tmp_path, capsys, text, argv):
+    code, out, err = _run_config(capsys, tmp_path, text, *argv)
+    assert (code, out) == (1, ""), err
+    assert err
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"c": [-1, 0, 1]}, ("--c=-1,0,1",)),
+    ({"a": -3}, ("--a=-3",)),
+    ({"gamma": [0, 1], "c": "1,1", "a": "4", "depth": 5, "format": "json"},
+     ("--gamma", "0,1", "--c", "1,1", "--a", "4", "--depth", "5", "--json")),
+])
+def test_config_values_read_as_the_flags_text(tmp_path, capsys, config, flags):
+    base = {"gamma": "0", "c": "0,1", "a": 2}
+    argv = ["critical-orbit", "--gamma", "0", "--c", "0,1", "--a", "2", "--depth", "4", *flags]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    cfg = {**base, "depth": 4, **config}
+    assert _run_config(capsys, tmp_path, json.dumps(cfg), "critical-orbit") == expected
+
+
+def test_config_direct_and_other_commands_keys(tmp_path, capsys):
+    argv = ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "2")
+    assert (_run_config(capsys, tmp_path, '{"direct": true}', *argv)
+            == run(capsys, *argv, "--direct"))
+    assert _run_config(capsys, tmp_path, '{"direct": false}', *argv) == run(capsys, *argv)
+    # kappa1 belongs to nphi-bound; orbit ignores it
+    argv = ("orbit", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0", "--depth", "3")
+    assert _run_config(capsys, tmp_path, '{"kappa1": 0.5}', *argv) == run(capsys, *argv)
+
+
+def test_config_explicit_flags_win(tmp_path, capsys):
+    argv = ("certify", "--gamma", "0", "--c", "0,1", "--a=-3", "--to", "4", "--format", "text")
+    text = json.dumps({"a": 2, "to": 9, "format": "json", "c": "0,2", "bits": 8})
+    assert _run_config(capsys, tmp_path, text, *argv, "--bits", "1000") == run(capsys, *argv)

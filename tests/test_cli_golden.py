@@ -1,0 +1,137 @@
+"""Golden CLI digests: every call below must print the same stdout (compared
+by sha256) and return the same exit code as when the fixture was recorded.
+
+Re-record tests/fixtures/cli_golden.json only when an output is meant to
+change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+from quadtower.cli import main
+
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "cli_golden.json"
+
+# name -> (gamma, c, a)
+_MAPS = {
+    "x2+1": ("0", "0,1", "1"),
+    "x2-3": ("0", "0,1", "-3"),  # negative c
+    "shifted-jones-small": ("0,1", "1,1", "4"),  # gamma != 0
+    "shift-by-1": ("1", "3", "0"),
+    "x2-1": ("0", "0,1", "-1"),  # the critical orbit passes through 0
+}
+
+_PER_MAP = [
+    ("critical-orbit", "--depth", "6"),
+    ("orbit", "--b=-2", "--depth", "5"),
+    ("stability", "--depth", "6"),
+    ("certify", "--from", "1", "--to", "8"),
+    ("primitive-divisors", "--level", "4", "--method", "certificate"),
+    ("primitive-divisors", "--level", "4", "--method", "exact"),
+    ("discriminant", "--level", "4"),
+    ("discriminant", "--level", "3", "--direct"),
+    ("curve", "--level", "4", "--search", "10"),
+    ("density", "--b", "0", "--X", "2000"),
+]
+
+
+def _map_flags(name):
+    gamma, c, a = _MAPS[name]
+    return ["--gamma", gamma, "--c", c, f"--a={a}"]
+
+
+ARGVS = [
+    [command, *_map_flags(name), *rest, *fmt]
+    for name in _MAPS
+    for command, *rest in _PER_MAP
+    for fmt in ([], ["--format", "json"])
+]
+ARGVS += [["density", *_map_flags(name), "--b=-1", "--X", "3000", "--checkpoints", "10,500,3000",
+           "--format", "csv"] for name in _MAPS]
+ARGVS += [
+    [command, *_map_flags("x2+1"), *rest, *fmt]
+    for command, *rest in [
+        ("curve", "--level", "3", "--genus", "2"),
+        ("curve", "--level", "2"),
+        ("critical-orbit", "--depth", "1"),
+        ("certify", "--from", "3", "--to", "5"),
+        ("density", "--b", "0", "--X", "5000", "--shards", "3", "--segment-size", "100"),
+        ("primitive-divisors", "--level", "1"),
+    ]
+    for fmt in ([], ["--json"])
+]
+ARGVS += [
+    ["family-info", "--gamma", gamma, f"--c={c}", *fmt]
+    for gamma, c in [("0", "0,1"), ("0,1", "1,1"), ("1", "0,-1"), ("0", "-1,0,1"),
+                     ("1", "-2,0,1"), ("0,1", "5,1")]
+    for fmt in ([], ["--json"])
+]
+ARGVS += [
+    ["nphi-bound", "--gamma", gamma, "--c", c, "--kappa1", k1, "--kappa2", "1", "--kappa3", "2",
+     *fmt]
+    for gamma, c, k1 in [("0", "0,1", "1"), ("1", "0,-1", "0.5"), ("0,1", "5,1", "1")]
+    for fmt in ([], ["--json"])
+]
+ARGVS += [["index-bound", "--n", str(n), *fmt] for n in (1, 3, 6) for fmt in ([], ["--json"])]
+# budget errors: exit 2 with a partial result (or null) on stdout
+ARGVS += [
+    ["orbit", *_map_flags("x2+1"), "--b", "0", "--depth", "30", "--bits", "64"],
+    ["orbit", *_map_flags("shifted-jones-small"), "--b=-5", "--depth", "30", "--bits", "64",
+     "--json"],
+    ["critical-orbit", *_map_flags("x2-3"), "--depth", "20", "--bits", "300"],
+    ["certify", "--gamma", "0", "--c", "0,1", "--a", "2", "--to", "20", "--bits", "200000"],
+    ["certify", "--gamma", "0", "--c", "0,1", "--a", "2", "--to", "20", "--bits", "200000",
+     "--json"],
+    ["certify", *_map_flags("shifted-jones-small"), "--to", "12", "--bits", "1000"],
+    ["index-bound", "--n", "7", "--bits", "120"],
+    ["discriminant", *_map_flags("x2+1"), "--level", "3", "--bits", "16"],
+    ["discriminant", *_map_flags("x2+1"), "--level", "11", "--direct"],
+    ["curve", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "6",
+     "--trial-bound", "100", "--rho-iters", "10"],
+    ["curve", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "6",
+     "--trial-bound", "100", "--rho-iters", "10", "--json"],
+    ["primitive-divisors", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "6",
+     "--method", "exact", "--trial-bound", "100", "--rho-iters", "10"],
+]
+# usage errors: exit 1 with nothing on stdout
+ARGVS += [
+    ["orbit", *_map_flags("x2+1")],
+    ["critical-orbit", *_map_flags("x2+1"), "--depth", "0"],
+    ["critical-orbit", *_map_flags("x2+1"), "--bits", "0"],
+    ["certify", *_map_flags("x2+1"), "--to", "3", "--format", "csv"],
+    ["certify", *_map_flags("x2+1"), "--from", "4", "--to", "2"],
+    ["family-info", "--gamma", "0", "--c", "x"],
+    ["nphi-bound", "--gamma", "0", "--c", "0,1"],
+    ["index-bound"],
+    ["curve", *_map_flags("x2+1"), "--genus", "3"],
+    ["density", *_map_flags("x2+1"), "--b", "0", "--X", "1"],
+    ["discriminant", *_map_flags("x2+1"), "--level", "0"],
+    ["orbit", *_map_flags("x2+1"), "--b", "0", "--a", "2.5"],
+]
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the flags themselves
+            code = exc.code
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+
+
+def test_cli_stdout_and_exit_codes_match_the_recorded_digests():
+    expected = json.loads(FIXTURE.read_text())
+    assert len(expected) == len(ARGVS)
+    mismatches = [(argv, want, got) for argv, want in zip(ARGVS, expected)
+                  if (got := _run(argv)) != want]
+    assert not mismatches, mismatches
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps([_run(argv) for argv in ARGVS], indent=1) + "\n")

@@ -10,7 +10,7 @@ from quadtower.density import (
     orbit_hits_zero_mod_p,
     primes_up_to,
 )
-from quadtower.factor import _small_primes
+from quadtower.factor import small_primes
 from quadtower.family import SpecializedMap
 
 from conftest import CORPUS, naive_orbit_member
@@ -28,9 +28,9 @@ def test_primes_up_to_small():
 
 
 def test_primes_up_to_against_independent_sieve():
-    # factor's plain sieve is a separate implementation
-    assert list(primes_up_to(10 ** 6)) == _small_primes(10 ** 6)
-    assert len(_small_primes(10 ** 6)) == 78498
+    # factor's plain sieve against the segments sieved here
+    assert tuple(primes_up_to(10 ** 6)) == small_primes(10 ** 6)
+    assert len(small_primes(10 ** 6)) == 78498
 
 
 def test_segment_size_does_not_matter():
@@ -108,6 +108,17 @@ def test_density_rows_monotone():
         assert a.x < b.x
         assert a.primes_tested <= b.primes_tested
         assert a.members <= b.members
+
+
+@pytest.mark.parametrize("shards", [1, 3, 7, 50, 999])
+def test_density_primes_tested_counts_each_checkpoint(shards):
+    # checkpoints on primes, between them and below most shards' ranges
+    checkpoints = [2, 3, 10, 97, 98, 500, 997, 1000]
+    curve = density_curve(X2P1, 0, 1000, checkpoints=checkpoints, shards=shards)
+    primes = small_primes(1000)
+    assert [r.primes_tested for r in curve.rows] == [
+        sum(p <= cp for p in primes) for cp in checkpoints
+    ]
 
 
 def test_density_shard_determinism():

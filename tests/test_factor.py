@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadtower.factor as factor_mod
+from quadtower.bigpoly import decimal_str, is_perfect_square
 from quadtower.factor import (
     Budget,
     IncompleteFactorizationError,
@@ -15,16 +16,22 @@ from quadtower.factor import (
     doubling_check,
     factorize,
     is_probable_prime,
-    primitive_divisor_certificate,
     primitive_divisor_exact,
     squarefree_decompose,
     stripped_cofactor,
 )
 from quadtower.family import QuadraticFamily
+from quadtower.galois import primitive_divisor_certificate
+from quadtower.orbit import critical_orbit
 
 from conftest import CORPUS
 
 X2P1_ORBIT = (1, 2, 5, 26, 677, 458330)
+
+
+def _x2(c):
+    """The map x^2 + c."""
+    return QuadraticFamily.of([0], [0, 1]).specialize(c)
 
 
 def test_factorize_fermat_number():
@@ -172,8 +179,8 @@ def _pm1_rho_reference(n, budget):
     sign = -1 if n < 0 else 1
     m = abs(n)
     counts = {}
-    for p in factor_mod._small_primes(budget.trial_bound):
-        if p > budget.trial_bound or p * p > m:
+    for p in factor_mod.small_primes(budget.trial_bound):
+        if p * p > m:
             break
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
@@ -327,37 +334,63 @@ def test_primitive_divisor_exact_x2p1():
 
 
 def test_primitive_divisor_certificate_x2p1():
-    rep = primitive_divisor_certificate(X2P1_ORBIT, 4)
+    rep = primitive_divisor_certificate(critical_orbit(_x2(1), 4), 4)
     assert rep.certified
     assert rep.witness == 13
     assert rep.primes == (13,)
 
 
 def test_primitive_divisor_certificate_square_cofactor():
-    # witness collapses to a perfect square: nothing can be certified
-    rep = primitive_divisor_certificate((5, 7, 9 * 5 * 7), 3)
+    # x^2 - 9 at level 1: R is the odd part of |c_a| = 9, a perfect square,
+    # so nothing can be certified
+    rep = primitive_divisor_certificate(critical_orbit(_x2(-9), 1), 1)
     assert rep.witness == 9
     assert not rep.certified
 
 
 def test_primitive_divisor_certificate_unit():
-    rep = primitive_divisor_certificate((1,), 1)
+    rep = primitive_divisor_certificate(critical_orbit(_x2(1), 1), 1)
     assert rep.witness == 1
     assert not rep.certified
 
 
-def test_exact_and_certificate_agree_on_corpus():
-    from quadtower.orbit import critical_orbit
+def test_primitive_divisor_certificate_rejects_an_orbit_through_zero():
+    # x^2 - 1: -1, 0, -1, 0, ...
+    crit = critical_orbit(_x2(-1), 4)
+    for n in (3, 4):
+        with pytest.raises(ZeroInputError):
+            primitive_divisor_certificate(crit, n)
 
+
+def _full_strip_certificate(values, n):
+    """Reference: strip the level-n value against the full lower values."""
+    r = stripped_cofactor(values[n - 1], values[: n - 1])
+    return r, r > 1 and is_perfect_square(r) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.lists(st.integers(-3, 3), max_size=2), c=st.lists(st.integers(-5, 5), max_size=3),
+       a=st.integers(-6, 6), n=st.integers(1, 8))
+def test_primitive_divisor_certificate_matches_full_stripping(gamma, c, a, n):
+    crit = critical_orbit(QuadraticFamily.of(gamma, c).specialize(a), n)
+    if 0 in crit.values:
+        return
+    rep = primitive_divisor_certificate(crit, n)
+    assert (rep.witness, rep.certified) == _full_strip_certificate(crit.values, n)
+    assert rep.witness_text == rep.to_json_dict()["witness"] == decimal_str(rep.witness)
+
+
+def test_exact_and_certificate_agree_on_corpus():
     for entry in CORPUS:
         m = entry.map()
-        values = critical_orbit(m, 7).values
+        crit = critical_orbit(m, 7)
+        values = crit.values
         for n in range(1, 8):
             if values[n - 1] == 0 or any(v == 0 for v in values[: n - 1]):
                 continue
             if abs(values[n - 1]) >= 1 << 128:
                 continue
-            cert = primitive_divisor_certificate(values, n)
+            cert = primitive_divisor_certificate(crit, n)
             try:
                 exact = primitive_divisor_exact(values, n)
             except IncompleteFactorizationError:

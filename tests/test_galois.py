@@ -325,7 +325,7 @@ def test_curve_model_singular():
 def test_forced_point_x2p1_level4():
     dec = squarefree_decompose(26)
     model = curve_model(X2P1, 4, dec, genus=1)
-    assert verify_forced_point(model, X2P1, 4, dec)
+    assert verify_forced_point(model, critical_orbit(X2P1, 4), 4, dec)
     # the displayed point is (5, 52): 52^2 == 26 * 4 * 26
     assert model.rhs.evaluate(5) == 52 * 52
 
@@ -333,7 +333,7 @@ def test_forced_point_x2p1_level4():
 def test_forced_point_boundary_level_two():
     dec = squarefree_decompose(2)
     model = curve_model(X2P1, 2, dec, genus=1)
-    assert verify_forced_point(model, X2P1, 2, dec)
+    assert verify_forced_point(model, critical_orbit(X2P1, 2), 2, dec)
 
 
 def test_forced_point_with_negative_level_value():
@@ -344,17 +344,19 @@ def test_forced_point_with_negative_level_value():
     dec = squarefree_decompose(values[2])
     assert dec.d == -3
     model = curve_model(m, 3, dec, genus=1)
-    assert verify_forced_point(model, m, 3, dec)
+    assert verify_forced_point(model, critical_orbit(m, 3), 3, dec)
 
 
 def test_forced_point_rejects_wrong_decomposition():
     dec = squarefree_decompose(26)
     model = curve_model(X2P1, 4, dec, genus=1)
     with pytest.raises(ValueError):
-        verify_forced_point(model, X2P1, 3, dec)
+        verify_forced_point(model, critical_orbit(X2P1, 3), 3, dec)
     model2 = curve_model(X2P1, 4, dec, genus=2)
     with pytest.raises(ValueError):
-        verify_forced_point(model2, X2P1, 4, dec)
+        verify_forced_point(model2, critical_orbit(X2P1, 4), 4, dec)
+    with pytest.raises(ValueError):  # the orbit stops below the level
+        verify_forced_point(model, critical_orbit(X2P1, 3), 4, dec)
 
 
 def test_forced_point_across_corpus():
@@ -362,14 +364,15 @@ def test_forced_point_across_corpus():
     verified = 0
     for entry in ACCEPTANCE_MAPS:
         m = entry.map()
-        values = critical_orbit(m, 6).values
+        crit = critical_orbit(m, 6)
+        values = crit.values
         for n in range(2, 7):
             try:
                 dec = squarefree_decompose(values[n - 1], budget)
             except IncompleteFactorizationError:
                 continue
             model = curve_model(m, n, dec, genus=1)
-            assert verify_forced_point(model, m, n, dec), (entry.name, n)
+            assert verify_forced_point(model, crit, n, dec), (entry.name, n)
             verified += 1
     assert verified >= 40
 
