@@ -47,7 +47,6 @@ from quadtower.galois import (
     SingularModelError,
     StabilityReport,
     TowerReport,
-    certify_level_maximal,
     certify_tower,
     curve_model,
     discriminant_recurrence,

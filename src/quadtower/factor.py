@@ -35,11 +35,16 @@ class PreconditionError(ValueError):
     """A stated divisibility hypothesis does not hold."""
 
 
+# small_primes sieves a bytearray of trial_bound + 1 bytes; 10^7 takes
+# about 0.4 s and 10 MB
+MAX_TRIAL_BOUND = 10 ** 7
+
+
 @dataclass(frozen=True)
 class Budget:
     """Effort knobs for factorize; defaults favour reproducibility over speed.
 
-    trial_bound -- trial-divide by primes up to this bound
+    trial_bound -- trial-divide by primes up to this bound, at most 10^7
     rho_iters   -- factoring effort per composite cofactor, in Brent rho
                    iterations: p-1 stage 1 runs first to B1 = rho_iters // 100,
                    then rho for min(rho_iters, 2^17) iterations, then
@@ -56,8 +61,8 @@ class Budget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trial_bound < 2:
-            raise ValueError("trial_bound must be >= 2")
+        if not 2 <= self.trial_bound <= MAX_TRIAL_BOUND:
+            raise ValueError(f"trial_bound must be in [2, {MAX_TRIAL_BOUND}]")
         if self.rho_iters < 0:
             raise ValueError("rho_iters must be >= 0")
         if self.mr_rounds < 1:

@@ -254,6 +254,15 @@ def _primitive_cofactor(map: SpecializedMap, values: tuple[int, ...], n: int) ->
 def _certify_from_values(
     map: SpecializedMap, values: tuple[int, ...], n: int
 ) -> MaximalityCertificate:
+    """Certify maximality of the level-n tower step.
+
+    A perfect-square adjusted value (-c_a at level 1, the critical value
+    phi_a^n(gamma_a) above) disproves maximality over Q.  Otherwise the
+    stripped cofactor R of the level value against all lower values is odd,
+    unramified below, and keeps full valuations; R > 1 and non-square certify
+    a square-free primitive prime divisor and hence maximality.  Everything
+    else is Unknown (the criterion is sufficient, not necessary).
+    """
     value = values[n - 1]
     # level 1 is Q(sqrt(-c_a)), where phi_a(gamma_a) = c_a; past the square
     # test, a non-square odd part of |c_a| still certifies it below
@@ -267,24 +276,6 @@ def _certify_from_values(
     if r > 1 and is_perfect_square(r) is None:
         return MaximalityCertificate(level=n, status=CERTIFIED_MAXIMAL, witness=r)
     return MaximalityCertificate(level=n, status=UNKNOWN, witness=r)
-
-
-def certify_level_maximal(
-    map: SpecializedMap, n: int, max_bits: int = DEFAULT_MAX_BITS
-) -> MaximalityCertificate:
-    """Certify maximality of the level-n tower step.
-
-    A perfect-square adjusted value (-c_a at level 1, the critical value
-    phi_a^n(gamma_a) above) disproves maximality over Q.  Otherwise
-    the stripped cofactor R of the level value against all lower values is
-    odd, unramified below, and keeps full valuations; R > 1 and non-square
-    certify a square-free primitive prime divisor and hence maximality.
-    Everything else is Unknown (the criterion is sufficient, not necessary).
-    """
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    crit = critical_orbit(map, n, max_bits)
-    return _certify_from_values(map, crit.values, n)
 
 
 def certify_tower(

@@ -363,6 +363,23 @@ def test_index_bound_n40_stops_at_the_guard():
     assert "2^40 - 40 bits" in proc.stderr
 
 
+def test_huge_trial_bound_exits_one_before_it_sieves():
+    # the trial-division sieve would take 10 GB; under a 1 GiB address-space
+    # cap a missing bound fails the test with a MemoryError
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = run_subprocess("curve", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "4",
+                          "--trial-bound", "10000000000", preexec_fn=limit)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    # a MemoryError would also exit 1, but with a traceback
+    assert proc.stderr.startswith("quadtower: error: trial_bound"), proc.stderr
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_density_segment_size_below_one_exits_one_quickly(size):
     # a separate process with a timeout, so a regression to the endless

@@ -67,6 +67,29 @@ def test_brent_matches_naive_iteration():
             assert orbit_hits_zero_mod_p(m, 0, p) == naive_orbit_member(
                 m.gamma_a, m.c_a, 0, p
             ), (entry.name, p)
+    # (gamma_a, c_a, b, members among all p), None where p decides it
+    stop_rule_cases = [
+        (0, 1, 3, None),    # b != 0
+        (1, 3, -5, None),   # b != 0, gamma_a != 0
+        (0, -1, 0, True),   # 0 -> -1 -> 0: b on its own 2-cycle, no tail
+        (0, -1, -1, True),  # the same cycle entered at -1
+        (0, 0, 0, True),    # x^2 fixes 0: the walk stops at once, on x_0
+        (1, -1, 0, True),   # (x - 1)^2 - 1 fixes 0
+        (0, 0, 1, False),   # x^2 fixes 1
+        (1, 1, 1, False),   # (x - 1)^2 + 1 fixes 1
+        (0, -2, 2, None),   # x^2 - 2 fixes 2, a member only at p = 2
+    ]
+    for gamma_a, c_a, b, members in stop_rule_cases:
+        m = SpecializedMap.make(0, gamma_a, c_a)
+        for p in primes_up_to(10 ** 3):  # from p = 2 and 3 on
+            # b itself, then two starts that are 0 mod p but not 0
+            for start in (b, p, -3 * p):
+                got = orbit_hits_zero_mod_p(m, start, p)
+                assert got == naive_orbit_member(gamma_a, c_a, start, p), (m, start, p)
+            if members is not None:
+                assert orbit_hits_zero_mod_p(m, b, p) is members, (m, b, p)
+    x2m2 = SpecializedMap.make(0, 0, -2)
+    assert [p for p in primes_up_to(100) if orbit_hits_zero_mod_p(x2m2, 2, p)] == [2]
 
 
 def test_density_curve_x2p1_oracle():

@@ -34,6 +34,15 @@ def _x2(c):
     return QuadraticFamily.of([0], [0, 1]).specialize(c)
 
 
+def test_budget_bounds_trial_bound():
+    # small_primes sieves trial_bound + 1 bytes, so the bound is capped
+    assert Budget(trial_bound=2).trial_bound == 2
+    assert Budget(trial_bound=10 ** 7).trial_bound == 10 ** 7
+    for bound in (1, 10 ** 7 + 1, 10 ** 10):
+        with pytest.raises(ValueError, match="trial_bound"):
+            Budget(trial_bound=bound)
+
+
 def test_factorize_fermat_number():
     fac = factorize(4294967297)
     assert fac.complete

@@ -20,7 +20,6 @@ from quadtower.galois import (
     UNKNOWN,
     MaximalityCertificate,
     SingularModelError,
-    certify_level_maximal,
     certify_tower,
     curve_model,
     discriminant_recurrence,
@@ -102,39 +101,39 @@ def test_discriminant_recurrence_matches_direct_random():
 
 
 def test_certify_level_examples():
-    cert = certify_level_maximal(X2P2, 3)
+    cert = certify_tower(X2P2, 3, 3).certificates[0]
     assert cert.status == CERTIFIED_MAXIMAL
     assert cert.witness == 19
 
     # level 1 is Q(sqrt(-c_a)) = Q(i): -1 is no square, and the odd part 1
     # of c_a = 1 proves nothing
-    cert = certify_level_maximal(X2P1, 1)
+    cert = certify_tower(X2P1, 1, 1).certificates[0]
     assert cert.status == UNKNOWN
     assert cert.witness == 1
 
     # x^2 - 9 = (x - 3)(x + 3): -c_a = 9 is the square of the witness
-    cert = certify_level_maximal(SpecializedMap.make(-9, 0, -9), 1)
+    cert = certify_tower(SpecializedMap.make(-9, 0, -9), 1, 1).certificates[0]
     assert cert.status == FAILED_SQUARE_OVER_Q
     assert cert.witness == 3
 
     # x^2 + 9: -9 is no square, but the odd part 9 of c_a is, so nothing proved
-    cert = certify_level_maximal(SpecializedMap.make(9, 0, 9), 1)
+    cert = certify_tower(SpecializedMap.make(9, 0, 9), 1, 1).certificates[0]
     assert cert.status == UNKNOWN
     assert cert.witness == 9
 
     # x^2 - 12: odd part 3 of c_a is a non-square, so -c_a = 12 is one too
-    cert = certify_level_maximal(SpecializedMap.make(-12, 0, -12), 1)
+    cert = certify_tower(SpecializedMap.make(-12, 0, -12), 1, 1).certificates[0]
     assert cert.status == CERTIFIED_MAXIMAL
     assert cert.witness == 3
 
     # c_a = 0: x^2 is reducible, witness 0
-    cert = certify_level_maximal(SpecializedMap.make(0, 0, 0), 1)
+    cert = certify_tower(SpecializedMap.make(0, 0, 0), 1, 1).certificates[0]
     assert cert.status == FAILED_SQUARE_OVER_Q
     assert cert.witness == 0
 
     # 2^k times a square: nothing survives stripping
     m = SpecializedMap.make(0, 0, 8)
-    cert = certify_level_maximal(m, 1)
+    cert = certify_tower(m, 1, 1).certificates[0]
     assert cert.status == UNKNOWN
     assert cert.witness == 1
 
@@ -259,7 +258,7 @@ def test_rigid_gcd_stripping_matches_full_stripping(gamma, c, a, depth):
     values = critical_orbit(m, depth).values
     expected = tuple(_full_strip_certificate(values, n) for n in range(1, depth + 1))
     assert certify_tower(m, 1, depth).certificates == expected
-    assert certify_level_maximal(m, depth) == expected[-1]
+    assert certify_tower(m, depth, depth).certificates[0] == expected[-1]
 
 
 def test_rigid_gcd_stripping_matches_full_stripping_on_corpus():
