@@ -1,8 +1,9 @@
 """Desk-scale integer factorization and primitive-prime-divisor machinery.
 
 Trial division, Pollard p-1 stage 1 to B1 = rho_iters // 100, Brent-variant
-Pollard rho for at most 2^17 iterations, then elliptic-curve factoring (ECM)
-with the rest of rho_iters; strong-probable-prime tests, square-free
+Pollard rho in whole rounds within min(rho_iters, 2^17) map evaluations
+(131,070 at the cap), then elliptic-curve factoring (ECM) with the rest of
+rho_iters; strong-probable-prime tests, square-free
 decompositions 2^e * d * y^2, and the gcd-stripping cofactor that
 lets tower certificates avoid factoring altogether.  Everything is
 deterministic given the budget and its seed.
@@ -47,7 +48,8 @@ class Budget:
     trial_bound -- trial-divide by primes up to this bound, at most 10^7
     rho_iters   -- factoring effort per composite cofactor, in Brent rho
                    iterations: p-1 stage 1 runs first to B1 = rho_iters // 100,
-                   then rho for min(rho_iters, 2^17) iterations, then
+                   then rho in whole Brent rounds within min(rho_iters,
+                   2^17) map evaluations (131,070 at the cap), then
                    (rho_iters - 2^17) // 60,000 ECM curves (14 at 10^6, 164
                    at 10^7), each costing at most about 60,000 rho iterations
                    of wall time; up to 2^17 no curve runs
@@ -199,15 +201,23 @@ def is_probable_prime(n: int, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int | None:
     """Brent's cycle variant of Pollard rho; returns a nontrivial factor of
-    the odd composite n, or None once max_iters map evaluations are spent."""
+    the odd composite n, or None once max_iters map evaluations are spent.
+
+    The walk runs in rounds of r = 1, 2, 4, ... that each cost 2r map
+    evaluations, and only whole rounds that fit in max_iters run: k rounds
+    spend 2(2^k - 1), so 131,070 at max_iters = 2^17.  When the next round
+    does not fit, no fresh parameters are drawn from rng.
+    """
     used = 0
-    while used < max_iters:
+    while used + 2 <= max_iters:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n - 1)
         m = 128
         g = r = q = 1
         x = ys = y
-        while g == 1 and used < max_iters:
+        while g == 1:
+            if used + 2 * r > max_iters:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -229,13 +239,15 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int | None:
                 g = math.gcd(abs(x - ys), n)
         if 1 < g < n:
             return g
-        # cycle collapsed or budget ran dry inside the batch; retry fresh
+        # the cycle collapsed: every factor of n appeared at once; retry fresh
     return None
 
 
+@functools.lru_cache(maxsize=8)
 def _prime_power_product(bound: int) -> int:
     """The product of the maximal prime powers <= bound: every integer whose
-    prime powers are all <= bound divides it."""
+    prime powers are all <= bound divides it.  The last few bounds are cached:
+    every ECM curve uses the one at B1."""
     e = 1
     for p in small_primes(bound):
         q = p
@@ -273,23 +285,35 @@ def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int)
     return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
 
 
-def _ladder(k: int, p: tuple[int, int], a24: int, n: int) -> tuple[int, int]:
-    """x(k*P) for k >= 1 by the Montgomery ladder, which keeps the pair
-    (j*P, (j + 1)*P) so that each addition knows its difference P."""
-    r0, r1 = p, _xdbl(p, a24, n)
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
+    """x(k*P) = (X:Z) mod n for k >= 1 from the affine x(P) = x by the
+    Montgomery ladder, which keeps the pair (j*P, (j + 1)*P) = (x0:z0),
+    (x1:z1) so that each addition knows its difference P = (x:1)."""
+    s, d = (x + 1) ** 2 % n, (x - 1) ** 2 % n
+    t = s - d
+    x0, z0, x1, z1 = x, 1, s * d % n, t * (d + a24 * t) % n
     for bit in bin(k)[3:]:
+        # sum: u, v as in _xadd; double: s, d as in _xdbl, of the point
+        # the bit says to double
+        u = (x0 - z0) * (x1 + z1) % n
+        v = (x0 + z0) * (x1 - z1) % n
+        xs, zs = (u + v) ** 2 % n, x * ((u - v) ** 2 % n) % n
         if bit == "1":
-            r0, r1 = _xadd(r0, r1, p, n), _xdbl(r1, a24, n)
+            s, d = (x1 + z1) ** 2 % n, (x1 - z1) ** 2 % n
+            t = s - d
+            x0, z0, x1, z1 = xs, zs, s * d % n, t * (d + a24 * t) % n
         else:
-            r0, r1 = _xdbl(r0, a24, n), _xadd(r0, r1, p, n)
-    return r0
+            s, d = (x0 + z0) ** 2 % n, (x0 - z0) ** 2 % n
+            t = s - d
+            x0, z0, x1, z1 = s * d % n, t * (d + a24 * t) % n, xs, zs
+    return x0, z0
 
 
-# rho runs at most _RHO_ITERS_CAP iterations per composite cofactor; the rest
-# of rho_iters buys ECM curves at _ECM_CURVE_COST iterations each.  One curve
-# took the wall time of 20-23k rho iterations on 123-840-bit cofactors
-# (CPython 3.11, best of 4 runs) and up to about 70k in noisy runs, so the
-# curves take no longer than the rho iterations they replace.
+# rho spends at most _RHO_ITERS_CAP map evaluations per composite cofactor;
+# the rest of rho_iters buys ECM curves at _ECM_CURVE_COST evaluations each.
+# One curve took the wall time of 30-36k rho map evaluations on 123-788-bit
+# cofactors (CPython 3.11.7 on a 2-core x86-64 host, best of 7 runs), so the
+# curves take no longer than the rho evaluations they replace.
 _RHO_ITERS_CAP = 1 << 17
 _ECM_CURVE_COST = 60_000
 _ECM_B1 = 2000
@@ -330,7 +354,8 @@ def _ecm_curve(n: int, sigma: int) -> int:
     baby-step giant-step stage 2 to B2 = _ECM_B2.
 
     Returns a divisor of n found along the way: 1 or n when the curve failed.
-    An inversion that fails mod n is a find like any other.
+    A failed inversion of the curve's start or of a baby step's Z is a find
+    like any other.
     """
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
@@ -343,40 +368,60 @@ def _ecm_curve(n: int, sigma: int) -> int:
         return g
     w = pow(den, -1, n)
     a24 = pow(v - u, 3, n) * (3 * u + v) * v * v * w % n
-    q = _ladder(_prime_power_product(_ECM_B1), (16 * u3 * u3 * w % n, 1), a24, n)
+    q = _ladder(_prime_power_product(_ECM_B1), 16 * u3 * u3 * w % n, a24, n)
     g = math.gcd(q[1], n)
     if g != 1:
         return g
-    # baby steps j*Q for odd j < D/2; keep those coprime to D and normalize
-    # them to x_j = X_j / Z_j with one inversion
+    # baby steps j*Q for odd j < D/2, keeping those coprime to D
     q2 = _xdbl(q, a24, n)
     odd = [q, _xadd(q2, q, q, n)]
     while len(odd) < _ECM_D // 4:
         odd.append(_xadd(odd[-1], q2, odd[-2], n))
     babies = [odd[j // 2] for j in _ECM_BABIES]
-    prefix = [1]
-    for _x, z in babies:
-        prefix.append(prefix[-1] * z % n)
-    g = math.gcd(prefix[-1], n)
-    if g != 1:
-        return g
-    inv = pow(prefix[-1], -1, n)
-    xs = [0] * len(babies)
-    for i in range(len(babies) - 1, -1, -1):
-        xs[i] = babies[i][0] * prefix[i] % n * inv % n
-        inv = inv * babies[i][1] % n
-    # giant steps m*D*Q, m = 1, 2, ...: accumulate X_G - x_j * Z_G over the
-    # plan, one gcd per curve
-    step = _ladder(_ECM_D, q, a24, n)
+    # giant steps m*D*Q, m = 1, 2, ...
+    step = _ladder(_ECM_D, q[0] * pow(q[1], -1, n) % n, a24, n)
     plan = _ecm_stage2_plan()
     giants = [step, _xdbl(step, a24, n)]
     while len(giants) < len(plan):
         giants.append(_xadd(giants[-1], step, giants[-2], n))
+    # accumulate x_G - x_j over the plan, one gcd per curve; one inversion
+    # gives the affine x of every baby and giant step
+    xs = _affine_xs(babies + giants, n)
     acc = 1
-    for (gx, gz), row in zip(giants, plan):
-        for i in row:
-            acc = acc * (gx - xs[i] * gz) % n
+    if xs is None:
+        # some Z has no inverse mod n.  A baby's Z is a find; a giant's
+        # (m*D*Q is the identity mod some p | n) is not, so accumulate
+        # X_G - x_j * Z_G with projective giants: where every Z_G is a unit
+        # this has the same gcd with n as the affine product
+        g = math.gcd(math.prod(z for _x, z in babies), n)
+        if g != 1:
+            return g
+        xs = _affine_xs(babies, n)
+        for (gx, gz), row in zip(giants, plan):
+            for i in row:
+                acc = acc * (gx - xs[i] * gz) % n
+    else:
+        for gx, row in zip(xs[len(babies):], plan):
+            for i in row:
+                acc = acc * (gx - xs[i]) % n
     return math.gcd(acc, n)
+
+
+def _affine_xs(points: list[tuple[int, int]], n: int) -> list[int] | None:
+    """x = X/Z mod n of each projective (X:Z) in points, by one inversion
+    (Montgomery's simultaneous inversion); None when the product of the Z is
+    not a unit mod n."""
+    prefix = [1]
+    for _x, z in points:
+        prefix.append(prefix[-1] * z % n)
+    if math.gcd(prefix[-1], n) != 1:
+        return None
+    inv = pow(prefix[-1], -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        xs[i] = points[i][0] * prefix[i] % n * inv % n
+        inv = inv * points[i][1] % n
+    return xs
 
 
 def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quadtower.factor as factor_mod
@@ -180,6 +180,194 @@ def test_ecm_returns_a_proper_divisor(p, q, seed):
     n = (2 * p + 1) * (2 * q + 1)
     g = factor_mod._ecm(n, random.Random(seed), 2)
     assert g is None or (1 < g < n and n % g == 0)
+
+
+
+class _CountingModulus(int):
+    """An int that counts the reductions `x % self` taken with it."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.mods = 0
+        return self
+
+    def __rmod__(self, other):
+        self.mods += 1
+        return int.__rmod__(self, other)
+
+
+RHO_SEMIPRIME = (2 ** 64 - 59) * (2 ** 63 + 29)  # far out of rho's reach
+
+
+def _rho_spend(max_iters):
+    """Map evaluations of the whole Brent rounds that fit in max_iters: k
+    rounds of r = 1, 2, ..., 2^(k-1) cost 2r each, 2(2^k - 1) in all."""
+    k = (max_iters // 2 + 1).bit_length() - 1
+    return 2 * (2 ** k - 1)
+
+
+@pytest.mark.parametrize("max_iters, mods", [
+    (10, 9), (100, 93), (2 ** 17, 196_605), (2 * (2 ** 13 - 1), 24_573),
+])
+def test_brent_rho_reductions_at_fixed_budgets(max_iters, mods):
+    # a round of 2r map evaluations takes r reductions for x's stretch and
+    # 2r (the map and the product) for the batches; the old loop ran one
+    # more round past the budget: 21, 189 and 393,213 reductions at the
+    # first three budgets
+    assert all(is_probable_prime(p) for p in (2 ** 64 - 59, 2 ** 63 + 29))
+    n = _CountingModulus(RHO_SEMIPRIME)
+    assert factor_mod._brent_rho(n, random.Random(0), max_iters) is None
+    assert n.mods == mods == 3 * _rho_spend(max_iters) // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(max_iters=st.integers(0, 5000), seed=st.integers(0, 3))
+def test_brent_rho_spends_whole_rounds_within_its_budget(max_iters, seed):
+    n = _CountingModulus(RHO_SEMIPRIME)
+    rng, drawn = random.Random(seed), random.Random(seed)
+    assert factor_mod._brent_rho(n, rng, max_iters) is None
+    evaluations = 2 * n.mods // 3
+    assert evaluations == _rho_spend(max_iters) <= max_iters
+    # one (y, c) is drawn, and none when not even the first round fits
+    if max_iters >= 2:
+        drawn.randrange(1, n)
+        drawn.randrange(1, n - 1)
+    assert rng.getstate() == drawn.getstate()
+
+
+def _xdbl_reference(p, a24, n):
+    s, d = (p[0] + p[1]) ** 2 % n, (p[0] - p[1]) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd_reference(p, q, diff, n):
+    u = (p[0] - p[1]) * (q[0] + q[1]) % n
+    v = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _ladder_reference(k, p, a24, n):
+    r0, r1 = p, _xdbl_reference(p, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            r0, r1 = _xadd_reference(r0, r1, p, n), _xdbl_reference(r1, a24, n)
+        else:
+            r0, r1 = _xdbl_reference(r0, a24, n), _xadd_reference(r0, r1, p, n)
+    return r0
+
+
+def _ecm_curve_reference(n, sigma):
+    """One ECM curve as first written: projective ladders throughout and a
+    stage 2 that multiplies each plan pair by the giant step's Z."""
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    u3, v3 = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * u3 * v3 % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    w = pow(den, -1, n)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * v * v * w % n
+    q = _ladder_reference(factor_mod._prime_power_product(factor_mod._ECM_B1),
+                          (16 * u3 * u3 * w % n, 1), a24, n)
+    g = math.gcd(q[1], n)
+    if g != 1:
+        return g
+    q2 = _xdbl_reference(q, a24, n)
+    odd = [q, _xadd_reference(q2, q, q, n)]
+    while len(odd) < factor_mod._ECM_D // 4:
+        odd.append(_xadd_reference(odd[-1], q2, odd[-2], n))
+    babies = [odd[j // 2] for j in factor_mod._ECM_BABIES]
+    prefix = [1]
+    for _x, z in babies:
+        prefix.append(prefix[-1] * z % n)
+    g = math.gcd(prefix[-1], n)
+    if g != 1:
+        return g
+    inv = pow(prefix[-1], -1, n)
+    xs = [0] * len(babies)
+    for i in range(len(babies) - 1, -1, -1):
+        xs[i] = babies[i][0] * prefix[i] % n * inv % n
+        inv = inv * babies[i][1] % n
+    step = _ladder_reference(factor_mod._ECM_D, q, a24, n)
+    plan = factor_mod._ecm_stage2_plan()
+    giants = [step, _xdbl_reference(step, a24, n)]
+    while len(giants) < len(plan):
+        giants.append(_xadd_reference(giants[-1], step, giants[-2], n))
+    acc = 1
+    for (gx, gz), row in zip(giants, plan):
+        for i in row:
+            acc = acc * (gx - xs[i] * gz) % n
+    return math.gcd(acc, n)
+
+
+def _next_prime(x):
+    while not is_probable_prime(x):
+        x += 1
+    return x
+
+
+# (p, q, sigma) for each way a curve ends; "giant Z" is a curve on which the
+# Z of some giant step m*D*Q shares the prime 1033381 with n
+ECM_OUTCOMES = {
+    "stage 1": (9549677, 14217587, 3445702198),
+    "stage 2": (520249739, 495057593, 3117513190),
+    "failure": (11461001023597, 13874374801087, 901749043),
+    "giant Z": (1033381, 904651204433, 728849876),
+}
+
+
+def _ecm_outcome(n, sigma, monkeypatch):
+    """Where the reference curve splits n: in stage 1 (with the baby steps),
+    in stage 2, or not at all."""
+    if not 1 < _ecm_curve_reference(n, sigma) < n:
+        return "failure"
+    plan = factor_mod._ecm_stage2_plan()
+    with monkeypatch.context() as m:
+        m.setattr(factor_mod, "_ecm_stage2_plan", lambda: tuple(() for _ in plan))
+        return "stage 1" if 1 < _ecm_curve_reference(n, sigma) < n else "stage 2"
+
+
+def test_ecm_outcomes_cover_both_stages_and_failure(monkeypatch):
+    for name, (p, q, sigma) in ECM_OUTCOMES.items():
+        assert is_probable_prime(p) and is_probable_prime(q)
+        expected = "failure" if name == "giant Z" else name
+        assert _ecm_outcome(p * q, sigma, monkeypatch) == expected, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(2 ** 15, 2 ** 48), q=st.integers(2 ** 15, 2 ** 48),
+       sigma=st.integers(6, 2 ** 32 - 1))
+@example(*ECM_OUTCOMES["stage 1"])
+@example(*ECM_OUTCOMES["stage 2"])
+@example(*ECM_OUTCOMES["failure"])
+@example(*ECM_OUTCOMES["giant Z"])
+def test_ecm_curve_matches_reference(p, q, sigma):
+    p, q = _next_prime(p), _next_prime(q)
+    assume(p != q)
+    assert factor_mod._ecm_curve(p * q, sigma) == _ecm_curve_reference(p * q, sigma)
+
+
+def test_ecm_curve_keeps_projective_giants_when_their_z_is_no_unit(monkeypatch):
+    affine = factor_mod._affine_xs
+    unnormalized = []
+
+    def spy(points, n):
+        xs = affine(points, n)
+        if len(points) > len(factor_mod._ECM_BABIES):
+            unnormalized.append(xs is None)
+        return xs
+
+    monkeypatch.setattr(factor_mod, "_affine_xs", spy)
+    p, q, sigma = ECM_OUTCOMES["giant Z"]
+    assert factor_mod._ecm_curve(p * q, sigma) == _ecm_curve_reference(p * q, sigma)
+    assert unnormalized == [True]
+    # force the branch where the giants would normalize: the result is the same
+    monkeypatch.setattr(factor_mod, "_affine_xs", lambda points, n: (
+        None if len(points) > len(factor_mod._ECM_BABIES) else affine(points, n)))
+    for p, q, sigma in ECM_OUTCOMES.values():
+        assert factor_mod._ecm_curve(p * q, sigma) == _ecm_curve_reference(p * q, sigma)
 
 
 def _pm1_rho_reference(n, budget):
