@@ -8,10 +8,11 @@ logarithmic height functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ZeroPolynomialError(ValueError):
@@ -21,6 +22,7 @@ class ZeroPolynomialError(ValueError):
 # phi^15(gamma) of a small map is already ~32k bits; 2^20 bits of headroom
 # keeps desk-scale work comfortable while stopping runaway doubling early.
 DEFAULT_MAX_BITS = 1 << 20
+_LOG2_10 = math.log2(10)
 
 
 class DigitBudgetError(RuntimeError):
@@ -33,12 +35,23 @@ class DigitBudgetError(RuntimeError):
         self.partial = partial
 
 
-def check_bits(value: int, max_bits: int, what: str, partial=None) -> None:
+def check_bits(value, max_bits: int, what: str, partial=None) -> None:
     """Raise DigitBudgetError, naming what the value is, when value needs
-    more than max_bits bits."""
-    if value.bit_length() > max_bits:
+    more than max_bits bits.
+
+    value is an int or an integer decimal.Decimal.  A Decimal of d digits
+    needs fewer than d * log2(10) bits, so only one whose digit count puts it
+    within a bit of the budget is measured exactly.
+    """
+    if isinstance(value, int):
+        bits = value.bit_length()
+    elif (value.adjusted() + 1) * _LOG2_10 < max_bits - 1:
+        return
+    else:
+        bits = _decimal_bit_length(value)
+    if bits > max_bits:
         raise DigitBudgetError(
-            f"{what} needs {value.bit_length()} bits; budget is {max_bits}", partial=partial
+            f"{what} needs {bits} bits; budget is {max_bits}", partial=partial
         )
 
 
@@ -315,10 +328,41 @@ def poly_height(p: IntPolynomial) -> float:
 
 # -- perfect squares --------------------------------------------------------
 
-# Quadratic-residue filters: squares land in few classes mod 64 and mod
-# 45045 = 63 * 65 * 11, so almost every non-square is rejected without isqrt.
+# One square filter: a square is a square modulo 64 and modulo each odd
+# prime below 400, and all of these tests read one residue modulo
+# square_filter_modulus().  A non-square passes each prime's test with
+# probability about 1/2, so almost none reaches an exact square root.
 _SQUARES_MOD_64 = frozenset((i * i) & 63 for i in range(64))
-_SQUARES_MOD_45045 = frozenset((i * i) % 45045 for i in range(45045))
+_SQUARE_FILTER_PRIMES = tuple(
+    p for p in range(3, 400, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+)
+
+
+@functools.cache
+def _square_mask(p: int) -> int:
+    """Bit i is set when i is a square mod the prime p."""
+    mask = 0
+    for i in range(p // 2 + 1):
+        mask |= 1 << (i * i % p)
+    return mask
+
+
+def square_filter_modulus() -> int:
+    """64 times the filter primes: a residue modulo any multiple of this
+    holds everything passes_square_filter reads."""
+    return 64 * math.prod(_SQUARE_FILTER_PRIMES)
+
+
+def passes_square_filter(r: int) -> bool:
+    """False when r, the residue of some integer modulo a multiple of
+    square_filter_modulus(), proves that integer is no square; True means
+    it may be one.  The sign is the caller's to check."""
+    if (r & 63) not in _SQUARES_MOD_64:
+        return False
+    for p in _SQUARE_FILTER_PRIMES:
+        if not (_square_mask(p) >> (r % p)) & 1:
+            return False
+    return True
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -329,11 +373,7 @@ def is_perfect_square(n: int) -> int | None:
     >>> is_perfect_square(458330) is None
     True
     """
-    if n < 0:
-        return None
-    if (n & 63) not in _SQUARES_MOD_64:
-        return None
-    if (n % 45045) not in _SQUARES_MOD_45045:
+    if n < 0 or not passes_square_filter(n):
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
@@ -412,49 +452,95 @@ def decimal_str(n: int) -> str:
         return str(_to_decimal(n))
 
 
-def orbit_divisor_strs(
-    gamma: int, c: int, values: Sequence[int], divisors: Sequence[int | None]
-) -> list[str | None]:
-    """[decimal_str(d) for d in divisors], with None kept as None, where
-    values[i + 1] = (values[i] - gamma)^2 + c and each d divides values[i].
+def _decimal_bit_length(x) -> int:
+    """bit_length of the integer Decimal x, by comparing |x| with powers of
+    two in exact decimal arithmetic, starting a bit below the digit bound."""
+    import decimal
 
-    A d above the decimal_str cutoff whose cofactor q = values[i] / d is at
-    most that cutoff is printed as values[i] // q in decimal arithmetic:
-    values[0] is converted once and the orbit is stepped forward in exact
-    decimal arithmetic, so each level costs one decimal squaring instead of a
-    base conversion.  Only the current decimal value is held.  The other d,
-    among them square roots (whose cofactor is as big as they are), go
-    through decimal_str.  Passing d = values[i] prints the orbit itself.
+    x = x.copy_abs()
+    if not x:
+        return 0
+    ctx = _exact_context()
+    # |x| >= 10^adjusted, so 2^bits <= |x| holds from the start
+    bits = max(0, int(x.adjusted() * _LOG2_10) - 1)
+    power = ctx.power(decimal.Decimal(2), bits)
+    while power <= x:
+        power = ctx.multiply(power, 2)
+        bits += 1
+    return bits
 
-    >>> orbit_divisor_strs(0, 1, [1, 2, 5, 26], [None, 2, 5, 13])
-    [None, '2', '5', '13']
+
+def decimal_isqrt(x):
+    """The square root of the integer Decimal x >= 0 when x is a perfect
+    square, else None.
+
+    The root is taken to a few digits more than half of x's, so a square's
+    root comes out exact; squaring it back decides.
     """
     import decimal
 
-    out: list[str | None] = []
-    x = None  # the decimal value of values[at], once needed
-    at = 0
-    with decimal.localcontext(_exact_context()):
-        for i, (v, d) in enumerate(zip(values, divisors, strict=True)):
-            if d is None:
-                out.append(None)
-                continue
-            if (d.bit_length() <= _DECIMAL_STR_CUTOFF
-                    or v.bit_length() - d.bit_length() > _DECIMAL_STR_CUTOFF):
-                out.append(decimal_str(d))
-                continue
-            q, rem = divmod(v, d)
-            if rem:
-                raise ValueError(f"values[{i}] is not a multiple of divisors[{i}]")
-            if x is None:
-                x, g, k = _to_decimal(values[0]), _to_decimal(gamma), _to_decimal(c)
-            for _ in range(i - at):
-                y = x - g
-                x = y * y + k
-            at = i
-            text = str(x if q == 1 else x // decimal.Decimal(q))
-            # the trailing digits tie the decimal orbit back to the int values
-            if int(text[-18:]) != abs(d) % 10 ** 18:
-                raise ValueError("values is not an orbit of (x - gamma)^2 + c")
-            out.append(text)
-    return out
+    ctx = decimal.Context(prec=x.adjusted() // 2 + 3, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    root = ctx.to_integral_value(ctx.sqrt(x))
+    return root if _exact_context().multiply(root, root) == x else None
+
+
+def decimal_quotient(x, q: int):
+    """x / q for an integer Decimal x and an int q > 0 that divides it,
+    exactly; ValueError when q does not divide x."""
+    if q == 1:
+        return x
+    quotient, rem = _exact_context().divmod(x, q)
+    if rem:
+        raise ValueError(f"{q} does not divide the value")
+    return quotient
+
+
+# The decimal orbit is checked against the integer orbit modulo this.
+_TAIL = 10 ** 18
+
+
+def decimal_orbit(gamma: int, c: int, start: int) -> Iterator:
+    """start, phi(start), phi^2(start), ... for phi(x) = (x - gamma)^2 + c,
+    as exact integer decimal.Decimal values.
+
+    start is converted once and the orbit is stepped in decimal arithmetic,
+    whose multiplication is subquadratic, so each level costs one decimal
+    squaring instead of a base conversion.  The last 18 digits of every
+    value are checked against the orbit stepped modulo 10^18, which ties the
+    decimal values back to the integers.  The next value is computed only
+    when it is asked for.
+    """
+    import decimal
+
+    ctx = _exact_context()
+    with decimal.localcontext(ctx):
+        x, g, k = _to_decimal(start), _to_decimal(gamma), _to_decimal(c)
+    tail = decimal.Decimal(_TAIL)
+    r = start % _TAIL
+    while True:
+        if int(ctx.remainder(x, tail)) % _TAIL != r:
+            raise ValueError("the decimal orbit disagrees with the orbit mod 10^18")
+        yield x
+        y = ctx.subtract(x, g)
+        x = ctx.add(ctx.multiply(y, y), k)
+        r = (((r - gamma) % _TAIL) ** 2 + c) % _TAIL
+
+
+def orbit_divisor_strs(
+    gamma: int, c: int, start: int, cofactors: Sequence[int | None]
+) -> list[str | None]:
+    """The decimal text of v_i / q_i for each cofactor q_i, where v_0 = start,
+    v_(i+1) = (v_i - gamma)^2 + c and each q_i > 0 divides v_i; a None
+    cofactor skips its level, and q_i = 1 prints the orbit value itself.
+
+    The values come from decimal_orbit, one decimal squaring per level, and
+    the orbit stops at the last cofactor.
+
+    >>> orbit_divisor_strs(0, 1, 1, [None, 1, 5, 2])
+    [None, '2', '1', '13']
+    """
+    return [
+        None if q is None else str(decimal_quotient(x, q))
+        for q, x in zip(cofactors, decimal_orbit(gamma, c, start))
+    ]

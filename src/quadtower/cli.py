@@ -287,12 +287,12 @@ def cmd_family_info(args: argparse.Namespace) -> int:
 
 def _orbit_rows(values, map=None, start: int = 0) -> list[dict]:
     """One row per orbit value; with the map, values[i + 1] = map(values[i])
-    and the values print along the orbit (orbit_divisor_strs, every value its
-    own divisor), else one by one."""
+    and the values print along the orbit (orbit_divisor_strs with every
+    cofactor 1), else one by one."""
     if map is None:
         texts = [decimal_str(v) for v in values]
     else:
-        texts = orbit_divisor_strs(map.gamma_a, map.c_a, values, values)
+        texts = orbit_divisor_strs(map.gamma_a, map.c_a, values[0], [1] * len(values))
     return [
         {"n": i, "value": text, "bits": v.bit_length()}
         for i, (v, text) in enumerate(zip(values, texts), start=start)
@@ -343,9 +343,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     report = certify_tower(_map(args), args.from_level, args.to_level, args.bits)
 
     def text():
-        for cert, witness in zip(report.certificates, report.witness_strs()):
+        for cert in report.certificates:
             yield f"level {cert.level}: {cert.status}" + (
-                f" (witness {witness})" if witness is not None else ""
+                f" (witness {cert.witness})" if cert.witness is not None else ""
             )
         yield "counts: " + ", ".join(f"{k}={v}" for k, v in report.counts.items())
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -181,6 +180,9 @@ def density_curve(
     if workers == 1:
         results = [_scan_shard(job) for job in jobs]
     else:
+        # imported here: the pool machinery costs every CLI start about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_shard, jobs))
 

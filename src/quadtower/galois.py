@@ -11,17 +11,22 @@ FailedSquareOverQ are proved, Unknown is exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 from quadtower.bigpoly import (
     IntPolynomial,
     check_bits,
+    decimal_isqrt,
+    decimal_orbit,
+    decimal_quotient,
     decimal_str,
     discriminant_direct,
     height_int,
     is_perfect_square,
-    orbit_divisor_strs,
+    passes_square_filter,
     poly_height,
+    square_filter_modulus,
 )
 from quadtower.factor import (
     Budget,
@@ -29,7 +34,6 @@ from quadtower.factor import (
     SquareFreeDecomposition,
     ZeroInputError,
     factorize,
-    stripped_cofactor,
 )
 from quadtower.family import SpecializedMap
 from quadtower.orbit import DEFAULT_MAX_BITS, CriticalOrbit, DigitBudgetError, critical_orbit
@@ -38,8 +42,11 @@ CERTIFIED_MAXIMAL = "CertifiedMaximal"
 FAILED_SQUARE_OVER_Q = "FailedSquareOverQ"
 UNKNOWN = "Unknown"
 
-# A small budget, only to list a certificate witness's primes when that is easy.
+# A small budget, only to list a certificate witness's primes when that is
+# easy.  Above _COURTESY_MAX_BITS it is not tried: no R of 1,200 bits or more
+# on the acceptance maps ever completed, and each failure cost 0.6-18.5 s.
 _COURTESY_BUDGET = Budget(trial_bound=10 ** 4, rho_iters=10 ** 5)
+_COURTESY_MAX_BITS = 1024
 
 
 class SingularModelError(ValueError):
@@ -61,10 +68,6 @@ class StabilityReport:
     squares_found: tuple[tuple[int, int], ...]
 
     @property
-    def first_square(self) -> tuple[int, int] | None:
-        return self.squares_found[0] if self.squares_found else None
-
-    @property
     def verdict(self) -> str:
         if self.squares_found:
             return f"SquareFoundAt({self.squares_found[0][0]})"
@@ -82,7 +85,7 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class MaximalityCertificate:
-    """Level-n tower evidence.
+    """Level-n tower evidence; witness is in decimal.
 
     CertifiedMaximal: witness is the stripped cofactor R > 1, non-square,
     coprime to 2 and to all lower critical values.  FailedSquareOverQ:
@@ -92,26 +95,21 @@ class MaximalityCertificate:
 
     level: int
     status: str
-    witness: int | None
+    witness: str | None
 
-    def to_json_dict(self, witness_text: str | None = None) -> dict:
-        """witness_text, when given, is the witness already in decimal."""
-        if witness_text is None and self.witness is not None:
-            witness_text = decimal_str(self.witness)
-        return {"level": self.level, "status": self.status, "witness": witness_text}
+    def to_json_dict(self) -> dict:
+        return {"level": self.level, "status": self.status, "witness": self.witness}
 
 
 @dataclass(frozen=True)
 class TowerReport:
-    """Certificates for first_level..last_level; values is the critical orbit
-    phi_a^n(gamma_a), n = 1.., they were computed from (shorter than
-    last_level when the bit budget ran out)."""
+    """Certificates for first_level..last_level (fewer when the bit budget
+    ran out)."""
 
     map: SpecializedMap
     first_level: int
     last_level: int
     certificates: tuple[MaximalityCertificate, ...]
-    values: tuple[int, ...] = field(repr=False)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -120,23 +118,11 @@ class TowerReport:
             out[cert.status] += 1
         return out
 
-    def witness_strs(self) -> list[str | None]:
-        """Each certificate's witness in decimal, or None.  A witness R is an
-        exact divisor of its critical value, so it prints along the critical
-        orbit (see orbit_divisor_strs) rather than by base conversion."""
-        divisors: list[int | None] = [None] * len(self.values)
-        for cert in self.certificates:
-            divisors[cert.level - 1] = cert.witness
-        texts = orbit_divisor_strs(self.map.gamma_a, self.map.c_a, self.values, divisors)
-        return [texts[cert.level - 1] for cert in self.certificates]
-
     def to_json_dict(self) -> dict:
         return {
             "from": self.first_level,
             "to": self.last_level,
-            "certificates": [
-                c.to_json_dict(text) for c, text in zip(self.certificates, self.witness_strs())
-            ],
+            "certificates": [c.to_json_dict() for c in self.certificates],
             "counts": self.counts,
         }
 
@@ -217,65 +203,151 @@ def discriminant_recurrence(
     return delta
 
 
-def _rigid_gcds(map: SpecializedMap, values: tuple[int, ...], n: int) -> list[int]:
-    """gcd(v_n, v_k) for k = 1..n-1, where v_k = phi_a^k(gamma_a) is nonzero.
+class _CriticalResidues:
+    """The critical orbit v_n = phi_a^n(gamma_a) as the certificates read it.
 
-    phi_a has integer coefficients, so v_n = phi_a^(n-k)(v_k) is congruent to
-    phi_a^(n-k)(0) mod v_k and gcd(v_n, v_k) = gcd(v_k, phi_a^(n-k)(0)).  The
-    residue is iterated mod |v_k| and kept in (-|v_k|/2, |v_k|/2], so neither
-    v_n nor the orbit of 0 is ever touched at full size, and a small residue
-    such as -3 stays small instead of becoming |v_k| - 3 and being squared.
+    Exact values are kept only for a prefix of the orbit: up to level n // 2
+    at level n, and further while the next value has no more digits than the
+    longest one kept, so a bounded orbit stays exact and an escaping one stops
+    at about half the levels.  Every other v_n is read through its residues,
+    got by stepping the orbit modulo small numbers from the last exact value.
+    The orbit w_j = phi_a^j(0) of 0 is kept exactly as far as the rigid gcds
+    need it, which is below level n / 2.  walk(x) records the next level's
+    exact decimal value: its digit count and whether it is 0.
     """
-    gcds = []
-    for k, v in enumerate(values[: n - 1], start=1):
-        modulus = abs(v)
-        x = 0
-        for _ in range(n - k):
-            x = map.apply(x) % modulus
-            if 2 * x > modulus:
-                x -= modulus
-        gcds.append(math.gcd(modulus, x))
-    return gcds
+
+    def __init__(self, map: SpecializedMap, exact: tuple[int, ...] = ()):
+        self.map = map
+        self.v = list(exact)  # v_1, v_2, ...
+        self.w = [0]  # w_0, w_1, ...
+        self.sizes: list[int] = []  # decimal digits - 1 of each walked level
+        self.first_zero: int | None = None  # first walked level whose value is 0
+        self.square_modulus = square_filter_modulus()
+
+    def walk(self, x) -> None:
+        self.sizes.append(x.adjusted())
+        if self.first_zero is None and x.is_zero():
+            self.first_zero = len(self.sizes)
+
+    def _exact_v(self, k: int) -> int:
+        while len(self.v) < k:
+            self.v.append(self.map.apply(self.v[-1] if self.v else self.map.gamma_a))
+        return self.v[k - 1]
+
+    def _exact_w(self, j: int) -> int:
+        while len(self.w) <= j:
+            self.w.append(self.map.apply(self.w[-1]))
+        return self.w[j]
+
+    def _grow(self, n: int) -> None:
+        while len(self.v) < n - 1:
+            k = len(self.v)
+            if k >= n // 2 and self.sizes[k] > max(self.sizes[:k]):
+                return
+            self._exact_v(k + 1)
+
+    def residue(self, n: int, m: int) -> int:
+        """v_n mod m."""
+        if n <= len(self.v):
+            return self.v[n - 1] % m
+        x = (self.v[-1] if self.v else self.map.gamma_a) % m
+        for _ in range(n - len(self.v)):
+            x = self.map.apply_mod(x, m)
+        return x
+
+    def _rigid_gcd(self, n: int, k: int) -> int:
+        """gcd(v_n, v_k) for 1 <= k < n, where v_k is nonzero.
+
+        phi_a has integer coefficients, so v_n = phi_a^j(v_k) is congruent
+        to w_j mod v_k (j = n - k), and gcd(v_n, v_k) = gcd(v_k, w_j).  Of
+        v_k and w_j, the one below level n / 2 is exact; the other is
+        reduced modulo it.  w_j = 0 makes the gcd |v_k| itself.
+        """
+        j = n - k
+        if k <= len(self.v):
+            m = abs(self.v[k - 1])
+            x = 0
+            for _ in range(j):
+                x = self.map.apply_mod(x, m)
+            return math.gcd(m, x)
+        w = abs(self._exact_w(j))
+        if w == 0:
+            return abs(self._exact_v(k))
+        return math.gcd(w, self.residue(k, w))
+
+    def cofactor(self, n: int) -> int:
+        """q, the largest divisor of v_n != 0 built from the primes of
+        P = 2 * lcm(gcd(v_n, v_k) : k < n); |v_n| / q is the stripped
+        cofactor R.
+
+        q_E = gcd(v_n, P^E) grows with E until every prime of P is
+        saturated, and q_E = q_2E means it is: a prime p with p^a exactly
+        dividing v_n gives the same part of both only if a <= E * v_p(P).
+        """
+        self._grow(n)
+        modulus = 2 * math.lcm(*(self._rigid_gcd(n, k) for k in range(1, n)))
+        q = math.gcd(self.residue(n, modulus), modulus)
+        while True:
+            modulus *= modulus
+            nxt = math.gcd(self.residue(n, modulus), modulus)
+            if nxt == q:
+                return q
+            q = nxt
 
 
-def _primitive_cofactor(map: SpecializedMap, values: tuple[int, ...], n: int) -> int | None:
-    """The stripped cofactor R of v_n against v_1, ..., v_(n-1), or None when
-    one of those is 0.
+def _stripped_witness(orbit: _CriticalResidues, n: int, x) -> tuple[int, str, bool]:
+    """(q, R in decimal, certified) for the level-n value, given exactly as
+    the decimal x != 0, with none of the lower values 0.
 
-    Stripping removes whole primes, and gcd(v_n, v_k) has exactly the primes
-    v_n shares with v_k, so stripping against the small rigid gcds gives the
-    cofactor that stripping against the full lower values would.
+    R = |v_n| / q, the stripped cofactor of v_n against all lower values, is
+    odd, unramified below, and keeps full valuations (stripping removes whole
+    primes, and gcd(v_n, v_k) has exactly the primes v_n shares with v_k).
+    So R > 1 and not a square certify a square-free primitive prime divisor.
+    R is a square only if (v_n mod q * M) / q, its residue up to sign
+    modulo M = square_filter_modulus(), passes the filter and the exact root
+    of R's decimal value squares back to it.
     """
-    if 0 in values[: n - 1]:
-        return None
-    return stripped_cofactor(values[n - 1], _rigid_gcds(map, values, n))
+    q = orbit.cofactor(n)
+    r = decimal_quotient(x.copy_abs(), q)
+    certified = False
+    if r > 1:
+        m = orbit.square_modulus
+        residue = orbit.residue(n, q * m) // q
+        if x < 0:
+            residue = -residue % m
+        certified = not passes_square_filter(residue) or decimal_isqrt(r) is None
+    return q, str(r), certified
 
 
-def _certify_from_values(
-    map: SpecializedMap, values: tuple[int, ...], n: int
-) -> MaximalityCertificate:
-    """Certify maximality of the level-n tower step.
+def _certify_level(orbit: _CriticalResidues, n: int, x) -> MaximalityCertificate:
+    """Certify maximality of the level-n tower step from the level's exact
+    decimal value x and the residues of the critical orbit.
 
     A perfect-square adjusted value (-c_a at level 1, the critical value
-    phi_a^n(gamma_a) above) disproves maximality over Q.  Otherwise the
-    stripped cofactor R of the level value against all lower values is odd,
-    unramified below, and keeps full valuations; R > 1 and non-square certify
-    a square-free primitive prime divisor and hence maximality.  Everything
-    else is Unknown (the criterion is sufficient, not necessary).
+    phi_a^n(gamma_a) above) disproves maximality over Q.  A lower value 0
+    leaves Unknown with no witness: nothing can be stripped meaningfully.
+    Otherwise a stripped cofactor R > 1 that is no square certifies
+    maximality (see _stripped_witness), and anything else is Unknown: the
+    criterion is sufficient, not necessary.  Level 1 is Q(sqrt(-c_a)), where
+    phi_a(gamma_a) = c_a; past the square test, a non-square odd part of
+    |c_a| still certifies it.
     """
-    value = values[n - 1]
-    # level 1 is Q(sqrt(-c_a)), where phi_a(gamma_a) = c_a; past the square
-    # test, a non-square odd part of |c_a| still certifies it below
-    root = is_perfect_square(-value if n == 1 else value)
-    if root is not None:
-        return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=root)
-    r = _primitive_cofactor(map, values, n)
-    if r is None:
-        # degenerate orbit through 0; nothing can be stripped meaningfully
+    if x.is_zero():
+        return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness="0")
+    adjusted = x.copy_negate() if n == 1 else x
+    if adjusted > 0:
+        residue = orbit.residue(n, orbit.square_modulus)
+        if n == 1:
+            residue = -residue % orbit.square_modulus
+        root = decimal_isqrt(adjusted) if passes_square_filter(residue) else None
+        if root is not None:
+            return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=str(root))
+    if orbit.first_zero is not None and orbit.first_zero < n:
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
-    if r > 1 and is_perfect_square(r) is None:
-        return MaximalityCertificate(level=n, status=CERTIFIED_MAXIMAL, witness=r)
-    return MaximalityCertificate(level=n, status=UNKNOWN, witness=r)
+    _, text, certified = _stripped_witness(orbit, n, x)
+    return MaximalityCertificate(
+        level=n, status=CERTIFIED_MAXIMAL if certified else UNKNOWN, witness=text
+    )
 
 
 def certify_tower(
@@ -284,27 +356,38 @@ def certify_tower(
     last_level: int,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> TowerReport:
-    """Per-level certificates over an inclusive level range, sharing one
-    critical-orbit prefix.  On budget overflow the DigitBudgetError carries a
-    TowerReport for the levels that were still computable."""
+    """Per-level certificates over an inclusive level range.
+
+    The critical orbit is stepped once, in exact decimal arithmetic
+    (decimal_orbit): that decides the bit budget, zeros, the few exact
+    square roots and prints the witnesses.  Everything else is read from
+    residues of the orbit modulo small numbers and from exact binary values
+    below about level last_level / 2 (see _CriticalResidues), so no binary
+    critical value near full size is ever built.  On budget overflow the
+    DigitBudgetError carries a TowerReport for the levels that were still
+    computable.
+    """
     if not 1 <= first_level <= last_level:
         raise ValueError("need 1 <= first_level <= last_level")
+    orbit = _CriticalResidues(map)
+    certs = []
     budget_error = None
-    try:
-        values = critical_orbit(map, last_level, max_bits).values
-    except DigitBudgetError as err:
-        values = tuple(err.partial)
-        budget_error = err
-    certs = tuple(
-        _certify_from_values(map, values, n)
-        for n in range(first_level, min(last_level, len(values)) + 1)
-    )
+    for n, x in enumerate(decimal_orbit(map.gamma_a, map.c_a, map.c_a), start=1):
+        try:
+            check_bits(x, max_bits, "orbit value")
+        except DigitBudgetError as err:
+            budget_error = err
+            break
+        orbit.walk(x)
+        if n >= first_level:
+            certs.append(_certify_level(orbit, n, x))
+        if n == last_level:
+            break
     report = TowerReport(
         map=map,
         first_level=first_level,
         last_level=last_level,
-        certificates=certs,
-        values=values,
+        certificates=tuple(certs),
     )
     if budget_error is not None:
         raise DigitBudgetError(str(budget_error), partial=report)
@@ -357,29 +440,29 @@ def primitive_divisor_certificate(crit: CriticalOrbit, n: int) -> PrimitiveDivis
     """Certify a square-free primitive prime divisor at level n without
     factoring.
 
-    R, the stripped cofactor of the level-n value against the lower values,
-    is odd, coprime to every lower level, and keeps full valuations, so
-    R > 1 and R not a perfect square force some prime of R to divide level n
-    to odd order while dividing nothing earlier.  One-sided: not certified
-    only means unknown.  R is an exact divisor of the level-n value, so its
-    decimal text prints along the orbit.
+    The status and the decimal text of R, the stripped cofactor of the
+    level-n value against the lower values, come from the routine certify
+    uses (_stripped_witness).  R > 1 and R not a perfect square force some
+    prime of R to divide level n to odd order while dividing nothing earlier.
+    One-sided: not certified only means unknown.  R's primes are listed when
+    a small courtesy factorization finds them, which is not tried above
+    _COURTESY_MAX_BITS.
     """
     if not 1 <= n <= len(crit.values):
         raise ValueError(f"level {n} outside computed orbit")
     if crit.values[n - 1] == 0:
         raise ZeroInputError("level value is zero")
-    r = _primitive_cofactor(crit.map, crit.values, n)
-    if r is None:
+    if 0 in crit.values[: n - 1]:
         raise ZeroInputError("earlier values must be nonzero")
-    certified = r > 1 and is_perfect_square(r) is None
+    m = crit.map
+    x = next(islice(decimal_orbit(m.gamma_a, m.c_a, m.c_a), n - 1, None))
+    q, text, certified = _stripped_witness(_CriticalResidues(m, crit.values[:n]), n, x)
+    r = abs(crit.values[n - 1]) // q
     primes: tuple[int, ...] = ()
-    if certified:
-        # annotate the witness with its primes when that happens to be easy
+    if certified and r.bit_length() <= _COURTESY_MAX_BITS:
         fac = factorize(r, _COURTESY_BUDGET)
         if fac.complete:
             primes = tuple(p for p, _ in fac.factors)
-    text = orbit_divisor_strs(crit.map.gamma_a, crit.map.c_a, crit.values[:n],
-                              [None] * (n - 1) + [r])[-1]
     return PrimitiveDivisorReport(
         level=n,
         primes=primes,

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -252,22 +253,28 @@ def _orbit(gamma, c, x, length):
 def test_orbit_divisor_strs_prints_values_and_divisors():
     # a start below -2^(cutoff) makes every value big, the first one negative
     values = _orbit(5, -7, -(3 ** 21000), 3)
-    assert orbit_divisor_strs(5, -7, values, values) == [str(v) for v in values]
-    # cofactors -3 and 2^13, a skipped level, and a square root, whose
-    # cofactor is as big as the root
+    assert orbit_divisor_strs(5, -7, values[0], [1, 1, 1]) == [str(v) for v in values]
+    # cofactors 3 (of a negative value) and 2^13, a skipped level, and 1
     values = _orbit(0, 0, -3 << 40000, 4)
-    divisors = [1 << 40000, values[1] >> 13, None, values[2]]
-    assert orbit_divisor_strs(0, 0, values, divisors) == [
-        str(d) if d is not None else None for d in divisors
+    cofactors = [3, 1 << 13, None, 1]
+    assert orbit_divisor_strs(0, 0, values[0], cofactors) == [
+        str(v // q) if q is not None else None for v, q in zip(values, cofactors)
     ]
 
 
-def test_orbit_divisor_strs_rejects_a_non_divisor_and_a_non_orbit():
-    values = _orbit(0, 1, 3 ** 30000, 2)
-    with pytest.raises(ValueError, match="not a multiple"):
-        orbit_divisor_strs(0, 1, values, [values[0] + 2, None])
-    with pytest.raises(ValueError, match="not an orbit"):
-        orbit_divisor_strs(0, 2, values, [None, values[1]])
+def test_orbit_divisor_strs_rejects_a_non_divisor_and_a_non_orbit(monkeypatch):
+    import quadtower.bigpoly as bigpoly_mod
+
+    start = 3 ** 30000
+    with pytest.raises(ValueError, match="does not divide"):
+        orbit_divisor_strs(0, 1, start, [2, None])
+    # c converted as 2 instead of 1: level 0 agrees with the integers, level 1
+    # no longer does
+    real = bigpoly_mod._to_decimal
+    monkeypatch.setattr(bigpoly_mod, "_to_decimal", lambda n: real(2 if n == 1 else n))
+    assert orbit_divisor_strs(0, 1, start, [1]) == [str(start)]
+    with pytest.raises(ValueError, match="disagrees"):
+        orbit_divisor_strs(0, 1, start, [None, 1])
 
 
 def test_doctests():
@@ -284,3 +291,25 @@ def test_check_bits_names_the_quantity():
     with pytest.raises(DigitBudgetError, match="^discriminant needs 9 bits; budget is 8$") as err:
         check_bits(-256, 8, "discriminant", partial=[1, 2])
     assert err.value.partial == [1, 2]
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 10, 64, 333, 3322, 3323, 40000])
+def test_check_bits_on_a_decimal_matches_the_int(k):
+    # the digit bound decides most values; these sit on the boundary band,
+    # where the exact comparison must give the int's answer and message
+    for n in (2 ** k - 1, 2 ** k, 2 ** k + 1, 10 ** (k // 3), 10 ** (k // 3) - 1):
+        for sign in (1, -1):
+            for budget in (k - 1, k, k + 1):
+                if budget < 1:
+                    continue
+                try:
+                    check_bits(sign * n, budget, "orbit value")
+                    expected = None
+                except DigitBudgetError as err:
+                    expected = str(err)
+                try:
+                    check_bits(Decimal(sign * n), budget, "orbit value")
+                    got = None
+                except DigitBudgetError as err:
+                    got = str(err)
+                assert got == expected, (n, budget)

@@ -213,7 +213,8 @@ def test_density_worker_count_is_clamped(monkeypatch, workers, shards, cores, ex
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(density_mod, "ProcessPoolExecutor", RecordingPool)
+    # density_curve imports the pool only when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(density_mod.os, "cpu_count", lambda: cores)
     curve = density_curve(X2P1, 0, 1000, shards=shards, workers=workers)
     assert seen == ([] if expected is None else [expected])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtower.bigpoly import IntPolynomial, discriminant_direct, is_perfect_square
+import quadtower.bigpoly as bigpoly_mod
+from quadtower.bigpoly import IntPolynomial, decimal_str, discriminant_direct, is_perfect_square
 from quadtower.factor import (
     Budget,
     IncompleteFactorizationError,
@@ -26,7 +27,7 @@ from quadtower.galois import (
     search_integral_points,
     stability_scan,
     verify_forced_point,
-    _rigid_gcds,
+    _CriticalResidues,
 )
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
 
@@ -103,39 +104,39 @@ def test_discriminant_recurrence_matches_direct_random():
 def test_certify_level_examples():
     cert = certify_tower(X2P2, 3, 3).certificates[0]
     assert cert.status == CERTIFIED_MAXIMAL
-    assert cert.witness == 19
+    assert cert.witness == "19"
 
     # level 1 is Q(sqrt(-c_a)) = Q(i): -1 is no square, and the odd part 1
     # of c_a = 1 proves nothing
     cert = certify_tower(X2P1, 1, 1).certificates[0]
     assert cert.status == UNKNOWN
-    assert cert.witness == 1
+    assert cert.witness == "1"
 
     # x^2 - 9 = (x - 3)(x + 3): -c_a = 9 is the square of the witness
     cert = certify_tower(SpecializedMap.make(-9, 0, -9), 1, 1).certificates[0]
     assert cert.status == FAILED_SQUARE_OVER_Q
-    assert cert.witness == 3
+    assert cert.witness == "3"
 
     # x^2 + 9: -9 is no square, but the odd part 9 of c_a is, so nothing proved
     cert = certify_tower(SpecializedMap.make(9, 0, 9), 1, 1).certificates[0]
     assert cert.status == UNKNOWN
-    assert cert.witness == 9
+    assert cert.witness == "9"
 
     # x^2 - 12: odd part 3 of c_a is a non-square, so -c_a = 12 is one too
     cert = certify_tower(SpecializedMap.make(-12, 0, -12), 1, 1).certificates[0]
     assert cert.status == CERTIFIED_MAXIMAL
-    assert cert.witness == 3
+    assert cert.witness == "3"
 
     # c_a = 0: x^2 is reducible, witness 0
     cert = certify_tower(SpecializedMap.make(0, 0, 0), 1, 1).certificates[0]
     assert cert.status == FAILED_SQUARE_OVER_Q
-    assert cert.witness == 0
+    assert cert.witness == "0"
 
     # 2^k times a square: nothing survives stripping
     m = SpecializedMap.make(0, 0, 8)
     cert = certify_tower(m, 1, 1).certificates[0]
     assert cert.status == UNKNOWN
-    assert cert.witness == 1
+    assert cert.witness == "1"
 
 
 def test_certify_tower_x2p2():
@@ -149,7 +150,7 @@ def test_certify_tower_x2p2():
 def test_certify_tower_x2p1():
     report = certify_tower(X2P1, 1, 3)
     assert [c.status for c in report.certificates] == [UNKNOWN, UNKNOWN, CERTIFIED_MAXIMAL]
-    assert report.certificates[0].witness == 1
+    assert report.certificates[0].witness == "1"
 
 
 def test_certify_tower_v_zero_degenerate():
@@ -213,7 +214,7 @@ def test_certified_witness_invariants():
         for cert in certify_tower(m, 1, 8).certificates:
             if cert.status != CERTIFIED_MAXIMAL:
                 continue
-            r = cert.witness
+            r = int(cert.witness)
             assert r > 1
             assert r % 2 == 1
             assert is_perfect_square(r) is None
@@ -234,18 +235,20 @@ def test_certificates_never_factor(monkeypatch):
 
 
 def _full_strip_certificate(values, n) -> MaximalityCertificate:
-    """Reference: strip the level-n value against the full lower values;
-    level 1 square-tests the adjusted value -c_a."""
+    """Reference: strip the binary level-n value against the full lower
+    values; level 1 square-tests the adjusted value -c_a.  The witness is
+    converted to decimal on its own."""
     value = values[n - 1]
     root = is_perfect_square(-value if n == 1 else value)
     if root is not None:
-        return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=root)
+        return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q,
+                                     witness=decimal_str(root))
     earlier = values[: n - 1]
     if any(e == 0 for e in earlier):
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
     r = stripped_cofactor(value, earlier)
     status = CERTIFIED_MAXIMAL if r > 1 and is_perfect_square(r) is None else UNKNOWN
-    return MaximalityCertificate(level=n, status=status, witness=r)
+    return MaximalityCertificate(level=n, status=status, witness=decimal_str(r))
 
 
 small_coeffs = st.lists(st.integers(-4, 4), max_size=3)
@@ -278,16 +281,75 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
     # |c| of 1000 or more puts levels 13 and 14 above the 2^15-bit
     # decimal_str cutoff, where witnesses print along the decimal orbit
     m = QuadraticFamily.of(gamma, c).specialize(a)
-    report = certify_tower(m, 1, depth)
-    assert report.witness_strs() == [
-        None if cert.witness is None else str(cert.witness) for cert in report.certificates
-    ]
-    values = report.values
+    values = critical_orbit(m, depth).values
+    assert certify_tower(m, 1, depth).certificates == tuple(
+        _full_strip_certificate(values, n) for n in range(1, depth + 1)
+    )
     for n in range(1, depth + 1):
         if 0 not in values[: n - 1]:
-            assert _rigid_gcds(m, values, n) == [
-                math.gcd(abs(values[n - 1]), abs(v)) for v in values[: n - 1]
-            ]
+            direct = [math.gcd(abs(values[n - 1]), abs(v)) for v in values[: n - 1]]
+            # every v_k exact, and none: then w_(n-k) is exact instead
+            for exact in (values[:n], ()):
+                orbit = _CriticalResidues(m, exact)
+                assert [orbit._rigid_gcd(n, k) for k in range(1, n)] == direct
+
+
+@pytest.mark.parametrize("gamma, c, depth", [
+    ((0,), (-9,), 1),  # x^2 - 9: -c_a = 9 is a square at level 1
+    ((0,), (-18,), 3),  # x^2 - 18: v_1 < 0 strips to the square R = 9
+    ((0, 1), (1, 1), 3),  # shifted-jones-small at a = 4: v_3 is a square
+    ((0,), (-1,), 6),  # x^2 - 1: the critical orbit -1, 0, -1, 0, ... passes 0
+    ((2,), (-4,), 9),  # (x - 2)^2 - 4: 0 is fixed, so w_j = 0 and v_k divides v_n
+    ((5,), (5,), 12),  # v = 0: the critical orbit stays at 5 while 0 escapes
+])
+def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
+    m = QuadraticFamily.of(gamma, c).specialize(4)
+    values = critical_orbit(m, depth).values
+    expected = tuple(_full_strip_certificate(values, n) for n in range(1, depth + 1))
+    assert certify_tower(m, 1, depth).certificates == expected
+    if c == (-9,) or gamma == (0, 1):
+        assert expected[-1].status == FAILED_SQUARE_OVER_Q
+
+
+def test_certificates_without_the_square_filter_primes(monkeypatch):
+    # with no filter primes, every value that passes mod 64 goes to the
+    # exact square root; no certificate may change
+    maps = [e.map() for e in ACCEPTANCE_MAPS] + [
+        SpecializedMap.make(0, 0, c) for c in (-9, -1, 0, 9, -12, 8, -16)
+    ]
+    before = [certify_tower(m, 1, 12) for m in maps]
+    monkeypatch.setattr(bigpoly_mod, "_SQUARE_FILTER_PRIMES", ())
+    assert bigpoly_mod.square_filter_modulus() == 64
+    assert [certify_tower(m, 1, 12) for m in maps] == before
+
+
+@pytest.mark.parametrize("entry", [e for e in CORPUS if e.name in (
+    "x2+1", "x2+2", "x2+3", "shifted-jones-small")] + [
+    e for e in ACCEPTANCE_MAPS if e.name in ("x2-3", "shift-by-1")], ids=lambda e: e.name)
+def test_certify_tower_level_20_matches_full_stripping(entry):
+    m = entry.map()
+    values = critical_orbit(m, 20).values
+    expected = tuple(_full_strip_certificate(values, n) for n in range(1, 21))
+    assert certify_tower(m, 1, 20).certificates == expected
+
+
+def test_certify_tower_builds_no_binary_value_above_half_depth(monkeypatch):
+    # every binary critical value and every w_j = phi^j(0) comes out of
+    # SpecializedMap.apply; none may be bigger than level 10 of x^2 + 2
+    # (gamma = 0, so both orbits are the same there)
+    limit = critical_orbit(X2P2, 10).values[-1].bit_length()
+    biggest = []
+    apply = SpecializedMap.apply
+
+    def recording_apply(self, x):
+        y = apply(self, x)
+        biggest.append(y.bit_length())
+        return y
+
+    monkeypatch.setattr(SpecializedMap, "apply", recording_apply)
+    report = certify_tower(X2P2, 1, 20)
+    assert len(report.certificates) == 20
+    assert biggest and max(biggest) == limit
 
 
 def test_certify_tower_level_20_within_budget():
