@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class ZeroPolynomialError(ValueError):
@@ -526,21 +526,3 @@ def decimal_orbit(gamma: int, c: int, start: int) -> Iterator:
         x = ctx.add(ctx.multiply(y, y), k)
         r = (((r - gamma) % _TAIL) ** 2 + c) % _TAIL
 
-
-def orbit_divisor_strs(
-    gamma: int, c: int, start: int, cofactors: Sequence[int | None]
-) -> list[str | None]:
-    """The decimal text of v_i / q_i for each cofactor q_i, where v_0 = start,
-    v_(i+1) = (v_i - gamma)^2 + c and each q_i > 0 divides v_i; a None
-    cofactor skips its level, and q_i = 1 prints the orbit value itself.
-
-    The values come from decimal_orbit, one decimal squaring per level, and
-    the orbit stops at the last cofactor.
-
-    >>> orbit_divisor_strs(0, 1, 1, [None, 1, 5, 2])
-    [None, '2', '1', '13']
-    """
-    return [
-        None if q is None else str(decimal_quotient(x, q))
-        for q, x in zip(cofactors, decimal_orbit(gamma, c, start))
-    ]

@@ -35,7 +35,6 @@ class DensityRow:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    map: SpecializedMap
     b: int
     rows: tuple[DensityRow, ...]
     member_primes: tuple[int, ...]
@@ -47,6 +46,10 @@ class DensityCurve:
                 f"{r.x},{r.primes_tested},{r.members},{float(r.proportion)!r}"
             )
         return "\n".join(lines) + "\n"
+
+    def text_lines(self):
+        for r in self.rows:
+            yield f"X={r.x}: {r.members}/{r.primes_tested} = {float(r.proportion)!r}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,9 +155,10 @@ def density_curve(
     """Sweep all primes p <= x_max for orbit membership.
 
     The prime range splits into contiguous shards whose merge is order-fixed,
-    so any shard count and worker count produce identical curves; worker
-    processes only pay off for large x_max.  At most min(workers, shards,
-    os.cpu_count()) processes start.
+    so any shard count and worker count produce identical curves; a shard
+    count above x_max - 1 would leave shards empty and counts as x_max - 1.
+    Worker processes only pay off for large x_max.  At most min(workers,
+    shards, os.cpu_count()) processes start.
     """
     if x_max < 2:
         raise ValueError("need x_max >= 2")
@@ -170,6 +174,7 @@ def density_curve(
         raise ValueError("checkpoints must lie in [2, x_max]")
 
     span = x_max - 1  # integers 2..x_max
+    shards = min(shards, span)
     bounds = [2 + span * i // shards for i in range(shards + 1)]
     jobs = [
         (map, b, bounds[i], bounds[i + 1] - 1, segment_size, checkpoints)
@@ -196,4 +201,4 @@ def density_curve(
         rows.append(
             DensityRow(x=cp, primes_tested=tested, members=hit, proportion=Fraction(hit, tested))
         )
-    return DensityCurve(map=map, b=b, rows=tuple(rows), member_primes=tuple(members))
+    return DensityCurve(b=b, rows=tuple(rows), member_primes=tuple(members))

@@ -151,6 +151,14 @@ class PrimitiveDivisorReport:
             out["two_primitive"] = self.two_primitive
         return out
 
+    def text_lines(self):
+        out = self.to_json_dict()
+        yield f"level {self.level} ({self.method}): certified={self.certified}"
+        if "witness" in out:
+            yield f"witness R = {out['witness']}"
+        if self.primes:
+            yield "primes: " + ", ".join(out["primes"])
+
 
 # -- primes ------------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from quadtower.bigpoly import (
     DigitBudgetError,
     IntPolynomial,
     ZeroPolynomialError,
+    decimal_str,
     poly_height,
 )
 from quadtower.factor import (
@@ -113,6 +114,16 @@ class BoundConstants:
     b1: float
     threshold: int | None = None
 
+    def to_json_dict(self) -> dict:
+        return {
+            "A1": self.a1,
+            "A2": self.a2,
+            "A3": self.a3,
+            "A4": self.a4,
+            "B1": self.b1,
+            "threshold": self.threshold,
+        }
+
 
 @dataclass(frozen=True)
 class NphiReport:
@@ -132,12 +143,7 @@ class NphiReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "A1": self.bounds.a1,
-            "A2": self.bounds.a2,
-            "A3": self.bounds.a3,
-            "A4": self.bounds.a4,
-            "B1": self.bounds.b1,
-            "threshold": self.bounds.threshold,
+            **self.bounds.to_json_dict(),
             "kappa2_prime": self.kappa2_prime,
             "kappa3_prime": self.kappa3_prime,
             "a_min": self.a_min,
@@ -149,6 +155,59 @@ class NphiReport:
             "M_phi": self.m_phi,
             "n_phi": self.n_phi,
         }
+
+    def text_lines(self):
+        return (f"{key}: {value}" for key, value in self.to_json_dict().items())
+
+
+@dataclass(frozen=True)
+class FamilyInfo:
+    """A family's P_phi and, unless it is isotrivial, m_phi, its bound
+    constants and F_phi; exceptional_set is None for an isotrivial family
+    and when P_phi vanishes identically."""
+
+    family: QuadraticFamily
+    exceptional_set: list[int] | None
+
+    def to_json_dict(self) -> dict:
+        fam, poly = self.family, self.family.exceptional_polynomial()
+        bounds = None if fam.is_isotrivial else fam.compute_bound_constants()
+        return {
+            "gamma": fam.gamma.serialize(),
+            "c": fam.c.serialize(),
+            "difference": fam.difference.serialize(),
+            "isotrivial": fam.is_isotrivial,
+            "exceptional_polynomial": {"coeffs": poly.serialize(), "display": str(poly)},
+            "m_phi": None if fam.is_isotrivial else fam.m_phi(),
+            "bound_constants": None if bounds is None else bounds.to_json_dict(),
+            "exceptional_set": self.exceptional_set,
+        }
+
+    def text_lines(self):
+        out, fam = self.to_json_dict(), self.family
+        yield f"phi(x) = (x - ({fam.gamma}))^2 + ({fam.c})"
+        yield f"c - gamma = {fam.difference}"
+        yield f"isotrivial: {out['isotrivial']}"
+        yield f"m_phi: {out['m_phi']}"
+        yield f"P_phi = {out['exceptional_polynomial']['display']}"
+        if out["bound_constants"]:
+            bounds = out["bound_constants"].items()
+            yield "bound constants: " + ", ".join(f"{k}={v}" for k, v in bounds)
+        yield f"F_phi: {out['exceptional_set']}"
+
+
+@dataclass(frozen=True)
+class IndexBound:
+    """The uniform index bound [Aut(T_inf) : G_inf] <= 2^(2^n_phi - n_phi - 1)."""
+
+    n_phi: int
+    value: int
+
+    def to_json_dict(self) -> dict:
+        return {"n_phi": self.n_phi, "index_bound": decimal_str(self.value)}
+
+    def text_lines(self):
+        return [f"[Aut(T_inf) : G_inf] <= {decimal_str(self.value)}"]
 
 
 def _log_coeff_sum(p: IntPolynomial) -> float:
@@ -180,6 +239,13 @@ class QuadraticFamily:
 
     def specialize(self, a: int) -> SpecializedMap:
         return SpecializedMap.make(a, self.gamma.evaluate(a), self.c.evaluate(a))
+
+    def info(self, budget: Budget = DEFAULT_BUDGET) -> FamilyInfo:
+        """P_phi, and for a non-isotrivial family m_phi, the bound constants
+        and F_phi, whose integer roots are found within budget."""
+        if self.is_isotrivial or self.exceptional_polynomial().is_zero:
+            return FamilyInfo(self, None)
+        return FamilyInfo(self, self.exceptional_set(budget))
 
     def m_phi(self) -> int:
         """Tree level whose maximality persists generically in the family:

@@ -29,11 +29,13 @@ from quadtower.bigpoly import (
     square_filter_modulus,
 )
 from quadtower.factor import (
+    DEFAULT_BUDGET,
     Budget,
     PrimitiveDivisorReport,
     SquareFreeDecomposition,
     ZeroInputError,
     factorize,
+    squarefree_decompose,
 )
 from quadtower.family import SpecializedMap
 from quadtower.orbit import DEFAULT_MAX_BITS, CriticalOrbit, DigitBudgetError, critical_orbit
@@ -47,6 +49,11 @@ UNKNOWN = "Unknown"
 # on the acceptance maps ever completed, and each failure cost 0.6-18.5 s.
 _COURTESY_BUDGET = Budget(trial_bound=10 ** 4, rho_iters=10 ** 5)
 _COURTESY_MAX_BITS = 1024
+
+# phi_a^n has degree 2^n, and composing it then taking its resultant grows
+# steeply: for x^2 + 1, 0.8 s at level 9, 4.8 s at level 10 and 54 s at
+# level 11 (CPython 3.11, one core), so higher levels are refused.
+DIRECT_DISCRIMINANT_MAX_LEVEL = 10
 
 
 class SingularModelError(ValueError):
@@ -63,7 +70,6 @@ class StabilityReport:
     one-sided no-obstruction certificate, not a proof of stability.
     """
 
-    map: SpecializedMap
     depth: int
     squares_found: tuple[tuple[int, int], ...]
 
@@ -81,6 +87,11 @@ class StabilityReport:
                 {"level": n, "root": decimal_str(r)} for n, r in self.squares_found
             ],
         }
+
+    def text_lines(self):
+        yield f"verdict: {self.verdict}"
+        for n, root in self.squares_found:
+            yield f"level {n}: square with root {decimal_str(root)}"
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,6 @@ class TowerReport:
     """Certificates for first_level..last_level (fewer when the bit budget
     ran out)."""
 
-    map: SpecializedMap
     first_level: int
     last_level: int
     certificates: tuple[MaximalityCertificate, ...]
@@ -125,6 +135,12 @@ class TowerReport:
             "certificates": [c.to_json_dict() for c in self.certificates],
             "counts": self.counts,
         }
+
+    def text_lines(self):
+        for cert in self.certificates:
+            witness = "" if cert.witness is None else f" (witness {cert.witness})"
+            yield f"level {cert.level}: {cert.status}{witness}"
+        yield "counts: " + ", ".join(f"{k}={v}" for k, v in self.counts.items())
 
 
 @dataclass(frozen=True)
@@ -167,6 +183,54 @@ class IntegralPoint:
         }
 
 
+@dataclass(frozen=True)
+class CurveReport:
+    """A level curve model, its forced-point check (None unless genus 1 and
+    level >= 2) and the integral points of a search (None when none ran)."""
+
+    model: CurveModel
+    forced_point_verified: bool | None
+    points: tuple[IntegralPoint, ...] | None
+
+    def to_json_dict(self) -> dict:
+        out = self.model.to_json_dict()
+        if self.forced_point_verified is not None:
+            out["forced_point_verified"] = self.forced_point_verified
+        if self.points is not None:
+            out["integral_points"] = [p.to_json_dict() for p in self.points]
+        return out
+
+    def text_lines(self):
+        yield self.model.equation()
+        if self.forced_point_verified is not None:
+            yield f"forced point verified: {self.forced_point_verified}"
+        for p in self.points or ():
+            yield f"point ({decimal_str(p.x)}, {decimal_str(p.y)}) ratio {p.hall_lang_ratio}"
+
+
+@dataclass(frozen=True)
+class DiscriminantReport:
+    """|disc(phi_a^n)| by the recurrence and, when asked for, directly from
+    the composed polynomial phi_a^n."""
+
+    level: int
+    recurrence: int
+    direct: int | None = None
+
+    def to_json_dict(self) -> dict:
+        out: dict = {"level": self.level, "recurrence": decimal_str(self.recurrence)}
+        if self.direct is not None:
+            out["direct"] = decimal_str(self.direct)
+            out["agree"] = self.direct == self.recurrence
+        return out
+
+    def text_lines(self):
+        yield f"|disc(phi_a^{self.level})| = {decimal_str(self.recurrence)}"
+        if self.direct is not None:
+            agree = self.direct == self.recurrence
+            yield f"direct: {decimal_str(self.direct)} (agree: {agree})"
+
+
 def stability_scan(
     map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS
 ) -> StabilityReport:
@@ -179,28 +243,58 @@ def stability_scan(
         root = is_perfect_square(-value if n == 1 else value)
         if root is not None:
             squares.append((n, root))
-    return StabilityReport(map=map, depth=depth, squares_found=tuple(squares))
+    return StabilityReport(depth=depth, squares_found=tuple(squares))
+
+
+def _check_discriminant_level(n: int, max_bits: int) -> None:
+    """Refuse a level n >= 2 with 2^n > max_bits, whose factor 2^(2^n) alone
+    outgrows the budget, naming the first such level; 2^n is never built."""
+    first = max(2, max_bits.bit_length())
+    if n >= first:
+        raise DigitBudgetError(f"discriminant at level {first} needs more than {max_bits} bits")
 
 
 def discriminant_recurrence(
-    map: SpecializedMap, n: int, max_bits: int = DEFAULT_MAX_BITS
+    crit: CriticalOrbit, n: int, max_bits: int = DEFAULT_MAX_BITS
 ) -> int:
     """|disc(phi_a^n)| via |D_n| = D_{n-1}^2 * 2^(2^n) * |phi_a^n(gamma_a)|,
-    seeded by the directly computed quadratic discriminant D_1."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    delta = abs(discriminant_direct(map.phi_polynomial()))
-    if n == 1:
-        return delta
-    crit = critical_orbit(map, n, max_bits)
+    seeded by the directly computed quadratic discriminant D_1 of crit.map
+    and reading the critical values from crit, which must reach level n."""
+    if not 1 <= n <= len(crit.values):
+        raise ValueError(f"level {n} outside computed orbit")
+    _check_discriminant_level(n, max_bits)
+    delta = abs(discriminant_direct(crit.map.phi_polynomial()))
     for k in range(2, n + 1):
-        if (1 << k) > max_bits:  # the 2^(2^k) factor alone would overflow
-            raise DigitBudgetError(
-                f"discriminant at level {k} needs more than {max_bits} bits"
-            )
         delta = delta * delta * (1 << (1 << k)) * abs(crit.values[k - 1])
         check_bits(delta, max_bits, "discriminant")
     return delta
+
+
+def discriminant_report(
+    map: SpecializedMap, n: int, direct: bool = False, max_bits: int = DEFAULT_MAX_BITS
+) -> DiscriminantReport:
+    """|disc(phi_a^n)| by the recurrence and, with direct, by composing
+    phi_a^n, which is refused above DIRECT_DISCRIMINANT_MAX_LEVEL.  Every
+    refusal comes before any orbit value is computed; level 1 needs none."""
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    if direct and n > DIRECT_DISCRIMINANT_MAX_LEVEL:
+        raise DigitBudgetError(
+            f"direct discriminant at level {n} is refused; "
+            f"--direct goes up to level {DIRECT_DISCRIMINANT_MAX_LEVEL}"
+        )
+    _check_discriminant_level(n, max_bits)
+    phi = map.phi_polynomial()
+    if n == 1:
+        value = abs(discriminant_direct(phi))
+    else:
+        value = discriminant_recurrence(critical_orbit(map, n, max_bits), n, max_bits)
+    if not direct:
+        return DiscriminantReport(level=n, recurrence=value)
+    phi_n = phi
+    for _ in range(n - 1):
+        phi_n = phi_n.compose(phi)
+    return DiscriminantReport(level=n, recurrence=value, direct=abs(discriminant_direct(phi_n)))
 
 
 class _CriticalResidues:
@@ -384,7 +478,6 @@ def certify_tower(
         if n == last_level:
             break
     report = TowerReport(
-        map=map,
         first_level=first_level,
         last_level=last_level,
         certificates=tuple(certs),
@@ -410,6 +503,22 @@ def curve_model(
     if discriminant_direct(rhs) == 0:
         raise SingularModelError("right-hand side has a repeated root")
     return CurveModel(rhs=rhs, level=n, genus=genus, e=dec.e, d=dec.d, c_a=map.c_a)
+
+
+def curve_report(
+    map: SpecializedMap, n: int, genus: int = 1, search: int = 0,
+    budget: Budget = DEFAULT_BUDGET, max_bits: int = DEFAULT_MAX_BITS,
+) -> CurveReport:
+    """The level-n curve pipeline: the critical orbit to level n, the
+    square-free decomposition of its level-n value, the model, the forced
+    point checked on the genus-1 model from level 2 on, and the integral
+    points with |X| <= search when search is nonzero."""
+    crit = critical_orbit(map, n, max_bits)
+    dec = squarefree_decompose(crit.values[n - 1], budget)
+    model = curve_model(map, n, dec, genus)
+    verified = verify_forced_point(model, crit, n, dec) if genus == 1 and n >= 2 else None
+    points = tuple(search_integral_points(model, search)) if search else None
+    return CurveReport(model=model, forced_point_verified=verified, points=points)
 
 
 def verify_forced_point(

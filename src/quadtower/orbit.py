@@ -7,12 +7,13 @@ DigitBudgetError carrying whatever was already computed.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 # DigitBudgetError is importable from here as well as from bigpoly
-from quadtower.bigpoly import DEFAULT_MAX_BITS, DigitBudgetError, check_bits, height_int
+from quadtower.bigpoly import DEFAULT_MAX_BITS, DigitBudgetError, check_bits, decimal_orbit, height_int
 from quadtower.family import SpecializedMap
 
 _LOG2 = math.log(2.0)
@@ -22,6 +23,28 @@ class PostCriticallyFiniteError(ValueError):
     """The check only applies to wandering critical orbits (v not in {0,-1,-2})."""
 
 
+class OrbitRows(list):
+    """Orbit values v_i with v_(i+1) = map(v_i), numbered from first: 0 for
+    the orbit of b, 1 for the critical orbit.  A plain list of ints that also
+    renders as rows; DigitBudgetError.partial carries the values computed
+    before the budget ran out as one."""
+
+    def __init__(self, map: SpecializedMap, first: int, values=()):
+        super().__init__(values)
+        self.map = map
+        self.first = first
+
+    def to_json_dict(self) -> list[dict]:
+        """One row {"n", "value", "bits"} per value; the decimal text comes
+        from stepping the orbit once in decimal arithmetic (decimal_orbit)."""
+        texts = decimal_orbit(self.map.gamma_a, self.map.c_a, self[0]) if self else ()
+        return [{"n": n, "value": str(x), "bits": v.bit_length()}
+                for n, (v, x) in enumerate(zip(self, texts), start=self.first)]
+
+    def text_lines(self):
+        return (f"{r['n']}: {r['value']} ({r['bits']} bits)" for r in self.to_json_dict())
+
+
 @dataclass(frozen=True)
 class OrbitSlice:
     """values[n] = phi_a^n(start) for n = 0..N, exactly."""
@@ -29,6 +52,13 @@ class OrbitSlice:
     map: SpecializedMap
     start: int
     values: tuple[int, ...]
+
+    def text_lines(self):
+        return OrbitRows(self.map, 0, self.values).text_lines()
+
+    def json_lines(self):
+        """One JSON object per row: orbit dumps are JSON lines."""
+        return map(json.dumps, OrbitRows(self.map, 0, self.values).to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -43,13 +73,21 @@ class CriticalOrbit:
     values: tuple[int, ...]
     condition_one_holds: bool
 
+    def to_json_dict(self) -> dict:
+        rows = OrbitRows(self.map, 1, self.values).to_json_dict()
+        return {"condition_one_holds": self.condition_one_holds, "values": rows}
+
+    def text_lines(self):
+        yield from OrbitRows(self.map, 1, self.values).text_lines()
+        yield f"condition (1) holds: {self.condition_one_holds}"
+
 
 def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> OrbitSlice:
     """The first depth+1 orbit values b, phi(b), ..., phi^depth(b)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     x = int(b)
-    values = [x]
+    values = OrbitRows(map, 0, [x])
     check_bits(x, max_bits, "orbit value", values)
     for _ in range(depth):
         x = map.apply(x)
@@ -62,7 +100,7 @@ def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_
     """Critical values phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    values: list[int] = []
+    values = OrbitRows(map, 1)
     x = map.gamma_a
     for _ in range(depth):
         x = map.apply(x)

@@ -86,16 +86,17 @@ def test_criterion_03_discriminant_agreement():
     start = time.perf_counter()
     rng = random.Random(12031)
     x2p1 = SpecializedMap.make(1, 0, 1)
-    assert discriminant_recurrence(x2p1, 2) == 512
+    assert discriminant_recurrence(critical_orbit(x2p1, 2), 2) == 512
     for _ in range(20):
         m = SpecializedMap.make(0, rng.randint(-100, 100), rng.randint(-100, 100))
         phi = m.phi_polynomial()
-        assert discriminant_recurrence(m, 2) == abs(discriminant_direct(phi.compose(phi)))
+        crit = critical_orbit(m, 2)
+        assert discriminant_recurrence(crit, 2) == abs(discriminant_direct(phi.compose(phi)))
     for _ in range(5):
         m = SpecializedMap.make(0, rng.randint(-30, 30), rng.randint(-30, 30))
         phi = m.phi_polynomial()
         phi3 = phi.compose(phi).compose(phi)
-        assert discriminant_recurrence(m, 3) == abs(discriminant_direct(phi3))
+        assert discriminant_recurrence(critical_orbit(m, 3), 3) == abs(discriminant_direct(phi3))
     assert time.perf_counter() - start < 30.0
 
 

@@ -13,11 +13,12 @@ from quadtower.bigpoly import (
     IntPolynomial,
     ZeroPolynomialError,
     check_bits,
+    decimal_orbit,
+    decimal_quotient,
     decimal_str,
     discriminant_direct,
     height_int,
     is_perfect_square,
-    orbit_divisor_strs,
     poly_height,
     resultant,
 )
@@ -250,31 +251,28 @@ def _orbit(gamma, c, x, length):
     return values
 
 
-def test_orbit_divisor_strs_prints_values_and_divisors():
+def test_decimal_orbit_steps_the_orbit_exactly():
     # a start below -2^(cutoff) makes every value big, the first one negative
     values = _orbit(5, -7, -(3 ** 21000), 3)
-    assert orbit_divisor_strs(5, -7, values[0], [1, 1, 1]) == [str(v) for v in values]
-    # cofactors 3 (of a negative value) and 2^13, a skipped level, and 1
-    values = _orbit(0, 0, -3 << 40000, 4)
-    cofactors = [3, 1 << 13, None, 1]
-    assert orbit_divisor_strs(0, 0, values[0], cofactors) == [
-        str(v // q) if q is not None else None for v, q in zip(values, cofactors)
+    assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == [
+        str(v) for v in values
     ]
 
 
-def test_orbit_divisor_strs_rejects_a_non_divisor_and_a_non_orbit(monkeypatch):
+def test_decimal_quotient_and_orbit_reject_a_non_divisor_and_a_non_orbit(monkeypatch):
     import quadtower.bigpoly as bigpoly_mod
 
     start = 3 ** 30000
     with pytest.raises(ValueError, match="does not divide"):
-        orbit_divisor_strs(0, 1, start, [2, None])
+        decimal_quotient(next(decimal_orbit(0, 1, start)), 2)
     # c converted as 2 instead of 1: level 0 agrees with the integers, level 1
     # no longer does
     real = bigpoly_mod._to_decimal
     monkeypatch.setattr(bigpoly_mod, "_to_decimal", lambda n: real(2 if n == 1 else n))
-    assert orbit_divisor_strs(0, 1, start, [1]) == [str(start)]
+    orbit = decimal_orbit(0, 1, start)
+    assert str(next(orbit)) == str(start)
     with pytest.raises(ValueError, match="disagrees"):
-        orbit_divisor_strs(0, 1, start, [None, 1])
+        next(orbit)
 
 
 def test_doctests():

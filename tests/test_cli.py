@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -37,6 +38,18 @@ def run_subprocess(*args, **kwargs):
         [sys.executable, "-m", "quadtower.cli", *args],
         capture_output=True, text=True, env=env, timeout=60, **kwargs,
     )
+
+
+def run_capped(*args):
+    """run_subprocess under a 1 GiB address-space cap, so that an input whose
+    regression would exhaust the machine fails with a MemoryError instead."""
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return run_subprocess(*args, preexec_fn=limit)
 
 
 def test_family_info_json(capsys):
@@ -291,15 +304,72 @@ def test_budget_error_exits_two_with_partial(capsys):
 
 
 def test_budget_error_without_orbit_prints_null_partial(capsys):
-    # no orbit lies behind these refusals, so there is nothing partial to print
+    # no orbit lies behind these refusals, so there is nothing partial to print;
+    # discriminant refuses level 25 (2^25 > 2^20 bits) before the orbit
     for argv in (("index-bound", "--n", "7", "--bits", "120"),
                  ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1",
-                  "--level", "3", "--bits", "16")):
+                  "--level", "3", "--bits", "16"),
+                 ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "25")):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == '{\n  "error": "digit-budget-exceeded",\n  "partial": null\n}\n'
         assert "budget" in err
     assert DigitBudgetError("refused").partial is None
+
+
+def _rows(doc):
+    return [(row["n"], row["value"]) for row in doc]
+
+
+@pytest.mark.parametrize("argv", [
+    ("critical-orbit", "--depth", "10"),
+    ("stability", "--depth", "10"),
+    ("discriminant", "--level", "8"),
+    ("curve", "--level", "8"),
+    ("primitive-divisors", "--level", "8"),
+])
+def test_partial_critical_values_are_a_prefix_of_the_full_rows(capsys, argv):
+    # c_a = 10^6 doubles from 20 bits, so level 5 is the first past 300 bits
+    fam = ("--gamma", "0", "--c", "0,1", "--a", "1000000")
+    code, out, _ = run(capsys, argv[0], *fam, *argv[1:], "--bits", "300")
+    assert code == 2
+    partial = _rows(json.loads(out)["partial"])
+    assert [n for n, _ in partial] == [1, 2, 3, 4]
+    code, out, _ = run(capsys, "critical-orbit", *fam, "--depth", "10", "--json")
+    assert code == 0
+    assert partial == _rows(json.loads(out)["values"])[:4]
+
+
+def test_partial_orbit_values_are_a_prefix_of_the_full_rows(capsys):
+    argv = ("orbit", "--gamma", "0", "--c", "0,1", "--a", "1000000", "--b=-7", "--depth", "10")
+    code, out, _ = run(capsys, *argv, "--bits", "300")
+    assert code == 2
+    partial = _rows(json.loads(out)["partial"])
+    assert [n for n, _ in partial] == [0, 1, 2, 3, 4]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert partial == _rows(map(json.loads, out.splitlines()))[:5]
+
+
+def test_traced_cli_sees_every_layer():
+    # the benchmark's tracer swaps module bindings such as
+    # quadtower.cli.certify_tower; a command that held the functions
+    # themselves would leave those layers without spans
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import quadtower.cli
+
+    tracer = tracing.Tracer()
+    fam = ("--gamma", "0", "--c", "0,1", "--a", "1")
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert quadtower.cli.main(["certify", *fam, "--to", "6"]) == 0
+        assert quadtower.cli.main(["curve", *fam, "--level", "4"]) == 0
+    assert {s.name for s in tracer.spans} >= {
+        "cli.main", "galois.certify_tower", "orbit.critical_orbit",
+        "factor.squarefree_decompose", "galois.curve_model", "galois.verify_forced_point",
+    }
 
 
 def test_incomplete_factorization_exits_two(capsys):
@@ -347,36 +417,39 @@ def test_index_bound_small_n_unchanged(capsys):
 
 
 def test_index_bound_n40_stops_at_the_guard():
-    # 2^(2^40 - 41) would take about 128 GiB; run in a separate process
-    # under a 1 GiB address-space cap, so a missing guard fails the test with
-    # a MemoryError instead of exhausting the machine
-    resource = pytest.importorskip("resource")
-    cap = 1 << 30
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    proc = run_subprocess("index-bound", "--n", "40", preexec_fn=limit)
+    # 2^(2^40 - 41) would take about 128 GiB
+    proc = run_capped("index-bound", "--n", "40")
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout) == {"error": "digit-budget-exceeded", "partial": None}
     assert "2^40 - 40 bits" in proc.stderr
 
 
 def test_huge_trial_bound_exits_one_before_it_sieves():
-    # the trial-division sieve would take 10 GB; under a 1 GiB address-space
-    # cap a missing bound fails the test with a MemoryError
-    resource = pytest.importorskip("resource")
-    cap = 1 << 30
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    proc = run_subprocess("curve", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "4",
-                          "--trial-bound", "10000000000", preexec_fn=limit)
+    # the trial-division sieve would take 10 GB
+    proc = run_capped("curve", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "4",
+                      "--trial-bound", "10000000000")
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     # a MemoryError would also exit 1, but with a traceback
     assert proc.stderr.startswith("quadtower: error: trial_bound"), proc.stderr
+
+
+def test_density_shards_above_x_are_clamped():
+    # a billion shard bounds would not fit in 1 GiB
+    argv = ("density", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0", "--X", "100")
+    proc = run_capped(*argv, "--shards", "1000000000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_subprocess(*argv, "--shards", "1").stdout
+
+
+def test_discriminant_refuses_a_huge_level_before_the_orbit():
+    # the bounded orbit of x^2 - 1 would be stepped a billion times first
+    proc = run_capped("discriminant", "--gamma", "0", "--c", "0,1", "--a=-1",
+                      "--level", "1000000000")
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "digit-budget-exceeded", "partial": None}
+    # the default budget of 2^20 bits first fails at level 21
+    assert "discriminant at level 21 needs more than 1048576 bits" in proc.stderr
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])
@@ -434,14 +507,16 @@ _FLAGS = {
                            "--method": st.sampled_from([None, "exact", "certificate"]),
                            "--rho-iters": _RHO},
     "discriminant": {"--a": _POINT,
-                     "--level": st.one_of(st.integers(-1, 8), st.sampled_from([11, 12, 40])),
+                     "--level": st.one_of(st.integers(-1, 8),
+                                          st.sampled_from([11, 12, 40, 10 ** 6])),
                      "--direct": st.sampled_from([None, True]),
                      "--bits": st.sampled_from([None, 16, 64])},
     "curve": {"--a": _POINT, "--level": st.integers(-1, 7),
               "--genus": st.sampled_from([None, 1, 2]), "--search": st.integers(0, 20),
               "--rho-iters": _RHO},
     "density": {"--a": _POINT, "--b": _POINT, "--X": st.integers(-10, 3000),
-                "--segment-size": st.sampled_from([None, None, -1, 0, 7, 1000])},
+                "--segment-size": st.sampled_from([None, None, -1, 0, 7, 1000]),
+                "--shards": st.sampled_from([None, 0, 1, 3, 5000])},
     "nphi-bound": {"--kappa1": st.sampled_from([None, -1, 0.5, 1, 2.5]),
                    "--kappa2": st.sampled_from([0, 1, 3]),
                    "--kappa3": st.sampled_from([0, 1, 3])},

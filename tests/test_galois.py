@@ -78,14 +78,14 @@ def test_stability_scan_jones_square_at_level_nine():
 
 
 def test_discriminant_recurrence_x2p1():
-    assert discriminant_recurrence(X2P1, 1) == 4
-    assert discriminant_recurrence(X2P1, 2) == 512
+    assert discriminant_recurrence(critical_orbit(X2P1, 1), 1) == 4
+    assert discriminant_recurrence(critical_orbit(X2P1, 2), 2) == 512
     phi = X2P1.phi_polynomial()
     assert phi == IntPolynomial((1, 0, 1))
     phi2 = phi.compose(phi)
     assert abs(discriminant_direct(phi2)) == 512
     phi3 = phi2.compose(phi)
-    assert discriminant_recurrence(X2P1, 3) == abs(discriminant_direct(phi3))
+    assert discriminant_recurrence(critical_orbit(X2P1, 3), 3) == abs(discriminant_direct(phi3))
 
 
 def test_discriminant_recurrence_matches_direct_random():
@@ -93,12 +93,13 @@ def test_discriminant_recurrence_matches_direct_random():
     for _ in range(20):
         m = SpecializedMap.make(0, rng.randint(-50, 50), rng.randint(-50, 50) )
         phi = m.phi_polynomial()
-        assert discriminant_recurrence(m, 2) == abs(discriminant_direct(phi.compose(phi)))
+        crit = critical_orbit(m, 2)
+        assert discriminant_recurrence(crit, 2) == abs(discriminant_direct(phi.compose(phi)))
     for _ in range(5):
         m = SpecializedMap.make(0, rng.randint(-20, 20), rng.randint(-20, 20))
         phi = m.phi_polynomial()
         phi3 = phi.compose(phi).compose(phi)
-        assert discriminant_recurrence(m, 3) == abs(discriminant_direct(phi3))
+        assert discriminant_recurrence(critical_orbit(m, 3), 3) == abs(discriminant_direct(phi3))
 
 
 def test_certify_level_examples():
