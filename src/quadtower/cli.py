@@ -7,12 +7,17 @@ reports instead: orbit --json prints JSON lines, one {"n", "value", "bits"}
 per orbit value, and density --format csv prints CSV.  density --shards
 above X - 1 counts as X - 1.
 
+A call builds two small parsers: the top-level one reads the command name,
+and the command's own parser, built from the COMMANDS table, reads its flags.
+
 Exit codes: 0 success, 1 usage errors, 2 budget errors.  A budget error
 prints {"error", "partial"} as JSON: the certificates of certify, the
 factorization that stopped, or the orbit rows computed so far, numbered as
 in the full output (the orbit of b from n = 0, critical values from n = 1).
 It is null when the refusal came before any orbit value: discriminant
 refuses a level n >= 2 with 2^n above --bits, and --direct above level 10.
+--bits above 2^22 (MAX_BITS) is a usage error, as are --depth, --from, --to
+and the --level of curve and primitive-divisors above 64 (MAX_LEVEL).
 
 --config FILE reads a JSON object whose keys are the long flags without their
 dashes, with - written as _ (X, from, trial_bound, ...).  Each value is read
@@ -56,6 +61,19 @@ from quadtower.orbit import (
 
 class UsageError(ValueError):
     pass
+
+
+# --bits above MAX_BITS is a usage error.  At 2^22 bits the slowest command,
+# discriminant just past its budget, took about 1.5 s (2^23: 6 s, 2^24: 13 s;
+# Python 3.11, 2 vCPUs).
+MAX_BITS = 1 << 22
+# Level flags above MAX_LEVEL are usage errors.  An escaping orbit's bit length
+# about doubles per level, so none gets past level 23 within MAX_BITS; a larger
+# level only steps a bounded orbit, such as x^2 - 1's -1, 0, -1, ..., which
+# never trips the bit budget.  discriminant is left out: it refuses a level n
+# with 2^n above --bits by itself (exit 2), before any orbit value.
+MAX_LEVEL = 64
+_LEVEL_FLAGS = {"depth": "--depth", "from_level": "--from", "to_level": "--to", "level": "--level"}
 
 
 def _parse_poly(text: str, name: str) -> IntPolynomial:
@@ -123,7 +141,7 @@ GROUPS = {
 
 class Command(NamedTuple):
     help: str
-    parents: tuple[str, ...]  # names of shared flag groups
+    groups: tuple[str, ...]  # names of shared flag groups
     build: Callable[[argparse.Namespace], object]  # args -> report
     flags: tuple = ()  # the subcommand's own flags
     required: tuple[str, ...] = ()  # flags checked before build runs
@@ -192,8 +210,6 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, argparse.ArgumentParser]  # subcommand name -> its parser
-
     # argparse exits 2 on usage errors by default; this tool reserves 2 for
     # budget errors, so remap to exit 1.
     def error(self, message):
@@ -207,23 +223,37 @@ def _add_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParse
     return parser
 
 
+def _flags(name: str) -> list:
+    groups = ("common", *COMMANDS[name].groups)
+    return [flag for group in groups for flag in GROUPS[group]] + list(COMMANDS[name].flags)
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="quadtower", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    # one parent parser per flag group: argparse copies a parent's flags
-    # faster than it adds them anew for every subcommand
-    groups = {name: _add_flags(argparse.ArgumentParser(add_help=False), flags)
-              for name, flags in GROUPS.items()}
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help,
-                           parents=[groups[group] for group in ("common", *command.parents)])
-        _add_flags(p, command.flags)
-    parser.commands = sub.choices
+    listing = "".join(f"\n  {name:<20}{command.help}" for name, command in COMMANDS.items())
+    parser = _Parser(prog="quadtower", description=__doc__, epilog=f"commands:{listing}",
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", metavar="command", choices=COMMANDS, help="one of the below")
+    rest = parser.add_argument("argv", metavar="...", nargs=argparse.REMAINDER, help="its flags")
+    rest.required = False  # argparse would name it beside a missing command
     return parser
 
 
-def _config_argv(parser: _Parser, args: argparse.Namespace) -> list[str]:
-    """The --config file's keys as flag tokens for args.command.
+def _parse(argv) -> tuple[Command, argparse.Namespace]:
+    top = build_parser()
+    called = top.parse_args(argv)
+    parser = _add_flags(_Parser(prog=f"quadtower {called.command}"), _flags(called.command))
+    args, unknown = parser.parse_known_args(called.argv)
+    if args.config and not unknown:
+        # the file's flags go first: argparse keeps the last value it sees
+        config = _config_argv(called.command, args.config)
+        args, unknown = parser.parse_known_args([*config, *called.argv])
+    if unknown:  # the top-level parser's error, as under argparse subparsers
+        top.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return COMMANDS[called.command], args
+
+
+def _config_argv(name: str, path: str) -> list[str]:
+    """The --config file's keys as flag tokens for command name.
 
     A key is a long flag without its dashes, with - written as _.  A string
     or number becomes the flag's text, a list is joined with commas, and
@@ -231,21 +261,16 @@ def _config_argv(parser: _Parser, args: argparse.Namespace) -> list[str]:
     that only other subcommands take are dropped; argparse checks the rest.
     """
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             # numbers stay as written, so argparse sees the file's own text
             raw = json.load(fh, parse_int=str, parse_float=str)
     except (OSError, json.JSONDecodeError) as err:
-        raise UsageError(f"cannot read config {args.config}: {err}") from err
+        raise UsageError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    # argparse keeps each parser's flags only in _option_string_actions
-    flags = {
-        flag[2:].replace("-", "_"): flag
-        for command in parser.commands.values()
-        for flag in command._option_string_actions
-        if flag.startswith("--") and flag not in ("--help", "--config", "--json")
-    }
-    own = parser.commands[args.command]._option_string_actions
+    flags = {names[0][2:].replace("-", "_"): names[0] for other in COMMANDS
+             for names, _ in _flags(other) if names[0] not in ("--config", "--json")}
+    own = {names[0]: kwargs for names, kwargs in _flags(name)}
     tokens = []
     for key, value in raw.items():
         if key not in flags:
@@ -255,7 +280,7 @@ def _config_argv(parser: _Parser, args: argparse.Namespace) -> list[str]:
             continue
         if isinstance(value, list) and all(isinstance(v, str) for v in value):
             value = ",".join(value)
-        if isinstance(value, bool) and own[flag].nargs == 0:
+        if isinstance(value, bool) and own[flag].get("action") == "store_true":
             if value:
                 tokens.append(flag)
         elif isinstance(value, str):
@@ -268,21 +293,17 @@ def _config_argv(parser: _Parser, args: argparse.Namespace) -> list[str]:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # orbit values exceed the 4300-digit default
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = COMMANDS[args.command]
     try:
-        if args.config:
-            # argv[0] is the subcommand; argparse keeps the last value it
-            # sees, so the file's flags go first and the command line wins
-            args = parser.parse_args([argv[0], *_config_argv(parser, args), *argv[1:]])
+        command, args = _parse(argv)
         if args.json:
             args.fmt = "json"
         if args.fmt == "csv" and "csv" not in command.formats:
             raise UsageError("--format csv is only available for density")
-        if getattr(args, "bits", 1) < 1:
-            raise UsageError("--bits must be >= 1")
+        if not 1 <= getattr(args, "bits", 1) <= MAX_BITS:
+            raise UsageError(f"--bits must be in [1, {MAX_BITS}]")
+        for dest, flag in _LEVEL_FLAGS.items():
+            if command is not COMMANDS["discriminant"] and getattr(args, dest, 0) > MAX_LEVEL:
+                raise UsageError(f"{flag} must be <= {MAX_LEVEL}")
         if any(getattr(args, name) is None for name in command.required):
             flags = ", ".join(f"--{name}" for name in command.required)
             raise UsageError(f"{flags} {'is' if len(command.required) == 1 else 'are'} required")

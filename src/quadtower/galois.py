@@ -379,7 +379,10 @@ class _CriticalResidues:
         dividing v_n gives the same part of both only if a <= E * v_p(P).
         """
         self._grow(n)
-        modulus = 2 * math.lcm(*(self._rigid_gcd(n, k) for k in range(1, n)))
+        # a list, not a generator: CPython builds a generator's argument tuple
+        # by resizing, so each call moved one tuple between free lists, which
+        # grew by megabytes over many calls until a full collection
+        modulus = 2 * math.lcm(*[self._rigid_gcd(n, k) for k in range(1, n)])
         q = math.gcd(self.residue(n, modulus), modulus)
         while True:
             modulus *= modulus

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import quadtower
 from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
-from quadtower.cli import main
+import quadtower.cli
+from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_LEVEL, main
 from quadtower.family import HallLangConstants, QuadraticFamily
 from quadtower.galois import certify_tower
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
@@ -406,6 +408,55 @@ def test_bits_below_one_is_usage_error(capsys, command, extra, bits):
     assert "--bits" in err
 
 
+def test_bits_cap_is_inclusive(capsys):
+    argv = ("critical-orbit", "--gamma", "0", "--c", "0,1", "--a", "2", "--depth", "3")
+    assert run(capsys, *argv, "--bits", str(MAX_BITS))[0] == 0
+    code, out, err = run(capsys, *argv, "--bits", str(MAX_BITS + 1))
+    assert (code, out, err) == (1, "", f"quadtower: error: --bits must be in [1, {MAX_BITS}]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--b", "0", "--depth"),
+    ("critical-orbit", "--depth"),
+    ("stability", "--depth"),
+    ("certify", "--from", "1", "--to"),
+    ("certify", "--to", str(MAX_LEVEL), "--from"),
+    ("curve", "--level"),
+    ("primitive-divisors", "--level"),
+])
+def test_level_flags_stop_at_max_level(capsys, argv):
+    fam = ("--gamma", "0", "--c", "0,1", "--a=-2")  # x^2 - 2: -2, 2, 2, ...
+    code, out, err = run(capsys, argv[0], *fam, *argv[1:], str(MAX_LEVEL + 1))
+    assert (code, out, err) == (1, "", f"quadtower: error: {argv[-1]} must be <= {MAX_LEVEL}\n")
+    code, _, err = run(capsys, argv[0], *fam, *argv[1:], str(MAX_LEVEL))
+    assert code == 0, err
+
+
+# among x^2 + a with |a| <= 2000, starting at |b| <= 40, these orbits escape
+# slowest; their values fit MAX_BITS up to level 23 (x^2 + 1 from 0 is also
+# the critical orbit of x^2 + 1)
+@pytest.mark.parametrize("a, b", [(1, 0), (-4, 2), (-5, -2)])
+def test_no_escaping_orbit_reaches_the_level_cap(a, b):
+    m = QuadraticFamily.of([0], [0, 1]).specialize(a)
+    with pytest.raises(DigitBudgetError) as err:
+        orbit(m, b, MAX_LEVEL, MAX_BITS)
+    assert len(err.value.partial) == 24
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("certify", "--a=-1", "--to", "1000000000"), "--to"),
+    (("critical-orbit", "--a=-1", "--depth", "1000000000"), "--depth"),
+    (("critical-orbit", "--a=3", "--depth", "40", "--bits", "100000000000"), "--bits"),
+])
+def test_huge_level_or_bits_exits_one_before_the_orbit(argv, flag):
+    # x^2 - 1's orbit -1, 0, -1, ... never trips the bit budget, and a huge
+    # budget lets x^2 + 3's orbit grow until memory runs out
+    proc = run_capped(argv[0], "--gamma", "0", "--c", "0,1", *argv[1:])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"quadtower: error: {flag} must be"), proc.stderr
+
+
 def test_index_bound_small_n_unchanged(capsys):
     for n in range(1, 9):
         code, out, _ = run(capsys, "index-bound", "--n", str(n))
@@ -649,3 +700,49 @@ def test_config_explicit_flags_win(tmp_path, capsys):
     argv = ("certify", "--gamma", "0", "--c", "0,1", "--a=-3", "--to", "4", "--format", "text")
     text = json.dumps({"a": 2, "to": 9, "format": "json", "c": "0,2", "bits": 8})
     assert _run_config(capsys, tmp_path, text, *argv, "--bits", "1000") == run(capsys, *argv)
+
+
+def _help(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-h"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def _declared(name) -> list[str]:
+    command = COMMANDS[name]
+    flags = [flag for group in ("common", *command.groups) for flag in GROUPS[group]]
+    return [names[0] for names, _ in flags + list(command.flags)]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_help_lists_its_declared_flags_in_order(capsys, name):
+    out = _help(capsys, name)
+    assert out.startswith(f"usage: quadtower {name} [-h]")
+    options = out.split("\noptions:\n")[1]
+    assert re.findall(r"^  (-[-\w]+)", options, re.M) == ["-h", *_declared(name)]
+
+
+def test_top_level_help_names_every_command(capsys):
+    out = _help(capsys)
+    for name, command in COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(command.help)}$", out, re.M), name
+
+
+@pytest.mark.parametrize("config", [False, True])
+def test_a_call_adds_only_its_commands_flags(capsys, tmp_path, monkeypatch, config):
+    added = []
+
+    def record(parser, flags):
+        added.append([names[0] for names, _ in flags])
+        return add_flags(parser, flags)
+
+    add_flags = quadtower.cli._add_flags
+    monkeypatch.setattr(quadtower.cli, "_add_flags", record)
+    argv = ["certify", "--gamma", "0", "--c", "0,1", "--a", "2", "--to", "3"]
+    if config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"to": 4, "kappa1": 1}')
+        argv[-2:] = ["--config", str(cfg)]
+    assert run(capsys, *argv)[0] == 0
+    assert added == [_declared("certify")]
