@@ -719,7 +719,7 @@ def _declared(name) -> list[str]:
 def test_command_help_lists_its_declared_flags_in_order(capsys, name):
     out = _help(capsys, name)
     assert out.startswith(f"usage: quadtower {name} [-h]")
-    options = out.split("\noptions:\n")[1]
+    options = re.split(r"\n(?:options|optional arguments):\n", out)[1]  # 3.10 says the latter
     assert re.findall(r"^  (-[-\w]+)", options, re.M) == ["-h", *_declared(name)]
 
 
