@@ -2,6 +2,7 @@
 density for one-parameter quadratic families (x - gamma(t))^2 + c(t)."""
 
 from quadtower.bigpoly import (
+    BudgetError,
     IntPolynomial,
     ZeroPolynomialError,
     decimal_str,

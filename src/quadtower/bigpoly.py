@@ -25,19 +25,29 @@ DEFAULT_MAX_BITS = 1 << 20
 _LOG2_10 = math.log2(10)
 
 
-class DigitBudgetError(RuntimeError):
-    """A value outgrew the bit budget; .partial holds the orbit values
-    computed before the overflow (or a report built from them), and None
-    when the refused computation has no orbit behind it."""
+class BudgetError(RuntimeError):
+    """A computation stopped at its budget.  .partial is what was computed
+    before: None, or an object whose to_json_dict() renders it.  error is the
+    refusal's name in the CLI's JSON."""
+
+    error = "budget-exceeded"
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
 
 
+class DigitBudgetError(BudgetError):
+    """A value outgrew the bit budget.  .partial holds the orbit rows
+    computed before the overflow, or a report built from them, and is None
+    when the refused computation has no orbit behind it."""
+
+    error = "digit-budget-exceeded"
+
+
 def check_bits(value, max_bits: int, what: str, partial=None) -> None:
-    """Raise DigitBudgetError, naming what the value is, when value needs
-    more than max_bits bits.
+    """Raise DigitBudgetError, naming what the value is and carrying
+    partial, when value needs more than max_bits bits.
 
     value is an int or an integer decimal.Decimal.  A Decimal of d digits
     needs fewer than d * log2(10) bits, so only one whose digit count puts it
@@ -75,10 +85,6 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- construction and serialization ------------------------------------
-
-    @classmethod
-    def constant(cls, c: int) -> IntPolynomial:
-        return cls((c,))
 
     @classmethod
     def parse(cls, text: str) -> IntPolynomial:
@@ -398,38 +404,43 @@ def _exact_context():
     return ctx
 
 
+def _pow2(powers: dict, w: int):
+    """2^w as a Decimal, memoized in powers (w -> 2^w) for one conversion."""
+    p = powers.get(w)
+    if p is None:
+        if w <= _DECIMAL_LEAF_BITS:
+            import decimal
+
+            p = decimal.Decimal(2) ** w
+        elif w - 1 in powers:
+            p = powers[w - 1] * 2
+        else:
+            half = w >> 1
+            p = _pow2(powers, half) * _pow2(powers, w - half)
+        powers[w] = p
+    return p
+
+
+def _convert(powers: dict, m: int, w: int):
+    """Decimal(m) for 0 <= m < 2^w, split at 2^(w // 2)."""
+    if w <= _DECIMAL_LEAF_BITS:
+        import decimal
+
+        return decimal.Decimal(m)
+    half = w >> 1
+    hi = m >> half
+    high = _convert(powers, hi, w - half) * _pow2(powers, half)
+    return high + _convert(powers, m - (hi << half), half)
+
+
 def _to_decimal(n: int):
     """Decimal(n) in subquadratic time; call it under _exact_context().
 
     |n| is split at powers of two and the halves are recombined in the
-    decimal module, whose multiplication is subquadratic.
+    decimal module, whose multiplication is subquadratic.  The table of
+    powers of two lives for one call and is freed when it returns.
     """
-    import decimal
-
-    two = decimal.Decimal(2)
-    powers: dict[int, decimal.Decimal] = {}  # w -> 2^w, per call
-
-    def pow2(w: int) -> decimal.Decimal:
-        p = powers.get(w)
-        if p is None:
-            if w <= _DECIMAL_LEAF_BITS:
-                p = two ** w
-            elif w - 1 in powers:
-                p = powers[w - 1] * 2
-            else:
-                half = w >> 1
-                p = pow2(half) * pow2(w - half)
-            powers[w] = p
-        return p
-
-    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2^w
-        if w <= _DECIMAL_LEAF_BITS:
-            return decimal.Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
-
-    d = convert(abs(n), n.bit_length())
+    d = _convert({}, abs(n), n.bit_length())
     return -d if n < 0 else d
 
 

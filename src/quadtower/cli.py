@@ -10,12 +10,16 @@ above X - 1 counts as X - 1.
 A call builds two small parsers: the top-level one reads the command name,
 and the command's own parser, built from the COMMANDS table, reads its flags.
 
-Exit codes: 0 success, 1 usage errors, 2 budget errors.  A budget error
-prints {"error", "partial"} as JSON: the certificates of certify, the
-factorization that stopped, or the orbit rows computed so far, numbered as
-in the full output (the orbit of b from n = 0, critical values from n = 1).
-It is null when the refusal came before any orbit value: discriminant
-refuses a level n >= 2 with 2^n above --bits, and --direct above level 10.
+Exit codes: 0 success, 1 usage errors, 2 budget errors.  A budget error is
+a bigpoly.BudgetError; it prints {"error", "partial"} as JSON, with its kind
+(digit-budget-exceeded or incomplete-factorization) and its partial's
+to_json_dict(): the certificates of certify, the factorization that stopped,
+or the orbit rows computed so far, numbered as in the full output (the orbit
+of b from n = 0, critical values from n = 1).  It is null when the refusal
+came before any orbit value: discriminant refuses a level n >= 2 with 2^n
+above --bits, and --direct above level 10.  A value above 2,048 bits
+(factor.MAX_FACTOR_BITS) is not factored, so curve, primitive-divisors
+--method exact and family-info stop there as incomplete factorizations.
 --bits above 2^22 (MAX_BITS) is a usage error, as are --depth, --from, --to
 and the --level of curve and primitive-divisors above 64 (MAX_LEVEL).
 
@@ -34,14 +38,9 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from quadtower.bigpoly import IntPolynomial
+from quadtower.bigpoly import BudgetError, IntPolynomial
 from quadtower.density import DEFAULT_SEGMENT_SIZE, density_curve
-from quadtower.factor import (
-    DEFAULT_BUDGET,
-    Budget,
-    IncompleteFactorizationError,
-    primitive_divisor_exact,
-)
+from quadtower.factor import DEFAULT_BUDGET, Budget, primitive_divisor_exact
 from quadtower.family import HallLangConstants, IndexBound, QuadraticFamily, index_bound
 from quadtower.galois import (
     certify_tower,
@@ -50,13 +49,7 @@ from quadtower.galois import (
     primitive_divisor_certificate,
     stability_scan,
 )
-from quadtower.orbit import (
-    DEFAULT_MAX_BITS,
-    DigitBudgetError,
-    OrbitSlice,
-    critical_orbit,
-    orbit,
-)
+from quadtower.orbit import DEFAULT_MAX_BITS, OrbitSlice, critical_orbit, orbit
 
 
 class UsageError(ValueError):
@@ -311,26 +304,21 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"quadtower: error: {err}", file=sys.stderr)
         return 1
-    except DigitBudgetError as err:
-        failure = ("digit-budget-exceeded", err.partial, err)
-    except IncompleteFactorizationError as err:
-        failure = ("incomplete-factorization", err.factorization, err)
+    except BudgetError as err:
+        # every partial renders itself: orbit rows, a report, a factorization
+        partial = None if err.partial is None else err.partial.to_json_dict()
+        print(json.dumps({"error": err.error, "partial": partial}, indent=2))
+        print(f"quadtower: budget: {err}", file=sys.stderr)
+        return 2
+    if args.fmt in command.formats:
+        lines = command.formats[args.fmt](report)
+    elif args.fmt == "json":
+        lines = [json.dumps(report.to_json_dict(), indent=2)]
     else:
-        if args.fmt in command.formats:
-            lines = command.formats[args.fmt](report)
-        elif args.fmt == "json":
-            lines = [json.dumps(report.to_json_dict(), indent=2)]
-        else:
-            lines = report.text_lines()
-        for line in lines:
-            print(line)
-        return 0
-    # every partial renders itself: orbit values, a report, or None
-    error, partial, err = failure
-    payload = None if partial is None else partial.to_json_dict()
-    print(json.dumps({"error": error, "partial": payload}, indent=2))
-    print(f"quadtower: budget: {err}", file=sys.stderr)
-    return 2
+        lines = report.text_lines()
+    for line in lines:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

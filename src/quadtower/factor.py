@@ -15,21 +15,20 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from quadtower.bigpoly import decimal_str, is_perfect_square
+from quadtower.bigpoly import BudgetError, decimal_str, is_perfect_square
 
 
 class ZeroInputError(ValueError):
     """Zero was passed where a nonzero integer is required."""
 
 
-class IncompleteFactorizationError(RuntimeError):
-    """The budget ran out; .factorization holds the partial result."""
+class IncompleteFactorizationError(BudgetError):
+    """The factoring budget ran out; .partial is the Factorization that
+    stopped, whose cofactor holds what was not factored."""
 
-    def __init__(self, message: str, factorization: "Factorization"):
-        super().__init__(message)
-        self.factorization = factorization
+    error = "incomplete-factorization"
 
 
 class PreconditionError(ValueError):
@@ -39,6 +38,11 @@ class PreconditionError(ValueError):
 # small_primes sieves a bytearray of trial_bound + 1 bytes; 10^7 takes
 # about 0.4 s and 10 MB
 MAX_TRIAL_BOUND = 10 ** 7
+# factorize returns a number above this many bits unfactored.  On a 2,048-bit
+# semiprime the default budget's p-1 took 2.5 s, rho 3.7 s and each of its
+# 164 ECM curves 1.0 s, about 175 s in all (CPython 3.11.7, 2 vCPUs); level
+# 13 of x^2 + 1 (2,408 bits) was still being factored after 60 s.
+MAX_FACTOR_BITS = 2048
 
 
 @dataclass(frozen=True)
@@ -122,20 +126,19 @@ class PrimitiveDivisorReport:
 
     method "exact" lists every odd prime with odd valuation at level n and
     valuation zero at all lower levels; certified means the list is nonempty.
-    method "certificate" carries the stripped cofactor R as witness; certified
-    means R > 1 and R is not a perfect square, which proves such a prime
-    exists without factoring (one-sided: not-certified means unknown).
-    two_primitive is exact-route metadata for the excluded prime 2.
-    witness_text, when set, is the witness already in decimal.
+    method "certificate" carries the stripped cofactor R, in decimal, as
+    witness; certified means R > 1 and R is not a perfect square, which
+    proves such a prime exists without factoring (one-sided: not-certified
+    means unknown).  two_primitive is exact-route metadata for the excluded
+    prime 2.
     """
 
     level: int
     primes: tuple[int, ...]
     method: str
     certified: bool
-    witness: int | None = None
+    witness: str | None = None
     two_primitive: bool | None = None
-    witness_text: str | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -145,8 +148,7 @@ class PrimitiveDivisorReport:
             "primes": [decimal_str(p) for p in self.primes],
         }
         if self.witness is not None:
-            text = self.witness_text
-            out["witness"] = decimal_str(self.witness) if text is None else text
+            out["witness"] = self.witness
         if self.two_primitive is not None:
             out["two_primitive"] = self.two_primitive
         return out
@@ -438,7 +440,8 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
 
     Every reported prime passes the strong-probable-prime test; whatever
     resists the budget is returned as a composite cofactor with
-    complete=False.  Deterministic for a fixed budget.
+    complete=False.  An |n| above MAX_FACTOR_BITS bits is returned that way
+    at once, untouched.  Deterministic for a fixed budget.
 
     >>> factorize(4294967297).factors
     ((641, 1), (6700417, 1))
@@ -447,6 +450,8 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
         raise ZeroInputError("cannot factor 0")
     sign = -1 if n < 0 else 1
     m = abs(n)
+    if m.bit_length() > MAX_FACTOR_BITS:
+        return Factorization(sign=sign, factors=(), cofactor=m, complete=False)
     counts: dict[int, int] = {}
     if m > 1:
         for p in small_primes(budget.trial_bound):
@@ -502,6 +507,12 @@ def squarefree_decompose(
     if n == 0:
         raise ZeroInputError("cannot decompose 0")
     fac = factorize(n, budget)
+    if fac.cofactor.bit_length() > MAX_FACTOR_BITS:
+        # str() of the cofactor would take quadratic time
+        raise IncompleteFactorizationError(
+            f"a {fac.cofactor.bit_length()}-bit value is not factored; "
+            f"factoring stops at {MAX_FACTOR_BITS} bits", fac
+        )
     if not fac.complete:
         raise IncompleteFactorizationError(
             f"budget exhausted on cofactor {fac.cofactor}", fac

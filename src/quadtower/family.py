@@ -359,17 +359,14 @@ class QuadraticFamily:
         m3 = sup(k1 * big_g, k1 * bounds.a1)
         m4 = sup(kappa2_prime, kappa3_prime)
         m_phi = max(m1, m2, m3, m4)
-        if m_phi > 0:
-            n_phi = 1 + max(6, math.ceil(2 * math.log2(m_phi) + 19))
-        else:
-            n_phi = 7
         return NphiReport(
             m1=m1,
             m2=m2,
             m3=m3,
             m4=m4,
             m_phi=m_phi,
-            n_phi=n_phi,
+            # m_phi >= m1 >= kappa1 > 0, so its logarithm exists
+            n_phi=1 + max(6, math.ceil(2 * math.log2(m_phi) + 19)),
             kappa2_prime=kappa2_prime,
             kappa3_prime=kappa3_prime,
             a_min=a_min,

@@ -392,8 +392,8 @@ class _CriticalResidues:
             q = nxt
 
 
-def _stripped_witness(orbit: _CriticalResidues, n: int, x) -> tuple[int, str, bool]:
-    """(q, R in decimal, certified) for the level-n value, given exactly as
+def _stripped_witness(orbit: _CriticalResidues, n: int, x) -> tuple[str, bool]:
+    """(R in decimal, certified) for the level-n value, given exactly as
     the decimal x != 0, with none of the lower values 0.
 
     R = |v_n| / q, the stripped cofactor of v_n against all lower values, is
@@ -413,7 +413,7 @@ def _stripped_witness(orbit: _CriticalResidues, n: int, x) -> tuple[int, str, bo
         if x < 0:
             residue = -residue % m
         certified = not passes_square_filter(residue) or decimal_isqrt(r) is None
-    return q, str(r), certified
+    return str(r), certified
 
 
 def _certify_level(orbit: _CriticalResidues, n: int, x) -> MaximalityCertificate:
@@ -441,7 +441,7 @@ def _certify_level(orbit: _CriticalResidues, n: int, x) -> MaximalityCertificate
             return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=str(root))
     if orbit.first_zero is not None and orbit.first_zero < n:
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
-    _, text, certified = _stripped_witness(orbit, n, x)
+    text, certified = _stripped_witness(orbit, n, x)
     return MaximalityCertificate(
         level=n, status=CERTIFIED_MAXIMAL if certified else UNKNOWN, witness=text
     )
@@ -467,27 +467,14 @@ def certify_tower(
     if not 1 <= first_level <= last_level:
         raise ValueError("need 1 <= first_level <= last_level")
     orbit = _CriticalResidues(map)
-    certs = []
-    budget_error = None
-    for n, x in enumerate(decimal_orbit(map.gamma_a, map.c_a, map.c_a), start=1):
-        try:
-            check_bits(x, max_bits, "orbit value")
-        except DigitBudgetError as err:
-            budget_error = err
-            break
+    certs: list[MaximalityCertificate] = []
+    values = islice(decimal_orbit(map.gamma_a, map.c_a, map.c_a), last_level)
+    for n, x in enumerate(values, start=1):
+        check_bits(x, max_bits, "orbit value", TowerReport(first_level, last_level, tuple(certs)))
         orbit.walk(x)
         if n >= first_level:
             certs.append(_certify_level(orbit, n, x))
-        if n == last_level:
-            break
-    report = TowerReport(
-        first_level=first_level,
-        last_level=last_level,
-        certificates=tuple(certs),
-    )
-    if budget_error is not None:
-        raise DigitBudgetError(str(budget_error), partial=report)
-    return report
+    return TowerReport(first_level, last_level, tuple(certs))
 
 
 def curve_model(
@@ -568,20 +555,15 @@ def primitive_divisor_certificate(crit: CriticalOrbit, n: int) -> PrimitiveDivis
         raise ZeroInputError("earlier values must be nonzero")
     m = crit.map
     x = next(islice(decimal_orbit(m.gamma_a, m.c_a, m.c_a), n - 1, None))
-    q, text, certified = _stripped_witness(_CriticalResidues(m, crit.values[:n]), n, x)
-    r = abs(crit.values[n - 1]) // q
+    text, certified = _stripped_witness(_CriticalResidues(m, crit.values[:n]), n, x)
     primes: tuple[int, ...] = ()
-    if certified and r.bit_length() <= _COURTESY_MAX_BITS:
-        fac = factorize(r, _COURTESY_BUDGET)
+    # 2^1024 has 309 digits, so the digit count rules out most large R unparsed
+    if certified and len(text) <= 309 and int(text).bit_length() <= _COURTESY_MAX_BITS:
+        fac = factorize(int(text), _COURTESY_BUDGET)
         if fac.complete:
             primes = tuple(p for p, _ in fac.factors)
     return PrimitiveDivisorReport(
-        level=n,
-        primes=primes,
-        method="certificate",
-        certified=certified,
-        witness=r,
-        witness_text=text,
+        level=n, primes=primes, method="certificate", certified=certified, witness=text
     )
 
 

@@ -82,6 +82,16 @@ class CriticalOrbit:
         yield f"condition (1) holds: {self.condition_one_holds}"
 
 
+def _walk(rows: OrbitRows, x: int, steps: int, max_bits: int) -> OrbitRows:
+    """Append phi(x), ..., phi^steps(x) to rows; a value over max_bits raises
+    DigitBudgetError carrying rows as they stand."""
+    for _ in range(steps):
+        x = rows.map.apply(x)
+        check_bits(x, max_bits, "orbit value", rows)
+        rows.append(x)
+    return rows
+
+
 def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> OrbitSlice:
     """The first depth+1 orbit values b, phi(b), ..., phi^depth(b)."""
     if depth < 0:
@@ -89,23 +99,14 @@ def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_B
     x = int(b)
     values = OrbitRows(map, 0, [x])
     check_bits(x, max_bits, "orbit value", values)
-    for _ in range(depth):
-        x = map.apply(x)
-        check_bits(x, max_bits, "orbit value", values)
-        values.append(x)
-    return OrbitSlice(map=map, start=int(b), values=tuple(values))
+    return OrbitSlice(map=map, start=x, values=tuple(_walk(values, x, depth, max_bits)))
 
 
 def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> CriticalOrbit:
     """Critical values phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    values = OrbitRows(map, 1)
-    x = map.gamma_a
-    for _ in range(depth):
-        x = map.apply(x)
-        check_bits(x, max_bits, "orbit value", values)
-        values.append(x)
+    values = _walk(OrbitRows(map, 1), map.gamma_a, depth, max_bits)
     second = values[1] if depth >= 2 else map.apply(values[0])
     return CriticalOrbit(
         map=map,
@@ -116,17 +117,10 @@ def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_
 
 def sigma_orbit_identity(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
     """Check sigma_a^n(0) == phi_a^n(gamma_a) - gamma_a for all n <= depth,
-    computing the two sides independently."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    computing the two sides independently: phi's from critical_orbit."""
     sig = 0
-    phi = map.gamma_a
-    seen: list[int] = []
-    for _ in range(depth):
+    for phi in critical_orbit(map, depth, max_bits).values:
         sig = map.apply_sigma(sig)
-        phi = map.apply(phi)
-        check_bits(phi, max_bits, "orbit value", seen)
-        seen.append(phi)
         if sig != phi - map.gamma_a:
             return False
     return True
@@ -156,20 +150,11 @@ def canonical_height(
     k = 0
     while err > eps * (1 << k):
         k += 1
-    v = map.v_a
-    start = Fraction(x)
-    if start.denominator == 1:
-        cur = start.numerator
-        for _ in range(k):
-            cur = cur * cur + v
-            check_bits(cur, max_bits, "orbit value", [])
-        return height_int(cur) / (1 << k)
-    cur_f = start
+    cur = Fraction(x)
     for _ in range(k):
-        cur_f = cur_f * cur_f + v
-        height_bound = max(abs(cur_f.numerator), cur_f.denominator)
-        check_bits(height_bound, max_bits, "orbit value", [])
-    return height_int(cur_f) / (1 << k)
+        cur = cur * cur + map.v_a
+        check_bits(max(abs(cur.numerator), cur.denominator), max_bits, "orbit value")
+    return height_int(cur) / (1 << k)
 
 
 def check_ingram_lower_bound(

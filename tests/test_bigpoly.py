@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from decimal import Decimal
@@ -227,6 +228,20 @@ def _near_powers():
 def test_decimal_str_near_powers():
     for n in _near_powers():
         assert decimal_str(n) == str(n)
+
+
+def test_decimal_str_leaves_nothing_for_the_collector():
+    # the table of powers of two must be freed when the call returns, not
+    # held in a reference cycle until the next collection
+    n = 3 ** 60000
+    decimal_str(n)
+    gc.collect()
+    gc.disable()
+    try:
+        decimal_str(n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @st.composite

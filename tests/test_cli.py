@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -384,6 +385,71 @@ def test_incomplete_factorization_exits_two(capsys):
     assert data["error"] == "incomplete-factorization"
     assert data["partial"]["complete"] is False
     assert "budget" in err
+
+
+def test_family_info_exits_two_when_the_trailing_coefficient_resists(capsys):
+    # gamma = c(0) makes c - gamma = t, so P_phi / t has trailing coefficient
+    # 2 * N^2 with N = 10007 * 10009, which no rho iteration is left to split
+    n = 10007 * 10009
+    code, out, err = run(capsys, "family-info", "--gamma", str(n), "--c", f"{n},1",
+                         "--rho-iters", "0", "--trial-bound", "100")
+    assert code == 2
+    data = json.loads(out)
+    assert data["error"] == "incomplete-factorization"
+    assert data["partial"] == {"sign": 1, "factors": [["2", 1]], "cofactor": str(n * n),
+                               "complete": False}
+    assert err == "quadtower: budget: cannot enumerate divisors of the trailing coefficient\n"
+
+
+@pytest.mark.parametrize("argv", [("curve",), ("primitive-divisors", "--method", "exact")])
+@pytest.mark.parametrize("level", [13, 20])
+def test_values_above_max_factor_bits_exit_two_unfactored(argv, level):
+    # x^2 + 1 at level 13 is 2,408 bits; factoring it ran past 60 s before the cap
+    start = time.perf_counter()
+    proc = run_capped(argv[0], "--gamma", "0", "--c", "0,1", "--a", "1",
+                      "--level", str(level), *argv[1:])
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2, proc.stderr
+    partial = json.loads(proc.stdout)["partial"]
+    assert partial["complete"] is False
+    value = partial["sign"] * int(partial["cofactor"])
+    for p, e in partial["factors"]:
+        value *= int(p) ** e
+    assert value == critical_orbit(QuadraticFamily.of([0], [0, 1]).specialize(1), level).values[-1]
+
+
+@pytest.mark.slow
+def test_values_at_the_factoring_cap_keep_their_output():
+    # level 12 of x^2 + 1 (1,206 bits) is factored as before the cap; the
+    # digest is of the output recorded without it
+    proc = run_subprocess("curve", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "12")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "b3d57fedcfc2df63024b9668c5856d257d9ec84e402a1d82b483ddd39ece7d27"
+
+
+@pytest.mark.parametrize("direct", [(), ("--direct",)])
+def test_discriminant_at_level_one_is_four_times_c(capsys, direct):
+    code, out, _ = run(capsys, "discriminant", "--gamma", "0", "--c", "0,1", "--a=-7",
+                       "--level", "1", *direct, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["recurrence"] == "28"
+    if direct:
+        assert (data["direct"], data["agree"]) == ("28", True)
+
+
+def test_density_bad_checkpoints_exit_one(capsys):
+    code, out, err = run(capsys, "density", "--gamma", "0", "--c", "0,1", "--a", "1",
+                         "--b", "0", "--X", "100", "--checkpoints", "10,x")
+    assert (code, out) == (1, "")
+    assert err.startswith("quadtower: error: bad integer list for --checkpoints")
+
+
+def test_missing_config_file_exits_one(capsys, tmp_path):
+    code, out, err = run(capsys, "orbit", "--config", str(tmp_path / "missing.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("quadtower: error: cannot read config")
 
 
 def test_depth_zero_is_usage_error(capsys):

@@ -79,7 +79,7 @@ ARGVS += [
 ]
 ARGVS += [["index-bound", "--n", str(n), *fmt] for n in (1, 3, 6) for fmt in ([], ["--json"])]
 # budget errors: exit 2 with a partial result (or null) on stdout
-ARGVS += [
+BUDGET_ARGVS = [
     ["orbit", *_map_flags("x2+1"), "--b", "0", "--depth", "30", "--bits", "64"],
     ["orbit", *_map_flags("shifted-jones-small"), "--b=-5", "--depth", "30", "--bits", "64",
      "--json"],
@@ -98,6 +98,22 @@ ARGVS += [
     ["primitive-divisors", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "6",
      "--method", "exact", "--trial-bound", "100", "--rho-iters", "10"],
 ]
+ARGVS += BUDGET_ARGVS
+# the stderr line of each budget call, in order
+BUDGET_STDERR = [
+    "orbit value needs 76 bits; budget is 64",
+    "orbit value needs 102 bits; budget is 64",
+    "orbit value needs 323 bits; budget is 300",
+    "orbit value needs 343994 bits; budget is 200000",
+    "orbit value needs 343994 bits; budget is 200000",
+    "orbit value needs 1204 bits; budget is 1000",
+    "index bound needs 2^7 - 7 bits; budget is 120",
+    "discriminant needs 29 bits; budget is 16",
+    "direct discriminant at level 11 is refused; --direct goes up to level 10",
+    "budget exhausted on cofactor 38350334059",
+    "budget exhausted on cofactor 38350334059",
+    "level 6 value resists the factoring budget",
+]
 # usage errors: exit 1 with nothing on stdout
 ARGVS += [
     ["orbit", *_map_flags("x2+1")],
@@ -115,14 +131,20 @@ ARGVS += [
 ]
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # argparse rejects the flags themselves
             code = exc.code
-    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv):
+    code, out, _ = _call(argv)
+    return [code, hashlib.sha256(out.encode()).hexdigest()]
 
 
 def test_cli_stdout_and_exit_codes_match_the_recorded_digests():
@@ -131,6 +153,13 @@ def test_cli_stdout_and_exit_codes_match_the_recorded_digests():
     mismatches = [(argv, want, got) for argv, want in zip(ARGVS, expected)
                   if (got := _run(argv)) != want]
     assert not mismatches, mismatches
+
+
+def test_budget_calls_print_the_recorded_stderr_line():
+    assert len(BUDGET_STDERR) == len(BUDGET_ARGVS)
+    for argv, line in zip(BUDGET_ARGVS, BUDGET_STDERR):
+        code, _, err = _call(argv)
+        assert (code, err) == (2, f"quadtower: budget: {line}\n"), argv
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import quadtower.factor as factor_mod
 from quadtower.bigpoly import decimal_str, is_perfect_square
 from quadtower.factor import (
     Budget,
+    Factorization,
     IncompleteFactorizationError,
     PreconditionError,
     ZeroInputError,
@@ -490,11 +491,21 @@ def test_squarefree_decompose_round_trip():
             assert k == 1
 
 
+def test_factorize_returns_values_above_the_cap_untouched():
+    # 3^1292 has 2,048 bits and is still factored; 2^2048 has 2,049
+    assert factorize(3 ** 1292).factors == ((3, 1292),)
+    n = -(1 << factor_mod.MAX_FACTOR_BITS)
+    assert factorize(n) == Factorization(sign=-1, factors=(), cofactor=-n, complete=False)
+    with pytest.raises(IncompleteFactorizationError,
+                       match="^a 2049-bit value is not factored; factoring stops at 2048 bits$"):
+        squarefree_decompose(n)
+
+
 def test_squarefree_decompose_incomplete_carries_partial():
     n = 1000000007 * 1000000009
     with pytest.raises(IncompleteFactorizationError) as err:
         squarefree_decompose(n, Budget(trial_bound=10 ** 3, rho_iters=50))
-    assert err.value.factorization.value() == n
+    assert err.value.partial.value() == n
 
 
 def test_stripped_cofactor_examples():
@@ -533,7 +544,7 @@ def test_primitive_divisor_exact_x2p1():
 def test_primitive_divisor_certificate_x2p1():
     rep = primitive_divisor_certificate(critical_orbit(_x2(1), 4), 4)
     assert rep.certified
-    assert rep.witness == 13
+    assert rep.witness == "13"
     assert rep.primes == (13,)
 
 
@@ -541,13 +552,13 @@ def test_primitive_divisor_certificate_square_cofactor():
     # x^2 - 9 at level 1: R is the odd part of |c_a| = 9, a perfect square,
     # so nothing can be certified
     rep = primitive_divisor_certificate(critical_orbit(_x2(-9), 1), 1)
-    assert rep.witness == 9
+    assert rep.witness == "9"
     assert not rep.certified
 
 
 def test_primitive_divisor_certificate_unit():
     rep = primitive_divisor_certificate(critical_orbit(_x2(1), 1), 1)
-    assert rep.witness == 1
+    assert rep.witness == "1"
     assert not rep.certified
 
 
@@ -573,8 +584,8 @@ def test_primitive_divisor_certificate_matches_full_stripping(gamma, c, a, n):
     if 0 in crit.values:
         return
     rep = primitive_divisor_certificate(crit, n)
-    assert (rep.witness, rep.certified) == _full_strip_certificate(crit.values, n)
-    assert rep.witness_text == rep.to_json_dict()["witness"] == decimal_str(rep.witness)
+    assert (int(rep.witness), rep.certified) == _full_strip_certificate(crit.values, n)
+    assert rep.witness == rep.to_json_dict()["witness"] == decimal_str(int(rep.witness))
 
 
 def test_exact_and_certificate_agree_on_corpus():
@@ -598,7 +609,7 @@ def test_exact_and_certificate_agree_on_corpus():
             if exact.primes and not cert.certified:
                 # the only way exact wins: every primitive prime also divides
                 # the paired square part y^2 through an earlier gcd strip
-                assert all(cert.witness % p != 0 for p in exact.primes)
+                assert all(int(cert.witness) % p != 0 for p in exact.primes)
 
 
 def test_doubling_check():
