@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -40,9 +39,18 @@ class BudgetError(RuntimeError):
 class DigitBudgetError(BudgetError):
     """A value outgrew the bit budget.  .partial holds the orbit rows
     computed before the overflow, or a report built from them, and is None
-    when the refused computation has no orbit behind it."""
+    when the refused computation has no orbit behind it.  check_bits also
+    sets .what (the value's name), .bits (what it needs) and .max_bits (the
+    budget); a refusal made before any value exists leaves them None."""
 
     error = "digit-budget-exceeded"
+
+    def __init__(self, message: str, partial=None, what: str | None = None,
+                 bits: int | None = None, max_bits: int | None = None):
+        super().__init__(message, partial)
+        self.what = what
+        self.bits = bits
+        self.max_bits = max_bits
 
 
 def check_bits(value, max_bits: int, what: str, partial=None) -> None:
@@ -60,13 +68,50 @@ def check_bits(value, max_bits: int, what: str, partial=None) -> None:
     else:
         bits = _decimal_bit_length(value)
     if bits > max_bits:
-        raise DigitBudgetError(
-            f"{what} needs {bits} bits; budget is {max_bits}", partial=partial
-        )
+        raise DigitBudgetError(f"{what} needs {bits} bits; budget is {max_bits}", partial,
+                               what, bits, max_bits)
 
 
-@dataclass(frozen=True, init=False)
-class IntPolynomial:
+class FrozenSlots:
+    """Base of the value classes whose __init__ validates or normalizes (the
+    plain records are NamedTuples).  A subclass names its fields in _fields
+    and its __slots__, sets them once with _set, and then compares, hashes,
+    pickles and prints as Name(field=value, ...); assignment raises
+    AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntPolynomial(FrozenSlots):
     """Dense integer polynomial with coefficients stored low-to-high.
 
     >>> p = IntPolynomial([0, 1, 1])    # t + t^2
@@ -74,9 +119,11 @@ class IntPolynomial:
     12
     >>> str(p)
     't^2 + t'
+    >>> p
+    IntPolynomial(coeffs=(0, 1, 1))
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = [int(c) for c in coeffs]

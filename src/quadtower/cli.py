@@ -12,12 +12,14 @@ and the command's own parser, built from the COMMANDS table, reads its flags.
 
 Exit codes: 0 success, 1 usage errors, 2 budget errors.  A budget error is
 a bigpoly.BudgetError; it prints {"error", "partial"} as JSON, with its kind
-(digit-budget-exceeded or incomplete-factorization) and its partial's
-to_json_dict(): the certificates of certify, the factorization that stopped,
-or the orbit rows computed so far, numbered as in the full output (the orbit
-of b from n = 0, critical values from n = 1).  It is null when the refusal
-came before any orbit value: discriminant refuses a level n >= 2 with 2^n
-above --bits, and --direct above level 10.  A value above 2,048 bits
+(digit-budget-exceeded, incomplete-factorization or budget-exceeded) and its
+partial's to_json_dict(): the certificates of certify, the factorization that
+stopped, or the orbit rows computed so far, numbered as in the full output
+(the orbit of b from n = 0, critical values from n = 1).  It is null when the
+refusal came before any orbit value: discriminant refuses a level n >= 2 with
+2^n above --bits and --direct above level 10, and family-info refuses, as
+budget-exceeded, an F_phi whose ball |a| <= threshold has a threshold above
+10^5 (family.MAX_EXCEPTIONAL_THRESHOLD).  A value above 2,048 bits
 (factor.MAX_FACTOR_BITS) is not factored, so curve, primitive-divisors
 --method exact and family-info stop there as incomplete factorizations.
 --bits above 2^22 (MAX_BITS) is a usage error, as are --depth, --from, --to

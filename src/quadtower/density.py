@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from quadtower.factor import small_primes
 from quadtower.family import SpecializedMap
@@ -25,16 +24,14 @@ from quadtower.family import SpecializedMap
 DEFAULT_SEGMENT_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     x: int
     primes_tested: int
     members: int
     proportion: Fraction
 
 
-@dataclass(frozen=True)
-class DensityCurve:
+class DensityCurve(NamedTuple):
     b: int
     rows: tuple[DensityRow, ...]
     member_primes: tuple[int, ...]

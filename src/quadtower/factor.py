@@ -15,9 +15,9 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from quadtower.bigpoly import BudgetError, decimal_str, is_perfect_square
+from quadtower.bigpoly import BudgetError, FrozenSlots, decimal_str, is_perfect_square
 
 
 class ZeroInputError(ValueError):
@@ -45,8 +45,7 @@ MAX_TRIAL_BOUND = 10 ** 7
 MAX_FACTOR_BITS = 2048
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(FrozenSlots):
     """Effort knobs for factorize; defaults favour reproducibility over speed.
 
     trial_bound -- trial-divide by primes up to this bound, at most 10^7
@@ -61,18 +60,17 @@ class Budget:
     seed        -- seeds rho parameters and the large Miller-Rabin bases
     """
 
-    trial_bound: int = 10 ** 6
-    rho_iters: int = 10 ** 7
-    mr_rounds: int = 40
-    seed: int = 0
+    __slots__ = _fields = ("trial_bound", "rho_iters", "mr_rounds", "seed")
 
-    def __post_init__(self):
-        if not 2 <= self.trial_bound <= MAX_TRIAL_BOUND:
+    def __init__(self, trial_bound: int = 10 ** 6, rho_iters: int = 10 ** 7,
+                 mr_rounds: int = 40, seed: int = 0):
+        if not 2 <= trial_bound <= MAX_TRIAL_BOUND:
             raise ValueError(f"trial_bound must be in [2, {MAX_TRIAL_BOUND}]")
-        if self.rho_iters < 0:
+        if rho_iters < 0:
             raise ValueError("rho_iters must be >= 0")
-        if self.mr_rounds < 1:
+        if mr_rounds < 1:
             raise ValueError("mr_rounds must be >= 1")
+        self._set(trial_bound, rho_iters, mr_rounds, seed)
 
 
 DEFAULT_BUDGET = Budget()
@@ -81,8 +79,7 @@ DEFAULT_BUDGET = Budget()
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """sign * prod(p^e) * cofactor == the input; cofactor > 1 means incomplete."""
 
     sign: int
@@ -105,8 +102,7 @@ class Factorization:
         }
 
 
-@dataclass(frozen=True)
-class SquareFreeDecomposition:
+class SquareFreeDecomposition(NamedTuple):
     """value == 2^e * d * y^2 with e in {0, 1}, d odd and square-free.
 
     d carries the sign of the input; y >= 1.
@@ -120,8 +116,7 @@ class SquareFreeDecomposition:
         return (1 << self.e) * self.d * self.y * self.y
 
 
-@dataclass(frozen=True)
-class PrimitiveDivisorReport:
+class PrimitiveDivisorReport(NamedTuple):
     """Square-free primitive prime divisors of the level-n critical value.
 
     method "exact" lists every odd prime with odd valuation at level n and

@@ -9,12 +9,13 @@ constants into a concrete tower level n_phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from quadtower.bigpoly import (
     DEFAULT_MAX_BITS,
+    BudgetError,
     DigitBudgetError,
+    FrozenSlots,
     IntPolynomial,
     ZeroPolynomialError,
     decimal_str,
@@ -28,6 +29,11 @@ from quadtower.factor import (
 )
 
 _LOG2 = math.log(2.0)
+# exceptional_set lists every a with |a| <= threshold, so a larger threshold
+# is refused.  At this limit family-info prints 200,001 integers in 0.3 s
+# (text) and 0.4 s (--json); at 10^6 the JSON took 1.7 s (CPython 3.11.7,
+# 2 vCPUs).  Without a limit --c 10^12,1 asked for a set of 4 * 10^12 ints.
+MAX_EXCEPTIONAL_THRESHOLD = 10 ** 5
 
 
 class IsotrivialError(ValueError):
@@ -38,21 +44,20 @@ class InvalidConstantsError(ValueError):
     """Hall-Lang constants must be finite, nonnegative, with kappa1 > 0."""
 
 
-@dataclass(frozen=True)
-class SpecializedMap:
+class SpecializedMap(FrozenSlots):
     """phi_a(x) = (x - gamma_a)^2 + c_a and its conjugate sigma_a = x^2 + v_a.
 
     v_a = c_a - gamma_a; conjugation is by the shift lambda_a(x) = x + gamma_a.
+    A slots class rather than a NamedTuple: apply_mod reads two fields per
+    step of certify's residue loops, and NamedTuple field reads are slower.
     """
 
-    a: int
-    gamma_a: int
-    c_a: int
-    v_a: int
+    __slots__ = _fields = ("a", "gamma_a", "c_a", "v_a")
 
-    def __post_init__(self):
-        if self.v_a != self.c_a - self.gamma_a:
+    def __init__(self, a: int, gamma_a: int, c_a: int, v_a: int):
+        if v_a != c_a - gamma_a:
             raise ValueError("v_a must equal c_a - gamma_a")
+        self._set(a, gamma_a, c_a, v_a)
 
     @classmethod
     def make(cls, a: int, gamma_a: int, c_a: int) -> SpecializedMap:
@@ -75,26 +80,22 @@ class SpecializedMap:
         return IntPolynomial((g * g + self.c_a, -2 * g, 1))
 
 
-@dataclass(frozen=True)
-class HallLangConstants:
+class HallLangConstants(FrozenSlots):
     """Hypothetical integral-point constants kappa1..kappa3 (never proved;
     supplied by the user as inputs to the conditional bound chain)."""
 
-    kappa1: float
-    kappa2: float
-    kappa3: float
+    __slots__ = _fields = ("kappa1", "kappa2", "kappa3")
 
-    def __post_init__(self):
-        for name in ("kappa1", "kappa2", "kappa3"):
-            val = getattr(self, name)
+    def __init__(self, kappa1: float, kappa2: float, kappa3: float):
+        for name, val in zip(self._fields, (kappa1, kappa2, kappa3)):
             if not math.isfinite(val) or val < 0:
                 raise InvalidConstantsError(f"{name} must be finite and nonnegative")
-        if self.kappa1 <= 0:
+        if kappa1 <= 0:
             raise InvalidConstantsError("kappa1 must be positive")
+        self._set(kappa1, kappa2, kappa3)
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """Explicit height constants attached to a family.
 
     Contracts, for f = c - gamma of degree d and all integers a:
@@ -125,8 +126,7 @@ class BoundConstants:
         }
 
 
-@dataclass(frozen=True)
-class NphiReport:
+class NphiReport(NamedTuple):
     """Linear-fractional suprema M1..M4, their max M_phi, and the level n_phi."""
 
     m1: float
@@ -160,8 +160,7 @@ class NphiReport:
         return (f"{key}: {value}" for key, value in self.to_json_dict().items())
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
+class FamilyInfo(NamedTuple):
     """A family's P_phi and, unless it is isotrivial, m_phi, its bound
     constants and F_phi; exceptional_set is None for an isotrivial family
     and when P_phi vanishes identically."""
@@ -196,8 +195,7 @@ class FamilyInfo:
         yield f"F_phi: {out['exceptional_set']}"
 
 
-@dataclass(frozen=True)
-class IndexBound:
+class IndexBound(NamedTuple):
     """The uniform index bound [Aut(T_inf) : G_inf] <= 2^(2^n_phi - n_phi - 1)."""
 
     n_phi: int
@@ -214,22 +212,24 @@ def _log_coeff_sum(p: IntPolynomial) -> float:
     return math.log(max(1, sum(abs(c) for c in p.coeffs)))
 
 
-@dataclass(frozen=True)
-class QuadraticFamily:
+class QuadraticFamily(FrozenSlots):
     """The pair (gamma, c) of integer polynomials defining
-    phi(x) = (x - gamma(t))^2 + c(t)."""
+    phi(x) = (x - gamma(t))^2 + c(t).
 
-    gamma: IntPolynomial
-    c: IntPolynomial
+    difference is c - gamma; its degree drives isotriviality and every
+    threshold.
+    """
+
+    _fields = ("gamma", "c")
+    __slots__ = (*_fields, "difference")
+
+    def __init__(self, gamma: IntPolynomial, c: IntPolynomial):
+        self._set(gamma, c)
+        object.__setattr__(self, "difference", c - gamma)
 
     @classmethod
     def of(cls, gamma_coeffs, c_coeffs) -> QuadraticFamily:
         return cls(IntPolynomial(gamma_coeffs), IntPolynomial(c_coeffs))
-
-    @cached_property
-    def difference(self) -> IntPolynomial:
-        """c - gamma; its degree drives isotriviality and every threshold."""
-        return self.c - self.gamma
 
     @property
     def is_isotrivial(self) -> bool:
@@ -300,14 +300,20 @@ class QuadraticFamily:
         """F_phi: integer roots of P_phi united with the small-height ball
         {|a| <= threshold}; sorted.  The roots come from divisor enumeration
         of the trailing nonzero coefficient, never polynomial factorization.
+        A threshold above MAX_EXCEPTIONAL_THRESHOLD raises BudgetError.
         """
         if self.is_isotrivial:
             raise IsotrivialError("the exceptional set needs deg(c - gamma) >= 1")
         poly = self.exceptional_polynomial()
         if poly.is_zero:
             raise ZeroPolynomialError("P_phi vanishes identically")
-        out = _integer_roots(poly, budget)
         threshold = self.compute_bound_constants().threshold
+        if threshold > MAX_EXCEPTIONAL_THRESHOLD:
+            raise BudgetError(
+                f"F_phi would list every |a| <= {decimal_str(threshold)}; "
+                f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}"
+            )
+        out = _integer_roots(poly, budget)
         out.update(range(-threshold, threshold + 1))
         return sorted(out)
 

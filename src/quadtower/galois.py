@@ -11,8 +11,8 @@ FailedSquareOverQ are proved, Unknown is exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from quadtower.bigpoly import (
     IntPolynomial,
@@ -60,8 +60,7 @@ class SingularModelError(ValueError):
     """The requested curve has a repeated root on its right-hand side."""
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Square scan of the adjusted critical orbit -c_a, phi_a^n(gamma_a)
     (n >= 2) up to some depth.
 
@@ -94,8 +93,7 @@ class StabilityReport:
             yield f"level {n}: square with root {decimal_str(root)}"
 
 
-@dataclass(frozen=True)
-class MaximalityCertificate:
+class MaximalityCertificate(NamedTuple):
     """Level-n tower evidence; witness is in decimal.
 
     CertifiedMaximal: witness is the stripped cofactor R > 1, non-square,
@@ -112,8 +110,7 @@ class MaximalityCertificate:
         return {"level": self.level, "status": self.status, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     """Certificates for first_level..last_level (fewer when the bit budget
     ran out)."""
 
@@ -143,8 +140,7 @@ class TowerReport:
         yield "counts: " + ", ".join(f"{k}={v}" for k, v in self.counts.items())
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(NamedTuple):
     """Y^2 = 2^e * d * (X - c_a) * g(X) with g = phi_a (genus 1, cubic RHS)
     or g = phi_a^2 (genus 2, quintic RHS)."""
 
@@ -169,8 +165,7 @@ class CurveModel:
         }
 
 
-@dataclass(frozen=True)
-class IntegralPoint:
+class IntegralPoint(NamedTuple):
     x: int
     y: int
     hall_lang_ratio: float
@@ -183,8 +178,7 @@ class IntegralPoint:
         }
 
 
-@dataclass(frozen=True)
-class CurveReport:
+class CurveReport(NamedTuple):
     """A level curve model, its forced-point check (None unless genus 1 and
     level >= 2) and the integral points of a search (None when none ran)."""
 
@@ -208,8 +202,7 @@ class CurveReport:
             yield f"point ({decimal_str(p.x)}, {decimal_str(p.y)}) ratio {p.hall_lang_ratio}"
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
+class DiscriminantReport(NamedTuple):
     """|disc(phi_a^n)| by the recurrence and, when asked for, directly from
     the composed polynomial phi_a^n."""
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # DigitBudgetError is importable from here as well as from bigpoly
 from quadtower.bigpoly import DEFAULT_MAX_BITS, DigitBudgetError, check_bits, decimal_orbit, height_int
@@ -45,8 +45,7 @@ class OrbitRows(list):
         return (f"{r['n']}: {r['value']} ({r['bits']} bits)" for r in self.to_json_dict())
 
 
-@dataclass(frozen=True)
-class OrbitSlice:
+class OrbitSlice(NamedTuple):
     """values[n] = phi_a^n(start) for n = 0..N, exactly."""
 
     map: SpecializedMap
@@ -61,8 +60,7 @@ class OrbitSlice:
         return map(json.dumps, OrbitRows(self.map, 0, self.values).to_json_dict())
 
 
-@dataclass(frozen=True)
-class CriticalOrbit:
+class CriticalOrbit(NamedTuple):
     """values[n-1] = phi_a^n(gamma_a) for n = 1..N.
 
     condition_one_holds records whether the first two values are nonzero,

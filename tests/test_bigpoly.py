@@ -291,12 +291,21 @@ def test_decimal_quotient_and_orbit_reject_a_non_divisor_and_a_non_orbit(monkeyp
 
 
 def test_doctests():
+    # every module's examples, which also pin reprs such as
+    # SquareFreeDecomposition(e=1, d=-1, y=2)
     import doctest
+    import importlib
+    import pkgutil
 
-    import quadtower.bigpoly as mod
+    import quadtower
 
-    failures, _ = doctest.testmod(mod)
-    assert failures == 0
+    with_examples = set()
+    for info in pkgutil.iter_modules(quadtower.__path__, "quadtower."):
+        failures, attempted = doctest.testmod(importlib.import_module(info.name))
+        assert failures == 0, info.name
+        if attempted:
+            with_examples.add(info.name)
+    assert {"quadtower.bigpoly", "quadtower.factor"} <= with_examples
 
 
 def test_check_bits_names_the_quantity():
@@ -304,6 +313,12 @@ def test_check_bits_names_the_quantity():
     with pytest.raises(DigitBudgetError, match="^discriminant needs 9 bits; budget is 8$") as err:
         check_bits(-256, 8, "discriminant", partial=[1, 2])
     assert err.value.partial == [1, 2]
+    assert (err.value.what, err.value.bits, err.value.max_bits) == ("discriminant", 9, 8)
+
+
+def test_digit_budget_error_fields_are_none_without_a_value():
+    err = DigitBudgetError("refused")
+    assert (err.partial, err.what, err.bits, err.max_bits) == (None, None, None, None)
 
 
 @pytest.mark.parametrize("k", [1, 3, 4, 10, 64, 333, 3322, 3323, 40000])

@@ -18,7 +18,7 @@ import quadtower
 from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
 import quadtower.cli
 from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_LEVEL, main
-from quadtower.family import HallLangConstants, QuadraticFamily
+from quadtower.family import MAX_EXCEPTIONAL_THRESHOLD, HallLangConstants, QuadraticFamily
 from quadtower.galois import certify_tower
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
 
@@ -31,16 +31,20 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*args, **kwargs):
-    """The CLI in a fresh interpreter with a 60 s timeout, for inputs whose
-    regression would hang or exhaust the test process."""
+def run_python(*args, **kwargs):
+    """python *args in a fresh interpreter that imports this quadtower, with
+    a 60 s timeout."""
     src = pathlib.Path(quadtower.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "quadtower.cli", *args],
-        capture_output=True, text=True, env=env, timeout=60, **kwargs,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60, **kwargs)
+
+
+def run_subprocess(*args, **kwargs):
+    """The CLI in a fresh interpreter, for inputs whose regression would hang
+    or exhaust the test process."""
+    return run_python("-m", "quadtower.cli", *args, **kwargs)
 
 
 def run_capped(*args):
@@ -53,6 +57,29 @@ def run_capped(*args):
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     return run_subprocess(*args, preexec_fn=limit)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every process pays for its imports: dataclasses pulls in inspect, ast,
+    # dis and tokenize, and its decorator execs about six methods per class
+    proc = run_python("-c", "import quadtower.cli, sys; "
+                            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("c, threshold", [("10000000,1", 20000001),
+                                          ("1000000000000,1", 2000000000001)])
+def test_family_info_refuses_a_large_exceptional_ball(c, threshold):
+    # F_phi lists every |a| <= threshold; these built 4 * 10^7 ints, and died
+    # with a MemoryError asking for 4 * 10^12
+    start = time.perf_counter()
+    proc = run_capped("family-info", "--gamma", "0", "--c", c)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "budget-exceeded", "partial": None}
+    assert proc.stderr == (f"quadtower: budget: F_phi would list every |a| <= {threshold}; "
+                           f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}\n")
 
 
 def test_family_info_json(capsys):
