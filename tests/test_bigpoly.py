@@ -316,11 +316,6 @@ def test_check_bits_names_the_quantity():
     assert (err.value.what, err.value.bits, err.value.max_bits) == ("discriminant", 9, 8)
 
 
-def test_digit_budget_error_fields_are_none_without_a_value():
-    err = DigitBudgetError("refused")
-    assert (err.partial, err.what, err.bits, err.max_bits) == (None, None, None, None)
-
-
 @pytest.mark.parametrize("k", [1, 3, 4, 10, 64, 333, 3322, 3323, 40000])
 def test_check_bits_on_a_decimal_matches_the_int(k):
     # the digit bound decides most values; these sit on the boundary band,

@@ -71,8 +71,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
 @pytest.mark.parametrize("c, threshold", [("10000000,1", 20000001),
                                           ("1000000000000,1", 2000000000001)])
 def test_family_info_refuses_a_large_exceptional_ball(c, threshold):
-    # F_phi lists every |a| <= threshold; these built 4 * 10^7 ints, and died
-    # with a MemoryError asking for 4 * 10^12
+    # F_phi lists every |a| <= threshold: 4 * 10^7 and 4 * 10^12 ints here
     start = time.perf_counter()
     proc = run_capped("family-info", "--gamma", "0", "--c", c)
     assert time.perf_counter() - start < 2
@@ -344,7 +343,8 @@ def test_budget_error_without_orbit_prints_null_partial(capsys):
         assert code == 2
         assert out == '{\n  "error": "digit-budget-exceeded",\n  "partial": null\n}\n'
         assert "budget" in err
-    assert DigitBudgetError("refused").partial is None
+    err = DigitBudgetError("refused")
+    assert (err.partial, err.what, err.bits, err.max_bits) == (None, None, None, None)
 
 
 def _rows(doc):
