@@ -639,3 +639,15 @@ def test_doubling_check_holds_wherever_preconditions_do():
                 for mm in range(1, n):
                     if values[mm - 1] % p == 0:
                         assert doubling_check(m, n, mm, p) is True
+
+
+def test_doctests():
+    import doctest
+
+    import quadtower.bigpoly
+    import quadtower.factor
+
+    for mod in (quadtower.factor, quadtower.bigpoly):
+        failures, attempted = doctest.testmod(mod)
+        assert failures == 0, mod.__name__
+        assert attempted > 0, mod.__name__
