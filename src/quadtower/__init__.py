@@ -42,6 +42,7 @@ from quadtower.galois import (
     CERTIFIED_MAXIMAL,
     FAILED_SQUARE_OVER_Q,
     UNKNOWN,
+    CriticalResidues,
     CurveModel,
     IntegralPoint,
     MaximalityCertificate,

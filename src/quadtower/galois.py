@@ -6,6 +6,12 @@ recurrence, level-maximality certificates built from stripped cofactors,
 hyperelliptic curve models with their forced integral points, and a naive
 integral-point search.  Certificates never over-claim: CertifiedMaximal and
 FailedSquareOverQ are proved, Unknown is exactly that.
+
+stability_scan, certify_tower and primitive_divisor_certificate read the
+critical orbit through one CriticalResidues: one walk in exact decimal
+arithmetic, one square test of the adjusted value and one stripped witness.
+The curve and discriminant pipelines build the binary CriticalOrbit instead,
+since they need the exact integers.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from quadtower.factor import (
     squarefree_decompose,
 )
 from quadtower.family import SpecializedMap
-from quadtower.orbit import DEFAULT_MAX_BITS, CriticalOrbit, DigitBudgetError, critical_orbit
+from quadtower.orbit import DEFAULT_MAX_BITS, CriticalOrbit, DigitBudgetError, OrbitRows, critical_orbit
 
 CERTIFIED_MAXIMAL = "CertifiedMaximal"
 FAILED_SQUARE_OVER_Q = "FailedSquareOverQ"
@@ -229,13 +235,15 @@ def stability_scan(
 ) -> StabilityReport:
     """Square-test the adjusted critical orbit -c_a, phi_a^n(gamma_a) for
     n = 2..depth: level 1 is Q(sqrt(-c_a)), level n >= 2 adjoins
-    sqrt(phi_a^n(gamma_a)) over level n - 1."""
-    crit = critical_orbit(map, depth, max_bits)
+    sqrt(phi_a^n(gamma_a)) over level n - 1.  The orbit is walked once in
+    decimal (CriticalResidues); a value over max_bits raises DigitBudgetError
+    carrying the critical values below it."""
+    orbit = CriticalResidues(map)
     squares = []
-    for n, value in enumerate(crit.values, start=1):
-        root = is_perfect_square(-value if n == 1 else value)
+    for n, x in orbit.walk(depth, max_bits):
+        root = orbit.square_root(n, x)
         if root is not None:
-            squares.append((n, root))
+            squares.append((n, int(root)))
     return StabilityReport(depth=depth, squares_found=tuple(squares))
 
 
@@ -290,8 +298,24 @@ def discriminant_report(
     return DiscriminantReport(level=n, recurrence=value, direct=abs(discriminant_direct(phi_n)))
 
 
-class _CriticalResidues:
-    """The critical orbit v_n = phi_a^n(gamma_a) as the certificates read it.
+class CriticalResidues:
+    """The critical orbit v_n = phi_a^n(gamma_a), the one reader behind the
+    verdicts of certify_tower, stability_scan and
+    primitive_divisor_certificate.
+
+    walk(depth, max_bits) steps the orbit once in exact decimal arithmetic
+    (decimal_orbit), yielding (n, v_n as a Decimal).  It checks each value
+    against the bit budget and records its digit count (sizes) and the first
+    level whose value is 0 (first_zero).  A reader is walked once.
+
+    The verdicts then read the orbit through:
+
+    - square_root(n, x): the root of the adjusted value a_n (-c_a at level 1,
+      v_n above) when a_n is a square, given v_n as x;
+    - residue(n, m): v_n mod m;
+    - cofactor(n): the part q of v_n built from primes of lower values;
+    - stripped_witness(n, x): the stripped cofactor R = |v_n| / q in decimal,
+      and whether it certifies a primitive divisor.
 
     Exact values are kept only for a prefix of the orbit: up to level n // 2
     at level n, and further while the next value has no more digits than the
@@ -299,22 +323,37 @@ class _CriticalResidues:
     at about half the levels.  Every other v_n is read through its residues,
     got by stepping the orbit modulo small numbers from the last exact value.
     The orbit w_j = phi_a^j(0) of 0 is kept exactly as far as the rigid gcds
-    need it, which is below level n / 2.  walk(x) records the next level's
-    exact decimal value: its digit count and whether it is 0.
+    need it, which is below level n / 2.
     """
 
-    def __init__(self, map: SpecializedMap, exact: tuple[int, ...] = ()):
+    def __init__(self, map: SpecializedMap):
         self.map = map
-        self.v = list(exact)  # v_1, v_2, ...
+        self.v: list[int] = []  # v_1, v_2, ...
         self.w = [0]  # w_0, w_1, ...
         self.sizes: list[int] = []  # decimal digits - 1 of each walked level
         self.first_zero: int | None = None  # first walked level whose value is 0
         self.square_modulus = square_filter_modulus()
 
-    def walk(self, x) -> None:
-        self.sizes.append(x.adjusted())
-        if self.first_zero is None and x.is_zero():
-            self.first_zero = len(self.sizes)
+    def walk(self, depth: int, max_bits: int = DEFAULT_MAX_BITS, partial=None):
+        """(n, v_n) for n = 1..depth, v_n an exact decimal.Decimal.
+
+        A value over max_bits raises DigitBudgetError carrying partial(), or
+        without partial the exact critical values below it as orbit rows.
+        """
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        m = self.map
+        for n, x in enumerate(islice(decimal_orbit(m.gamma_a, m.c_a, m.c_a), depth), start=1):
+            try:
+                check_bits(x, max_bits, "orbit value")
+            except DigitBudgetError as err:
+                err.partial = partial() if partial else OrbitRows(
+                    m, 1, [self._exact_v(k) for k in range(1, n)])
+                raise
+            self.sizes.append(x.adjusted())
+            if self.first_zero is None and x.is_zero():
+                self.first_zero = n
+            yield n, x
 
     def _exact_v(self, k: int) -> int:
         while len(self.v) < k:
@@ -342,6 +381,25 @@ class _CriticalResidues:
             x = self.map.apply_mod(x, m)
         return x
 
+    def square_root(self, n: int, x):
+        """The square root, as a Decimal, of the adjusted value a_n (-x at
+        level 1, x above) for the walked level-n value x; None when a_n is no
+        square.
+
+        Zero is its own root and a negative a_n has none.  Otherwise a_n mod
+        square_filter_modulus() must pass the filter before the exact root
+        of its decimal value is taken.
+        """
+        adjusted = x.copy_negate() if n == 1 else x
+        if adjusted.is_zero():
+            return adjusted.copy_abs()
+        if adjusted < 0:
+            return None
+        residue = self.residue(n, self.square_modulus)
+        if n == 1:
+            residue = -residue % self.square_modulus
+        return decimal_isqrt(adjusted) if passes_square_filter(residue) else None
+
     def _rigid_gcd(self, n: int, k: int) -> int:
         """gcd(v_n, v_k) for 1 <= k < n, where v_k is nonzero.
 
@@ -365,7 +423,7 @@ class _CriticalResidues:
     def cofactor(self, n: int) -> int:
         """q, the largest divisor of v_n != 0 built from the primes of
         P = 2 * lcm(gcd(v_n, v_k) : k < n); |v_n| / q is the stripped
-        cofactor R.
+        cofactor R.  Level n must be walked.
 
         q_E = gcd(v_n, P^E) grows with E until every prime of P is
         saturated, and q_E = q_2E means it is: a prime p with p^a exactly
@@ -384,32 +442,31 @@ class _CriticalResidues:
                 return q
             q = nxt
 
+    def stripped_witness(self, n: int, x) -> tuple[str, bool]:
+        """(R in decimal, certified) for the walked level-n value x != 0,
+        with none of the lower values 0.
 
-def _stripped_witness(orbit: _CriticalResidues, n: int, x) -> tuple[str, bool]:
-    """(R in decimal, certified) for the level-n value, given exactly as
-    the decimal x != 0, with none of the lower values 0.
-
-    R = |v_n| / q, the stripped cofactor of v_n against all lower values, is
-    odd, unramified below, and keeps full valuations (stripping removes whole
-    primes, and gcd(v_n, v_k) has exactly the primes v_n shares with v_k).
-    So R > 1 and not a square certify a square-free primitive prime divisor.
-    R is a square only if (v_n mod q * M) / q, its residue up to sign
-    modulo M = square_filter_modulus(), passes the filter and the exact root
-    of R's decimal value squares back to it.
-    """
-    q = orbit.cofactor(n)
-    r = decimal_quotient(x.copy_abs(), q)
-    certified = False
-    if r > 1:
-        m = orbit.square_modulus
-        residue = orbit.residue(n, q * m) // q
-        if x < 0:
-            residue = -residue % m
-        certified = not passes_square_filter(residue) or decimal_isqrt(r) is None
-    return str(r), certified
+        R = |v_n| / q, the stripped cofactor of v_n against all lower values,
+        is odd, unramified below, and keeps full valuations (stripping removes
+        whole primes, and gcd(v_n, v_k) has exactly the primes v_n shares with
+        v_k).  So R > 1 and not a square certify a square-free primitive
+        prime divisor.  R is a square only if (v_n mod q * M) / q, its residue
+        up to sign modulo M = square_filter_modulus(), passes the filter and
+        the exact root of R's decimal value squares back to it.
+        """
+        q = self.cofactor(n)
+        r = decimal_quotient(x.copy_abs(), q)
+        certified = False
+        if r > 1:
+            m = self.square_modulus
+            residue = self.residue(n, q * m) // q
+            if x < 0:
+                residue = -residue % m
+            certified = not passes_square_filter(residue) or decimal_isqrt(r) is None
+        return str(r), certified
 
 
-def _certify_level(orbit: _CriticalResidues, n: int, x) -> MaximalityCertificate:
+def _certify_level(orbit: CriticalResidues, n: int, x) -> MaximalityCertificate:
     """Certify maximality of the level-n tower step from the level's exact
     decimal value x and the residues of the critical orbit.
 
@@ -417,24 +474,17 @@ def _certify_level(orbit: _CriticalResidues, n: int, x) -> MaximalityCertificate
     phi_a^n(gamma_a) above) disproves maximality over Q.  A lower value 0
     leaves Unknown with no witness: nothing can be stripped meaningfully.
     Otherwise a stripped cofactor R > 1 that is no square certifies
-    maximality (see _stripped_witness), and anything else is Unknown: the
-    criterion is sufficient, not necessary.  Level 1 is Q(sqrt(-c_a)), where
-    phi_a(gamma_a) = c_a; past the square test, a non-square odd part of
-    |c_a| still certifies it.
+    maximality (see CriticalResidues.stripped_witness), and anything else is
+    Unknown: the criterion is sufficient, not necessary.  Level 1 is
+    Q(sqrt(-c_a)), where phi_a(gamma_a) = c_a; past the square test, a
+    non-square odd part of |c_a| still certifies it.
     """
-    if x.is_zero():
-        return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness="0")
-    adjusted = x.copy_negate() if n == 1 else x
-    if adjusted > 0:
-        residue = orbit.residue(n, orbit.square_modulus)
-        if n == 1:
-            residue = -residue % orbit.square_modulus
-        root = decimal_isqrt(adjusted) if passes_square_filter(residue) else None
-        if root is not None:
-            return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=str(root))
+    root = orbit.square_root(n, x)
+    if root is not None:
+        return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=str(root))
     if orbit.first_zero is not None and orbit.first_zero < n:
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
-    text, certified = _stripped_witness(orbit, n, x)
+    text, certified = orbit.stripped_witness(n, x)
     return MaximalityCertificate(
         level=n, status=CERTIFIED_MAXIMAL if certified else UNKNOWN, witness=text
     )
@@ -452,19 +502,17 @@ def certify_tower(
     (decimal_orbit): that decides the bit budget, zeros, the few exact
     square roots and prints the witnesses.  Everything else is read from
     residues of the orbit modulo small numbers and from exact binary values
-    below about level last_level / 2 (see _CriticalResidues), so no binary
+    below about level last_level / 2 (see CriticalResidues), so no binary
     critical value near full size is ever built.  On budget overflow the
     DigitBudgetError carries a TowerReport for the levels that were still
     computable.
     """
     if not 1 <= first_level <= last_level:
         raise ValueError("need 1 <= first_level <= last_level")
-    orbit = _CriticalResidues(map)
+    orbit = CriticalResidues(map)
     certs: list[MaximalityCertificate] = []
-    values = islice(decimal_orbit(map.gamma_a, map.c_a, map.c_a), last_level)
-    for n, x in enumerate(values, start=1):
-        check_bits(x, max_bits, "orbit value", TowerReport(first_level, last_level, tuple(certs)))
-        orbit.walk(x)
+    for n, x in orbit.walk(last_level, max_bits,
+                           lambda: TowerReport(first_level, last_level, tuple(certs))):
         if n >= first_level:
             certs.append(_certify_level(orbit, n, x))
     return TowerReport(first_level, last_level, tuple(certs))
@@ -528,27 +576,29 @@ def verify_forced_point(
     return y * y == model.rhs.evaluate(x)
 
 
-def primitive_divisor_certificate(crit: CriticalOrbit, n: int) -> PrimitiveDivisorReport:
+def primitive_divisor_certificate(
+    map: SpecializedMap, n: int, max_bits: int = DEFAULT_MAX_BITS
+) -> PrimitiveDivisorReport:
     """Certify a square-free primitive prime divisor at level n without
     factoring.
 
-    The status and the decimal text of R, the stripped cofactor of the
-    level-n value against the lower values, come from the routine certify
-    uses (_stripped_witness).  R > 1 and R not a perfect square force some
-    prime of R to divide level n to odd order while dividing nothing earlier.
-    One-sided: not certified only means unknown.  R's primes are listed when
-    a small courtesy factorization finds them, which is not tried above
-    _COURTESY_MAX_BITS.
+    The critical orbit is walked once to level n (CriticalResidues), which
+    decides the bit budget and the zero checks.  The status and the decimal
+    text of R, the stripped cofactor of the level-n value against the lower
+    values, come from the routine certify uses (stripped_witness).  R > 1
+    and R not a perfect square force some prime of R to divide level n to
+    odd order while dividing nothing earlier.  One-sided: not certified only
+    means unknown.  R's primes are listed when a small courtesy
+    factorization finds them, which is not tried above _COURTESY_MAX_BITS.
     """
-    if not 1 <= n <= len(crit.values):
-        raise ValueError(f"level {n} outside computed orbit")
-    if crit.values[n - 1] == 0:
+    orbit = CriticalResidues(map)
+    for _, x in orbit.walk(n, max_bits):
+        pass
+    if x.is_zero():
         raise ZeroInputError("level value is zero")
-    if 0 in crit.values[: n - 1]:
+    if orbit.first_zero is not None:
         raise ZeroInputError("earlier values must be nonzero")
-    m = crit.map
-    x = next(islice(decimal_orbit(m.gamma_a, m.c_a, m.c_a), n - 1, None))
-    text, certified = _stripped_witness(_CriticalResidues(m, crit.values[:n]), n, x)
+    text, certified = orbit.stripped_witness(n, x)
     primes: tuple[int, ...] = ()
     # 2^1024 has 309 digits, so the digit count rules out most large R unparsed
     if certified and len(text) <= 309 and int(text).bit_length() <= _COURTESY_MAX_BITS:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import quadtower
 from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
 import quadtower.cli
-from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_LEVEL, main
+from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_LEVEL, MAX_SEARCH, main
 from quadtower.family import MAX_EXCEPTIONAL_THRESHOLD, HallLangConstants, QuadraticFamily
 from quadtower.galois import certify_tower
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
@@ -347,6 +347,26 @@ def test_budget_error_without_orbit_prints_null_partial(capsys):
     assert (err.partial, err.what, err.bits, err.max_bits) == (None, None, None, None)
 
 
+_EMPTY_TOWER = {"from": 1, "to": 6, "certificates": [],
+                "counts": {"CertifiedMaximal": 0, "Unknown": 0, "FailedSquareOverQ": 0}}
+
+
+@pytest.mark.parametrize("argv, partial", [
+    (("stability", "--depth", "6"), []),
+    (("primitive-divisors", "--level", "4", "--method", "certificate"), []),
+    (("primitive-divisors", "--level", "4", "--method", "exact"), []),
+    (("certify", "--to", "6"), _EMPTY_TOWER),
+    (("critical-orbit", "--depth", "6"), []),
+])
+def test_level_one_refusal_prints_an_empty_partial(capsys, argv, partial):
+    # c_a = 2 needs 2 bits, so the budget refuses before any value is kept
+    code, out, err = run(capsys, argv[0], "--gamma", "0", "--c", "0,1", "--a", "2",
+                         *argv[1:], "--bits", "1")
+    assert (code, err) == (2, "quadtower: budget: orbit value needs 2 bits; budget is 1\n")
+    assert out == json.dumps({"error": "digit-budget-exceeded", "partial": partial},
+                             indent=2) + "\n"
+
+
 def _rows(doc):
     return [(row["n"], row["value"]) for row in doc]
 
@@ -523,6 +543,12 @@ def test_level_flags_stop_at_max_level(capsys, argv):
     assert (code, out, err) == (1, "", f"quadtower: error: {argv[-1]} must be <= {MAX_LEVEL}\n")
     code, _, err = run(capsys, argv[0], *fam, *argv[1:], str(MAX_LEVEL))
     assert code == 0, err
+
+
+def test_search_above_max_search_exits_one(capsys):
+    code, out, err = run(capsys, "curve", "--gamma", "0", "--c", "0,1", "--a", "2",
+                         "--level", "2", "--search", str(MAX_SEARCH + 1))
+    assert (code, out, err) == (1, "", f"quadtower: error: --search must be <= {MAX_SEARCH}\n")
 
 
 # among x^2 + a with |a| <= 2000, starting at |b| <= 40, these orbits escape

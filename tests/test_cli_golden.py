@@ -129,6 +129,24 @@ ARGVS += [
     ["discriminant", *_map_flags("x2+1"), "--level", "0"],
     ["orbit", *_map_flags("x2+1"), "--b", "0", "--a", "2.5"],
 ]
+# level 20, where primitive-divisors reads the lower levels from residues
+# instead of an exact prefix
+ARGVS += [
+    [command, *_map_flags(name), *rest, *fmt]
+    for name in ("x2+1", "x2-3")
+    for command, *rest in [("stability", "--depth", "20"), ("primitive-divisors", "--level", "20")]
+    for fmt in ([], ["--format", "json"])
+]
+# refusals at level 1: c_a = 2 needs 2 bits, so every partial is empty
+LEVEL_ONE_REFUSALS = [
+    ["stability", "--depth", "6"],
+    ["primitive-divisors", "--level", "4", "--method", "certificate"],
+    ["primitive-divisors", "--level", "4", "--method", "exact"],
+    ["certify", "--to", "6"],
+    ["critical-orbit", "--depth", "6"],
+]
+ARGVS += [[command, "--gamma", "0", "--c", "0,1", "--a", "2", *rest, "--bits", "1"]
+          for command, *rest in LEVEL_ONE_REFUSALS]
 
 
 def _call(argv):
@@ -152,6 +170,28 @@ def test_cli_stdout_and_exit_codes_match_the_recorded_digests():
     assert len(expected) == len(ARGVS)
     mismatches = [(argv, want, got) for argv, want in zip(ARGVS, expected)
                   if (got := _run(argv)) != want]
+    assert not mismatches, mismatches
+
+
+def _no_binary_orbit(*args, **kwargs):
+    raise AssertionError("a verdict command built the binary critical orbit")
+
+
+def test_verdict_commands_read_the_orbit_only_through_critical_residues(monkeypatch):
+    # certify, stability and primitive-divisors --method certificate walk the
+    # decimal orbit once; none may build the binary orbit or square-test it
+    import quadtower.cli
+    import quadtower.galois
+
+    monkeypatch.setattr(quadtower.galois, "critical_orbit", _no_binary_orbit)
+    monkeypatch.setattr(quadtower.cli, "critical_orbit", _no_binary_orbit)
+    monkeypatch.setattr(quadtower.galois, "is_perfect_square", _no_binary_orbit)
+    expected = json.loads(FIXTURE.read_text())
+    calls = [(argv, want) for argv, want in zip(ARGVS, expected)
+             if argv[0] in ("certify", "stability")
+             or argv[0] == "primitive-divisors" and "exact" not in argv]
+    assert len(calls) == 50
+    mismatches = [(argv, want, got) for argv, want in calls if (got := _run(argv)) != want]
     assert not mismatches, mismatches
 
 

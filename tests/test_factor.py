@@ -542,7 +542,7 @@ def test_primitive_divisor_exact_x2p1():
 
 
 def test_primitive_divisor_certificate_x2p1():
-    rep = primitive_divisor_certificate(critical_orbit(_x2(1), 4), 4)
+    rep = primitive_divisor_certificate(_x2(1), 4)
     assert rep.certified
     assert rep.witness == "13"
     assert rep.primes == (13,)
@@ -551,23 +551,22 @@ def test_primitive_divisor_certificate_x2p1():
 def test_primitive_divisor_certificate_square_cofactor():
     # x^2 - 9 at level 1: R is the odd part of |c_a| = 9, a perfect square,
     # so nothing can be certified
-    rep = primitive_divisor_certificate(critical_orbit(_x2(-9), 1), 1)
+    rep = primitive_divisor_certificate(_x2(-9), 1)
     assert rep.witness == "9"
     assert not rep.certified
 
 
 def test_primitive_divisor_certificate_unit():
-    rep = primitive_divisor_certificate(critical_orbit(_x2(1), 1), 1)
+    rep = primitive_divisor_certificate(_x2(1), 1)
     assert rep.witness == "1"
     assert not rep.certified
 
 
 def test_primitive_divisor_certificate_rejects_an_orbit_through_zero():
     # x^2 - 1: -1, 0, -1, 0, ...
-    crit = critical_orbit(_x2(-1), 4)
     for n in (3, 4):
         with pytest.raises(ZeroInputError):
-            primitive_divisor_certificate(crit, n)
+            primitive_divisor_certificate(_x2(-1), n)
 
 
 def _full_strip_certificate(values, n):
@@ -580,10 +579,11 @@ def _full_strip_certificate(values, n):
 @given(gamma=st.lists(st.integers(-3, 3), max_size=2), c=st.lists(st.integers(-5, 5), max_size=3),
        a=st.integers(-6, 6), n=st.integers(1, 8))
 def test_primitive_divisor_certificate_matches_full_stripping(gamma, c, a, n):
-    crit = critical_orbit(QuadraticFamily.of(gamma, c).specialize(a), n)
+    m = QuadraticFamily.of(gamma, c).specialize(a)
+    crit = critical_orbit(m, n)
     if 0 in crit.values:
         return
-    rep = primitive_divisor_certificate(crit, n)
+    rep = primitive_divisor_certificate(m, n)
     assert (int(rep.witness), rep.certified) == _full_strip_certificate(crit.values, n)
     assert rep.witness == rep.to_json_dict()["witness"] == decimal_str(int(rep.witness))
 
@@ -591,14 +591,13 @@ def test_primitive_divisor_certificate_matches_full_stripping(gamma, c, a, n):
 def test_exact_and_certificate_agree_on_corpus():
     for entry in CORPUS:
         m = entry.map()
-        crit = critical_orbit(m, 7)
-        values = crit.values
+        values = critical_orbit(m, 7).values
         for n in range(1, 8):
             if values[n - 1] == 0 or any(v == 0 for v in values[: n - 1]):
                 continue
             if abs(values[n - 1]) >= 1 << 128:
                 continue
-            cert = primitive_divisor_certificate(crit, n)
+            cert = primitive_divisor_certificate(m, n)
             try:
                 exact = primitive_divisor_exact(values, n)
             except IncompleteFactorizationError:

@@ -19,6 +19,7 @@ from quadtower.galois import (
     CERTIFIED_MAXIMAL,
     FAILED_SQUARE_OVER_Q,
     UNKNOWN,
+    CriticalResidues,
     MaximalityCertificate,
     SingularModelError,
     certify_tower,
@@ -27,7 +28,6 @@ from quadtower.galois import (
     search_integral_points,
     stability_scan,
     verify_forced_point,
-    _CriticalResidues,
 )
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
 
@@ -53,18 +53,38 @@ def test_stability_scan_examples():
     assert rep.squares_found == ()
 
 
-def test_stability_scan_negative_start():
-    m = SpecializedMap.make(-16, 0, -16)  # x^2 - 16
-    rep = stability_scan(m, 6)
-    # oracle: rescan the adjusted critical orbit -c_a, v_2, v_3, ... directly
-    values = critical_orbit(m, 6).values
+def _binary_rescan(m, depth):
+    """Oracle: the squares of the adjusted critical orbit -c_a, v_2, v_3, ...,
+    found by math.isqrt on the binary critical values."""
+    values = critical_orbit(m, depth).values
     adjusted = (-values[0],) + values[1:]
-    expected = tuple(
+    return tuple(
         (n, math.isqrt(v)) for n, v in enumerate(adjusted, start=1)
         if v >= 0 and math.isqrt(v) ** 2 == v
     )
+
+
+def test_stability_scan_negative_start():
+    m = SpecializedMap.make(-16, 0, -16)  # x^2 - 16
+    rep = stability_scan(m, 6)
     assert rep.squares_found[0] == (1, 4)  # -c_a = 16
-    assert rep.squares_found == expected
+    assert rep.squares_found == _binary_rescan(m, 6)
+
+
+@pytest.mark.parametrize("m, depth", [
+    *((e.map(), 9) for e in ACCEPTANCE_MAPS),
+    (SpecializedMap.make(-1, 0, -1), 12),  # x^2 - 1: -1, 0, -1, 0, ...
+    (SpecializedMap.make(-9, 0, -9), 12),  # x^2 - 9
+    (SpecializedMap.make(-16, 0, -16), 12),  # x^2 - 16
+    (SpecializedMap.make(4, 2, -4), 12),  # (x - 2)^2 - 4: 0 is fixed
+    (SpecializedMap.make(0, 5, 5), 12),  # (x - 5)^2 + 5: bounded, stays at 5
+    (QuadraticFamily.of([0, 1], [1, 1]).specialize(JONES_A), 9),  # a square at level 9
+], ids=[e.name for e in ACCEPTANCE_MAPS] + [
+    "x2-1", "x2-9", "x2-16", "shift-2-minus-4", "shift-5-plus-5", "jones"])
+def test_stability_scan_matches_a_binary_rescan(m, depth):
+    # the scan reads the decimal orbit through CriticalResidues; the oracle
+    # square-roots the binary critical values
+    assert stability_scan(m, depth).squares_found == _binary_rescan(m, depth)
 
 
 def test_stability_scan_jones_square_at_level_nine():
@@ -290,8 +310,10 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
         if 0 not in values[: n - 1]:
             direct = [math.gcd(abs(values[n - 1]), abs(v)) for v in values[: n - 1]]
             # every v_k exact, and none: then w_(n-k) is exact instead
-            for exact in (values[:n], ()):
-                orbit = _CriticalResidues(m, exact)
+            for exact in (True, False):
+                orbit = CriticalResidues(m)
+                if exact:
+                    orbit._exact_v(n)
                 assert [orbit._rigid_gcd(n, k) for k in range(1, n)] == direct
 
 
