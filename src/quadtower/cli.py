@@ -23,8 +23,11 @@ budget-exceeded, an F_phi whose ball |a| <= threshold has a threshold above
 (factor.MAX_FACTOR_BITS) is not factored, so curve, primitive-divisors
 --method exact and family-info stop there as incomplete factorizations.
 --bits above 2^22 (MAX_BITS) is a usage error, as are --depth, --from, --to
-and the --level of curve and primitive-divisors above 64 (MAX_LEVEL), and
-curve --search above 10^6 (MAX_SEARCH).
+and the --level of curve and primitive-divisors above 64 (MAX_LEVEL),
+curve --search above 10^6 (MAX_SEARCH), --rho-iters above 2 * 10^7
+(factor.MAX_RHO_ITERS), and for density --segment-size above 2^22
+(factor.MAX_SEGMENT_SIZE) and --shards still above 10^4 (density.MAX_SHARDS)
+once it counts as at most X - 1.
 
 --config FILE reads a JSON object whose keys are the long flags without their
 dashes, with - written as _ (X, from, trial_bound, ...).  Each value is read

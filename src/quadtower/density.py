@@ -11,17 +11,19 @@ with bit-identical output.
 
 from __future__ import annotations
 
-import math
 import os
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
 from typing import Iterator, NamedTuple
 
-from quadtower.factor import small_primes
+from quadtower.factor import DEFAULT_SEGMENT_SIZE, MAX_SEGMENT_SIZE, primes_in_range
 from quadtower.family import SpecializedMap
 
-DEFAULT_SEGMENT_SIZE = 1 << 16
+# density_curve refuses more shards than MAX_SHARDS.  Each shard keeps its
+# counts until the merge: for x^2 + 1 at X = 10^6, 10^4 shards cost what one
+# does, while 10^5 added 5 s and 40 MB and 10^6 added 112 s and 400 MB
+# (Python 3.11, 2 vCPUs).
+MAX_SHARDS = 10 ** 4
 
 
 class DensityRow(NamedTuple):
@@ -63,31 +65,11 @@ class DensityCurve(NamedTuple):
         }
 
 
-def _primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
-    start = max(lo, 2)
-    if hi < start:
-        return
-    base = small_primes(math.isqrt(hi))
-    while start <= hi:
-        end = min(start + segment_size - 1, hi)
-        flags = bytearray([1]) * (end - start + 1)
-        for p in base:
-            # crossing off starts at p^2, so the base primes stay flagged
-            first = max(p * p, (start + p - 1) // p * p)
-            if first > end:
-                continue
-            flags[first - start :: p] = bytearray(len(range(first, end + 1, p)))
-        yield from compress(range(start, end + 1), flags)
-        start = end + 1
-
-
 def primes_up_to(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
-    """All primes <= x in increasing order, by a segmented sieve."""
+    """All primes <= x in increasing order, by factor's segmented sieve."""
     if x < 2:
         raise ValueError("need x >= 2")
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
-    return _primes_in_range(2, x, segment_size)
+    return primes_in_range(2, x, segment_size)
 
 
 def orbit_hits_zero_mod_p(map: SpecializedMap, b: int, p: int) -> bool:
@@ -123,7 +105,7 @@ def _scan_shard(args: tuple) -> tuple[list[int], list[int]]:
     tested: list[int] = []
     members: list[int] = []
     count = 0
-    for p in _primes_in_range(lo, hi, segment_size):
+    for p in primes_in_range(lo, hi, segment_size):
         while len(tested) < len(checkpoints) and checkpoints[len(tested)] < p:
             tested.append(count)
         count += 1
@@ -155,14 +137,16 @@ def density_curve(
     so any shard count and worker count produce identical curves; a shard
     count above x_max - 1 would leave shards empty and counts as x_max - 1.
     Worker processes only pay off for large x_max.  At most min(workers,
-    shards, os.cpu_count()) processes start.
+    shards, os.cpu_count()) processes start.  A shard count still above
+    MAX_SHARDS after that clamp, or a segment_size outside
+    [1, factor.MAX_SEGMENT_SIZE], raises ValueError before any shard runs.
     """
     if x_max < 2:
         raise ValueError("need x_max >= 2")
     if shards < 1 or workers < 1:
         raise ValueError("shards and workers must be >= 1")
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
+    if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
+        raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]")
     if checkpoints is None:
         checkpoints = default_checkpoints(x_max)
     if not checkpoints or sorted(set(checkpoints)) != list(checkpoints):
@@ -172,6 +156,8 @@ def density_curve(
 
     span = x_max - 1  # integers 2..x_max
     shards = min(shards, span)
+    if shards > MAX_SHARDS:
+        raise ValueError(f"shards must be <= {MAX_SHARDS}")
     bounds = [2 + span * i // shards for i in range(shards + 1)]
     jobs = [
         (map, b, bounds[i], bounds[i + 1] - 1, segment_size, checkpoints)

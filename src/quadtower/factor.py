@@ -1,5 +1,9 @@
 """Desk-scale integer factorization and primitive-prime-divisor machinery.
 
+One segmented sieve feeds every prime table: the trial-division table (an
+array('I') per bound), the prime-power products of p-1 and ECM stage 1, the
+ECM stage-2 plan and the density sweep's base primes and shards.
+
 Trial division, Pollard p-1 stage 1 to B1 = rho_iters // 100, Brent-variant
 Pollard rho in whole rounds within min(rho_iters, 2^17) map evaluations
 (131,070 at the cap), then elliptic-curve factoring (ECM) with the rest of
@@ -15,7 +19,8 @@ import functools
 import itertools
 import math
 import random
-from typing import NamedTuple
+from array import array
+from typing import Iterator, NamedTuple
 
 from quadtower.bigpoly import BudgetError, FrozenSlots, decimal_str, is_perfect_square
 
@@ -35,9 +40,14 @@ class PreconditionError(ValueError):
     """A stated divisibility hypothesis does not hold."""
 
 
-# small_primes sieves a bytearray of trial_bound + 1 bytes; 10^7 takes
-# about 0.4 s and 10 MB
+# Trial division walks prime_table(trial_bound), which the segmented sieve
+# builds in about 0.4 s at 10^7 and stores in 2.7 MB: 664,579 four-byte
+# entries (Python 3.11, 2 vCPUs)
 MAX_TRIAL_BOUND = 10 ** 7
+# p-1 stage 1 raises 2 to the product of the prime powers <= rho_iters // 100.
+# That product took 0.02 s to build at the default 10^7, 0.1 s at the cap and
+# 3 s at 10^8, where its growth is quadratic (Python 3.11, 2 vCPUs)
+MAX_RHO_ITERS = 2 * 10 ** 7
 # factorize returns a number above this many bits unfactored.  On a 2,048-bit
 # semiprime the default budget's p-1 took 2.5 s, rho 3.7 s and each of its
 # 164 ECM curves 1.0 s, about 175 s in all (CPython 3.11.7, 2 vCPUs); level
@@ -50,12 +60,13 @@ class Budget(FrozenSlots):
 
     trial_bound -- trial-divide by primes up to this bound, at most 10^7
     rho_iters   -- factoring effort per composite cofactor, in Brent rho
-                   iterations: p-1 stage 1 runs first to B1 = rho_iters // 100,
-                   then rho in whole Brent rounds within min(rho_iters,
-                   2^17) map evaluations (131,070 at the cap), then
-                   (rho_iters - 2^17) // 60,000 ECM curves (14 at 10^6, 164
-                   at 10^7), each costing at most about 60,000 rho iterations
-                   of wall time; up to 2^17 no curve runs
+                   iterations, at most 2 * 10^7: p-1 stage 1 runs first to
+                   B1 = rho_iters // 100, then rho in whole Brent rounds
+                   within min(rho_iters, 2^17) map evaluations (131,070 at
+                   the cap), then (rho_iters - 2^17) // 60,000 ECM curves
+                   (14 at 10^6, 164 at 10^7), each costing at most about
+                   60,000 rho iterations of wall time; up to 2^17 no curve
+                   runs
     mr_rounds   -- random strong-probable-prime rounds for inputs >= 2^64
     seed        -- seeds rho parameters and the large Miller-Rabin bases
     """
@@ -68,6 +79,8 @@ class Budget(FrozenSlots):
             raise ValueError(f"trial_bound must be in [2, {MAX_TRIAL_BOUND}]")
         if rho_iters < 0:
             raise ValueError("rho_iters must be >= 0")
+        if rho_iters > MAX_RHO_ITERS:
+            raise ValueError(f"rho_iters must be <= {MAX_RHO_ITERS}")
         if mr_rounds < 1:
             raise ValueError("mr_rounds must be >= 1")
         self._set(trial_bound, rho_iters, mr_rounds, seed)
@@ -159,17 +172,50 @@ class PrimitiveDivisorReport(NamedTuple):
 
 # -- primes ------------------------------------------------------------------
 
+# The segmented sieve flags segment_size integers at a time, in about 1.5
+# bytes each while a segment is crossed off.  The primes up to 10^7 took
+# 0.54 s at the default 2^16, 0.47 s at the cap and 0.42 s at 2^24 (Python
+# 3.11, 2 vCPUs), so a larger segment buys little time for its memory.
+DEFAULT_SEGMENT_SIZE = 1 << 16
+MAX_SEGMENT_SIZE = 1 << 22
+
+
+def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
+    """The primes in [lo, hi] in increasing order, by a segmented sieve.
+
+    Each segment is a bytearray of segment_size flags, crossed off by the
+    cached prime_table up to a power of two >= sqrt(hi), so the shards of one
+    density sweep share a few base tables.  Raises ValueError at once when
+    segment_size is outside [1, MAX_SEGMENT_SIZE].
+    """
+    if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
+        raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]")
+    return _sieve(max(lo, 2), hi, segment_size)
+
+
+def _sieve(start: int, hi: int, segment_size: int) -> Iterator[int]:
+    if hi < start:
+        return
+    # the base bound is below hi for every hi >= 2, so the recursion ends
+    base = prime_table(1 << (math.isqrt(hi) - 1).bit_length())
+    while start <= hi:
+        end = min(start + segment_size - 1, hi)
+        flags = bytearray([1]) * (end - start + 1)
+        for p in base:
+            if p * p > end:
+                break
+            # crossing off starts at p^2, so the base primes stay flagged
+            first = max(p * p, (start + p - 1) // p * p)
+            flags[first - start :: p] = bytes(len(range(first, end + 1, p)))
+        yield from itertools.compress(range(start, end + 1), flags)
+        start = end + 1
+
+
 @functools.lru_cache(maxsize=8)
-def small_primes(bound: int) -> tuple[int, ...]:
-    """The primes <= bound, by a plain sieve; the last few bounds are cached."""
-    if bound < 2:
-        return ()
-    flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
-    return tuple(itertools.compress(range(bound + 1), flags))
+def prime_table(bound: int) -> array:
+    """The primes <= bound as a compact array('I'); the last few bounds are
+    cached."""
+    return array("I", primes_in_range(2, bound))
 
 
 def is_probable_prime(n: int, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -254,7 +300,7 @@ def _prime_power_product(bound: int) -> int:
     prime powers are all <= bound divides it.  The last few bounds are cached:
     every ECM curve uses the one at B1."""
     e = 1
-    for p in small_primes(bound):
+    for p in primes_in_range(2, bound):
         q = p
         while q * p <= bound:
             q *= p
@@ -328,18 +374,18 @@ _ECM_BABIES = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) =
 
 
 @functools.cache
-def _ecm_stage2_plan() -> tuple[tuple[int, ...], ...]:
-    """Entry m - 1 lists the baby steps j (as indices into _ECM_BABIES) that
-    pair with the giant step m*D: each prime p in (B1, B2] is m*D +- j with
-    0 < j < D/2 and gcd(j, D) = 1, and x(m*D*Q) = x(j*Q) mod p exactly when
-    (m*D + j)*Q or (m*D - j)*Q vanishes mod p."""
+def _ecm_stage2_plan() -> tuple[bytes, ...]:
+    """Entry m - 1 lists the baby steps j (as indices into _ECM_BABIES, one
+    byte each: there are 240) that pair with the giant step m*D: each prime
+    p in (B1, B2] is m*D +- j with 0 < j < D/2 and gcd(j, D) = 1, and
+    x(m*D*Q) = x(j*Q) mod p exactly when (m*D + j)*Q or (m*D - j)*Q vanishes
+    mod p."""
     index = {j: i for i, j in enumerate(_ECM_BABIES)}
     plan: list[list[int]] = [[] for _ in range((_ECM_B2 + _ECM_D // 2) // _ECM_D)]
-    for p in small_primes(_ECM_B2):
-        if p > _ECM_B1:
-            m = (p + _ECM_D // 2) // _ECM_D
-            plan[m - 1].append(index[abs(p - m * _ECM_D)])
-    return tuple(tuple(sorted(set(row))) for row in plan)
+    for p in primes_in_range(_ECM_B1 + 1, _ECM_B2):
+        m = (p + _ECM_D // 2) // _ECM_D
+        plan[m - 1].append(index[abs(p - m * _ECM_D)])
+    return tuple(bytes(sorted(set(row))) for row in plan)
 
 
 def _ecm(n: int, rng: random.Random, curves: int) -> int | None:
@@ -449,7 +495,7 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
         return Factorization(sign=sign, factors=(), cofactor=m, complete=False)
     counts: dict[int, int] = {}
     if m > 1:
-        for p in small_primes(budget.trial_bound):
+        for p in prime_table(budget.trial_bound):
             if p * p > m:
                 break
             while m % p == 0:

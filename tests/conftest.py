@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -61,6 +63,18 @@ JONES_A = 88255775491812351975604
 
 
 # -- independent oracles -------------------------------------------------------
+
+
+def plain_primes(bound: int) -> tuple[int, ...]:
+    """The primes <= bound, by a plain sieve of Eratosthenes over one bytearray."""
+    if bound < 2:
+        return ()
+    flags = bytearray([1]) * (bound + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
+    return tuple(itertools.compress(range(bound + 1), flags))
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:

@@ -18,6 +18,8 @@ import quadtower
 from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
 import quadtower.cli
 from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_LEVEL, MAX_SEARCH, main
+from quadtower.density import MAX_SHARDS
+from quadtower.factor import MAX_RHO_ITERS, MAX_SEGMENT_SIZE
 from quadtower.family import MAX_EXCEPTIONAL_THRESHOLD, HallLangConstants, QuadraticFamily
 from quadtower.galois import certify_tower
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
@@ -602,6 +604,26 @@ def test_huge_trial_bound_exits_one_before_it_sieves():
     assert proc.stdout == ""
     # a MemoryError would also exit 1, but with a traceback
     assert proc.stderr.startswith("quadtower: error: trial_bound"), proc.stderr
+
+
+_X2P1_DENSITY = ("density", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0")
+
+
+# Each cap is checked before the work it bounds: p-1's prime-power product to
+# B1 = rho_iters // 100, one segment of flags, the list of shard bounds.
+# --rho-iters 10^12, --segment-size 10^11 and --shards 10^11 used to die with
+# a MemoryError traceback under the 1 GiB cap.
+@pytest.mark.parametrize("argv, message", [
+    (("curve", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "8",
+      "--rho-iters", str(MAX_RHO_ITERS + 1)), f"rho_iters must be <= {MAX_RHO_ITERS}"),
+    ((*_X2P1_DENSITY, "--X", str(10 ** 11), "--segment-size", str(MAX_SEGMENT_SIZE + 1)),
+     f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]"),
+    ((*_X2P1_DENSITY, "--X", str(10 ** 12), "--shards", str(MAX_SHARDS + 1)),
+     f"shards must be <= {MAX_SHARDS}"),
+], ids=["rho-iters", "segment-size", "shards"])
+def test_effort_caps_exit_one_before_they_allocate(argv, message):
+    proc = run_capped(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"quadtower: error: {message}\n")
 
 
 def test_density_shards_above_x_are_clamped():

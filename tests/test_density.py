@@ -10,10 +10,10 @@ from quadtower.density import (
     orbit_hits_zero_mod_p,
     primes_up_to,
 )
-from quadtower.factor import small_primes
+from quadtower.factor import prime_table
 from quadtower.family import SpecializedMap
 
-from conftest import CORPUS, naive_orbit_member
+from conftest import CORPUS, naive_orbit_member, plain_primes
 
 X2P1 = SpecializedMap.make(1, 0, 1)
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "density_x2p1.json"
@@ -28,9 +28,11 @@ def test_primes_up_to_small():
 
 
 def test_primes_up_to_against_independent_sieve():
-    # factor's plain sieve against the segments sieved here
-    assert tuple(primes_up_to(10 ** 6)) == small_primes(10 ** 6)
-    assert len(small_primes(10 ** 6)) == 78498
+    # the segmented sieve, streamed and as factor's table, against the tests'
+    # plain sieve
+    assert tuple(primes_up_to(10 ** 6)) == plain_primes(10 ** 6)
+    assert tuple(prime_table(10 ** 6)) == plain_primes(10 ** 6)
+    assert len(plain_primes(10 ** 6)) == 78498
 
 
 def test_segment_size_does_not_matter():
@@ -138,7 +140,7 @@ def test_density_primes_tested_counts_each_checkpoint(shards):
     # checkpoints on primes, between them and below most shards' ranges
     checkpoints = [2, 3, 10, 97, 98, 500, 997, 1000]
     curve = density_curve(X2P1, 0, 1000, checkpoints=checkpoints, shards=shards)
-    primes = small_primes(1000)
+    primes = plain_primes(1000)
     assert [r.primes_tested for r in curve.rows] == [
         sum(p <= cp for p in primes) for cp in checkpoints
     ]

@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -25,7 +29,7 @@ from quadtower.family import QuadraticFamily
 from quadtower.galois import primitive_divisor_certificate
 from quadtower.orbit import critical_orbit
 
-from conftest import CORPUS
+from conftest import CORPUS, plain_primes
 
 X2P1_ORBIT = (1, 2, 5, 26, 677, 458330)
 
@@ -36,12 +40,31 @@ def _x2(c):
 
 
 def test_budget_bounds_trial_bound():
-    # small_primes sieves trial_bound + 1 bytes, so the bound is capped
+    # the trial-division table takes 2.7 MB and 0.4 s at 10^7, so the bound is
+    # capped there
     assert Budget(trial_bound=2).trial_bound == 2
     assert Budget(trial_bound=10 ** 7).trial_bound == 10 ** 7
     for bound in (1, 10 ** 7 + 1, 10 ** 10):
         with pytest.raises(ValueError, match="trial_bound"):
             Budget(trial_bound=bound)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_trial_table_at_the_cap_stays_compact():
+    # the primes up to 10^7 take 2.7 MB as four-byte entries, and about 35 MB
+    # as a tuple of Python ints
+    code = ("import resource\n"
+            "from quadtower.factor import Budget, factorize\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert factorize(2 ** 61 - 1, Budget(trial_bound=10 ** 7)).complete\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    src = pathlib.Path(factor_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 * 1024
 
 
 def test_factorize_fermat_number():
@@ -377,7 +400,7 @@ def _pm1_rho_reference(n, budget):
     sign = -1 if n < 0 else 1
     m = abs(n)
     counts = {}
-    for p in factor_mod.small_primes(budget.trial_bound):
+    for p in plain_primes(budget.trial_bound):
         if p * p > m:
             break
         while m % p == 0:
@@ -455,6 +478,14 @@ def test_factorize_respects_trial_bound_despite_warm_cache():
     fac = factorize(n, Budget(trial_bound=10 ** 3, rho_iters=2, seed=0))
     assert not fac.complete
     assert fac.cofactor == n
+    # around the end of the sieve's first segment (2^16 integers from 2) the
+    # largest prime up to the bound comes off, and the next two stay together
+    for bound in (2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 16 + 2):
+        p = plain_primes(bound)[-1]
+        q = _next_prime(bound + 1)
+        r = _next_prime(q + 1)
+        fac = factorize(p * q * r, Budget(trial_bound=bound, rho_iters=0))
+        assert (fac.factors, fac.cofactor) == (((p, 1),), q * r), bound
 
 
 def test_is_probable_prime():
