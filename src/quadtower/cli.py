@@ -22,19 +22,21 @@ budget-exceeded, an F_phi whose ball |a| <= threshold has a threshold above
 10^5 (family.MAX_EXCEPTIONAL_THRESHOLD).  A value above 2,048 bits
 (factor.MAX_FACTOR_BITS) is not factored, so curve, primitive-divisors
 --method exact and family-info stop there as incomplete factorizations.
---bits above 2^22 (MAX_BITS) is a usage error, as are --depth, --from, --to
-and the --level of curve and primitive-divisors above 64 (MAX_LEVEL),
-curve --search above 10^6 (MAX_SEARCH), --rho-iters above 2 * 10^7
-(factor.MAX_RHO_ITERS), and for density --segment-size above 2^22
-(factor.MAX_SEGMENT_SIZE) and --shards still above 10^4 (density.MAX_SHARDS)
-once it counts as at most X - 1.
+
+Each integer flag declares its accepted range beside it in GROUPS or
+COMMANDS, and `quadtower <command> -h` prints it.  A value outside it is a
+usage error, checked in one place before any work: "--flag must be in [lo,
+hi]", or "--flag must be >= lo" for a range without an upper end.  The
+library checks what depends on other flags: density --shards must still be
+at most 10^4 (density.MAX_SHARDS) once it counts as at most X - 1.
 
 --config FILE reads a JSON object whose keys are the long flags without their
 dashes, with - written as _ (X, from, trial_bound, ...).  Each value is read
 as the flag's own text: a string or number as written, a list joined with
 commas, and true/false only for --direct.  A value of the wrong type, or one
 the flag rejects, exits 1; keys that only other subcommands take are ignored.
-Explicit flags win over the file.
+Explicit flags win over the file.  A file above 128 KiB (MAX_CONFIG_BYTES) is
+refused before it is parsed.
 """
 
 from __future__ import annotations
@@ -46,7 +48,14 @@ from typing import Callable, NamedTuple
 
 from quadtower.bigpoly import BudgetError, IntPolynomial
 from quadtower.density import DEFAULT_SEGMENT_SIZE, density_curve
-from quadtower.factor import DEFAULT_BUDGET, Budget, primitive_divisor_exact
+from quadtower.factor import (
+    DEFAULT_BUDGET,
+    MAX_RHO_ITERS,
+    MAX_SEGMENT_SIZE,
+    MAX_TRIAL_BOUND,
+    Budget,
+    primitive_divisor_exact,
+)
 from quadtower.family import HallLangConstants, IndexBound, QuadraticFamily, index_bound
 from quadtower.galois import (
     certify_tower,
@@ -62,24 +71,24 @@ class UsageError(ValueError):
     pass
 
 
-# --bits above MAX_BITS is a usage error.  At 2^22 bits the slowest command,
-# discriminant just past its budget, took about 1.5 s (2^23: 6 s, 2^24: 13 s;
-# Python 3.11, 2 vCPUs).
+# The largest --bits.  At 2^22 bits the slowest command, discriminant just
+# past its budget, took about 1.5 s (2^23: 6 s, 2^24: 13 s; Python 3.11,
+# 2 vCPUs).
 MAX_BITS = 1 << 22
-# Level flags above MAX_LEVEL are usage errors.  An escaping orbit's bit length
-# about doubles per level, so none gets past level 23 within MAX_BITS; a larger
-# level only steps a bounded orbit, such as x^2 - 1's -1, 0, -1, ..., which
-# never trips the bit budget.  discriminant is left out: it refuses a level n
-# with 2^n above --bits by itself (exit 2), before any orbit value.
+# The largest level flag.  An escaping orbit's bit length about doubles per
+# level, so none gets past level 23 within MAX_BITS; a larger level only steps
+# a bounded orbit, such as x^2 - 1's -1, 0, -1, ..., which never trips the bit
+# budget.  discriminant's --level has no upper end: it refuses a level n with
+# 2^n above --bits by itself (exit 2), before any orbit value.
 MAX_LEVEL = 64
-# --search above MAX_SEARCH is a usage error.  The search evaluates the model
-# at 2N + 1 points: at 10^6 it took 3.6 s on a genus-2 model with a 2,048-bit
-# d (factor.MAX_FACTOR_BITS), the largest that factors (Python 3.11, 2 vCPUs).
+# The largest curve --search.  The search evaluates the model at 2N + 1
+# points: at 10^6 it took 3.6 s on a genus-2 model with a 2,048-bit d
+# (factor.MAX_FACTOR_BITS), the largest that factors (Python 3.11, 2 vCPUs).
 MAX_SEARCH = 10 ** 6
-# dest -> (flag, largest value); discriminant's --level is left out (see above)
-_FLAG_MAX = {"depth": ("--depth", MAX_LEVEL), "from_level": ("--from", MAX_LEVEL),
-             "to_level": ("--to", MAX_LEVEL), "level": ("--level", MAX_LEVEL),
-             "search": ("--search", MAX_SEARCH)}
+# The largest --config file.  Linux caps one argv string at 128 KiB, so a
+# flag's text is never longer, and int() parses 131,072 digits in about 0.1 s;
+# a config whose --a had 10^6 digits took about 7 s (Python 3.11, 2 vCPUs).
+MAX_CONFIG_BYTES = 128 * 1024
 
 
 def _parse_poly(text: str, name: str) -> IntPolynomial:
@@ -122,7 +131,14 @@ def _primitive_divisors(args: argparse.Namespace):
 
 
 def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One flag: argparse's names and keywords, plus for every type=int flag
+    without choices a range: (lo, hi) with hi None for no upper end, or None
+    for no bound."""
     return names, kwargs
+
+
+def _range_text(lo: int, hi: int | None) -> str:
+    return f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
 
 
 # flag groups that several subcommands share; every subcommand takes "common"
@@ -130,18 +146,19 @@ GROUPS = {
     "common": (_flag("--config", help="JSON config file; explicit flags win"),
                _flag("--format", dest="fmt", choices=("text", "json", "csv"), default="text"),
                _flag("--json", action="store_true", help="shorthand for --format json"),
-               _flag("--seed", type=int, default=DEFAULT_BUDGET.seed)),
+               _flag("--seed", type=int, range=None, default=DEFAULT_BUDGET.seed)),
     "fam": (_flag("--gamma", help="gamma coefficients, low-to-high, e.g. '0,1'"),
             _flag("--c", help="c coefficients, low-to-high")),
-    "spot": (_flag("--a", type=int, help="integer specialization point"),),
-    "start": (_flag("--b", type=int),),
-    "depth": (_flag("--depth", type=int, default=10),),
-    "level": (_flag("--level", type=int, default=1),),
-    "bits": (_flag("--bits", type=int, default=DEFAULT_MAX_BITS,
+    "spot": (_flag("--a", type=int, range=None, help="integer specialization point"),),
+    "start": (_flag("--b", type=int, range=None),),
+    "depth": (_flag("--depth", type=int, range=(0, MAX_LEVEL), default=10),),
+    "level": (_flag("--level", type=int, range=(1, MAX_LEVEL), default=1),),
+    "bits": (_flag("--bits", type=int, range=(1, MAX_BITS), default=DEFAULT_MAX_BITS,
                    help="orbit bit budget per value"),),
-    "effort": (_flag("--trial-bound", dest="trial_bound", type=int,
+    "effort": (_flag("--trial-bound", dest="trial_bound", type=int, range=(2, MAX_TRIAL_BOUND),
                      default=DEFAULT_BUDGET.trial_bound),
-               _flag("--rho-iters", dest="rho_iters", type=int, default=DEFAULT_BUDGET.rho_iters)),
+               _flag("--rho-iters", dest="rho_iters", type=int, range=(0, MAX_RHO_ITERS),
+                     default=DEFAULT_BUDGET.rho_iters)),
 }
 
 
@@ -173,35 +190,36 @@ COMMANDS = {
     "certify": Command(
         "level-maximality certificates for a level range", ("fam", "spot", "bits"),
         lambda a: certify_tower(_map(a), a.from_level, a.to_level, a.bits),
-        flags=(_flag("--from", dest="from_level", type=int, default=1),
-               _flag("--to", dest="to_level", type=int, default=6))),
+        flags=(_flag("--from", dest="from_level", type=int, range=(1, MAX_LEVEL), default=1),
+               _flag("--to", dest="to_level", type=int, range=(1, MAX_LEVEL), default=6))),
     "primitive-divisors": Command(
         "square-free primitive prime divisors at a level",
         ("fam", "spot", "level", "bits", "effort"), _primitive_divisors,
         flags=(_flag("--method", choices=("exact", "certificate"), default="certificate"),)),
     "discriminant": Command(
-        "|disc(phi_a^n)| via the recurrence", ("fam", "spot", "level", "bits"),
+        "|disc(phi_a^n)| via the recurrence", ("fam", "spot", "bits"),
         lambda a: discriminant_report(_map(a), a.level, a.direct, a.bits),
-        flags=(_flag("--direct", action="store_true",
-                     help="also compute the resultant-based discriminant"),)),
+        flags=(_flag("--level", type=int, range=(1, None), default=1),
+               _flag("--direct", action="store_true",
+                     help="also compute the resultant-based discriminant"))),
     "curve": Command(
         "emit the level curve, verify its forced point, optionally search",
         ("fam", "spot", "level", "bits", "effort"),
         lambda a: curve_report(_map(a), a.level, a.genus, a.search, _budget(a), a.bits),
         flags=(_flag("--genus", type=int, choices=(1, 2), default=1),
-               _flag("--search", type=int, default=0,
+               _flag("--search", type=int, range=(0, MAX_SEARCH), default=0,
                      help="integral-point search bound (0 = skip)"))),
     "density": Command(
         "prime-divisor density curve for the orbit of b", ("fam", "spot", "start"),
         lambda a: density_curve(_map(a), a.b, a.x_max, checkpoints=_checkpoints(a),
                                 shards=a.shards, workers=a.threads,
                                 segment_size=a.segment_size),
-        flags=(_flag("--X", dest="x_max", type=int, default=10 ** 6),
+        flags=(_flag("--X", dest="x_max", type=int, range=(2, None), default=10 ** 6),
                _flag("--checkpoints"),
-               _flag("--shards", type=int, default=1),
-               _flag("--threads", type=int, default=1),
+               _flag("--shards", type=int, range=(1, None), default=1),
+               _flag("--threads", type=int, range=(1, None), default=1),
                _flag("--segment-size", dest="segment_size", type=int,
-                     default=DEFAULT_SEGMENT_SIZE)),
+                     range=(1, MAX_SEGMENT_SIZE), default=DEFAULT_SEGMENT_SIZE)),
         required=("b",), formats={"csv": lambda curve: curve.to_csv().splitlines()}),
     "nphi-bound": Command(
         "evaluate the conditional bound chain for given kappas", ("fam",),
@@ -211,7 +229,7 @@ COMMANDS = {
     "index-bound": Command(
         "the uniform index bound 2^(2^n - n - 1)", ("bits",),
         lambda a: IndexBound(a.n, index_bound(a.n, a.bits)),
-        flags=(_flag("--n", type=int),), required=("n",)),
+        flags=(_flag("--n", type=int, range=(1, None)),), required=("n",)),
 }
 
 
@@ -225,6 +243,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
     for names, kwargs in flags:
+        kwargs = dict(kwargs)
+        bounds = kwargs.pop("range", None)
+        if bounds is not None:  # -h prints the range after the help text
+            kwargs["help"] = "; ".join(filter(None, (kwargs.get("help"), _range_text(*bounds))))
         parser.add_argument(*names, **kwargs)
     return parser
 
@@ -244,7 +266,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse(argv) -> tuple[Command, argparse.Namespace]:
+def _parse(argv) -> tuple[str, argparse.Namespace]:
     top = build_parser()
     called = top.parse_args(argv)
     parser = _add_flags(_Parser(prog=f"quadtower {called.command}"), _flags(called.command))
@@ -255,7 +277,17 @@ def _parse(argv) -> tuple[Command, argparse.Namespace]:
         args, unknown = parser.parse_known_args([*config, *called.argv])
     if unknown:  # the top-level parser's error, as under argparse subparsers
         top.error(f"unrecognized arguments: {' '.join(unknown)}")
-    return COMMANDS[called.command], args
+    return called.command, args
+
+
+def _check_ranges(name: str, args: argparse.Namespace) -> None:
+    for names, kwargs in _flags(name):
+        if kwargs.get("range") is None:
+            continue
+        lo, hi = kwargs["range"]
+        value = getattr(args, kwargs.get("dest", names[0][2:].replace("-", "_")))
+        if value is not None and (value < lo or hi is not None and value > hi):
+            raise UsageError(f"{names[0]} must be {_range_text(lo, hi)}")
 
 
 def _config_argv(name: str, path: str) -> list[str]:
@@ -267,9 +299,12 @@ def _config_argv(name: str, path: str) -> list[str]:
     that only other subcommands take are dropped; argparse checks the rest.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # numbers stay as written, so argparse sees the file's own text
-            raw = json.load(fh, parse_int=str, parse_float=str)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise UsageError(f"config {path} is larger than {MAX_CONFIG_BYTES} bytes")
+        # numbers stay as written, so argparse sees the file's own text
+        raw = json.loads(data.decode("utf-8"), parse_int=str, parse_float=str)
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
@@ -300,17 +335,14 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # orbit values exceed the 4300-digit default
     try:
-        command, args = _parse(argv)
+        name, args = _parse(argv)
+        command = COMMANDS[name]
         if args.json:
             args.fmt = "json"
         if args.fmt == "csv" and "csv" not in command.formats:
             raise UsageError("--format csv is only available for density")
-        if not 1 <= getattr(args, "bits", 1) <= MAX_BITS:
-            raise UsageError(f"--bits must be in [1, {MAX_BITS}]")
-        for dest, (flag, largest) in _FLAG_MAX.items():
-            if command is not COMMANDS["discriminant"] and getattr(args, dest, 0) > largest:
-                raise UsageError(f"{flag} must be <= {largest}")
-        if any(getattr(args, name) is None for name in command.required):
+        _check_ranges(name, args)
+        if any(getattr(args, dest) is None for dest in command.required):
             flags = ", ".join(f"--{name}" for name in command.required)
             raise UsageError(f"{flags} {'is' if len(command.required) == 1 else 'are'} required")
         report = command.build(args)

@@ -67,29 +67,27 @@ class Budget(FrozenSlots):
                    (14 at 10^6, 164 at 10^7), each costing at most about
                    60,000 rho iterations of wall time; up to 2^17 no curve
                    runs
-    mr_rounds   -- random strong-probable-prime rounds for inputs >= 2^64
     seed        -- seeds rho parameters and the large Miller-Rabin bases
     """
 
-    __slots__ = _fields = ("trial_bound", "rho_iters", "mr_rounds", "seed")
+    __slots__ = _fields = ("trial_bound", "rho_iters", "seed")
 
-    def __init__(self, trial_bound: int = 10 ** 6, rho_iters: int = 10 ** 7,
-                 mr_rounds: int = 40, seed: int = 0):
+    def __init__(self, trial_bound: int = 10 ** 6, rho_iters: int = 10 ** 7, seed: int = 0):
         if not 2 <= trial_bound <= MAX_TRIAL_BOUND:
             raise ValueError(f"trial_bound must be in [2, {MAX_TRIAL_BOUND}]")
         if rho_iters < 0:
             raise ValueError("rho_iters must be >= 0")
         if rho_iters > MAX_RHO_ITERS:
             raise ValueError(f"rho_iters must be <= {MAX_RHO_ITERS}")
-        if mr_rounds < 1:
-            raise ValueError("mr_rounds must be >= 1")
-        self._set(trial_bound, rho_iters, mr_rounds, seed)
+        self._set(trial_bound, rho_iters, seed)
 
 
 DEFAULT_BUDGET = Budget()
 
 # Deterministic strong-probable-prime bases; complete below 2^64.
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Seeded random strong-probable-prime rounds for inputs >= 2^64.
+MR_ROUNDS = 40
 
 
 class Factorization(NamedTuple):
@@ -222,7 +220,7 @@ def is_probable_prime(n: int, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Strong-probable-prime test.
 
     Deterministic (and in fact exact) for n < 2^64 via a fixed base set;
-    above that, budget.mr_rounds seeded random bases.
+    above that, MR_ROUNDS random bases seeded by budget.seed.
     """
     if n < 2:
         return False
@@ -234,7 +232,7 @@ def is_probable_prime(n: int, budget: Budget = DEFAULT_BUDGET) -> bool:
     d >>= s
     if n >> 64:
         rng = random.Random(f"sprp:{budget.seed}:{n}")
-        bases = [rng.randrange(2, n - 1) for _ in range(budget.mr_rounds)]
+        bases = [rng.randrange(2, n - 1) for _ in range(MR_ROUNDS)]
     else:
         bases = _MR_BASES_SMALL
     for a in bases:

@@ -41,7 +41,8 @@ class IsotrivialError(ValueError):
 
 
 class InvalidConstantsError(ValueError):
-    """Hall-Lang constants must be finite, nonnegative, with kappa1 > 0."""
+    """Hall-Lang constants must be finite, nonnegative, with kappa1 > 0, and
+    small enough that nphi_bound's chain stays finite."""
 
 
 class SpecializedMap(FrozenSlots):
@@ -329,7 +330,8 @@ class QuadraticFamily(FrozenSlots):
         x >= x_min it is monotone, so its supremum is the larger of the value
         at x_min and the asymptote.  x_min = log(a_min) with a_min the least
         integer exceeding exp(b1/D).  Then M_phi = max M_i and
-        n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)).
+        n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)).  Kappas so large that
+        some M_i overflows a float raise InvalidConstantsError.
         """
         if self.is_isotrivial:
             raise IsotrivialError("nphi_bound needs deg(c - gamma) >= 1")
@@ -364,6 +366,8 @@ class QuadraticFamily(FrozenSlots):
         m2 = sup(k1 * big_g, k1 * bounds.a3)
         m3 = sup(k1 * big_g, k1 * bounds.a1)
         m4 = sup(kappa2_prime, kappa3_prime)
+        if not all(map(math.isfinite, (m1, m2, m3, m4))):
+            raise InvalidConstantsError("the bound chain overflows a float; use smaller kappas")
         m_phi = max(m1, m2, m3, m4)
         return NphiReport(
             m1=m1,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import quadtower
 from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
 import quadtower.cli
-from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_LEVEL, MAX_SEARCH, main
+from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_CONFIG_BYTES, MAX_LEVEL, main
 from quadtower.density import MAX_SHARDS
 from quadtower.factor import MAX_RHO_ITERS, MAX_SEGMENT_SIZE
 from quadtower.family import MAX_EXCEPTIONAL_THRESHOLD, HallLangConstants, QuadraticFamily
@@ -285,6 +285,23 @@ def test_curve_with_search(capsys):
     assert {(p["x"], p["y"]) for p in data["integral_points"]} >= {("5", "52"), ("5", "-52")}
 
 
+@pytest.mark.parametrize("kappa, digest", [
+    ("--kappa1", "7d224b8de43cf51bb41e08bee013f5598e25ab2a4d226d5ee9fed23b677092f0"),
+    ("--kappa2", "e831acba3e309ee25c887b18506828c72d71eda597d90b7f3a93ef34d11e199f"),
+    ("--kappa3", "70236c27eebaaf8cc8934a5b5dc3846b82f430fe61adb9aac66ebf54100b3ac5"),
+])
+def test_nphi_bound_refuses_a_kappa_that_overflows_the_chain(capsys, kappa, digest):
+    def call(value):
+        kappas = [arg for k in ("--kappa1", "--kappa2", "--kappa3")
+                  for arg in (k, value if k == kappa else "1")]
+        return run(capsys, "nphi-bound", "--gamma", "0", "--c", "0,1", *kappas)
+
+    code, out, _ = call("1e300")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+    assert call("1e308") == (1, "", "quadtower: error: the bound chain overflows a float; "
+                                    "use smaller kappas\n")
+
+
 def test_nphi_bound_and_index_bound(capsys):
     code, out, _ = run(
         capsys, "nphi-bound", "--gamma", "0", "--c", "0,1",
@@ -523,13 +540,6 @@ def test_bits_below_one_is_usage_error(capsys, command, extra, bits):
     assert "--bits" in err
 
 
-def test_bits_cap_is_inclusive(capsys):
-    argv = ("critical-orbit", "--gamma", "0", "--c", "0,1", "--a", "2", "--depth", "3")
-    assert run(capsys, *argv, "--bits", str(MAX_BITS))[0] == 0
-    code, out, err = run(capsys, *argv, "--bits", str(MAX_BITS + 1))
-    assert (code, out, err) == (1, "", f"quadtower: error: --bits must be in [1, {MAX_BITS}]\n")
-
-
 @pytest.mark.parametrize("argv", [
     ("orbit", "--b", "0", "--depth"),
     ("critical-orbit", "--depth"),
@@ -542,15 +552,66 @@ def test_bits_cap_is_inclusive(capsys):
 def test_level_flags_stop_at_max_level(capsys, argv):
     fam = ("--gamma", "0", "--c", "0,1", "--a=-2")  # x^2 - 2: -2, 2, 2, ...
     code, out, err = run(capsys, argv[0], *fam, *argv[1:], str(MAX_LEVEL + 1))
-    assert (code, out, err) == (1, "", f"quadtower: error: {argv[-1]} must be <= {MAX_LEVEL}\n")
+    lo = 0 if argv[-1] == "--depth" else 1
+    assert (code, out, err) == (1, "", f"quadtower: error: {argv[-1]} must be in "
+                                       f"[{lo}, {MAX_LEVEL}]\n")
     code, _, err = run(capsys, argv[0], *fam, *argv[1:], str(MAX_LEVEL))
     assert code == 0, err
 
 
-def test_search_above_max_search_exits_one(capsys):
-    code, out, err = run(capsys, "curve", "--gamma", "0", "--c", "0,1", "--a", "2",
-                         "--level", "2", "--search", str(MAX_SEARCH + 1))
-    assert (code, out, err) == (1, "", f"quadtower: error: --search must be <= {MAX_SEARCH}\n")
+def test_every_integer_flag_declares_its_range():
+    declared = [*(flag for group in GROUPS.values() for flag in group),
+                *(flag for command in COMMANDS.values() for flag in command.flags)]
+    for names, kwargs in declared:
+        if kwargs.get("type") is int and "choices" not in kwargs:
+            assert "range" in kwargs, names[0]
+        if kwargs.get("range") is not None:
+            lo, hi = kwargs["range"]
+            assert isinstance(lo, int) and (hi is None or lo <= hi), names[0]
+
+
+def _ranged(name):
+    """(flag, lo, hi) for each of command name's flags with a bounded range."""
+    return [(names[0], *kwargs["range"]) for names, kwargs in quadtower.cli._flags(name)
+            if kwargs.get("range") is not None]
+
+
+RANGED = [(name, *row) for name in COMMANDS for row in _ranged(name)]
+
+
+def _cheap_argv(name):
+    """A call of command name on x^2 - 2, whose orbits of 0 and of the
+    critical point stay bounded (-2, 2, 2, ...), so that it runs fast at any
+    level."""
+    if name == "index-bound":
+        return [name, "--n", "3"]
+    point = [] if name == "family-info" else ["--a=-2"]
+    extra = {"orbit": ["--b", "0"], "density": ["--b", "0", "--X", "100"],
+             "certify": ["--to", str(MAX_LEVEL)]}.get(name, [])
+    return [name, "--gamma", "0", "--c", "0,1", *point, *extra]
+
+
+@pytest.mark.parametrize("name, flag, lo, hi", RANGED, ids=[f"{n}:{f}" for n, f, *_ in RANGED])
+def test_integer_flag_outside_its_range_exits_one(capsys, name, flag, lo, hi):
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    error = f"quadtower: error: {flag} must be {bound}\n"
+    argv = _cheap_argv(name)
+    outside, inside = [lo - 1], [lo]
+    if hi is not None:
+        outside.append(hi + 1)
+        inside.append(hi)
+    for value in outside:
+        # refused before the map or any other flag is read
+        assert run(capsys, name, f"{flag}={value}") == (1, "", error)
+        assert run(capsys, *argv, f"{flag}={value}") == (1, "", error)
+    for value in inside:
+        assert run(capsys, *argv, f"{flag}={value}")[2] != error
+    if hi is not None:
+        assert run(capsys, *argv, f"{flag}={hi}")[0] == 0
+        # a value far past the end would have run unbounded or exhausted
+        # memory; under a 1 GiB cap it is refused before any work
+        proc = run_capped(*argv, f"{flag}={hi * 1000}")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
 
 
 # among x^2 + a with |a| <= 2000, starting at |b| <= 40, these orbits escape
@@ -596,16 +657,6 @@ def test_index_bound_n40_stops_at_the_guard():
     assert "2^40 - 40 bits" in proc.stderr
 
 
-def test_huge_trial_bound_exits_one_before_it_sieves():
-    # the trial-division sieve would take 10 GB
-    proc = run_capped("curve", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "4",
-                      "--trial-bound", "10000000000")
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == ""
-    # a MemoryError would also exit 1, but with a traceback
-    assert proc.stderr.startswith("quadtower: error: trial_bound"), proc.stderr
-
-
 _X2P1_DENSITY = ("density", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0")
 
 
@@ -615,9 +666,9 @@ _X2P1_DENSITY = ("density", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0"
 # a MemoryError traceback under the 1 GiB cap.
 @pytest.mark.parametrize("argv, message", [
     (("curve", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "8",
-      "--rho-iters", str(MAX_RHO_ITERS + 1)), f"rho_iters must be <= {MAX_RHO_ITERS}"),
+      "--rho-iters", str(MAX_RHO_ITERS + 1)), f"--rho-iters must be in [0, {MAX_RHO_ITERS}]"),
     ((*_X2P1_DENSITY, "--X", str(10 ** 11), "--segment-size", str(MAX_SEGMENT_SIZE + 1)),
-     f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]"),
+     f"--segment-size must be in [1, {MAX_SEGMENT_SIZE}]"),
     ((*_X2P1_DENSITY, "--X", str(10 ** 12), "--shards", str(MAX_SHARDS + 1)),
      f"shards must be <= {MAX_SHARDS}"),
 ], ids=["rho-iters", "segment-size", "shards"])
@@ -650,8 +701,8 @@ def test_density_segment_size_below_one_exits_one_quickly(size):
     # sieve loop fails instead of hanging the suite
     proc = run_subprocess("density", "--gamma", "0", "--c", "0,1", "--a", "1",
                           "--b", "0", "--X", "1000", "--segment-size", size)
-    assert proc.returncode == 1
-    assert "segment_size" in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"quadtower: error: --segment-size must be in [1, {MAX_SEGMENT_SIZE}]\n"
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -718,6 +769,7 @@ _FLAGS = {
 
 @st.composite
 def _cli_argv(draw):
+    """A call, and whether it sets a flag just outside its declared range."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
     if command != "index-bound":
@@ -731,12 +783,19 @@ def _cli_argv(draw):
             argv.append(f"{flag}={value}")
     if draw(st.booleans()):
         argv.append("--json")
-    return argv
+    ranged = _ranged(command)
+    outside = bool(ranged) and draw(st.integers(0, 3)) == 0
+    if outside:  # last, so that it wins over a drawn value of the same flag
+        flag, lo, hi = draw(st.sampled_from(ranged))
+        value = lo - 1 if hi is None else draw(st.sampled_from([lo - 1, hi + 1]))
+        argv.append(f"{flag}={value}")
+    return argv, outside
 
 
 @settings(max_examples=120, deadline=None)
-@given(argv=_cli_argv())
-def test_cli_exit_code_is_0_1_or_2_and_quick(argv):
+@given(call=_cli_argv())
+def test_cli_exit_code_is_0_1_or_2_and_quick(call):
+    argv, outside = call
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -745,6 +804,7 @@ def test_cli_exit_code_is_0_1_or_2_and_quick(argv):
         except SystemExit as exc:  # argparse rejects the flags themselves
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
+    assert code == 1 or not outside, argv
     assert time.perf_counter() - start < 20, argv
 
 
@@ -835,6 +895,20 @@ def test_config_direct_and_other_commands_keys(tmp_path, capsys):
     # kappa1 belongs to nphi-bound; orbit ignores it
     argv = ("orbit", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0", "--depth", "3")
     assert _run_config(capsys, tmp_path, '{"kappa1": 0.5}', *argv) == run(capsys, *argv)
+
+
+def test_config_above_its_size_cap_exits_one_before_it_is_parsed(tmp_path, capsys):
+    argv = ("critical-orbit", "--gamma", "0", "--c", "0,1", "--depth", "2")
+    text = '{"a": 2}'
+    at_cap = text + " " * (MAX_CONFIG_BYTES - len(text))
+    assert _run_config(capsys, tmp_path, at_cap, *argv) == run(capsys, *argv, "--a", "2")
+    error = (f"quadtower: error: config {tmp_path / 'run.json'} is larger than "
+             f"{MAX_CONFIG_BYTES} bytes\n")
+    assert _run_config(capsys, tmp_path, at_cap + " ", *argv) == (1, "", error)
+    # int() would take seconds on these 10^6 digits
+    start = time.perf_counter()
+    assert _run_config(capsys, tmp_path, '{"a": 7%s}' % ("0" * 10 ** 6), *argv) == (1, "", error)
+    assert time.perf_counter() - start < 1
 
 
 def test_config_explicit_flags_win(tmp_path, capsys):

@@ -227,6 +227,14 @@ def test_nphi_bound_x2pt_spreadsheet():
     assert rep.n_phi == 1 + max(6, math.ceil(2 * math.log2(m_phi) + 19))
 
 
+@pytest.mark.parametrize("kappas", [(1e308, 1.0, 1.0), (5e307, 1.0, 1.0), (1.0, 1e308, 1.0),
+                                    (1.0, 1.0, 1e308)])
+def test_nphi_bound_refuses_kappas_that_overflow_the_chain(kappas):
+    # finite kappas whose bound chain reaches inf, where ceil(log2) would fail
+    with pytest.raises(InvalidConstantsError, match="overflows"):
+        X2PT.nphi_bound(HallLangConstants(*kappas))
+
+
 def test_nphi_clamps_at_six():
     # tiny M_phi forces the clamp branch: n_phi = 1 + 6
     fam = QuadraticFamily.of([0, 1], [0, 2])

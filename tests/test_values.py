@@ -58,7 +58,7 @@ _FAMILY = "QuadraticFamily(gamma=IntPolynomial(coeffs=()), c=IntPolynomial(coeff
 # (a function building one instance, its repr)
 CASES = [
     (lambda: IntPolynomial([0, 1]), "IntPolynomial(coeffs=(0, 1))"),
-    (lambda: Budget(), "Budget(trial_bound=1000000, rho_iters=10000000, mr_rounds=40, seed=0)"),
+    (lambda: Budget(), "Budget(trial_bound=1000000, rho_iters=10000000, seed=0)"),
     (lambda: Factorization(-1, ((2, 3),), 1, True),
      "Factorization(sign=-1, factors=((2, 3),), cofactor=1, complete=True)"),
     (lambda: SquareFreeDecomposition(1, -1, 2), "SquareFreeDecomposition(e=1, d=-1, y=2)"),
@@ -111,7 +111,6 @@ def test_record_is_an_immutable_value(make, text):
 @pytest.mark.parametrize("make, error, message", [
     (lambda: Budget(trial_bound=1), ValueError, "trial_bound must be in [2, 10000000]"),
     (lambda: Budget(rho_iters=-1), ValueError, "rho_iters must be >= 0"),
-    (lambda: Budget(mr_rounds=0), ValueError, "mr_rounds must be >= 1"),
     (lambda: SpecializedMap(a=1, gamma_a=2, c_a=3, v_a=5), ValueError,
      "v_a must equal c_a - gamma_a"),
     (lambda: HallLangConstants(0.0, 1.0, 1.0), InvalidConstantsError, "kappa1 must be positive"),
