@@ -17,14 +17,10 @@ from quadtower.factor import (
     Budget,
     Factorization,
     IncompleteFactorizationError,
-    PreconditionError,
-    PrimitiveDivisorReport,
     SquareFreeDecomposition,
     ZeroInputError,
-    doubling_check,
     factorize,
     is_probable_prime,
-    primitive_divisor_exact,
     squarefree_decompose,
     stripped_cofactor,
 )
@@ -46,6 +42,7 @@ from quadtower.galois import (
     CurveModel,
     IntegralPoint,
     MaximalityCertificate,
+    PrimitiveDivisorReport,
     SingularModelError,
     StabilityReport,
     TowerReport,
@@ -53,6 +50,7 @@ from quadtower.galois import (
     curve_model,
     discriminant_recurrence,
     primitive_divisor_certificate,
+    primitive_divisor_exact,
     search_integral_points,
     stability_scan,
     verify_forced_point,

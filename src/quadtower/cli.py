@@ -47,21 +47,15 @@ import sys
 from typing import Callable, NamedTuple
 
 from quadtower.bigpoly import BudgetError, IntPolynomial
-from quadtower.density import DEFAULT_SEGMENT_SIZE, density_curve
-from quadtower.factor import (
-    DEFAULT_BUDGET,
-    MAX_RHO_ITERS,
-    MAX_SEGMENT_SIZE,
-    MAX_TRIAL_BOUND,
-    Budget,
-    primitive_divisor_exact,
-)
+from quadtower.density import density_curve
+from quadtower.factor import DEFAULT_BUDGET, MAX_RHO_ITERS, MAX_TRIAL_BOUND, Budget
 from quadtower.family import HallLangConstants, IndexBound, QuadraticFamily, index_bound
 from quadtower.galois import (
     certify_tower,
     curve_report,
     discriminant_report,
     primitive_divisor_certificate,
+    primitive_divisor_exact,
     stability_scan,
 )
 from quadtower.orbit import DEFAULT_MAX_BITS, OrbitSlice, critical_orbit, orbit
@@ -123,13 +117,6 @@ def _map(args: argparse.Namespace):
     return _family(args).specialize(args.a)
 
 
-def _primitive_divisors(args: argparse.Namespace):
-    if args.method == "certificate":
-        return primitive_divisor_certificate(_map(args), args.level, args.bits)
-    crit = critical_orbit(_map(args), args.level, args.bits)
-    return primitive_divisor_exact(crit.values, args.level, _budget(args))
-
-
 def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     """One flag: argparse's names and keywords, plus for every type=int flag
     without choices a range: (lo, hi) with hi None for no upper end, or None
@@ -145,20 +132,21 @@ def _range_text(lo: int, hi: int | None) -> str:
 GROUPS = {
     "common": (_flag("--config", help="JSON config file; explicit flags win"),
                _flag("--format", dest="fmt", choices=("text", "json", "csv"), default="text"),
-               _flag("--json", action="store_true", help="shorthand for --format json"),
-               _flag("--seed", type=int, range=None, default=DEFAULT_BUDGET.seed)),
+               _flag("--json", action="store_true", help="shorthand for --format json")),
     "fam": (_flag("--gamma", help="gamma coefficients, low-to-high, e.g. '0,1'"),
             _flag("--c", help="c coefficients, low-to-high")),
     "spot": (_flag("--a", type=int, range=None, help="integer specialization point"),),
     "start": (_flag("--b", type=int, range=None),),
-    "depth": (_flag("--depth", type=int, range=(0, MAX_LEVEL), default=10),),
+    # critical-orbit and stability start at level 1; orbit declares its own --depth from 0
+    "depth": (_flag("--depth", type=int, range=(1, MAX_LEVEL), default=10),),
     "level": (_flag("--level", type=int, range=(1, MAX_LEVEL), default=1),),
     "bits": (_flag("--bits", type=int, range=(1, MAX_BITS), default=DEFAULT_MAX_BITS,
                    help="orbit bit budget per value"),),
     "effort": (_flag("--trial-bound", dest="trial_bound", type=int, range=(2, MAX_TRIAL_BOUND),
                      default=DEFAULT_BUDGET.trial_bound),
                _flag("--rho-iters", dest="rho_iters", type=int, range=(0, MAX_RHO_ITERS),
-                     default=DEFAULT_BUDGET.rho_iters)),
+                     default=DEFAULT_BUDGET.rho_iters),
+               _flag("--seed", type=int, range=None, default=DEFAULT_BUDGET.seed)),
 }
 
 
@@ -178,8 +166,9 @@ COMMANDS = {
         "isotriviality, m_phi, P_phi, F_phi, bound constants", ("fam", "effort"),
         lambda a: _family(a).info(_budget(a))),
     "orbit": Command(
-        "orbit of b under phi_a", ("fam", "spot", "start", "depth", "bits"),
+        "orbit of b under phi_a", ("fam", "spot", "start", "bits"),
         lambda a: orbit(_map(a), a.b, a.depth, a.bits),
+        flags=(_flag("--depth", type=int, range=(0, MAX_LEVEL), default=10),),
         required=("b",), formats={"json": OrbitSlice.json_lines}),
     "critical-orbit": Command(
         "critical values phi_a^n(gamma_a)", ("fam", "spot", "depth", "bits"),
@@ -194,7 +183,10 @@ COMMANDS = {
                _flag("--to", dest="to_level", type=int, range=(1, MAX_LEVEL), default=6))),
     "primitive-divisors": Command(
         "square-free primitive prime divisors at a level",
-        ("fam", "spot", "level", "bits", "effort"), _primitive_divisors,
+        ("fam", "spot", "level", "bits", "effort"),
+        lambda a: (primitive_divisor_exact(_map(a), a.level, _budget(a), a.bits)
+                   if a.method == "exact" else
+                   primitive_divisor_certificate(_map(a), a.level, a.bits)),
         flags=(_flag("--method", choices=("exact", "certificate"), default="certificate"),)),
     "discriminant": Command(
         "|disc(phi_a^n)| via the recurrence", ("fam", "spot", "bits"),
@@ -212,14 +204,11 @@ COMMANDS = {
     "density": Command(
         "prime-divisor density curve for the orbit of b", ("fam", "spot", "start"),
         lambda a: density_curve(_map(a), a.b, a.x_max, checkpoints=_checkpoints(a),
-                                shards=a.shards, workers=a.threads,
-                                segment_size=a.segment_size),
+                                shards=a.shards, workers=a.threads),
         flags=(_flag("--X", dest="x_max", type=int, range=(2, None), default=10 ** 6),
                _flag("--checkpoints"),
                _flag("--shards", type=int, range=(1, None), default=1),
-               _flag("--threads", type=int, range=(1, None), default=1),
-               _flag("--segment-size", dest="segment_size", type=int,
-                     range=(1, MAX_SEGMENT_SIZE), default=DEFAULT_SEGMENT_SIZE)),
+               _flag("--threads", type=int, range=(1, None), default=1)),
         required=("b",), formats={"csv": lambda curve: curve.to_csv().splitlines()}),
     "nphi-bound": Command(
         "evaluate the conditional bound chain for given kappas", ("fam",),

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from quadtower.factor import DEFAULT_SEGMENT_SIZE, MAX_SEGMENT_SIZE, primes_in_range
+from quadtower.factor import primes_in_range
 from quadtower.family import SpecializedMap
 
 # density_curve refuses more shards than MAX_SHARDS.  Each shard keeps its
@@ -65,11 +65,11 @@ class DensityCurve(NamedTuple):
         }
 
 
-def primes_up_to(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
+def primes_up_to(x: int) -> Iterator[int]:
     """All primes <= x in increasing order, by factor's segmented sieve."""
     if x < 2:
         raise ValueError("need x >= 2")
-    return primes_in_range(2, x, segment_size)
+    return primes_in_range(2, x)
 
 
 def orbit_hits_zero_mod_p(map: SpecializedMap, b: int, p: int) -> bool:
@@ -101,11 +101,11 @@ def orbit_hits_zero_mod_p(map: SpecializedMap, b: int, p: int) -> bool:
 def _scan_shard(args: tuple) -> tuple[list[int], list[int]]:
     """Scan the primes in [lo, hi]: for each checkpoint, how many of them are
     <= it, and the members among them."""
-    map, b, lo, hi, segment_size, checkpoints = args
+    map, b, lo, hi, checkpoints = args
     tested: list[int] = []
     members: list[int] = []
     count = 0
-    for p in primes_in_range(lo, hi, segment_size):
+    for p in primes_in_range(lo, hi):
         while len(tested) < len(checkpoints) and checkpoints[len(tested)] < p:
             tested.append(count)
         count += 1
@@ -129,7 +129,6 @@ def density_curve(
     checkpoints: list[int] | None = None,
     shards: int = 1,
     workers: int = 1,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> DensityCurve:
     """Sweep all primes p <= x_max for orbit membership.
 
@@ -138,15 +137,12 @@ def density_curve(
     count above x_max - 1 would leave shards empty and counts as x_max - 1.
     Worker processes only pay off for large x_max.  At most min(workers,
     shards, os.cpu_count()) processes start.  A shard count still above
-    MAX_SHARDS after that clamp, or a segment_size outside
-    [1, factor.MAX_SEGMENT_SIZE], raises ValueError before any shard runs.
+    MAX_SHARDS after that clamp raises ValueError before any shard runs.
     """
     if x_max < 2:
         raise ValueError("need x_max >= 2")
     if shards < 1 or workers < 1:
         raise ValueError("shards and workers must be >= 1")
-    if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
-        raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]")
     if checkpoints is None:
         checkpoints = default_checkpoints(x_max)
     if not checkpoints or sorted(set(checkpoints)) != list(checkpoints):
@@ -160,7 +156,7 @@ def density_curve(
         raise ValueError(f"shards must be <= {MAX_SHARDS}")
     bounds = [2 + span * i // shards for i in range(shards + 1)]
     jobs = [
-        (map, b, bounds[i], bounds[i + 1] - 1, segment_size, checkpoints)
+        (map, b, bounds[i], bounds[i + 1] - 1, checkpoints)
         for i in range(shards)
         if bounds[i] <= bounds[i + 1] - 1
     ]

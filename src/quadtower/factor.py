@@ -1,4 +1,4 @@
-"""Desk-scale integer factorization and primitive-prime-divisor machinery.
+"""Desk-scale integer factorization and prime tables.
 
 One segmented sieve feeds every prime table: the trial-division table (an
 array('I') per bound), the prime-power products of p-1 and ECM stage 1, the
@@ -7,10 +7,11 @@ ECM stage-2 plan and the density sweep's base primes and shards.
 Trial division, Pollard p-1 stage 1 to B1 = rho_iters // 100, Brent-variant
 Pollard rho in whole rounds within min(rho_iters, 2^17) map evaluations
 (131,070 at the cap), then elliptic-curve factoring (ECM) with the rest of
-rho_iters; strong-probable-prime tests, square-free
-decompositions 2^e * d * y^2, and the gcd-stripping cofactor that
-lets tower certificates avoid factoring altogether.  Everything is
-deterministic given the budget and its seed.
+rho_iters; strong-probable-prime tests and square-free decompositions
+2^e * d * y^2.  Everything is deterministic given the budget and its seed.
+stripped_cofactor strips a value against earlier values by plain gcds; the
+tower certificates get the same cofactor from residues instead
+(galois.CriticalResidues.cofactor), so no CLI command calls it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class IncompleteFactorizationError(BudgetError):
     stopped, whose cofactor holds what was not factored."""
 
     error = "incomplete-factorization"
-
-
-class PreconditionError(ValueError):
-    """A stated divisibility hypothesis does not hold."""
 
 
 # Trial division walks prime_table(trial_bound), which the segmented sieve
@@ -127,77 +124,29 @@ class SquareFreeDecomposition(NamedTuple):
         return (1 << self.e) * self.d * self.y * self.y
 
 
-class PrimitiveDivisorReport(NamedTuple):
-    """Square-free primitive prime divisors of the level-n critical value.
-
-    method "exact" lists every odd prime with odd valuation at level n and
-    valuation zero at all lower levels; certified means the list is nonempty.
-    method "certificate" carries the stripped cofactor R, in decimal, as
-    witness; certified means R > 1 and R is not a perfect square, which
-    proves such a prime exists without factoring (one-sided: not-certified
-    means unknown).  two_primitive is exact-route metadata for the excluded
-    prime 2.
-    """
-
-    level: int
-    primes: tuple[int, ...]
-    method: str
-    certified: bool
-    witness: str | None = None
-    two_primitive: bool | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "level": self.level,
-            "method": self.method,
-            "certified": self.certified,
-            "primes": [decimal_str(p) for p in self.primes],
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.two_primitive is not None:
-            out["two_primitive"] = self.two_primitive
-        return out
-
-    def text_lines(self):
-        out = self.to_json_dict()
-        yield f"level {self.level} ({self.method}): certified={self.certified}"
-        if "witness" in out:
-            yield f"witness R = {out['witness']}"
-        if self.primes:
-            yield "primes: " + ", ".join(out["primes"])
-
-
 # -- primes ------------------------------------------------------------------
 
-# The segmented sieve flags segment_size integers at a time, in about 1.5
+# The segmented sieve flags SEGMENT_SIZE integers at a time, in about 1.5
 # bytes each while a segment is crossed off.  The primes up to 10^7 took
-# 0.54 s at the default 2^16, 0.47 s at the cap and 0.42 s at 2^24 (Python
-# 3.11, 2 vCPUs), so a larger segment buys little time for its memory.
-DEFAULT_SEGMENT_SIZE = 1 << 16
-MAX_SEGMENT_SIZE = 1 << 22
+# 0.43 s at 2^16, 0.41 s at 2^18 and 2^20, and 1.2 s at 2^12 (Python 3.11,
+# 2 vCPUs), so a larger segment buys little time for its memory.
+SEGMENT_SIZE = 2 ** 16
 
 
-def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
+def primes_in_range(lo: int, hi: int) -> Iterator[int]:
     """The primes in [lo, hi] in increasing order, by a segmented sieve.
 
-    Each segment is a bytearray of segment_size flags, crossed off by the
+    Each segment is a bytearray of SEGMENT_SIZE flags, crossed off by the
     cached prime_table up to a power of two >= sqrt(hi), so the shards of one
-    density sweep share a few base tables.  Raises ValueError at once when
-    segment_size is outside [1, MAX_SEGMENT_SIZE].
+    density sweep share a few base tables.
     """
-    if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
-        raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]")
-    return _sieve(max(lo, 2), hi, segment_size)
-
-
-def _sieve(start: int, hi: int, segment_size: int) -> Iterator[int]:
+    start = max(lo, 2)
     if hi < start:
         return
     # the base bound is below hi for every hi >= 2, so the recursion ends
     base = prime_table(1 << (math.isqrt(hi) - 1).bit_length())
     while start <= hi:
-        end = min(start + segment_size - 1, hi)
+        end = min(start + SEGMENT_SIZE - 1, hi)
         flags = bytearray([1]) * (end - start + 1)
         for p in base:
             if p * p > end:
@@ -587,66 +536,3 @@ def stripped_cofactor(value: int, earlier: list[int] | tuple[int, ...]) -> int:
             r //= g
             g = math.gcd(r, e)
     return r
-
-
-def primitive_divisor_exact(
-    critical_values: list[int] | tuple[int, ...],
-    n: int,
-    budget: Budget = DEFAULT_BUDGET,
-) -> PrimitiveDivisorReport:
-    """Factor the level-n value and list its square-free primitive prime
-    divisors: odd primes with odd valuation there and zero valuation at all
-    lower levels.  2 is reported separately via two_primitive."""
-    if not 1 <= n <= len(critical_values):
-        raise ValueError(f"level {n} outside computed orbit")
-    value = critical_values[n - 1]
-    if value == 0:
-        raise ZeroInputError("level value is zero")
-    earlier = critical_values[: n - 1]
-    fac = factorize(value, budget)
-    if not fac.complete:
-        raise IncompleteFactorizationError(
-            f"level {n} value resists the factoring budget", fac
-        )
-    primes = []
-    two_primitive = False
-    for p, k in fac.factors:
-        if k % 2 == 0:
-            continue
-        fresh = all(e % p != 0 for e in earlier)
-        if p == 2:
-            two_primitive = fresh
-        elif fresh:
-            primes.append(p)
-    return PrimitiveDivisorReport(
-        level=n,
-        primes=tuple(primes),
-        method="exact",
-        certified=bool(primes),
-        two_primitive=two_primitive,
-    )
-
-
-def doubling_check(map, n: int, m: int, p: int) -> bool:
-    """Consistency check behind the floor(n/2) refinement: a prime p dividing
-    the critical values at levels m < n must divide the n-m orbit value of 0.
-
-    Verifies the divisibility hypotheses mod p first and raises
-    PreconditionError when they fail; the returned verdict must be True
-    whenever they hold.
-    """
-    if not 1 <= m < n:
-        raise PreconditionError("need 1 <= m < n")
-    if p < 2:
-        raise PreconditionError("p must be a prime >= 2")
-    x = map.gamma_a % p
-    for j in range(1, n + 1):
-        x = map.apply_mod(x, p)
-        if j == m and x != 0:
-            raise PreconditionError(f"{p} does not divide the level-{m} value")
-        if j == n and x != 0:
-            raise PreconditionError(f"{p} does not divide the level-{n} value")
-    z = 0
-    for _ in range(n - m):
-        z = map.apply_mod(z, p)
-    return z == 0

@@ -7,11 +7,16 @@ hyperelliptic curve models with their forced integral points, and a naive
 integral-point search.  Certificates never over-claim: CertifiedMaximal and
 FailedSquareOverQ are proved, Unknown is exactly that.
 
-stability_scan, certify_tower and primitive_divisor_certificate read the
+Square-free primitive prime divisors come two ways: exactly, by factoring
+the level value (primitive_divisor_exact), or without factoring, from its
+stripped cofactor (primitive_divisor_certificate).
+
+stability_scan, certify_tower and both primitive-divisor routes read the
 critical orbit through one CriticalResidues: one walk in exact decimal
-arithmetic, one square test of the adjusted value and one stripped witness.
-The curve and discriminant pipelines build the binary CriticalOrbit instead,
-since they need the exact integers.
+arithmetic, one square test of the adjusted value and one stripped witness;
+the exact route factors the reader's exact level value and tests lower levels
+by residues.  The curve and discriminant pipelines build the binary
+CriticalOrbit instead, since they read every exact value.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from quadtower.bigpoly import (
 from quadtower.factor import (
     DEFAULT_BUDGET,
     Budget,
-    PrimitiveDivisorReport,
+    IncompleteFactorizationError,
     SquareFreeDecomposition,
     ZeroInputError,
     factorize,
@@ -64,6 +69,47 @@ DIRECT_DISCRIMINANT_MAX_LEVEL = 10
 
 class SingularModelError(ValueError):
     """The requested curve has a repeated root on its right-hand side."""
+
+
+class PrimitiveDivisorReport(NamedTuple):
+    """Square-free primitive prime divisors of the level-n critical value.
+
+    method "exact" lists every odd prime with odd valuation at level n and
+    valuation zero at all lower levels; certified means the list is nonempty.
+    method "certificate" carries the stripped cofactor R, in decimal, as
+    witness; certified means R > 1 and R is not a perfect square, which
+    proves such a prime exists without factoring (one-sided: not-certified
+    means unknown).  two_primitive is exact-route metadata for the excluded
+    prime 2.
+    """
+
+    level: int
+    primes: tuple[int, ...]
+    method: str
+    certified: bool
+    witness: str | None = None
+    two_primitive: bool | None = None
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "level": self.level,
+            "method": self.method,
+            "certified": self.certified,
+            "primes": [decimal_str(p) for p in self.primes],
+        }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        if self.two_primitive is not None:
+            out["two_primitive"] = self.two_primitive
+        return out
+
+    def text_lines(self):
+        out = self.to_json_dict()
+        yield f"level {self.level} ({self.method}): certified={self.certified}"
+        if "witness" in out:
+            yield f"witness R = {out['witness']}"
+        if self.primes:
+            yield "primes: " + ", ".join(out["primes"])
 
 
 class StabilityReport(NamedTuple):
@@ -300,7 +346,7 @@ def discriminant_report(
 
 class CriticalResidues:
     """The critical orbit v_n = phi_a^n(gamma_a), the one reader behind the
-    verdicts of certify_tower, stability_scan and
+    verdicts of certify_tower, stability_scan, primitive_divisor_exact and
     primitive_divisor_certificate.
 
     walk(depth, max_bits) steps the orbit once in exact decimal arithmetic
@@ -310,6 +356,7 @@ class CriticalResidues:
 
     The verdicts then read the orbit through:
 
+    - value(n): v_n as an exact int;
     - square_root(n, x): the root of the adjusted value a_n (-c_a at level 1,
       v_n above) when a_n is a square, given v_n as x;
     - residue(n, m): v_n mod m;
@@ -317,11 +364,12 @@ class CriticalResidues:
     - stripped_witness(n, x): the stripped cofactor R = |v_n| / q in decimal,
       and whether it certifies a primitive divisor.
 
-    Exact values are kept only for a prefix of the orbit: up to level n // 2
-    at level n, and further while the next value has no more digits than the
-    longest one kept, so a bounded orbit stays exact and an escaping one stops
-    at about half the levels.  Every other v_n is read through its residues,
-    got by stepping the orbit modulo small numbers from the last exact value.
+    Exact values are kept only for a prefix of the orbit, unless value(k)
+    asks for more: up to level n // 2 at level n, and further while the next
+    value has no more digits than the longest one kept, so a bounded orbit
+    stays exact and an escaping one stops at about half the levels.  Every
+    other v_n is read through its residues, got by stepping the orbit modulo
+    small numbers from the last exact value.
     The orbit w_j = phi_a^j(0) of 0 is kept exactly as far as the rigid gcds
     need it, which is below level n / 2.
     """
@@ -348,14 +396,15 @@ class CriticalResidues:
                 check_bits(x, max_bits, "orbit value")
             except DigitBudgetError as err:
                 err.partial = partial() if partial else OrbitRows(
-                    m, 1, [self._exact_v(k) for k in range(1, n)])
+                    m, 1, [self.value(k) for k in range(1, n)])
                 raise
             self.sizes.append(x.adjusted())
             if self.first_zero is None and x.is_zero():
                 self.first_zero = n
             yield n, x
 
-    def _exact_v(self, k: int) -> int:
+    def value(self, k: int) -> int:
+        """v_k, exactly; v_1..v_k are kept from then on."""
         while len(self.v) < k:
             self.v.append(self.map.apply(self.v[-1] if self.v else self.map.gamma_a))
         return self.v[k - 1]
@@ -370,7 +419,7 @@ class CriticalResidues:
             k = len(self.v)
             if k >= n // 2 and self.sizes[k] > max(self.sizes[:k]):
                 return
-            self._exact_v(k + 1)
+            self.value(k + 1)
 
     def residue(self, n: int, m: int) -> int:
         """v_n mod m."""
@@ -417,7 +466,7 @@ class CriticalResidues:
             return math.gcd(m, x)
         w = abs(self._exact_w(j))
         if w == 0:
-            return abs(self._exact_v(k))
+            return abs(self.value(k))
         return math.gcd(w, self.residue(k, w))
 
     def cofactor(self, n: int) -> int:
@@ -576,6 +625,56 @@ def verify_forced_point(
     return y * y == model.rhs.evaluate(x)
 
 
+def _walk_to_level(map: SpecializedMap, n: int, max_bits: int):
+    """A CriticalResidues walked to level n, and v_n as a Decimal; a zero v_n
+    raises ZeroInputError."""
+    orbit = CriticalResidues(map)
+    for _, x in orbit.walk(n, max_bits):
+        pass
+    if x.is_zero():
+        raise ZeroInputError("level value is zero")
+    return orbit, x
+
+
+def primitive_divisor_exact(
+    map: SpecializedMap, n: int, budget: Budget = DEFAULT_BUDGET,
+    max_bits: int = DEFAULT_MAX_BITS,
+) -> PrimitiveDivisorReport:
+    """Factor the level-n critical value and list its square-free primitive
+    prime divisors: odd primes with odd valuation there and zero valuation
+    at all lower levels.  2 is reported separately via two_primitive.
+
+    The critical orbit is walked once to level n (CriticalResidues), which
+    decides the bit budget and the zero check.  A prime p is new at level n
+    when v_k mod p is nonzero for every k < n, so a lower value 0 leaves no
+    prime new.  A factorization the budget cannot finish raises
+    IncompleteFactorizationError carrying it.
+    """
+    orbit, _ = _walk_to_level(map, n, max_bits)
+    fac = factorize(orbit.value(n), budget)
+    if not fac.complete:
+        raise IncompleteFactorizationError(
+            f"level {n} value resists the factoring budget", fac
+        )
+    primes = []
+    two_primitive = False
+    for p, k in fac.factors:
+        if k % 2 == 0:
+            continue
+        fresh = all(orbit.residue(j, p) != 0 for j in range(1, n))
+        if p == 2:
+            two_primitive = fresh
+        elif fresh:
+            primes.append(p)
+    return PrimitiveDivisorReport(
+        level=n,
+        primes=tuple(primes),
+        method="exact",
+        certified=bool(primes),
+        two_primitive=two_primitive,
+    )
+
+
 def primitive_divisor_certificate(
     map: SpecializedMap, n: int, max_bits: int = DEFAULT_MAX_BITS
 ) -> PrimitiveDivisorReport:
@@ -591,11 +690,7 @@ def primitive_divisor_certificate(
     means unknown.  R's primes are listed when a small courtesy
     factorization finds them, which is not tried above _COURTESY_MAX_BITS.
     """
-    orbit = CriticalResidues(map)
-    for _, x in orbit.walk(n, max_bits):
-        pass
-    if x.is_zero():
-        raise ZeroInputError("level value is zero")
+    orbit, x = _walk_to_level(map, n, max_bits)
     if orbit.first_zero is not None:
         raise ZeroInputError("earlier values must be nonzero")
     text, certified = orbit.stripped_witness(n, x)

@@ -18,7 +18,6 @@ from quadtower.factor import (
     IncompleteFactorizationError,
     factorize,
     is_probable_prime,
-    primitive_divisor_exact,
     squarefree_decompose,
 )
 from quadtower.family import QuadraticFamily, SpecializedMap
@@ -27,6 +26,7 @@ from quadtower.galois import (
     certify_tower,
     curve_model,
     discriminant_recurrence,
+    primitive_divisor_exact,
     verify_forced_point,
 )
 from quadtower.orbit import (
@@ -133,14 +133,10 @@ def test_criterion_05_certificate_soundness():
             if abs(values[cert.level - 1]) >= 1 << 128:
                 continue
             try:
-                exact = primitive_divisor_exact(
-                    values, cert.level, Budget(rho_iters=10 ** 6)
-                )
+                exact = primitive_divisor_exact(m, cert.level, Budget(rho_iters=10 ** 6))
             except IncompleteFactorizationError:
                 try:
-                    exact = primitive_divisor_exact(
-                        values, cert.level, Budget(rho_iters=10 ** 7)
-                    )
+                    exact = primitive_divisor_exact(m, cert.level, Budget(rho_iters=10 ** 7))
                 except IncompleteFactorizationError:
                     continue  # cannot evaluate, not a counterexample
             assert exact.primes, (entry.name, cert.level)

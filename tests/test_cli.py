@@ -19,7 +19,7 @@ from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
 import quadtower.cli
 from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_CONFIG_BYTES, MAX_LEVEL, main
 from quadtower.density import MAX_SHARDS
-from quadtower.factor import MAX_RHO_ITERS, MAX_SEGMENT_SIZE
+from quadtower.factor import MAX_RHO_ITERS
 from quadtower.family import MAX_EXCEPTIONAL_THRESHOLD, HallLangConstants, QuadraticFamily
 from quadtower.galois import certify_tower
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
@@ -519,12 +519,20 @@ def test_missing_config_file_exits_one(capsys, tmp_path):
 
 
 def test_depth_zero_is_usage_error(capsys):
-    code, _, err = run(
-        capsys, "critical-orbit", "--gamma", "0", "--c", "0,1", "--a", "1",
-        "--depth", "0",
-    )
-    assert code == 1
-    assert "depth" in err
+    # orbit --depth 0 prints b alone; these two commands start at level 1
+    for command in ("critical-orbit", "stability"):
+        assert run(capsys, command, "--gamma", "0", "--c", "0,1", "--a", "1", "--depth", "0") == (
+            1, "", f"quadtower: error: --depth must be in [1, {MAX_LEVEL}]\n")
+
+
+def test_seed_only_where_a_budget_is_built(capsys):
+    takes_seed = {name for name in COMMANDS
+                  if "--seed" in (names[0] for names, _ in quadtower.cli._flags(name))}
+    assert takes_seed == {"family-info", "primitive-divisors", "curve"}
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--gamma", "0", "--c", "0,1", "--a", "2", "--seed", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -552,7 +560,7 @@ def test_bits_below_one_is_usage_error(capsys, command, extra, bits):
 def test_level_flags_stop_at_max_level(capsys, argv):
     fam = ("--gamma", "0", "--c", "0,1", "--a=-2")  # x^2 - 2: -2, 2, 2, ...
     code, out, err = run(capsys, argv[0], *fam, *argv[1:], str(MAX_LEVEL + 1))
-    lo = 0 if argv[-1] == "--depth" else 1
+    lo = 0 if argv[0] == "orbit" else 1
     assert (code, out, err) == (1, "", f"quadtower: error: {argv[-1]} must be in "
                                        f"[{lo}, {MAX_LEVEL}]\n")
     code, _, err = run(capsys, argv[0], *fam, *argv[1:], str(MAX_LEVEL))
@@ -596,13 +604,14 @@ def test_integer_flag_outside_its_range_exits_one(capsys, name, flag, lo, hi):
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     error = f"quadtower: error: {flag} must be {bound}\n"
     argv = _cheap_argv(name)
-    outside, inside = [lo - 1], [lo]
+    # lo - 6 is negative for every declared lo, and is passed as its own token
+    outside, inside = [lo - 1, lo - 6], [lo]
     if hi is not None:
         outside.append(hi + 1)
         inside.append(hi)
     for value in outside:
         # refused before the map or any other flag is read
-        assert run(capsys, name, f"{flag}={value}") == (1, "", error)
+        assert run(capsys, name, flag, str(value)) == (1, "", error)
         assert run(capsys, *argv, f"{flag}={value}") == (1, "", error)
     for value in inside:
         assert run(capsys, *argv, f"{flag}={value}")[2] != error
@@ -657,21 +666,17 @@ def test_index_bound_n40_stops_at_the_guard():
     assert "2^40 - 40 bits" in proc.stderr
 
 
-_X2P1_DENSITY = ("density", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0")
-
-
 # Each cap is checked before the work it bounds: p-1's prime-power product to
-# B1 = rho_iters // 100, one segment of flags, the list of shard bounds.
-# --rho-iters 10^12, --segment-size 10^11 and --shards 10^11 used to die with
-# a MemoryError traceback under the 1 GiB cap.
+# B1 = rho_iters // 100, the list of shard bounds (after the clamp to X - 1).
+# --rho-iters 10^12 and --shards 10^11 used to die with a MemoryError
+# traceback under the 1 GiB cap.
 @pytest.mark.parametrize("argv, message", [
     (("curve", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "8",
       "--rho-iters", str(MAX_RHO_ITERS + 1)), f"--rho-iters must be in [0, {MAX_RHO_ITERS}]"),
-    ((*_X2P1_DENSITY, "--X", str(10 ** 11), "--segment-size", str(MAX_SEGMENT_SIZE + 1)),
-     f"--segment-size must be in [1, {MAX_SEGMENT_SIZE}]"),
-    ((*_X2P1_DENSITY, "--X", str(10 ** 12), "--shards", str(MAX_SHARDS + 1)),
+    (("density", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0", "--X", str(10 ** 12),
+      "--shards", str(MAX_SHARDS + 1)),
      f"shards must be <= {MAX_SHARDS}"),
-], ids=["rho-iters", "segment-size", "shards"])
+], ids=["rho-iters", "shards"])
 def test_effort_caps_exit_one_before_they_allocate(argv, message):
     proc = run_capped(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"quadtower: error: {message}\n")
@@ -693,16 +698,6 @@ def test_discriminant_refuses_a_huge_level_before_the_orbit():
     assert json.loads(proc.stdout) == {"error": "digit-budget-exceeded", "partial": None}
     # the default budget of 2^20 bits first fails at level 21
     assert "discriminant at level 21 needs more than 1048576 bits" in proc.stderr
-
-
-@pytest.mark.parametrize("size", ["0", "-3"])
-def test_density_segment_size_below_one_exits_one_quickly(size):
-    # a separate process with a timeout, so a regression to the endless
-    # sieve loop fails instead of hanging the suite
-    proc = run_subprocess("density", "--gamma", "0", "--c", "0,1", "--a", "1",
-                          "--b", "0", "--X", "1000", "--segment-size", size)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"quadtower: error: --segment-size must be in [1, {MAX_SEGMENT_SIZE}]\n"
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -758,7 +753,6 @@ _FLAGS = {
               "--genus": st.sampled_from([None, 1, 2]), "--search": st.integers(0, 20),
               "--rho-iters": _RHO},
     "density": {"--a": _POINT, "--b": _POINT, "--X": st.integers(-10, 3000),
-                "--segment-size": st.sampled_from([None, None, -1, 0, 7, 1000]),
                 "--shards": st.sampled_from([None, 0, 1, 3, 5000])},
     "nphi-bound": {"--kappa1": st.sampled_from([None, -1, 0.5, 1, 2.5]),
                    "--kappa2": st.sampled_from([0, 1, 3]),
@@ -823,7 +817,7 @@ def test_discriminant_direct_refusal_needs_a_map_first(capsys):
 # every config key: a long flag without its dashes, with - written as _
 CONFIG_KEYS = {
     "gamma", "c", "a", "b", "depth", "bits", "trial_bound", "rho_iters", "X", "checkpoints",
-    "format", "seed", "shards", "threads", "segment_size", "level", "genus", "search",
+    "format", "seed", "shards", "threads", "level", "genus", "search",
     "from", "to", "method", "kappa1", "kappa2", "kappa3", "n", "direct",
 }
 
@@ -840,13 +834,13 @@ def _run_config(capsys, tmp_path, text, *argv):
 
 
 def test_config_keys_are_the_long_flags(tmp_path, capsys):
-    assert len(CONFIG_KEYS) == 26
+    assert len(CONFIG_KEYS) == 25
     for key in CONFIG_KEYS:
-        # index-bound takes only format, seed, bits and n; it ignores the rest
+        # index-bound takes only format, bits and n; it ignores the rest
         _, _, err = _run_config(capsys, tmp_path, json.dumps({key: "1"}),
                                 "index-bound", "--n", "1")
         assert "unknown config key" not in err, key
-    for key in ("config", "json", "help", "trial-bound", "segment-size", "x_max", "fmt"):
+    for key in ("config", "json", "help", "trial-bound", "rho-iters", "x_max", "fmt"):
         code, out, err = _run_config(capsys, tmp_path, json.dumps({key: "1"}),
                                      "index-bound", "--n", "1")
         assert (code, out) == (1, ""), key

@@ -60,7 +60,7 @@ ARGVS += [
         ("curve", "--level", "2"),
         ("critical-orbit", "--depth", "1"),
         ("certify", "--from", "3", "--to", "5"),
-        ("density", "--b", "0", "--X", "5000", "--shards", "3", "--segment-size", "100"),
+        ("density", "--b", "0", "--X", "5000", "--shards", "3"),
         ("primitive-divisors", "--level", "1"),
     ]
     for fmt in ([], ["--json"])
@@ -178,8 +178,8 @@ def _no_binary_orbit(*args, **kwargs):
 
 
 def test_verdict_commands_read_the_orbit_only_through_critical_residues(monkeypatch):
-    # certify, stability and primitive-divisors --method certificate walk the
-    # decimal orbit once; none may build the binary orbit or square-test it
+    # certify, stability and both primitive-divisors methods walk the decimal
+    # orbit once; none may build the binary orbit or square-test it
     import quadtower.cli
     import quadtower.galois
 
@@ -188,9 +188,8 @@ def test_verdict_commands_read_the_orbit_only_through_critical_residues(monkeypa
     monkeypatch.setattr(quadtower.galois, "is_perfect_square", _no_binary_orbit)
     expected = json.loads(FIXTURE.read_text())
     calls = [(argv, want) for argv, want in zip(ARGVS, expected)
-             if argv[0] in ("certify", "stability")
-             or argv[0] == "primitive-divisors" and "exact" not in argv]
-    assert len(calls) == 50
+             if argv[0] in ("certify", "stability", "primitive-divisors")]
+    assert len(calls) == 62
     mismatches = [(argv, want, got) for argv, want in calls if (got := _run(argv)) != want]
     assert not mismatches, mismatches
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import quadtower.factor as factor_mod
 from quadtower.density import (
     default_checkpoints,
     density_curve,
@@ -35,18 +36,10 @@ def test_primes_up_to_against_independent_sieve():
     assert len(plain_primes(10 ** 6)) == 78498
 
 
-def test_segment_size_does_not_matter():
-    a = list(primes_up_to(10 ** 5, segment_size=64))
-    b = list(primes_up_to(10 ** 5, segment_size=1 << 16))
-    assert a == b
-
-
-@pytest.mark.parametrize("size", [0, -1, -4096])
-def test_segment_size_below_one_rejected(size):
-    with pytest.raises(ValueError):
-        primes_up_to(100, segment_size=size)
-    with pytest.raises(ValueError):
-        density_curve(X2P1, 0, 100, segment_size=size)
+def test_segment_size_does_not_matter(monkeypatch):
+    # 64-integer segments put many segment boundaries below 10^5
+    monkeypatch.setattr(factor_mod, "SEGMENT_SIZE", 64)
+    assert tuple(primes_up_to(10 ** 5)) == plain_primes(10 ** 5)
 
 
 def test_orbit_hits_zero_examples():

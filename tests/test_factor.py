@@ -11,28 +11,26 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quadtower.factor as factor_mod
-from quadtower.bigpoly import decimal_str, is_perfect_square
+from quadtower.bigpoly import BudgetError, decimal_str, is_perfect_square
 from quadtower.factor import (
     Budget,
     Factorization,
     IncompleteFactorizationError,
-    PreconditionError,
     ZeroInputError,
-    doubling_check,
     factorize,
     is_probable_prime,
-    primitive_divisor_exact,
     squarefree_decompose,
     stripped_cofactor,
 )
 from quadtower.family import QuadraticFamily
-from quadtower.galois import primitive_divisor_certificate
-from quadtower.orbit import critical_orbit
+from quadtower.galois import (
+    PrimitiveDivisorReport,
+    primitive_divisor_certificate,
+    primitive_divisor_exact,
+)
+from quadtower.orbit import DigitBudgetError, critical_orbit
 
 from conftest import CORPUS, plain_primes
-
-X2P1_ORBIT = (1, 2, 5, 26, 677, 458330)
-
 
 def _x2(c):
     """The map x^2 + c."""
@@ -561,15 +559,65 @@ def test_stripped_cofactor_is_coprime_to_inputs():
 
 
 def test_primitive_divisor_exact_x2p1():
-    rep = primitive_divisor_exact(X2P1_ORBIT, 4)
+    # x^2 + 1: 1, 2, 5, 26, 677, ...
+    rep = primitive_divisor_exact(_x2(1), 4)
     assert rep.primes == (13,)
     assert rep.certified and rep.method == "exact"
-    rep = primitive_divisor_exact(X2P1_ORBIT, 3)
+    rep = primitive_divisor_exact(_x2(1), 3)
     assert rep.primes == (5,)
-    rep = primitive_divisor_exact(X2P1_ORBIT, 2)
+    rep = primitive_divisor_exact(_x2(1), 2)
     assert rep.primes == ()
     assert not rep.certified
     assert rep.two_primitive is True
+
+
+def _list_exact(map, n, budget, max_bits):
+    """Reference: the exact route over the full binary critical orbit, each
+    prime tested against every lower value by e % p."""
+    values = critical_orbit(map, n, max_bits).values
+    value = values[n - 1]
+    if value == 0:
+        raise ZeroInputError("level value is zero")
+    fac = factorize(value, budget)
+    if not fac.complete:
+        raise IncompleteFactorizationError(f"level {n} value resists the factoring budget", fac)
+    primes, two_primitive = [], False
+    for p, k in fac.factors:
+        if k % 2 == 0:
+            continue
+        fresh = all(e % p != 0 for e in values[: n - 1])
+        if p == 2:
+            two_primitive = fresh
+        elif fresh:
+            primes.append(p)
+    return PrimitiveDivisorReport(n, tuple(primes), "exact", bool(primes),
+                                  two_primitive=two_primitive)
+
+
+def _outcome(route, *args):
+    """route's report, or the refusal it raised: its type, message and partial."""
+    try:
+        return route(*args)
+    except (ZeroInputError, BudgetError) as err:
+        return type(err), str(err), getattr(err, "partial", None)
+
+
+def test_primitive_divisor_exact_matches_the_list_oracle():
+    # a small budget and a 512-bit cap, so that zero values, incomplete
+    # factorizations and bit-budget refusals all occur beside the reports
+    budget = Budget(trial_bound=1000, rho_iters=1000)
+    seen = set()
+    for gamma, c in [([0], [0, 1]), ([0, 1], [1, 1]), ([1], [3]), ([0], [-1, 0, 1])]:
+        family = QuadraticFamily.of(gamma, c)
+        for a in range(-25, 26):
+            m = family.specialize(a)
+            for n in range(1, 10):
+                want = _outcome(_list_exact, m, n, budget, 512)
+                assert _outcome(primitive_divisor_exact, m, n, budget, 512) == want, (c, a, n)
+                seen.add(bool(want.primes) if isinstance(want, PrimitiveDivisorReport)
+                         else want[0])
+    assert seen == {True, False, ZeroInputError, IncompleteFactorizationError,
+                    DigitBudgetError}
 
 
 def test_primitive_divisor_certificate_x2p1():
@@ -630,7 +678,7 @@ def test_exact_and_certificate_agree_on_corpus():
                 continue
             cert = primitive_divisor_certificate(m, n)
             try:
-                exact = primitive_divisor_exact(values, n)
+                exact = primitive_divisor_exact(m, n)
             except IncompleteFactorizationError:
                 continue
             if cert.certified:
@@ -640,6 +688,35 @@ def test_exact_and_certificate_agree_on_corpus():
                 # the only way exact wins: every primitive prime also divides
                 # the paired square part y^2 through an earlier gcd strip
                 assert all(int(cert.witness) % p != 0 for p in exact.primes)
+
+
+class PreconditionError(ValueError):
+    """A stated divisibility hypothesis does not hold."""
+
+
+def doubling_check(map, n: int, m: int, p: int) -> bool:
+    """Consistency check behind the floor(n/2) refinement: a prime p dividing
+    the critical values at levels m < n must divide the n-m orbit value of 0.
+
+    Verifies the divisibility hypotheses mod p first and raises
+    PreconditionError when they fail; the returned verdict must be True
+    whenever they hold.
+    """
+    if not 1 <= m < n:
+        raise PreconditionError("need 1 <= m < n")
+    if p < 2:
+        raise PreconditionError("p must be a prime >= 2")
+    x = map.gamma_a % p
+    for j in range(1, n + 1):
+        x = map.apply_mod(x, p)
+        if j == m and x != 0:
+            raise PreconditionError(f"{p} does not divide the level-{m} value")
+        if j == n and x != 0:
+            raise PreconditionError(f"{p} does not divide the level-{n} value")
+    z = 0
+    for _ in range(n - m):
+        z = map.apply_mod(z, p)
+    return z == 0
 
 
 def test_doubling_check():
@@ -655,8 +732,6 @@ def test_doubling_check():
 
 
 def test_doubling_check_holds_wherever_preconditions_do():
-    from quadtower.orbit import critical_orbit
-
     for entry in CORPUS:
         m = entry.map()
         values = critical_orbit(m, 6).values

@@ -10,7 +10,7 @@ import pytest
 
 from quadtower.bigpoly import IntPolynomial
 from quadtower.density import DensityCurve, DensityRow
-from quadtower.factor import Budget, Factorization, PrimitiveDivisorReport, SquareFreeDecomposition
+from quadtower.factor import Budget, Factorization, SquareFreeDecomposition
 from quadtower.family import (
     BoundConstants,
     FamilyInfo,
@@ -27,6 +27,7 @@ from quadtower.galois import (
     DiscriminantReport,
     IntegralPoint,
     MaximalityCertificate,
+    PrimitiveDivisorReport,
     StabilityReport,
     TowerReport,
 )
