@@ -2,12 +2,14 @@
 
 A polynomial is a dense tuple of coefficients, low degree first; the highest
 stored coefficient is nonzero and the zero polynomial is the empty tuple.
-Everything is exact Python-int arithmetic; floats appear only in the
-logarithmic height functions.
+Everything is exact: Python-int arithmetic, and decimal arithmetic for the
+big values of the critical orbit, in one module-level context that refuses
+to round.  Floats appear only in the logarithmic height functions.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from fractions import Fraction
@@ -145,7 +147,7 @@ class IntPolynomial(FrozenSlots):
         """Inverse of parse; the zero polynomial serializes as "0"."""
         if not self.coeffs:
             return "0"
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(map(decimal_str, self.coeffs))
 
     # -- basic structure ----------------------------------------------------
 
@@ -254,9 +256,9 @@ class IntPolynomial(FrozenSlots):
                 continue
             mag = abs(c)
             if i == 0:
-                term = str(mag)
+                term = decimal_str(mag)
             else:
-                head = "" if mag == 1 else str(mag)
+                head = "" if mag == 1 else decimal_str(mag)
                 term = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
             if not parts:
                 parts.append(("-" if c < 0 else "") + term)
@@ -441,54 +443,48 @@ _DECIMAL_STR_CUTOFF = 1 << 15
 _DECIMAL_LEAF_BITS = 1024
 
 
-def _exact_context():
-    """A decimal context in which integer +, -, * and // are exact: maximal
-    precision and exponent range, and Inexact trapped in case they are not."""
-    import decimal
-
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    ctx.traps[decimal.Inexact] = True
-    return ctx
+# Every decimal operation goes through this context: integer +, -, *, //,
+# divmod and powers are exact at maximal precision and exponent range, and
+# Inexact is trapped in case one is not.  No helper reads the thread's context.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                decimal.Overflow, decimal.Inexact])
 
 
-def _pow2(powers: dict, w: int):
+def _pow2(powers: dict, w: int) -> decimal.Decimal:
     """2^w as a Decimal, memoized in powers (w -> 2^w) for one conversion."""
     p = powers.get(w)
     if p is None:
         if w <= _DECIMAL_LEAF_BITS:
-            import decimal
-
-            p = decimal.Decimal(2) ** w
+            p = _EXACT.power(2, w)
         elif w - 1 in powers:
-            p = powers[w - 1] * 2
+            p = _EXACT.multiply(powers[w - 1], 2)
         else:
             half = w >> 1
-            p = _pow2(powers, half) * _pow2(powers, w - half)
+            p = _EXACT.multiply(_pow2(powers, half), _pow2(powers, w - half))
         powers[w] = p
     return p
 
 
-def _convert(powers: dict, m: int, w: int):
+def _convert(powers: dict, m: int, w: int) -> decimal.Decimal:
     """Decimal(m) for 0 <= m < 2^w, split at 2^(w // 2)."""
     if w <= _DECIMAL_LEAF_BITS:
-        import decimal
-
         return decimal.Decimal(m)
     half = w >> 1
     hi = m >> half
-    high = _convert(powers, hi, w - half) * _pow2(powers, half)
-    return high + _convert(powers, m - (hi << half), half)
+    high = _EXACT.multiply(_convert(powers, hi, w - half), _pow2(powers, half))
+    return _EXACT.add(high, _convert(powers, m - (hi << half), half))
 
 
-def _to_decimal(n: int):
-    """Decimal(n) in subquadratic time; call it under _exact_context().
+def _to_decimal(n: int) -> decimal.Decimal:
+    """Decimal(n) in subquadratic time.
 
     |n| is split at powers of two and the halves are recombined in the
     decimal module, whose multiplication is subquadratic.  The table of
     powers of two lives for one call and is freed when it returns.
     """
     d = _convert({}, abs(n), n.bit_length())
-    return -d if n < 0 else d
+    return d.copy_negate() if n < 0 else d
 
 
 def decimal_str(n: int) -> str:
@@ -504,51 +500,43 @@ def decimal_str(n: int) -> str:
     """
     if n.bit_length() <= _DECIMAL_STR_CUTOFF:
         return str(n)
-    import decimal
-
-    with decimal.localcontext(_exact_context()):
-        return str(_to_decimal(n))
+    return str(_to_decimal(n))
 
 
-def _decimal_bit_length(x) -> int:
+def _decimal_bit_length(x: decimal.Decimal) -> int:
     """bit_length of the integer Decimal x, by comparing |x| with powers of
     two in exact decimal arithmetic, starting a bit below the digit bound."""
-    import decimal
-
     x = x.copy_abs()
     if not x:
         return 0
-    ctx = _exact_context()
     # |x| >= 10^adjusted, so 2^bits <= |x| holds from the start
     bits = max(0, int(x.adjusted() * _LOG2_10) - 1)
-    power = ctx.power(decimal.Decimal(2), bits)
+    power = _EXACT.power(2, bits)
     while power <= x:
-        power = ctx.multiply(power, 2)
+        power = _EXACT.multiply(power, 2)
         bits += 1
     return bits
 
 
-def decimal_isqrt(x):
+def decimal_isqrt(x: decimal.Decimal) -> decimal.Decimal | None:
     """The square root of the integer Decimal x >= 0 when x is a perfect
     square, else None.
 
     The root is taken to a few digits more than half of x's, so a square's
     root comes out exact; squaring it back decides.
     """
-    import decimal
-
     ctx = decimal.Context(prec=x.adjusted() // 2 + 3, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN)
     root = ctx.to_integral_value(ctx.sqrt(x))
-    return root if _exact_context().multiply(root, root) == x else None
+    return root if _EXACT.multiply(root, root) == x else None
 
 
-def decimal_quotient(x, q: int):
+def decimal_quotient(x: decimal.Decimal, q: int) -> decimal.Decimal:
     """x / q for an integer Decimal x and an int q > 0 that divides it,
     exactly; ValueError when q does not divide x."""
     if q == 1:
         return x
-    quotient, rem = _exact_context().divmod(x, q)
+    quotient, rem = _EXACT.divmod(x, q)
     if rem:
         raise ValueError(f"{q} does not divide the value")
     return quotient
@@ -558,7 +546,7 @@ def decimal_quotient(x, q: int):
 _TAIL = 10 ** 18
 
 
-def decimal_orbit(gamma: int, c: int, start: int) -> Iterator:
+def decimal_orbit(gamma: int, c: int, start: int) -> Iterator[decimal.Decimal]:
     """start, phi(start), phi^2(start), ... for phi(x) = (x - gamma)^2 + c,
     as exact integer decimal.Decimal values.
 
@@ -569,18 +557,13 @@ def decimal_orbit(gamma: int, c: int, start: int) -> Iterator:
     decimal values back to the integers.  The next value is computed only
     when it is asked for.
     """
-    import decimal
-
-    ctx = _exact_context()
-    with decimal.localcontext(ctx):
-        x, g, k = _to_decimal(start), _to_decimal(gamma), _to_decimal(c)
-    tail = decimal.Decimal(_TAIL)
+    x, g, k = _to_decimal(start), _to_decimal(gamma), _to_decimal(c)
     r = start % _TAIL
     while True:
-        if int(ctx.remainder(x, tail)) % _TAIL != r:
+        if int(_EXACT.remainder(x, _TAIL)) % _TAIL != r:
             raise ValueError("the decimal orbit disagrees with the orbit mod 10^18")
         yield x
-        y = ctx.subtract(x, g)
-        x = ctx.add(ctx.multiply(y, y), k)
+        y = _EXACT.subtract(x, g)
+        x = _EXACT.add(_EXACT.multiply(y, y), k)
         r = (((r - gamma) % _TAIL) ** 2 + c) % _TAIL
 

@@ -16,6 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+from quadtower.bigpoly import decimal_str
 from quadtower.factor import primes_in_range
 from quadtower.family import SpecializedMap
 
@@ -52,7 +53,7 @@ class DensityCurve(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "b": str(self.b),
+            "b": decimal_str(self.b),
             "checkpoints": [
                 {
                     "X": r.x,
@@ -155,11 +156,7 @@ def density_curve(
     if shards > MAX_SHARDS:
         raise ValueError(f"shards must be <= {MAX_SHARDS}")
     bounds = [2 + span * i // shards for i in range(shards + 1)]
-    jobs = [
-        (map, b, bounds[i], bounds[i + 1] - 1, checkpoints)
-        for i in range(shards)
-        if bounds[i] <= bounds[i + 1] - 1
-    ]
+    jobs = [(map, b, bounds[i], bounds[i + 1] - 1, checkpoints) for i in range(shards)]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers == 1:
         results = [_scan_shard(job) for job in jobs]

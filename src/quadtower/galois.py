@@ -351,8 +351,8 @@ class CriticalResidues:
 
     walk(depth, max_bits) steps the orbit once in exact decimal arithmetic
     (decimal_orbit), yielding (n, v_n as a Decimal).  It checks each value
-    against the bit budget and records its digit count (sizes) and the first
-    level whose value is 0 (first_zero).  A reader is walked once.
+    against the bit budget and records the first level whose value is 0
+    (first_zero).  A reader is walked once.
 
     The verdicts then read the orbit through:
 
@@ -364,12 +364,10 @@ class CriticalResidues:
     - stripped_witness(n, x): the stripped cofactor R = |v_n| / q in decimal,
       and whether it certifies a primitive divisor.
 
-    Exact values are kept only for a prefix of the orbit, unless value(k)
-    asks for more: up to level n // 2 at level n, and further while the next
-    value has no more digits than the longest one kept, so a bounded orbit
-    stays exact and an escaping one stops at about half the levels.  Every
-    other v_n is read through its residues, got by stepping the orbit modulo
-    small numbers from the last exact value.
+    Exact values are kept only for a prefix of the orbit: cofactor(n) makes
+    it reach level n // 2 (at least 1), and value(k) level k.  Every other
+    v_n is read through its residues, got by stepping the orbit modulo small
+    numbers from the last exact value.
     The orbit w_j = phi_a^j(0) of 0 is kept exactly as far as the rigid gcds
     need it, which is below level n / 2.
     """
@@ -378,7 +376,6 @@ class CriticalResidues:
         self.map = map
         self.v: list[int] = []  # v_1, v_2, ...
         self.w = [0]  # w_0, w_1, ...
-        self.sizes: list[int] = []  # decimal digits - 1 of each walked level
         self.first_zero: int | None = None  # first walked level whose value is 0
         self.square_modulus = square_filter_modulus()
 
@@ -398,7 +395,6 @@ class CriticalResidues:
                 err.partial = partial() if partial else OrbitRows(
                     m, 1, [self.value(k) for k in range(1, n)])
                 raise
-            self.sizes.append(x.adjusted())
             if self.first_zero is None and x.is_zero():
                 self.first_zero = n
             yield n, x
@@ -413,13 +409,6 @@ class CriticalResidues:
         while len(self.w) <= j:
             self.w.append(self.map.apply(self.w[-1]))
         return self.w[j]
-
-    def _grow(self, n: int) -> None:
-        while len(self.v) < n - 1:
-            k = len(self.v)
-            if k >= n // 2 and self.sizes[k] > max(self.sizes[:k]):
-                return
-            self.value(k + 1)
 
     def residue(self, n: int, m: int) -> int:
         """v_n mod m."""
@@ -472,13 +461,13 @@ class CriticalResidues:
     def cofactor(self, n: int) -> int:
         """q, the largest divisor of v_n != 0 built from the primes of
         P = 2 * lcm(gcd(v_n, v_k) : k < n); |v_n| / q is the stripped
-        cofactor R.  Level n must be walked.
+        cofactor R.  None of v_1..v_(n-1) may be 0.
 
         q_E = gcd(v_n, P^E) grows with E until every prime of P is
         saturated, and q_E = q_2E means it is: a prime p with p^a exactly
         dividing v_n gives the same part of both only if a <= E * v_p(P).
         """
-        self._grow(n)
+        self.value(max(1, n // 2))
         # a list, not a generator: CPython builds a generator's argument tuple
         # by resizing, so each call moved one tuple between free lists, which
         # grew by megabytes over many calls until a full collection

@@ -1,7 +1,7 @@
 import gc
 import math
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -13,7 +13,9 @@ from quadtower.bigpoly import (
     DigitBudgetError,
     IntPolynomial,
     ZeroPolynomialError,
+    _to_decimal,
     check_bits,
+    decimal_isqrt,
     decimal_orbit,
     decimal_quotient,
     decimal_str,
@@ -85,6 +87,26 @@ def test_parse_serialize_round_trip():
     assert IntPolynomial.parse("0") == IntPolynomial()
     assert IntPolynomial((0, -1, 2)).serialize() == "0,-1,2"
     assert IntPolynomial().serialize() == "0"
+
+
+def test_big_coefficients_print_through_decimal_str(monkeypatch):
+    # str() of an int is quadratic before CPython 3.12, so a coefficient
+    # above the decimal_str cutoff must print through decimal_str, digit for
+    # digit as str() would
+    import quadtower.bigpoly as bigpoly_mod
+
+    big = 7 * (10 ** 12000 - 1) // 9  # 12,000 sevens
+    converted = []
+
+    def recording(n):
+        converted.append(abs(n))
+        return decimal_str(n)
+
+    monkeypatch.setattr(bigpoly_mod, "decimal_str", recording)
+    p = IntPolynomial((-big, 1, big))
+    assert p.serialize() == ",".join((str(-big), "1", str(big)))
+    assert p.to_string() == f"{big}t^2 + t - {big}"
+    assert converted.count(big) == 4
 
 
 def test_resultant_examples():
@@ -228,6 +250,10 @@ def _near_powers():
 def test_decimal_str_near_powers():
     for n in _near_powers():
         assert decimal_str(n) == str(n)
+    # the conversion is exact whatever precision the caller's context has
+    with localcontext(Context(prec=5)):
+        for n in _near_powers():
+            assert decimal_str(n) == str(_to_decimal(n)) == str(n)
 
 
 def test_decimal_str_leaves_nothing_for_the_collector():
@@ -272,6 +298,16 @@ def test_decimal_orbit_steps_the_orbit_exactly():
     assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == [
         str(v) for v in values
     ]
+    # the orbit, quotients and square roots ignore the caller's context: at
+    # 5 digits each would otherwise round or come out wrong
+    n = 3 ** 21000
+    with localcontext(Context(prec=5)):
+        assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == [
+            str(v) for v in values
+        ]
+        assert str(decimal_quotient(_to_decimal(n * 7 ** 100), 7 ** 100)) == str(n)
+        assert str(decimal_isqrt(_to_decimal(n * n))) == str(n)
+        assert decimal_isqrt(_to_decimal(n * n + 1)) is None
 
 
 def test_decimal_quotient_and_orbit_reject_a_non_divisor_and_a_non_orbit(monkeypatch):
@@ -331,7 +367,8 @@ def test_check_bits_on_a_decimal_matches_the_int(k):
                 except DigitBudgetError as err:
                     expected = str(err)
                 try:
-                    check_bits(Decimal(sign * n), budget, "orbit value")
+                    with localcontext(Context(prec=5)):
+                        check_bits(Decimal(sign * n), budget, "orbit value")
                     got = None
                 except DigitBudgetError as err:
                     got = str(err)

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import quadtower.density as density_mod
 import quadtower.factor as factor_mod
+from quadtower.bigpoly import decimal_str
 from quadtower.density import (
+    DensityCurve,
     default_checkpoints,
     density_curve,
     orbit_hits_zero_mod_p,
@@ -158,6 +161,21 @@ def test_density_checkpoint_validation():
         density_curve(X2P1, 0, 1)
     with pytest.raises(ValueError):
         density_curve(X2P1, 0, 100, shards=0)
+
+
+def test_density_json_prints_b_through_decimal_str(monkeypatch):
+    # a 12,000-digit b must not go through the quadratic str() of an int
+    b = -(10 ** 12000 + 7)
+    converted = []
+
+    def recording(n):
+        converted.append(n)
+        return decimal_str(n)
+
+    monkeypatch.setattr(density_mod, "decimal_str", recording)
+    curve = DensityCurve(b=b, rows=(), member_primes=())
+    assert curve.to_json_dict() == {"b": str(b), "checkpoints": []}
+    assert converted == [b]
 
 
 def test_default_checkpoints():

@@ -324,6 +324,10 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
     ((0,), (-1,), 6),  # x^2 - 1: the critical orbit -1, 0, -1, 0, ... passes 0
     ((2,), (-4,), 9),  # (x - 2)^2 - 4: 0 is fixed, so w_j = 0 and v_k divides v_n
     ((5,), (5,), 12),  # v = 0: the critical orbit stays at 5 while 0 escapes
+    # bounded orbits to depth 64, the CLI maximum, with v_n exact only to n // 2
+    ((0,), (-2,), 64),  # x^2 - 2: -2, 2, 2, ...
+    ((0,), (-1,), 64),  # x^2 - 1: -1, 0, -1, 0, ...
+    ((1,), (-1,), 64),  # (x - 1)^2 - 1: -1, 3, 3, ...
 ])
 def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
     m = QuadraticFamily.of(gamma, c).specialize(4)
@@ -332,6 +336,12 @@ def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
     assert certify_tower(m, 1, depth).certificates == expected
     if c == (-9,) or gamma == (0, 1):
         assert expected[-1].status == FAILED_SQUARE_OVER_Q
+    reader = CriticalResidues(m)
+    for n, _ in reader.walk(depth):
+        if 0 in values[:n]:
+            break
+        assert abs(values[n - 1]) // reader.cofactor(n) == stripped_cofactor(
+            values[n - 1], values[: n - 1])
 
 
 def test_certificates_without_the_square_filter_primes(monkeypatch):
@@ -373,6 +383,11 @@ def test_certify_tower_builds_no_binary_value_above_half_depth(monkeypatch):
     report = certify_tower(X2P2, 1, 20)
     assert len(report.certificates) == 20
     assert biggest and max(biggest) == limit
+    # on its own, cofactor(n) makes exactly v_1..v_(n // 2) exact (v_1 at n = 1)
+    for n in range(1, 21):
+        reader = CriticalResidues(X2P2)
+        reader.cofactor(n)
+        assert len(reader.v) == max(1, n // 2)
 
 
 def test_certify_tower_level_20_within_budget():
