@@ -365,11 +365,12 @@ class CriticalResidues:
       and whether it certifies a primitive divisor.
 
     Exact values are kept only for a prefix of the orbit: cofactor(n) makes
-    it reach level n // 2 (at least 1), and value(k) level k.  Every other
-    v_n is read through its residues, got by stepping the orbit modulo small
-    numbers from the last exact value.
-    The orbit w_j = phi_a^j(0) of 0 is kept exactly as far as the rigid gcds
-    need it, which is below level n / 2.
+    it reach level n // 2 (at least 1), value(k) level k, and the rigid gcds
+    further while the critical orbit stays smaller than the orbit
+    w_j = phi_a^j(0) of 0 (see _rigid_gcd).  Every other v_n is read through
+    its residues, got by stepping the orbit modulo small numbers from the
+    last exact value.  The orbit of 0 is kept exactly as far as the rigid
+    gcds need it.
     """
 
     def __init__(self, map: SpecializedMap):
@@ -442,11 +443,21 @@ class CriticalResidues:
         """gcd(v_n, v_k) for 1 <= k < n, where v_k is nonzero.
 
         phi_a has integer coefficients, so v_n = phi_a^j(v_k) is congruent
-        to w_j mod v_k (j = n - k), and gcd(v_n, v_k) = gcd(v_k, w_j).  Of
-        v_k and w_j, the one below level n / 2 is exact; the other is
-        reduced modulo it.  w_j = 0 makes the gcd |v_k| itself.
+        to w_j mod v_k (j = n - k), and gcd(v_n, v_k) = gcd(v_k, w_j).  One
+        of v_k and w_j is made exact and the other is reduced modulo it.
+        w_j = 0 makes the gcd |v_k| itself.
+
+        Until one of the two is exact, the orbit whose last exact value is
+        smaller takes the next step (v starting from v_0 = gamma_a), so
+        about the cheaper one is built: the bounded one when only one orbit
+        escapes, and mostly w_j, below level n / 2, when both do.
         """
         j = n - k
+        while k > len(self.v) and j >= len(self.w):
+            if abs(self.v[-1] if self.v else self.map.gamma_a) <= abs(self.w[-1]):
+                self.value(len(self.v) + 1)
+            else:
+                self._exact_w(len(self.w))
         if k <= len(self.v):
             m = abs(self.v[k - 1])
             x = 0

@@ -25,6 +25,7 @@ from quadtower.galois import (
     certify_tower,
     curve_model,
     discriminant_recurrence,
+    primitive_divisor_certificate,
     search_integral_points,
     stability_scan,
     verify_forced_point,
@@ -309,7 +310,8 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
     for n in range(1, depth + 1):
         if 0 not in values[: n - 1]:
             direct = [math.gcd(abs(values[n - 1]), abs(v)) for v in values[: n - 1]]
-            # every v_k exact, and none: then w_(n-k) is exact instead
+            # every v_k exact, and none: then the smaller of the two orbits
+            # steps until v_k or w_(n-k) is exact
             for exact in (True, False):
                 orbit = CriticalResidues(m)
                 if exact:
@@ -324,10 +326,11 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
     ((0,), (-1,), 6),  # x^2 - 1: the critical orbit -1, 0, -1, 0, ... passes 0
     ((2,), (-4,), 9),  # (x - 2)^2 - 4: 0 is fixed, so w_j = 0 and v_k divides v_n
     ((5,), (5,), 12),  # v = 0: the critical orbit stays at 5 while 0 escapes
-    # bounded orbits to depth 64, the CLI maximum, with v_n exact only to n // 2
+    # bounded critical orbits to depth 64, the CLI maximum
     ((0,), (-2,), 64),  # x^2 - 2: -2, 2, 2, ...
     ((0,), (-1,), 64),  # x^2 - 1: -1, 0, -1, 0, ...
     ((1,), (-1,), 64),  # (x - 1)^2 - 1: -1, 3, 3, ...
+    ((5,), (5,), 64),  # 0 -> 30 -> 630 -> ... escapes: w_31 has 10^9 digits
 ])
 def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
     m = QuadraticFamily.of(gamma, c).specialize(4)
@@ -388,6 +391,24 @@ def test_certify_tower_builds_no_binary_value_above_half_depth(monkeypatch):
         reader = CriticalResidues(X2P2)
         reader.cofactor(n)
         assert len(reader.v) == max(1, n // 2)
+
+
+@pytest.mark.parametrize("gamma, c", [(5, 5), (3, 1), (4, 2), (-3, -5)])
+def test_bounded_critical_orbit_builds_no_big_value_while_0_escapes(monkeypatch, gamma, c):
+    # c - gamma in {0, -2} keeps the critical orbit bounded while the orbit
+    # of 0 escapes; at level 64 the rigid gcds must read the small exact v_k,
+    # never w_j for j near 32, which has about 2^j digits
+    m = SpecializedMap.make(0, gamma, c)
+    apply = SpecializedMap.apply
+
+    def capped_apply(self, x):
+        y = apply(self, x)
+        assert y.bit_length() <= 64
+        return y
+
+    monkeypatch.setattr(SpecializedMap, "apply", capped_apply)
+    assert certify_tower(m, 1, 64).counts[UNKNOWN] == 63
+    assert not primitive_divisor_certificate(m, 64).certified
 
 
 def test_certify_tower_level_20_within_budget():
