@@ -436,9 +436,6 @@ def is_perfect_square(n: int) -> int | None:
 
 # -- decimal output ----------------------------------------------------------
 
-# Below this many bits the builtin str() is faster than splitting (measured
-# crossover about 40,000 bits on CPython 3.11).
-_DECIMAL_STR_CUTOFF = 1 << 15
 # Pieces at most this wide convert directly with Decimal(int).
 _DECIMAL_LEAF_BITS = 1024
 
@@ -488,18 +485,18 @@ def _to_decimal(n: int) -> decimal.Decimal:
 
 
 def decimal_str(n: int) -> str:
-    """Exactly str(n), in subquadratic time for big n.
+    """Exactly str(n), in subquadratic time for big n and without the
+    interpreter's limit on int-to-str digits.
 
-    CPython before 3.12 converts int to decimal in quadratic time.  Above the
-    cutoff, n goes through _to_decimal instead.
+    CPython before 3.12 converts int to decimal in quadratic time, and 3.11+
+    (3.10.7+) refuses str(n) above 4,300 digits unless the limit is lifted, so
+    every n goes through _to_decimal instead.
 
     >>> decimal_str(-12345)
     '-12345'
     >>> decimal_str(10 ** 30 - 1) == "9" * 30
     True
     """
-    if n.bit_length() <= _DECIMAL_STR_CUTOFF:
-        return str(n)
     return str(_to_decimal(n))
 
 

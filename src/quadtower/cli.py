@@ -19,9 +19,11 @@ stopped, or the orbit rows computed so far, numbered as in the full output
 refusal came before any orbit value: discriminant refuses a level n >= 2 with
 2^n above --bits and --direct above level 10, and family-info refuses, as
 budget-exceeded, an F_phi whose ball |a| <= threshold has a threshold above
-10^5 (family.MAX_EXCEPTIONAL_THRESHOLD).  A value above 2,048 bits
-(factor.MAX_FACTOR_BITS) is not factored, so curve, primitive-divisors
---method exact and family-info stop there as incomplete factorizations.
+10^5 (family.MAX_EXCEPTIONAL_THRESHOLD) and a P_phi whose trailing
+coefficient has more than 2,000,000 divisors (family.MAX_DIVISORS).  A value
+above 2,048 bits (factor.MAX_FACTOR_BITS) is not factored, so curve,
+primitive-divisors --method exact and family-info stop there as incomplete
+factorizations.
 
 Each integer flag declares its accepted range beside it in GROUPS or
 COMMANDS, and `quadtower <command> -h` prints it.  A value outside it is a

@@ -29,11 +29,15 @@ from quadtower.factor import (
 )
 
 _LOG2 = math.log(2.0)
-# exceptional_set lists every a with |a| <= threshold, so a larger threshold
-# is refused.  At this limit family-info prints 200,001 integers in 0.3 s
+# F_phi lists every a with |a| <= threshold, so a larger threshold is
+# refused.  At this limit family-info prints 200,001 integers in 0.3 s
 # (text) and 0.4 s (--json); at 10^6 the JSON took 1.7 s (CPython 3.11.7,
 # 2 vCPUs).  Without a limit --c 10^12,1 asked for a set of 4 * 10^12 ints.
 MAX_EXCEPTIONAL_THRESHOLD = 10 ** 5
+# F_phi tests every divisor of P_phi's trailing coefficient as a root, so a
+# coefficient with more divisors is refused.  Below it, --c 510510,510510
+# (1,769,472 divisors) took 6 s in family-info (CPython 3.11.7, 2 vCPUs).
+MAX_DIVISORS = 2_000_000
 
 
 class IsotrivialError(ValueError):
@@ -114,7 +118,7 @@ class BoundConstants(NamedTuple):
     a3: float
     a4: float
     b1: float
-    threshold: int | None = None
+    threshold: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,37 +167,40 @@ class NphiReport(NamedTuple):
 
 class FamilyInfo(NamedTuple):
     """A family's P_phi and, unless it is isotrivial, m_phi, its bound
-    constants and F_phi; exceptional_set is None for an isotrivial family
-    and when P_phi vanishes identically."""
+    constants and F_phi, each computed once by QuadraticFamily.info.  m_phi
+    and bounds are None for an isotrivial family; exceptional_set is None
+    then and when P_phi vanishes identically."""
 
     family: QuadraticFamily
+    exceptional_polynomial: IntPolynomial
+    m_phi: int | None
+    bounds: BoundConstants | None
     exceptional_set: list[int] | None
 
     def to_json_dict(self) -> dict:
-        fam, poly = self.family, self.family.exceptional_polynomial()
-        bounds = None if fam.is_isotrivial else fam.compute_bound_constants()
+        fam, poly = self.family, self.exceptional_polynomial
         return {
             "gamma": fam.gamma.serialize(),
             "c": fam.c.serialize(),
             "difference": fam.difference.serialize(),
             "isotrivial": fam.is_isotrivial,
             "exceptional_polynomial": {"coeffs": poly.serialize(), "display": str(poly)},
-            "m_phi": None if fam.is_isotrivial else fam.m_phi(),
-            "bound_constants": None if bounds is None else bounds.to_json_dict(),
+            "m_phi": self.m_phi,
+            "bound_constants": None if self.bounds is None else self.bounds.to_json_dict(),
             "exceptional_set": self.exceptional_set,
         }
 
     def text_lines(self):
-        out, fam = self.to_json_dict(), self.family
+        fam = self.family
         yield f"phi(x) = (x - ({fam.gamma}))^2 + ({fam.c})"
         yield f"c - gamma = {fam.difference}"
-        yield f"isotrivial: {out['isotrivial']}"
-        yield f"m_phi: {out['m_phi']}"
-        yield f"P_phi = {out['exceptional_polynomial']['display']}"
-        if out["bound_constants"]:
-            bounds = out["bound_constants"].items()
+        yield f"isotrivial: {fam.is_isotrivial}"
+        yield f"m_phi: {self.m_phi}"
+        yield f"P_phi = {self.exceptional_polynomial}"
+        if self.bounds is not None:
+            bounds = self.bounds.to_json_dict().items()
             yield "bound constants: " + ", ".join(f"{k}={v}" for k, v in bounds)
-        yield f"F_phi: {out['exceptional_set']}"
+        yield f"F_phi: {self.exceptional_set}"
 
 
 class IndexBound(NamedTuple):
@@ -243,10 +250,27 @@ class QuadraticFamily(FrozenSlots):
 
     def info(self, budget: Budget = DEFAULT_BUDGET) -> FamilyInfo:
         """P_phi, and for a non-isotrivial family m_phi, the bound constants
-        and F_phi, whose integer roots are found within budget."""
-        if self.is_isotrivial or self.exceptional_polynomial().is_zero:
-            return FamilyInfo(self, None)
-        return FamilyInfo(self, self.exceptional_set(budget))
+        and F_phi: the integer roots of P_phi, found within budget, united
+        with the small-height ball {|a| <= threshold}; sorted.  The roots come
+        from divisor enumeration of the trailing nonzero coefficient, never
+        polynomial factorization.  A threshold above MAX_EXCEPTIONAL_THRESHOLD
+        or more than MAX_DIVISORS divisors raises BudgetError.
+        """
+        poly = self.exceptional_polynomial()
+        if self.is_isotrivial:
+            return FamilyInfo(self, poly, None, None, None)
+        bounds, m_phi = self.compute_bound_constants(), self.m_phi()
+        if poly.is_zero:
+            return FamilyInfo(self, poly, m_phi, bounds, None)
+        threshold = bounds.threshold
+        if threshold > MAX_EXCEPTIONAL_THRESHOLD:
+            raise BudgetError(
+                f"F_phi would list every |a| <= {decimal_str(threshold)}; "
+                f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}"
+            )
+        roots = _integer_roots(poly, budget)
+        roots.update(range(-threshold, threshold + 1))
+        return FamilyInfo(self, poly, m_phi, bounds, sorted(roots))
 
     def m_phi(self) -> int:
         """Tree level whose maximality persists generically in the family:
@@ -298,45 +322,29 @@ class QuadraticFamily(FrozenSlots):
         )
 
     def exceptional_set(self, budget: Budget = DEFAULT_BUDGET) -> list[int]:
-        """F_phi: integer roots of P_phi united with the small-height ball
-        {|a| <= threshold}; sorted.  The roots come from divisor enumeration
-        of the trailing nonzero coefficient, never polynomial factorization.
-        A threshold above MAX_EXCEPTIONAL_THRESHOLD raises BudgetError.
-        """
+        """F_phi as info() computes it; raises where info() leaves it None."""
         if self.is_isotrivial:
             raise IsotrivialError("the exceptional set needs deg(c - gamma) >= 1")
-        poly = self.exceptional_polynomial()
-        if poly.is_zero:
+        out = self.info(budget).exceptional_set
+        if out is None:
             raise ZeroPolynomialError("P_phi vanishes identically")
-        threshold = self.compute_bound_constants().threshold
-        if threshold > MAX_EXCEPTIONAL_THRESHOLD:
-            raise BudgetError(
-                f"F_phi would list every |a| <= {decimal_str(threshold)}; "
-                f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}"
-            )
-        out = _integer_roots(poly, budget)
-        out.update(range(-threshold, threshold + 1))
-        return sorted(out)
+        return out
 
-    def nphi_bound(
-        self,
-        constants: HallLangConstants,
-        bounds: BoundConstants | None = None,
-    ) -> NphiReport:
+    def nphi_bound(self, constants: HallLangConstants) -> NphiReport:
         """Evaluate the conditional bound chain.
 
         Each rho_i is a linear-fractional function of x = h(a) over the
         denominator D*x - b1 (D = deg(c - gamma)); on the admissible ray
         x >= x_min it is monotone, so its supremum is the larger of the value
-        at x_min and the asymptote.  x_min = log(a_min) with a_min the least
-        integer exceeding exp(b1/D).  Then M_phi = max M_i and
-        n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)).  Kappas so large that
-        some M_i overflows a float raise InvalidConstantsError.
+        at x_min and the asymptote.  x_min = log(a_min) with a_min =
+        threshold + 1, the least integer exceeding exp(b1/D) = threshold.
+        Then M_phi = max M_i and n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)).
+        Kappas so large that some M_i overflows a float raise
+        InvalidConstantsError.
         """
         if self.is_isotrivial:
             raise IsotrivialError("nphi_bound needs deg(c - gamma) >= 1")
-        if bounds is None:
-            bounds = self.compute_bound_constants()
+        bounds = self.compute_bound_constants()
         big_d = self.difference.degree
         big_g = self.gamma.degree or 0
         k1 = constants.kappa1
@@ -348,14 +356,7 @@ class QuadraticFamily(FrozenSlots):
             + bounds.a4
             + _LOG2
         )
-        if bounds.threshold is not None:
-            a_min = bounds.threshold + 1
-        else:
-            if bounds.b1 / big_d > 300:
-                raise ValueError("b1 too large to search for a_min; supply threshold")
-            a_min = max(1, math.floor(math.exp(bounds.b1 / big_d)) - 2)
-            while not big_d * math.log(a_min) > bounds.b1:
-                a_min += 1
+        a_min = bounds.threshold + 1
         x_min = math.log(a_min)
         denom = big_d * x_min - bounds.b1
 
@@ -408,27 +409,21 @@ def _divisors(n: int, budget: Budget) -> list[int]:
         )
     divs = [1]
     for p, e in fac.factors:
-        if len(divs) * (e + 1) > 2_000_000:
-            raise ValueError("trailing coefficient has too many divisors")
+        if len(divs) * (e + 1) > MAX_DIVISORS:
+            raise BudgetError(
+                f"the trailing coefficient of P_phi has more than {MAX_DIVISORS} divisors"
+            )
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return divs
 
 
-def _integer_roots(p: IntPolynomial, budget: Budget = DEFAULT_BUDGET) -> set[int]:
+def _integer_roots(p: IntPolynomial, budget: Budget) -> set[int]:
     """All integer roots of a nonzero polynomial: strip powers of t, then test
     the divisors of the trailing nonzero coefficient."""
-    coeffs = list(p.coeffs)
-    stripped = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        stripped += 1
-    roots = {0} if stripped else set()
-    if len(coeffs) <= 1:
-        return roots
-    q = IntPolynomial(coeffs)
-    for d in _divisors(abs(coeffs[0]), budget):
-        if q.evaluate(d) == 0:
-            roots.add(d)
-        if q.evaluate(-d) == 0:
-            roots.add(-d)
+    k = next(i for i, c in enumerate(p.coeffs) if c)
+    q = IntPolynomial(p.coeffs[k:])
+    roots = {0} if k else set()
+    if q.degree:
+        roots.update(r for d in _divisors(abs(q.coeffs[0]), budget) for r in (d, -d)
+                     if q.evaluate(r) == 0)
     return roots

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtower.bigpoly import (
-    _DECIMAL_STR_CUTOFF,
+    _DECIMAL_LEAF_BITS,
     DigitBudgetError,
     IntPolynomial,
     ZeroPolynomialError,
@@ -90,9 +91,9 @@ def test_parse_serialize_round_trip():
 
 
 def test_big_coefficients_print_through_decimal_str(monkeypatch):
-    # str() of an int is quadratic before CPython 3.12, so a coefficient
-    # above the decimal_str cutoff must print through decimal_str, digit for
-    # digit as str() would
+    # str() of an int is quadratic before CPython 3.12 and limited to 4,300
+    # digits by default, so a big coefficient must print through
+    # decimal_str, digit for digit as str() would
     import quadtower.bigpoly as bigpoly_mod
 
     big = 7 * (10 ** 12000 - 1) // 9  # 12,000 sevens
@@ -235,12 +236,12 @@ def test_is_perfect_square_random():
 
 def _near_powers():
     """0, +-1, and 2^k +- 1, 10^k +- 1 (either sign) on both sides of the
-    decimal_str cutoff."""
+    width that _to_decimal converts directly and of the interpreter's
+    4,300-digit limit on str(int)."""
     yield from (0, 1, -1)
-    digits = int(_DECIMAL_STR_CUTOFF * math.log10(2))
-    for base, exps in ((2, (_DECIMAL_STR_CUTOFF - 1, _DECIMAL_STR_CUTOFF,
-                            _DECIMAL_STR_CUTOFF + 1, 3 * _DECIMAL_STR_CUTOFF)),
-                       (10, (digits - 1, digits, digits + 1, 3 * digits))):
+    for base, exps in ((2, (_DECIMAL_LEAF_BITS - 1, _DECIMAL_LEAF_BITS, _DECIMAL_LEAF_BITS + 1,
+                            1 << 15, 3 << 15)),
+                       (10, (4299, 4300, 4301, 9864, 3 * 9864))):
         for k in exps:
             for n in (base ** k - 1, base ** k, base ** k + 1):
                 yield n
@@ -271,18 +272,38 @@ def test_decimal_str_leaves_nothing_for_the_collector():
 
 
 @st.composite
-def ints_either_side_of_cutoff(draw):
-    """Random ints of a drawn bit length, half of them above the cutoff."""
-    bits = draw(st.one_of(st.integers(1, _DECIMAL_STR_CUTOFF),
-                          st.integers(_DECIMAL_STR_CUTOFF + 1, 3 * _DECIMAL_STR_CUTOFF)))
+def ints_of_drawn_width(draw):
+    """Random ints of a drawn bit length, half of them wider than one leaf."""
+    bits = draw(st.one_of(st.integers(1, _DECIMAL_LEAF_BITS),
+                          st.integers(_DECIMAL_LEAF_BITS + 1, 3 << 15)))
     n = draw(st.randoms(use_true_random=False)).getrandbits(bits) | (1 << (bits - 1))
     return -n if draw(st.booleans()) else n
 
 
 @settings(max_examples=100, deadline=None)
-@given(ints_either_side_of_cutoff())
+@given(ints_of_drawn_width())
 def test_decimal_str_matches_str(n):
     assert decimal_str(n) == str(n)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on int-to-str digits")
+def test_decimal_str_needs_no_lift_of_the_int_str_limit():
+    # the test session lifts the limit; library callers run under the default
+    rng = random.Random(4300)
+    values = [10 ** k + s for k in (3999, 4299, 4300, 5000, 9000, 12999) for s in (-1, 0, 1)]
+    values += [rng.getrandbits(rng.randrange(13_288, 43_185)) for _ in range(20)]
+    values += [-v for v in values]
+    expected = [str(v) for v in values]  # under the session's lift
+    lifted = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(10 ** 5000)
+        got = [decimal_str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(lifted)
+    assert got == expected
 
 
 def _orbit(gamma, c, x, length):
@@ -293,7 +314,7 @@ def _orbit(gamma, c, x, length):
 
 
 def test_decimal_orbit_steps_the_orbit_exactly():
-    # a start below -2^(cutoff) makes every value big, the first one negative
+    # a start of -3^21000 makes every value big, the first one negative
     values = _orbit(5, -7, -(3 ** 21000), 3)
     assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == [
         str(v) for v in values

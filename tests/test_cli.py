@@ -15,12 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadtower
-from quadtower.bigpoly import _DECIMAL_STR_CUTOFF, decimal_str
+from quadtower.bigpoly import decimal_str
 import quadtower.cli
 from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_CONFIG_BYTES, MAX_LEVEL, main
 from quadtower.density import MAX_SHARDS
 from quadtower.factor import MAX_RHO_ITERS
-from quadtower.family import MAX_EXCEPTIONAL_THRESHOLD, HallLangConstants, QuadraticFamily
+from quadtower.family import (
+    MAX_DIVISORS,
+    MAX_EXCEPTIONAL_THRESHOLD,
+    HallLangConstants,
+    QuadraticFamily,
+)
 from quadtower.galois import certify_tower
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
 
@@ -81,6 +86,34 @@ def test_family_info_refuses_a_large_exceptional_ball(c, threshold):
     assert json.loads(proc.stdout) == {"error": "budget-exceeded", "partial": None}
     assert proc.stderr == (f"quadtower: budget: F_phi would list every |a| <= {threshold}; "
                            f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}\n")
+
+
+def test_family_info_refuses_a_trailing_coefficient_with_too_many_divisors(capsys):
+    # c = k(t + 1) with k = 47# (the product of the primes to 47): P_phi's
+    # trailing coefficient k^3 (k + 1)^2 (k + 2) has more than MAX_DIVISORS
+    # divisors.  A valid family, so a budget refusal, not a usage error.
+    k = 614889782588491410
+    code, out, err = run(capsys, "family-info", "--gamma", "0", "--c", f"{k},{k}")
+    assert code == 2
+    assert json.loads(out) == {"error": "budget-exceeded", "partial": None}
+    assert err == (f"quadtower: budget: the trailing coefficient of P_phi has more than "
+                   f"{MAX_DIVISORS} divisors\n")
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_family_info_computes_each_family_constant_once(capsys, monkeypatch, fmt):
+    calls = {"exceptional_polynomial": 0, "compute_bound_constants": 0}
+    for name in calls:
+        method = getattr(QuadraticFamily, name)
+
+        def counted(self, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self)
+
+        monkeypatch.setattr(QuadraticFamily, name, counted)
+    code, _, _ = run(capsys, "family-info", "--gamma", "0", "--c", "0,1", *fmt)
+    assert code == 0
+    assert calls == {"exceptional_polynomial": 1, "compute_bound_constants": 1}
 
 
 def test_family_info_json(capsys):
@@ -167,7 +200,7 @@ def test_orbit_rows_print_as_decimal_str(capsys):
     m = QuadraticFamily.of([0, 1], [1, 1]).specialize(4)
     args = ("--gamma", "0,1", "--c", "1,1", "--a", "4", "--depth", "18")
     values = critical_orbit(m, 18).values
-    assert values[-1].bit_length() > 2 * _DECIMAL_STR_CUTOFF
+    assert values[-1].bit_length() > 1 << 16
     code, out, _ = run(capsys, "critical-orbit", *args)
     assert code == 0
     assert out.splitlines()[:-1] == [

@@ -147,6 +147,13 @@ LEVEL_ONE_REFUSALS = [
 ]
 ARGVS += [[command, "--gamma", "0", "--c", "0,1", "--a", "2", *rest, "--bits", "1"]
           for command, *rest in LEVEL_ONE_REFUSALS]
+# a 1,000-bit coefficient: c - gamma = t, and F_phi holds the root -2^1000
+_BIG_FAMILY = ["--gamma", f"0,{2 ** 1000 - 1}", "--c", f"0,{2 ** 1000}"]
+ARGVS += [[*argv, *fmt]
+          for argv in (["family-info", *_BIG_FAMILY],
+                       ["nphi-bound", *_BIG_FAMILY, "--kappa1", "1", "--kappa2", "1",
+                        "--kappa3", "2"])
+          for fmt in ([], ["--json"])]
 
 
 def _call(argv):

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadtower.bigpoly import IntPolynomial, ZeroPolynomialError, height_int
 from quadtower.family import (
-    BoundConstants,
     HallLangConstants,
     InvalidConstantsError,
     IsotrivialError,
@@ -157,6 +158,9 @@ def test_a3_a1_contracts():
 
 def test_exceptional_set_x2pt():
     assert X2PT.exceptional_set() == [-2, -1, 0, 1, 2]
+    # the same c - gamma = t with c = 2^1000 t: phi^2(gamma) = t (t + 2^1000)
+    fam = QuadraticFamily.of([0, 2 ** 1000 - 1], [0, 2 ** 1000])
+    assert fam.exceptional_set() == [-(2 ** 1000), -2, -1, 0, 1, 2]
 
 
 def test_exceptional_set_shifted():
@@ -193,15 +197,6 @@ def test_hall_lang_validation():
         HallLangConstants(math.inf, 0.0, 0.0)
 
 
-def test_nphi_bound_degenerate_constants():
-    # with all named constants zeroed and D = G = 1, rho_1(x) = x/x = 1
-    fam = QuadraticFamily.of([0, 1], [0, 2])
-    bounds = BoundConstants(a1=0.0, a2=0.0, a3=0.0, a4=0.0, b1=0.0)
-    rep = fam.nphi_bound(HallLangConstants(1.0, 0.0, 0.0), bounds=bounds)
-    assert rep.a_min == 2
-    assert rep.m1 == 1.0
-
-
 def test_nphi_bound_x2pt_spreadsheet():
     # independent flat evaluation of the bound chain for gamma=0, c=t,
     # kappa = (1, 1, 1)
@@ -235,16 +230,19 @@ def test_nphi_bound_refuses_kappas_that_overflow_the_chain(kappas):
         X2PT.nphi_bound(HallLangConstants(*kappas))
 
 
-def test_nphi_clamps_at_six():
-    # tiny M_phi forces the clamp branch: n_phi = 1 + 6
-    fam = QuadraticFamily.of([0, 1], [0, 2])
-    bounds = BoundConstants(a1=0.0, a2=0.0, a3=0.0, a4=0.0, b1=0.0)
-    rep = fam.nphi_bound(HallLangConstants(2.0 ** -40, 0.0, 0.0), bounds=bounds)
-    assert rep.m4 >= 1.0  # kappa2' floor keeps real families above the clamp
-    fam2 = QuadraticFamily.of([0, 1], [0, 2])
-    # exercise the branch through the formula itself
-    report = fam2.nphi_bound(HallLangConstants(1.0, 0.0, 0.0), bounds=bounds)
-    assert report.n_phi == 1 + max(6, math.ceil(2 * math.log2(report.m_phi) + 19))
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.lists(st.integers(-50, 50), max_size=4),
+       c=st.lists(st.integers(-50, 50), max_size=4),
+       kappas=st.tuples(st.floats(2.0 ** -40, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 1e6)))
+def test_nphi_floor_of_six_never_binds(gamma, c, kappas):
+    # kappa2' = kappa2 + G + D >= D, so M4 >= kappa2'/D >= 1 and
+    # n_phi = 1 + ceil(2 log2 M_phi + 19) >= 20: the max(6, .) never decides
+    fam = QuadraticFamily.of(gamma, c)
+    assume(not fam.is_isotrivial)
+    rep = fam.nphi_bound(HallLangConstants(*kappas))
+    assert rep.a_min == fam.compute_bound_constants().threshold + 1
+    assert rep.m4 >= 1.0
+    assert rep.n_phi == 1 + math.ceil(2 * math.log2(rep.m_phi) + 19) >= 20
 
 
 def test_nphi_monotone_in_kappas():

@@ -300,8 +300,8 @@ def test_rigid_gcd_stripping_matches_full_stripping_on_corpus():
                              st.integers(1000, 10 ** 6)), st.integers(-9, 9)),
        a=st.integers(-9, 9), depth=st.one_of(st.integers(1, 12), st.integers(13, 14)))
 def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
-    # |c| of 1000 or more puts levels 13 and 14 above the 2^15-bit
-    # decimal_str cutoff, where witnesses print along the decimal orbit
+    # |c| of 1000 or more puts levels 13 and 14 above 2^15 bits, so some
+    # witnesses are far wider than one decimal_str leaf
     m = QuadraticFamily.of(gamma, c).specialize(a)
     values = critical_orbit(m, depth).values
     assert certify_tower(m, 1, depth).certificates == tuple(

@@ -74,8 +74,10 @@ CASES = [
      "NphiReport(m1=1.0, m2=2.0, m3=3.0, m4=4.0, m_phi=4.0, n_phi=24, kappa2_prime=1.5, "
      f"kappa3_prime=2.5, a_min=3, x_min=1.0, bounds={_BOUNDS})"),
     (lambda: QuadraticFamily.of([0], [0, 1]), _FAMILY),
-    (lambda: FamilyInfo(QuadraticFamily.of([0], [0, 1]), None),
-     f"FamilyInfo(family={_FAMILY}, exceptional_set=None)"),
+    (lambda: FamilyInfo(QuadraticFamily.of([0], [0, 1]), IntPolynomial([0, 1]), 17, _bounds(),
+                        None),
+     f"FamilyInfo(family={_FAMILY}, exceptional_polynomial=IntPolynomial(coeffs=(0, 1)), "
+     f"m_phi=17, bounds={_BOUNDS}, exceptional_set=None)"),
     (lambda: IndexBound(3, 16), "IndexBound(n_phi=3, value=16)"),
     (lambda: DensityRow(10, 4, 2, Fraction(1, 2)),
      "DensityRow(x=10, primes_tested=4, members=2, proportion=Fraction(1, 2))"),
