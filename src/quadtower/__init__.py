@@ -9,6 +9,7 @@ from quadtower.bigpoly import (
     discriminant_direct,
     height_int,
     is_perfect_square,
+    parse_int,
     poly_height,
     resultant,
 )

@@ -138,10 +138,7 @@ class IntPolynomial(FrozenSlots):
     @classmethod
     def parse(cls, text: str) -> IntPolynomial:
         """Parse a comma-separated low-to-high coefficient list ("0,1" is t)."""
-        text = text.strip()
-        if not text:
-            return cls()
-        return cls(int(part) for part in text.split(","))
+        return cls(map(parse_int, text.split(",")) if text.strip() else ())
 
     def serialize(self) -> str:
         """Inverse of parse; the zero polynomial serializes as "0"."""
@@ -434,10 +431,18 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-# -- decimal output ----------------------------------------------------------
+# -- decimal text ------------------------------------------------------------
+#
+# Integers become text through decimal_str and text becomes integers through
+# parse_int, nowhere else.  CPython before 3.12 converts between the two in
+# quadratic time, and 3.11+ (3.10.7+) refuses either way past 4,300 digits
+# unless a process-wide limit is lifted; both split big values instead.
 
 # Pieces at most this wide convert directly with Decimal(int).
 _DECIMAL_LEAF_BITS = 1024
+# Texts at most this long go to int() as they are: no limit on int-to-str
+# digits may be lower (sys.int_info.str_digits_check_threshold).
+_INT_LEAF_DIGITS = 640
 
 
 # Every decimal operation goes through this context: integer +, -, *, //,
@@ -485,12 +490,7 @@ def _to_decimal(n: int) -> decimal.Decimal:
 
 
 def decimal_str(n: int) -> str:
-    """Exactly str(n), in subquadratic time for big n and without the
-    interpreter's limit on int-to-str digits.
-
-    CPython before 3.12 converts int to decimal in quadratic time, and 3.11+
-    (3.10.7+) refuses str(n) above 4,300 digits unless the limit is lifted, so
-    every n goes through _to_decimal instead.
+    """Exactly str(n), by way of _to_decimal.
 
     >>> decimal_str(-12345)
     '-12345'
@@ -498,6 +498,33 @@ def decimal_str(n: int) -> str:
     True
     """
     return str(_to_decimal(n))
+
+
+def parse_int(text: str) -> int:
+    """Exactly int(text) for a text of at most 640 characters.  A longer one
+    must be an optional sign and ASCII digits, with surrounding whitespace;
+    its digits are split in halves at powers of ten.
+
+    >>> parse_int(" -" + "9" * 1000) == -(10 ** 1000 - 1)
+    True
+    """
+    if len(text) <= _INT_LEAF_DIGITS:
+        return int(text)
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text[:200]!r}")
+    n = _from_digits(digits, {})
+    return -n if body[0] == "-" else n
+
+
+def _from_digits(digits: str, powers: dict) -> int:
+    """int(digits) of ASCII digits, split at 10^(len // 2); powers memoizes 10^w."""
+    if len(digits) <= _INT_LEAF_DIGITS:
+        return int(digits)
+    half = len(digits) >> 1
+    power = powers.get(half) or powers.setdefault(half, 10 ** half)
+    return _from_digits(digits[:-half], powers) * power + _from_digits(digits[-half:], powers)
 
 
 def _decimal_bit_length(x: decimal.Decimal) -> int:

@@ -2,10 +2,12 @@
 
 One subcommand per pipeline; each builds one report and prints its
 text_lines(), or with --format json (--json) its to_json_dict() as one JSON
-document, big integers as decimal strings.  Two formats live in their
-reports instead: orbit --json prints JSON lines, one {"n", "value", "bits"}
-per orbit value, and density --format csv prints CSV.  density --shards
-above X - 1 counts as X - 1.
+document, big integers as decimal strings.  Integer text crosses in bigpoly
+alone: decimal_str out, parse_int in (integer flags, --checkpoints and
+coefficients), so no call changes the interpreter's int-to-str limit.  Two
+formats live in their reports instead: orbit --json prints JSON lines, one
+{"n", "value", "bits"} per orbit value, and density --format csv prints CSV.
+density --shards above X - 1 counts as X - 1.
 
 A call builds two small parsers: the top-level one reads the command name,
 and the command's own parser, built from the COMMANDS table, reads its flags.
@@ -48,7 +50,7 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from quadtower.bigpoly import BudgetError, IntPolynomial
+from quadtower.bigpoly import BudgetError, IntPolynomial, parse_int
 from quadtower.density import density_curve
 from quadtower.factor import DEFAULT_BUDGET, MAX_RHO_ITERS, MAX_TRIAL_BOUND, Budget
 from quadtower.family import HallLangConstants, IndexBound, QuadraticFamily, index_bound
@@ -82,8 +84,8 @@ MAX_LEVEL = 64
 # (factor.MAX_FACTOR_BITS), the largest that factors (Python 3.11, 2 vCPUs).
 MAX_SEARCH = 10 ** 6
 # The largest --config file.  Linux caps one argv string at 128 KiB, so a
-# flag's text is never longer, and int() parses 131,072 digits in about 0.1 s;
-# a config whose --a had 10^6 digits took about 7 s (Python 3.11, 2 vCPUs).
+# flag's text is never longer, and parse_int reads 131,072 digits in about
+# 0.04 s against 1 s for 10^6 digits (Python 3.11, 2 vCPUs).
 MAX_CONFIG_BYTES = 128 * 1024
 
 
@@ -98,7 +100,7 @@ def _checkpoints(args: argparse.Namespace) -> list[int] | None:
     if args.checkpoints is None:
         return None
     try:
-        return [int(part) for part in args.checkpoints.split(",") if part.strip()]
+        return [parse_int(part) for part in args.checkpoints.split(",") if part.strip()]
     except ValueError as err:
         raise UsageError(f"bad integer list for --checkpoints: {err}") from err
 
@@ -233,6 +235,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
+    parser.register("type", int, parse_int)  # int()'s values and messages, any length
     for names, kwargs in flags:
         kwargs = dict(kwargs)
         bounds = kwargs.pop("range", None)
@@ -323,8 +326,6 @@ def _config_argv(name: str, path: str) -> list[str]:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # orbit values exceed the 4300-digit default
     try:
         name, args = _parse(argv)
         command = COMMANDS[name]

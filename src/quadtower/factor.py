@@ -180,7 +180,7 @@ def is_probable_prime(n: int, budget: Budget = DEFAULT_BUDGET) -> bool:
     s = (d & -d).bit_length() - 1
     d >>= s
     if n >> 64:
-        rng = random.Random(f"sprp:{budget.seed}:{n}")
+        rng = random.Random(f"sprp:{decimal_str(budget.seed)}:{decimal_str(n)}")
         bases = [rng.randrange(2, n - 1) for _ in range(MR_ROUNDS)]
     else:
         bases = _MR_BASES_SMALL
@@ -449,7 +449,7 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
                 counts[p] = counts.get(p, 0) + 1
                 m //= p
     pending = [m] if m > 1 else []
-    rng = random.Random(f"rho:{budget.seed}:{abs(n)}")
+    rng = random.Random(f"rho:{decimal_str(budget.seed)}:{decimal_str(abs(n))}")
     ecm_curves = (budget.rho_iters - _RHO_ITERS_CAP) // _ECM_CURVE_COST
     stuck: list[int] = []
     while pending:

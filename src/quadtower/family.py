@@ -127,7 +127,9 @@ class BoundConstants(NamedTuple):
             "A3": self.a3,
             "A4": self.a4,
             "B1": self.b1,
-            "threshold": self.threshold,
+            # a JSON number prints through str(int), which refuses long ones
+            "threshold": self.threshold if self.threshold.bit_length() <= 2048
+            else decimal_str(self.threshold),
         }
 
 
@@ -340,7 +342,7 @@ class QuadraticFamily(FrozenSlots):
         threshold + 1, the least integer exceeding exp(b1/D) = threshold.
         Then M_phi = max M_i and n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)).
         Kappas so large that some M_i overflows a float raise
-        InvalidConstantsError.
+        InvalidConstantsError; a denominator that cancels to 0, ValueError.
         """
         if self.is_isotrivial:
             raise IsotrivialError("nphi_bound needs deg(c - gamma) >= 1")
@@ -359,6 +361,9 @@ class QuadraticFamily(FrozenSlots):
         a_min = bounds.threshold + 1
         x_min = math.log(a_min)
         denom = big_d * x_min - bounds.b1
+        if denom <= 0:  # D*log(1 + 1/threshold) > 0, lost to cancellation in floats
+            raise ValueError("the bound chain's denominator D*log(threshold + 1) - B1 cancels "
+                             f"to {denom!r} at threshold {decimal_str(bounds.threshold)}")
 
         def sup(slope: float, const: float) -> float:
             return max((slope * x_min + const) / denom, slope / big_d)

@@ -35,6 +35,7 @@ from quadtower.bigpoly import (
     discriminant_direct,
     height_int,
     is_perfect_square,
+    parse_int,
     passes_square_filter,
     poly_height,
     square_filter_modulus,
@@ -696,8 +697,8 @@ def primitive_divisor_certificate(
     text, certified = orbit.stripped_witness(n, x)
     primes: tuple[int, ...] = ()
     # 2^1024 has 309 digits, so the digit count rules out most large R unparsed
-    if certified and len(text) <= 309 and int(text).bit_length() <= _COURTESY_MAX_BITS:
-        fac = factorize(int(text), _COURTESY_BUDGET)
+    if certified and len(text) <= 309 and parse_int(text).bit_length() <= _COURTESY_MAX_BITS:
+        fac = factorize(parse_int(text), _COURTESY_BUDGET)
         if fac.complete:
             primes = tuple(p for p, _ in fac.factors)
     return PrimitiveDivisorReport(

@@ -3,17 +3,25 @@ import math
 import sys
 from dataclasses import dataclass
 
-import pytest
-
 from quadtower.bigpoly import IntPolynomial
 from quadtower.family import QuadraticFamily
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _unlimited_int_str():
-    # orbit values blow straight past the 4300-digit int->str guard
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+def lift_int_limit(convert, *args):
+    """convert(*args), such as str(n) or int(text), with the interpreter's
+    limit on int-to-str digits lifted for this one call and restored after.
+
+    Only test oracles convert big integers this way; the library reads and
+    prints them through bigpoly.parse_int and decimal_str under any limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return convert(*args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)

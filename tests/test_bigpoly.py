@@ -23,11 +23,12 @@ from quadtower.bigpoly import (
     discriminant_direct,
     height_int,
     is_perfect_square,
+    parse_int,
     poly_height,
     resultant,
 )
 
-from conftest import sylvester_resultant
+from conftest import lift_int_limit, sylvester_resultant
 
 T = IntPolynomial((0, 1))
 
@@ -105,8 +106,9 @@ def test_big_coefficients_print_through_decimal_str(monkeypatch):
 
     monkeypatch.setattr(bigpoly_mod, "decimal_str", recording)
     p = IntPolynomial((-big, 1, big))
-    assert p.serialize() == ",".join((str(-big), "1", str(big)))
-    assert p.to_string() == f"{big}t^2 + t - {big}"
+    text = lift_int_limit(str, big)
+    assert p.serialize() == ",".join(("-" + text, "1", text))
+    assert p.to_string() == f"{text}t^2 + t - {text}"
     assert converted.count(big) == 4
 
 
@@ -250,11 +252,11 @@ def _near_powers():
 
 def test_decimal_str_near_powers():
     for n in _near_powers():
-        assert decimal_str(n) == str(n)
+        assert decimal_str(n) == lift_int_limit(str, n)
     # the conversion is exact whatever precision the caller's context has
     with localcontext(Context(prec=5)):
         for n in _near_powers():
-            assert decimal_str(n) == str(_to_decimal(n)) == str(n)
+            assert decimal_str(n) == str(_to_decimal(n)) == lift_int_limit(str, n)
 
 
 def test_decimal_str_leaves_nothing_for_the_collector():
@@ -283,27 +285,82 @@ def ints_of_drawn_width(draw):
 @settings(max_examples=100, deadline=None)
 @given(ints_of_drawn_width())
 def test_decimal_str_matches_str(n):
-    assert decimal_str(n) == str(n)
+    assert decimal_str(n) == lift_int_limit(str, n)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this interpreter has no limit on int-to-str digits")
 def test_decimal_str_needs_no_lift_of_the_int_str_limit():
-    # the test session lifts the limit; library callers run under the default
+    # library callers run under the default limit, whatever the test run sets
     rng = random.Random(4300)
     values = [10 ** k + s for k in (3999, 4299, 4300, 5000, 9000, 12999) for s in (-1, 0, 1)]
     values += [rng.getrandbits(rng.randrange(13_288, 43_185)) for _ in range(20)]
     values += [-v for v in values]
-    expected = [str(v) for v in values]  # under the session's lift
-    lifted = sys.get_int_max_str_digits()
+    expected = [lift_int_limit(str, v) for v in values]
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
         with pytest.raises(ValueError, match="Exceeds the limit"):
             str(10 ** 5000)
         got = [decimal_str(v) for v in values]
     finally:
-        sys.set_int_max_str_digits(lifted)
+        sys.set_int_max_str_digits(limit)
     assert got == expected
+
+
+@st.composite
+def ints_across_the_digit_limits(draw):
+    """Ints of up to 1,300 or of 4,000-4,600 digits, either sign: across
+    parse_int's 640-digit leaves and the interpreter's 4,300-digit default."""
+    digits = draw(st.one_of(st.integers(1, 1300), st.integers(4000, 4600)))
+    low = 10 ** (digits - 1)
+    n = low + draw(st.randoms(use_true_random=False)).randrange(9 * low)
+    return -n if draw(st.booleans()) else n
+
+
+@settings(max_examples=100, deadline=None)
+@given(ints_across_the_digit_limits())
+def test_parse_int_inverts_decimal_str(n):
+    assert parse_int(decimal_str(n)) == n
+    sign = "-" if n < 0 else "+"
+    assert parse_int(f" {sign}0000{decimal_str(abs(n))}\n") == n
+
+
+@st.composite
+def short_int_texts(draw):
+    """Texts of at most 640 characters such as int() accepts or rejects: a
+    sign, surrounding whitespace, leading zeros, underscores, stray marks."""
+    space = st.text(" \t\n", max_size=3)
+    body = draw(st.one_of(st.text("0123456789", min_size=1, max_size=640),
+                          st.from_regex(r"[0-9](_?[0-9]){0,30}", fullmatch=True),
+                          st.text("0123456789_+- x\u0663", max_size=12)))
+    sign = draw(st.sampled_from(("", "+", "-")))
+    return (draw(space) + sign + draw(st.text("0", max_size=4)) + body + draw(space))[:640]
+
+
+def _outcome(convert, text):
+    try:
+        return convert(text)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_int_texts())
+def test_parse_int_is_int_on_short_texts(text):
+    assert _outcome(parse_int, text) == _outcome(int, text)
+
+
+def test_parse_int_reads_a_long_text_as_sign_and_ascii_digits():
+    big, digits = 10 ** 5000, "1" + "0" * 5000
+    assert parse_int(digits) == big
+    assert parse_int(f"\t-{digits} ") == -big
+    assert parse_int("+" + "0" * 700 + "12") == 12
+    assert IntPolynomial.parse(f"1, {digits} ,-{digits}") == IntPolynomial((1, big, -big))
+    for bad in (digits + "x", "1_" + digits, "--" + digits, "+-" + digits, " " * 700,
+                "\u0663" * 700):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_int(bad)
 
 
 def _orbit(gamma, c, x, length):
@@ -316,18 +373,15 @@ def _orbit(gamma, c, x, length):
 def test_decimal_orbit_steps_the_orbit_exactly():
     # a start of -3^21000 makes every value big, the first one negative
     values = _orbit(5, -7, -(3 ** 21000), 3)
-    assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == [
-        str(v) for v in values
-    ]
+    texts = [lift_int_limit(str, v) for v in values]
+    assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == texts
     # the orbit, quotients and square roots ignore the caller's context: at
     # 5 digits each would otherwise round or come out wrong
     n = 3 ** 21000
     with localcontext(Context(prec=5)):
-        assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == [
-            str(v) for v in values
-        ]
-        assert str(decimal_quotient(_to_decimal(n * 7 ** 100), 7 ** 100)) == str(n)
-        assert str(decimal_isqrt(_to_decimal(n * n))) == str(n)
+        assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == texts
+        assert str(decimal_quotient(_to_decimal(n * 7 ** 100), 7 ** 100)) == lift_int_limit(str, n)
+        assert str(decimal_isqrt(_to_decimal(n * n))) == lift_int_limit(str, n)
         assert decimal_isqrt(_to_decimal(n * n + 1)) is None
 
 
@@ -342,7 +396,7 @@ def test_decimal_quotient_and_orbit_reject_a_non_divisor_and_a_non_orbit(monkeyp
     real = bigpoly_mod._to_decimal
     monkeypatch.setattr(bigpoly_mod, "_to_decimal", lambda n: real(2 if n == 1 else n))
     orbit = decimal_orbit(0, 1, start)
-    assert str(next(orbit)) == str(start)
+    assert str(next(orbit)) == lift_int_limit(str, start)
     with pytest.raises(ValueError, match="disagrees"):
         next(orbit)
 

@@ -29,7 +29,7 @@ from quadtower.family import (
 from quadtower.galois import certify_tower
 from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
 
-from conftest import ACCEPTANCE_MAPS, CorpusEntry
+from conftest import ACCEPTANCE_MAPS, CorpusEntry, lift_int_limit
 
 
 def run(capsys, *args):
@@ -351,6 +351,24 @@ def test_nphi_bound_and_index_bound(capsys):
     assert json.loads(out)["index_bound"] == "16"
 
 
+@pytest.mark.parametrize("exponent", [15, 20, 40, 400])
+def test_nphi_bound_refuses_a_threshold_whose_denominator_cancels(capsys, exponent):
+    # D*log(threshold + 1) - B1 is positive, but 0.0 in floats from a
+    # threshold near 10^15 on; the chain divided by it
+    code, out, err = run(capsys, "nphi-bound", "--gamma", "0", "--c", f"{10 ** exponent},1",
+                         "--kappa1", "1", "--kappa2", "1", "--kappa3", "1")
+    assert (code, out) == (1, "")
+    assert err == ("quadtower: error: the bound chain's denominator D*log(threshold + 1) - B1 "
+                   f"cancels to 0.0 at threshold {2 * 10 ** exponent + 1}\n")
+
+
+def test_nphi_bound_below_the_cancellation_keeps_its_output(capsys):
+    code, out, _ = run(capsys, "nphi-bound", "--gamma", "0", "--c", "100000000000000,1",
+                       "--kappa1", "1", "--kappa2", "1", "--kappa3", "1")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "da416b2d6c2a2d5dd077eed5a4f5c5f0ebeab533a4af496155a42db3c4ccb129")
+
+
 def test_csv_restricted_to_density(capsys):
     code, _, err = run(capsys, "certify", "--gamma", "0", "--c", "0,1",
                        "--a", "2", "--to", "3", "--format", "csv")
@@ -511,10 +529,43 @@ def test_values_above_max_factor_bits_exit_two_unfactored(argv, level):
     assert proc.returncode == 2, proc.stderr
     partial = json.loads(proc.stdout)["partial"]
     assert partial["complete"] is False
-    value = partial["sign"] * int(partial["cofactor"])
+    value = partial["sign"] * lift_int_limit(int, partial["cofactor"])
     for p, e in partial["factors"]:
         value *= int(p) ** e
     assert value == critical_orbit(QuadraticFamily.of([0], [0, 1]).specialize(1), level).values[-1]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no limit on int-to-str digits")
+def test_main_leaves_the_int_str_limit_alone():
+    # in a fresh interpreter, so that no earlier call has moved the limit
+    proc = run_python("-c", "import sys; from quadtower.cli import main; "
+                            "limit = sys.get_int_max_str_digits(); "
+                            "codes = [main(['index-bound', '--n', '20']), "
+                            "main(['critical-orbit', '--gamma', '0', '--c', '0,1', '--a', '1', "
+                            "'--depth', '14'])]; "
+                            "print(codes, sys.get_int_max_str_digits() == limit, file=sys.stderr)")
+    assert proc.stderr == "[0, 0] True\n"
+
+
+_HUGE = "7" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("critical-orbit", "--gamma", "0", "--c", "0,1", "--a", _HUGE, "--depth", "2"),
+    ("density", "--gamma", "0", "--c", "0,1", "--a", "1", "--b", _HUGE, "--X", "100", "--json"),
+    ("family-info", "--gamma", _HUGE, "--c", _HUGE),
+    ("family-info", "--gamma", f"{_HUGE},1", "--c", "0", "--json"),
+    ("curve", "--gamma", "0", "--c", "0,1", "--a", "1000000000000", "--level", "2",
+     "--trial-bound", "2", "--seed", _HUGE),
+], ids=["a", "b", "c", "threshold", "seed"])
+def test_hundred_thousand_digit_values_need_no_lift_of_the_int_str_limit(capsys, argv):
+    # the fresh interpreter keeps its own limit: the default, or what
+    # PYTHONINTMAXSTRDIGITS sets
+    proc = run_subprocess(*argv)
+    code, out, _ = lift_int_limit(run, capsys, *argv)
+    assert proc.returncode == code == 0, proc.stderr[-500:]
+    assert proc.stdout == out
 
 
 @pytest.mark.slow

@@ -17,7 +17,7 @@ from quadtower.density import (
 from quadtower.factor import prime_table
 from quadtower.family import SpecializedMap
 
-from conftest import CORPUS, naive_orbit_member, plain_primes
+from conftest import CORPUS, lift_int_limit, naive_orbit_member, plain_primes
 
 X2P1 = SpecializedMap.make(1, 0, 1)
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "density_x2p1.json"
@@ -174,7 +174,7 @@ def test_density_json_prints_b_through_decimal_str(monkeypatch):
 
     monkeypatch.setattr(density_mod, "decimal_str", recording)
     curve = DensityCurve(b=b, rows=(), member_primes=())
-    assert curve.to_json_dict() == {"b": str(b), "checkpoints": []}
+    assert curve.to_json_dict() == {"b": lift_int_limit(str, b), "checkpoints": []}
     assert converted == [b]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadtower.bigpoly import IntPolynomial, ZeroPolynomialError, height_int
+from quadtower.bigpoly import IntPolynomial, ZeroPolynomialError, decimal_str, height_int
 from quadtower.family import (
     HallLangConstants,
     InvalidConstantsError,
@@ -98,6 +98,16 @@ def test_bound_constants_scaled_monomial():
     bc = QuadraticFamily.of([0], [0, 2]).compute_bound_constants()
     assert bc.threshold == 2
     assert bc.b1 == pytest.approx(math.log(2))
+
+
+def test_bound_constants_print_a_long_threshold_as_a_decimal_string():
+    # P_phi vanishes for c = 0, so family-info prints the threshold however
+    # long it is: a JSON number up to 2,048 bits, a decimal string above
+    for big in (10 ** 600, 10 ** 5000):
+        bc = QuadraticFamily.of([big, 1], [0]).compute_bound_constants()
+        assert bc.threshold == 2 * big + 1
+        expected = bc.threshold if big == 10 ** 600 else decimal_str(bc.threshold)
+        assert bc.to_json_dict()["threshold"] == expected
 
 
 def test_bound_constants_isotrivial():
