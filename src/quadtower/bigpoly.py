@@ -562,7 +562,7 @@ def decimal_quotient(x: decimal.Decimal, q: int) -> decimal.Decimal:
         return x
     quotient, rem = _EXACT.divmod(x, q)
     if rem:
-        raise ValueError(f"{q} does not divide the value")
+        raise ValueError(f"{decimal_str(q)} does not divide the value")
     return quotient
 
 

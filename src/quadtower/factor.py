@@ -448,19 +448,21 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
             while m % p == 0:
                 counts[p] = counts.get(p, 0) + 1
                 m //= p
-    pending = [m] if m > 1 else []
+    # (piece, multiplicity): each piece gets the budget once, whatever its
+    # multiplicity
+    pending = [(m, 1)] if m > 1 else []
     rng = random.Random(f"rho:{decimal_str(budget.seed)}:{decimal_str(abs(n))}")
     ecm_curves = (budget.rho_iters - _RHO_ITERS_CAP) // _ECM_CURVE_COST
-    stuck: list[int] = []
+    cofactor = 1
     while pending:
-        x = pending.pop()
+        x, k = pending.pop()
         if x < budget.trial_bound * budget.trial_bound or is_probable_prime(x, budget):
             # no factor below trial_bound survives, so x < bound^2 is prime
-            counts[x] = counts.get(x, 0) + 1
+            counts[x] = counts.get(x, 0) + k
             continue
         root = is_perfect_square(x)
         if root is not None:
-            pending += [root, root]
+            pending.append((root, 2 * k))
             continue
         f = _pollard_pm1(x, budget.rho_iters // 100)
         if f is None:
@@ -468,12 +470,9 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
         if f is None and ecm_curves > 0:
             f = _ecm(x, rng, ecm_curves)
         if f is None:
-            stuck.append(x)
-            continue
-        pending += [f, x // f]
-    cofactor = 1
-    for x in stuck:
-        cofactor *= x
+            cofactor *= x ** k
+        else:
+            pending += [(f, k), (x // f, k)]
     return Factorization(
         sign=sign,
         factors=tuple(sorted(counts.items())),
@@ -503,7 +502,7 @@ def squarefree_decompose(
         )
     if not fac.complete:
         raise IncompleteFactorizationError(
-            f"budget exhausted on cofactor {fac.cofactor}", fac
+            f"budget exhausted on cofactor {decimal_str(fac.cofactor)}", fac
         )
     e, d, y = 0, 1, 1
     for p, k in fac.factors:

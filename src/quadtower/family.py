@@ -34,9 +34,10 @@ _LOG2 = math.log(2.0)
 # (text) and 0.4 s (--json); at 10^6 the JSON took 1.7 s (CPython 3.11.7,
 # 2 vCPUs).  Without a limit --c 10^12,1 asked for a set of 4 * 10^12 ints.
 MAX_EXCEPTIONAL_THRESHOLD = 10 ** 5
-# F_phi tests every divisor of P_phi's trailing coefficient as a root, so a
-# coefficient with more divisors is refused.  Below it, --c 510510,510510
-# (1,769,472 divisors) took 6 s in family-info (CPython 3.11.7, 2 vCPUs).
+# F_phi tests every divisor of the trailing coefficient of each of P_phi's
+# factors as a root of that factor, so a coefficient with more divisors is
+# refused.  Below it, the 2^20 divisors of 71# for the factor 71# * (1 + t)
+# took 1.2 s (CPython 3.11.7, 2 vCPUs).
 MAX_DIVISORS = 2_000_000
 
 
@@ -253,10 +254,11 @@ class QuadraticFamily(FrozenSlots):
     def info(self, budget: Budget = DEFAULT_BUDGET) -> FamilyInfo:
         """P_phi, and for a non-isotrivial family m_phi, the bound constants
         and F_phi: the integer roots of P_phi, found within budget, united
-        with the small-height ball {|a| <= threshold}; sorted.  The roots come
-        from divisor enumeration of the trailing nonzero coefficient, never
-        polynomial factorization.  A threshold above MAX_EXCEPTIONAL_THRESHOLD
-        or more than MAX_DIVISORS divisors raises BudgetError.
+        with the small-height ball {|a| <= threshold}; sorted.  The roots are
+        those of P_phi's five factors, each found by divisor enumeration of
+        the factor's trailing nonzero coefficient, never by polynomial
+        factorization.  A threshold above MAX_EXCEPTIONAL_THRESHOLD or a
+        factor with more than MAX_DIVISORS divisors raises BudgetError.
         """
         poly = self.exceptional_polynomial()
         if self.is_isotrivial:
@@ -270,7 +272,7 @@ class QuadraticFamily(FrozenSlots):
                 f"F_phi would list every |a| <= {decimal_str(threshold)}; "
                 f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}"
             )
-        roots = _integer_roots(poly, budget)
+        roots = set().union(*(_integer_roots(p, budget) for p in self._exceptional_factors()))
         roots.update(range(-threshold, threshold + 1))
         return FamilyInfo(self, poly, m_phi, bounds, sorted(roots))
 
@@ -291,10 +293,13 @@ class QuadraticFamily(FrozenSlots):
         Its integer roots are the specializations where the critical orbit
         degenerates or the conjugate lands on a post-critically finite map.
         """
+        return math.prod(self._exceptional_factors())
+
+    def _exceptional_factors(self) -> tuple[IntPolynomial, ...]:
+        """The five factors whose product is P_phi."""
         f = self.difference
-        phi1 = self.c            # phi(gamma(t)) collapses to c(t)
-        phi2 = f * f + self.c    # phi^2(gamma(t)) = (c - gamma)^2 + c
-        return phi1 * phi2 * f * (f + 1) * (f + 2)
+        # phi(gamma(t)) collapses to c(t); phi^2(gamma(t)) = (c - gamma)^2 + c
+        return (self.c, f * f + self.c, f, f + 1, f + 2)
 
     def compute_bound_constants(self) -> BoundConstants:
         """Fully explicit constants; see BoundConstants for the contracts.

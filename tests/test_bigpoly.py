@@ -401,6 +401,21 @@ def test_decimal_quotient_and_orbit_reject_a_non_divisor_and_a_non_orbit(monkeyp
         next(orbit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on int-to-str digits")
+def test_decimal_quotient_names_a_long_non_divisor_under_the_int_str_limit():
+    # the message prints q through decimal_str, so a 5,001-digit q raises the
+    # refusal itself rather than the interpreter's "Exceeds the limit"
+    x = _to_decimal(10 ** 6000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ValueError, match=r"^10{4999}1 does not divide the value$"):
+            decimal_quotient(x, 10 ** 5000 + 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_doctests():
     # every module's examples, which also pin reprs such as
     # SquareFreeDecomposition(e=1, d=-1, y=2)

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -89,10 +90,10 @@ def test_family_info_refuses_a_large_exceptional_ball(c, threshold):
 
 
 def test_family_info_refuses_a_trailing_coefficient_with_too_many_divisors(capsys):
-    # c = k(t + 1) with k = 47# (the product of the primes to 47): P_phi's
-    # trailing coefficient k^3 (k + 1)^2 (k + 2) has more than MAX_DIVISORS
+    # c = k(t + 1) with k = 73# (the product of the primes to 73): the
+    # trailing coefficient k of P_phi's factor c alone has 2^21 > MAX_DIVISORS
     # divisors.  A valid family, so a budget refusal, not a usage error.
-    k = 614889782588491410
+    k = 40729680599249024150621323470
     code, out, err = run(capsys, "family-info", "--gamma", "0", "--c", f"{k},{k}")
     assert code == 2
     assert json.loads(out) == {"error": "budget-exceeded", "partial": None}
@@ -504,17 +505,33 @@ def test_incomplete_factorization_exits_two(capsys):
     assert "budget" in err
 
 
+def test_incomplete_partial_lists_no_prime_of_its_cofactor(capsys):
+    # x^2 + a at level 1 factors a = N^2, N = 2400971 * 798638215261; its
+    # root N is tried once and resists, so N^2 comes back whole
+    n = 2400971 * 798638215261
+    code, out, err = run(
+        capsys, "curve", "--gamma", "0", "--c", "0,1", "--a", str(n * n),
+        "--level", "1", "--trial-bound", "100", "--rho-iters", "4000", "--json",
+    )
+    assert code == 2
+    partial = json.loads(out)["partial"]
+    cofactor = int(partial["cofactor"])
+    assert not any(cofactor % int(p) == 0 for p, _e in partial["factors"])
+    assert partial["sign"] * cofactor * math.prod(
+        int(p) ** e for p, e in partial["factors"]) == n * n
+    assert partial == {"sign": 1, "factors": [], "cofactor": str(n * n), "complete": False}
+
+
 def test_family_info_exits_two_when_the_trailing_coefficient_resists(capsys):
-    # gamma = c(0) makes c - gamma = t, so P_phi / t has trailing coefficient
-    # 2 * N^2 with N = 10007 * 10009, which no rho iteration is left to split
+    # P_phi's first factor c = N + t has trailing coefficient N = 10007 * 10009,
+    # which no rho iteration is left to split
     n = 10007 * 10009
     code, out, err = run(capsys, "family-info", "--gamma", str(n), "--c", f"{n},1",
                          "--rho-iters", "0", "--trial-bound", "100")
     assert code == 2
     data = json.loads(out)
     assert data["error"] == "incomplete-factorization"
-    assert data["partial"] == {"sign": 1, "factors": [["2", 1]], "cofactor": str(n * n),
-                               "complete": False}
+    assert data["partial"] == {"sign": 1, "factors": [], "cofactor": str(n), "complete": False}
     assert err == "quadtower: budget: cannot enumerate divisors of the trailing coefficient\n"
 
 

@@ -394,7 +394,8 @@ def test_ecm_curve_keeps_projective_giants_when_their_z_is_no_unit(monkeypatch):
 
 def _pm1_rho_reference(n, budget):
     """factorize as it was before ECM: trial division, p-1 stage 1 to
-    B1 = rho_iters // 100, then Brent rho for all of rho_iters."""
+    B1 = rho_iters // 100, then Brent rho for all of rho_iters, on one queue
+    of (piece, multiplicity) pairs."""
     sign = -1 if n < 0 else 1
     m = abs(n)
     counts = {}
@@ -404,25 +405,25 @@ def _pm1_rho_reference(n, budget):
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    pending = [m] if m > 1 else []
+    pending = [(m, 1)] if m > 1 else []
     rng = random.Random(f"rho:{budget.seed}:{abs(n)}")
     cofactor = 1
     while pending:
-        x = pending.pop()
+        x, k = pending.pop()
         if x < budget.trial_bound ** 2 or is_probable_prime(x, budget):
-            counts[x] = counts.get(x, 0) + 1
+            counts[x] = counts.get(x, 0) + k
             continue
         root = math.isqrt(x)
         if root * root == x:
-            pending += [root, root]
+            pending.append((root, 2 * k))
             continue
         f = factor_mod._pollard_pm1(x, budget.rho_iters // 100)
         if f is None:
             f = factor_mod._brent_rho(x, rng, budget.rho_iters)
         if f is None:
-            cofactor *= x
+            cofactor *= x ** k
             continue
-        pending += [f, x // f]
+        pending += [(f, k), (x // f, k)]
     return sign, tuple(sorted(counts.items())), cofactor
 
 
@@ -433,12 +434,44 @@ def _pm1_rho_reference(n, budget):
     rho_iters=st.one_of(st.integers(0, 3000), st.sampled_from((16_382, 65_534, 2 ** 17))),
     seed=st.integers(0, 2),
 )
+# composite squares: (1009 * 1013)^2 splits, and with no rho iteration
+# (1009 * 1013)^4 stays whole
+@example(parts=[1009 * 1013, 1009 * 1013], sign=1, rho_iters=3000, seed=0)
+@example(parts=[(1009 * 1013) ** 2, (1009 * 1013) ** 2], sign=-1, rho_iters=0, seed=0)
 def test_factorize_matches_pm1_rho_up_to_rho_cap(parts, sign, rho_iters, seed):
     # up to 2^17 rho iterations no ECM curve runs, so nothing may change
     n = sign * math.prod(parts)
     budget = Budget(trial_bound=10 ** 3, rho_iters=rho_iters, seed=seed)
     fac = factorize(n, budget)
     assert (fac.sign, fac.factors, fac.cofactor) == _pm1_rho_reference(n, budget)
+
+
+def test_factorize_tries_a_composite_square_root_once(monkeypatch):
+    # the budget is per composite piece: N^2 pushes its root N once, with
+    # multiplicity 2, so p-1, rho and ECM each run once on N, and what
+    # resists them comes back whole as N^2
+    n = (10 ** 18 + 3) * (10 ** 18 + 9)
+    calls = []
+    for name in ("_pollard_pm1", "_brent_rho", "_ecm"):
+        def counted(x, *args, _name=name, _real=getattr(factor_mod, name)):
+            calls.append((_name, x))
+            return _real(x, *args)
+
+        monkeypatch.setattr(factor_mod, name, counted)
+    fac = factorize(n ** 2, Budget(rho_iters=10 ** 6))
+    assert calls == [("_pollard_pm1", n), ("_brent_rho", n), ("_ecm", n)]
+    assert fac == Factorization(sign=1, factors=(), cofactor=n ** 2, complete=False)
+    # a prime square above the trial bound is one prime with exponent 2,
+    # and nested squares multiply the exponents
+    p = 10 ** 18 + 3
+    assert factorize(p ** 2).factors == ((p, 2),)
+    assert factorize(-((1009 * 1013) ** 4), Budget(trial_bound=100)).factors == (
+        (1009, 4), (1013, 4))
+    # 2400971 * 798638215261 resists p-1 and 4,000 rho iterations: its square
+    # comes back whole, with none of its primes listed beside it
+    n = 2400971 * 798638215261
+    fac = factorize(n ** 2, Budget(trial_bound=100, rho_iters=4000))
+    assert fac == Factorization(sign=1, factors=(), cofactor=n ** 2, complete=False)
 
 
 def test_factorize_completes_x2p7_levels_7_and_8():

@@ -526,3 +526,24 @@ def test_search_integral_points_matches_double_loop():
             if y:
                 expected.add((x, -y))
     assert pts == expected
+
+
+def _stoll_maximal(a):
+    """Stoll's criterion (1992, as cited by Jones 2008): x^2 + a has the full
+    group Aut(T_n) at every level n when a > 0 and a = 1, 2 (mod 4), or when
+    a < 0, a = 0 (mod 4) and -a is not a square."""
+    if a > 0:
+        return a % 4 in (1, 2)
+    return a < 0 and a % 4 == 0 and math.isqrt(-a) ** 2 != -a
+
+
+def test_certify_tower_never_refutes_a_map_stoll_proves_maximal():
+    # an independent oracle for FailedSquareOverQ: on maps with G_n = Aut(T_n)
+    # at every level no level may fail, and the count of Unknown may only fall
+    maps = [a for a in range(-400, 401) if _stoll_maximal(a)]
+    assert len(maps) == 290
+    statuses = [cert.status for a in maps
+                for cert in certify_tower(SpecializedMap.make(a, 0, a), 1, 10).certificates]
+    assert len(statuses) == 2900
+    assert FAILED_SQUARE_OVER_Q not in statuses
+    assert statuses.count(UNKNOWN) <= 31

@@ -1,0 +1,46 @@
+"""The README's library tour runs, and its literal comments are its results."""
+
+import ast
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _python_block() -> str:
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def _claimed(line: str, node: ast.stmt):
+    """The value a one-line expression statement's trailing comment claims,
+    or None when the comment is not a Python literal."""
+    if not isinstance(node, ast.Expr) or node.lineno != node.end_lineno:
+        return None
+    comment = line[node.end_col_offset:].strip()
+    if not comment.startswith("#"):
+        return None
+    try:
+        return (ast.literal_eval(comment[1:].strip()),)
+    except (ValueError, SyntaxError):
+        return None
+
+
+def test_readme_library_tour_prints_what_its_comments_say():
+    source = _python_block()
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(source).body:
+        claimed = _claimed(lines[node.lineno - 1], node)
+        if claimed is None:
+            exec(compile(ast.Module([node], type_ignores=[]), str(README), "exec"), namespace)
+            continue
+        expr = ast.get_source_segment(source, node)
+        value = eval(compile(ast.Expression(node.value), str(README), "eval"), namespace)
+        assert value == claimed[0], expr
+        checked.append(expr)
+    # fam.m_phi(), fam.exceptional_set(), the info fields, n_phi, the
+    # critical orbit, the stability verdict and the stripped witness
+    assert len(checked) == 7, checked
