@@ -244,27 +244,37 @@ class IntPolynomial(FrozenSlots):
     # -- display ---------------------------------------------------------------
 
     def to_string(self, var: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = decimal_str(mag)
-            else:
-                head = "" if mag == 1 else decimal_str(mag)
-                term = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append((" - " if c < 0 else " + ") + term)
-        return "".join(parts)
+        return _display(list(map(decimal_str, self.coeffs)), var)
 
     def __str__(self) -> str:
         return self.to_string()
+
+    def serialize_and_display(self) -> tuple[str, str]:
+        """serialize() and str(self), converting each coefficient once."""
+        texts = list(map(decimal_str, self.coeffs))
+        return ",".join(texts) or "0", _display(texts, "t")
+
+
+def _display(texts: list[str], var: str) -> str:
+    """to_string's text from the decimal texts of the coefficients, low
+    degree first."""
+    parts: list[str] = []
+    for i in range(len(texts) - 1, -1, -1):
+        text = texts[i]
+        if text == "0":
+            continue
+        negative = text[0] == "-"
+        mag = text[1:] if negative else text
+        if i == 0:
+            term = mag
+        else:
+            head = "" if mag == "1" else mag
+            term = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+        if not parts:
+            parts.append(("-" if negative else "") + term)
+        else:
+            parts.append((" - " if negative else " + ") + term)
+    return "".join(parts) or "0"
 
 
 # -- resultants and discriminants -----------------------------------------

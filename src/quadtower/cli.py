@@ -20,9 +20,11 @@ stopped, or the orbit rows computed so far, numbered as in the full output
 (the orbit of b from n = 0, critical values from n = 1).  It is null when the
 refusal came before any orbit value: discriminant refuses a level n >= 2 with
 2^n above --bits and --direct above level 10, and family-info refuses, as
-budget-exceeded, an F_phi whose ball |a| <= threshold has a threshold above
-10^5 (family.MAX_EXCEPTIONAL_THRESHOLD) and a P_phi whose trailing
-coefficient has more than 2,000,000 divisors (family.MAX_DIVISORS).  A value
+budget-exceeded, a P_phi whose degree could exceed 4,000
+(family.MAX_EXCEPTIONAL_DEGREE), an F_phi whose ball |a| <= threshold has a
+threshold above 10^5 (family.MAX_EXCEPTIONAL_THRESHOLD) and a factor c or
+(c - gamma)^2 + c whose trailing coefficient has more than 2,000,000
+divisors (family.MAX_DIVISORS).  A value
 above 2,048 bits (factor.MAX_FACTOR_BITS) is not factored, so curve,
 primitive-divisors --method exact and family-info stop there as incomplete
 factorizations.

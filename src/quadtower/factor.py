@@ -495,7 +495,7 @@ def squarefree_decompose(
         raise ZeroInputError("cannot decompose 0")
     fac = factorize(n, budget)
     if fac.cofactor.bit_length() > MAX_FACTOR_BITS:
-        # str() of the cofactor would take quadratic time
+        # the message names the 2,048-bit cap rather than the unfactored cofactor
         raise IncompleteFactorizationError(
             f"a {fac.cofactor.bit_length()}-bit value is not factored; "
             f"factoring stops at {MAX_FACTOR_BITS} bits", fac

@@ -34,11 +34,15 @@ _LOG2 = math.log(2.0)
 # (text) and 0.4 s (--json); at 10^6 the JSON took 1.7 s (CPython 3.11.7,
 # 2 vCPUs).  Without a limit --c 10^12,1 asked for a set of 4 * 10^12 ints.
 MAX_EXCEPTIONAL_THRESHOLD = 10 ** 5
-# F_phi tests every divisor of the trailing coefficient of each of P_phi's
-# factors as a root of that factor, so a coefficient with more divisors is
-# refused.  Below it, the 2^20 divisors of 71# for the factor 71# * (1 + t)
-# took 1.2 s (CPython 3.11.7, 2 vCPUs).
+# F_phi tests every divisor of the trailing coefficient of c and (c-gamma)^2+c
+# as a root of that factor, so a coefficient with more divisors is refused.
+# Below it, the 2^20 divisors of 71# for the factor 71# * (1 + t) took 1.2 s
+# (CPython 3.11.7, 2 vCPUs).
 MAX_DIVISORS = 2_000_000
+# P_phi is multiplied out term by term, so a larger degree is refused.  Below
+# it family-info --gamma 0 --c 1,1,...,1 with 667 ones (degree 3,996) took
+# 0.9 s, and 2,000 ones took 6.7 s (CPython 3.11.7, 2 vCPUs).
+MAX_EXCEPTIONAL_DEGREE = 4_000
 
 
 class IsotrivialError(ValueError):
@@ -181,13 +185,14 @@ class FamilyInfo(NamedTuple):
     exceptional_set: list[int] | None
 
     def to_json_dict(self) -> dict:
-        fam, poly = self.family, self.exceptional_polynomial
+        fam = self.family
+        coeffs, display = self.exceptional_polynomial.serialize_and_display()
         return {
             "gamma": fam.gamma.serialize(),
             "c": fam.c.serialize(),
             "difference": fam.difference.serialize(),
             "isotrivial": fam.is_isotrivial,
-            "exceptional_polynomial": {"coeffs": poly.serialize(), "display": str(poly)},
+            "exceptional_polynomial": {"coeffs": coeffs, "display": display},
             "m_phi": self.m_phi,
             "bound_constants": None if self.bounds is None else self.bounds.to_json_dict(),
             "exceptional_set": self.exceptional_set,
@@ -254,11 +259,11 @@ class QuadraticFamily(FrozenSlots):
     def info(self, budget: Budget = DEFAULT_BUDGET) -> FamilyInfo:
         """P_phi, and for a non-isotrivial family m_phi, the bound constants
         and F_phi: the integer roots of P_phi, found within budget, united
-        with the small-height ball {|a| <= threshold}; sorted.  The roots are
-        those of P_phi's five factors, each found by divisor enumeration of
-        the factor's trailing nonzero coefficient, never by polynomial
+        with the small-height ball {|a| <= threshold}; sorted.  Outside the
+        ball only c and (c - gamma)^2 + c have roots, found by divisor
+        enumeration of the trailing nonzero coefficient, never by polynomial
         factorization.  A threshold above MAX_EXCEPTIONAL_THRESHOLD or a
-        factor with more than MAX_DIVISORS divisors raises BudgetError.
+        coefficient with more than MAX_DIVISORS divisors raises BudgetError.
         """
         poly = self.exceptional_polynomial()
         if self.is_isotrivial:
@@ -272,7 +277,7 @@ class QuadraticFamily(FrozenSlots):
                 f"F_phi would list every |a| <= {decimal_str(threshold)}; "
                 f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}"
             )
-        roots = set().union(*(_integer_roots(p, budget) for p in self._exceptional_factors()))
+        roots = _integer_roots(self._exceptional_factors()[:2], budget)
         roots.update(range(-threshold, threshold + 1))
         return FamilyInfo(self, poly, m_phi, bounds, sorted(roots))
 
@@ -292,7 +297,15 @@ class QuadraticFamily(FrozenSlots):
 
         Its integer roots are the specializations where the critical orbit
         degenerates or the conjugate lands on a post-critically finite map.
+        A degree bound above MAX_EXCEPTIONAL_DEGREE raises BudgetError first.
         """
+        dc, df = self.c.degree or 0, self.difference.degree or 0
+        degree = dc + max(2 * df, dc) + 3 * df
+        if degree > MAX_EXCEPTIONAL_DEGREE:
+            raise BudgetError(
+                f"P_phi would have degree up to {degree}; "
+                f"the limit is {MAX_EXCEPTIONAL_DEGREE}"
+            )
         return math.prod(self._exceptional_factors())
 
     def _exceptional_factors(self) -> tuple[IntPolynomial, ...]:
@@ -308,7 +321,8 @@ class QuadraticFamily(FrozenSlots):
         a1 = a3 + log 2, a2 = a4 + log 2.  b1 = d * log T where T is the
         least integer >= 2 exceeding 2*d*H/|lc|, H the largest non-leading
         |coefficient| of c - gamma: beyond |a| = T the leading term dominates,
-        giving |f(a)| > |a|^d / 2 >= (|a|/T)^d.
+        giving |f(a)| > |a|^d / 2 >= (|a|/T)^d and |f(a)| >= |a|^(d-1) *
+        (|lc|*|a| - d*H) >= 5/2, so f, f + 1 and f + 2 have no root there.
         """
         if self.is_isotrivial:
             raise IsotrivialError("bound constants need deg(c - gamma) >= 1")
@@ -411,29 +425,27 @@ def index_bound(n_phi: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
     return 1 << ((1 << n_phi) - n_phi - 1)
 
 
-def _divisors(n: int, budget: Budget) -> list[int]:
-    fac = factorize(n, budget)
-    if not fac.complete:
-        raise IncompleteFactorizationError(
-            "cannot enumerate divisors of the trailing coefficient", fac
-        )
-    divs = [1]
-    for p, e in fac.factors:
-        if len(divs) * (e + 1) > MAX_DIVISORS:
+def _integer_roots(polys, budget: Budget) -> set[int]:
+    """Integer roots of nonzero polynomials, from the divisors of each trailing
+    nonzero coefficient; all are factored and counted before any is tried."""
+    roots, tails = set(), []
+    for p in polys:
+        k = next(i for i, c in enumerate(p.coeffs) if c)
+        if k:
+            roots.add(0)
+        if k == p.degree:
+            continue
+        fac = factorize(abs(p.coeffs[k]), budget)
+        if not fac.complete:
+            raise IncompleteFactorizationError(
+                "cannot enumerate divisors of the trailing coefficient", fac)
+        if math.prod(e + 1 for _, e in fac.factors) > MAX_DIVISORS:
             raise BudgetError(
-                f"the trailing coefficient of P_phi has more than {MAX_DIVISORS} divisors"
-            )
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return divs
-
-
-def _integer_roots(p: IntPolynomial, budget: Budget) -> set[int]:
-    """All integer roots of a nonzero polynomial: strip powers of t, then test
-    the divisors of the trailing nonzero coefficient."""
-    k = next(i for i, c in enumerate(p.coeffs) if c)
-    q = IntPolynomial(p.coeffs[k:])
-    roots = {0} if k else set()
-    if q.degree:
-        roots.update(r for d in _divisors(abs(q.coeffs[0]), budget) for r in (d, -d)
-                     if q.evaluate(r) == 0)
+                f"the trailing coefficient of P_phi has more than {MAX_DIVISORS} divisors")
+        tails.append((p, fac.factors))
+    for p, factors in tails:
+        divs = [1]
+        for prime, e in factors:
+            divs = [d * prime ** j for d in divs for j in range(e + 1)]
+        roots.update(r for d in divs for r in (d, -d) if p.evaluate(r) == 0)
     return roots

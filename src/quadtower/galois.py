@@ -697,8 +697,8 @@ def primitive_divisor_certificate(
     text, certified = orbit.stripped_witness(n, x)
     primes: tuple[int, ...] = ()
     # 2^1024 has 309 digits, so the digit count rules out most large R unparsed
-    if certified and len(text) <= 309 and parse_int(text).bit_length() <= _COURTESY_MAX_BITS:
-        fac = factorize(parse_int(text), _COURTESY_BUDGET)
+    if certified and len(text) <= 309 and (r := parse_int(text)).bit_length() <= _COURTESY_MAX_BITS:
+        fac = factorize(r, _COURTESY_BUDGET)
         if fac.complete:
             primes = tuple(p for p, _ in fac.factors)
     return PrimitiveDivisorReport(

@@ -110,6 +110,17 @@ def test_big_coefficients_print_through_decimal_str(monkeypatch):
     assert p.serialize() == ",".join(("-" + text, "1", text))
     assert p.to_string() == f"{text}t^2 + t - {text}"
     assert converted.count(big) == 4
+    # family-info --json prints both texts, from one conversion of each
+    converted.clear()
+    both = p.serialize_and_display()
+    assert converted.count(big) == 2
+    assert both == (p.serialize(), p.to_string())
+
+
+@given(st.lists(st.integers(-3, 3) | st.integers(), max_size=6))
+def test_serialize_and_display_is_serialize_and_str(coeffs):
+    p = IntPolynomial(coeffs)
+    assert p.serialize_and_display() == (p.serialize(), str(p))
 
 
 def test_resultant_examples():

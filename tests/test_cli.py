@@ -21,8 +21,10 @@ import quadtower.cli
 from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_CONFIG_BYTES, MAX_LEVEL, main
 from quadtower.density import MAX_SHARDS
 from quadtower.factor import MAX_RHO_ITERS
+import quadtower.family
 from quadtower.family import (
     MAX_DIVISORS,
+    MAX_EXCEPTIONAL_DEGREE,
     MAX_EXCEPTIONAL_THRESHOLD,
     HallLangConstants,
     QuadraticFamily,
@@ -99,6 +101,70 @@ def test_family_info_refuses_a_trailing_coefficient_with_too_many_divisors(capsy
     assert json.loads(out) == {"error": "budget-exceeded", "partial": None}
     assert err == (f"quadtower: budget: the trailing coefficient of P_phi has more than "
                    f"{MAX_DIVISORS} divisors\n")
+
+
+def test_family_info_refuses_before_it_tries_a_divisor(capsys):
+    # c = k(1 + t) with k = 71#: c's 2^20 divisors pass the guard, but the
+    # trailing coefficient k(k + 1) of (c - gamma)^2 + c has more, so the
+    # call is refused before any of c's divisors is tried as a root
+    k = math.prod(p for p in range(2, 72) if all(p % q for q in range(2, p)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family-info", "--gamma", "0", "--c", f"{k},{k}")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert json.loads(out) == {"error": "budget-exceeded", "partial": None}
+    assert err == (f"quadtower: budget: the trailing coefficient of P_phi has more than "
+                   f"{MAX_DIVISORS} divisors\n")
+
+
+def test_family_info_skips_the_factors_whose_roots_stay_in_the_ball(capsys):
+    # gamma = -2^256, c = 2^256 t: the trailing coefficient 2^256 + 1 of
+    # c - gamma + 1 does not split within the default budget, but no root of
+    # c - gamma + j can lie outside the ball |a| <= 3
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family-info", f"--gamma=-{2 ** 256}", "--c", f"0,{2 ** 256}",
+                         "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 0, err
+    assert json.loads(out)["exceptional_set"] == [-3, -2, -1, 0, 1, 2, 3]
+
+
+def test_family_info_factors_at_most_two_trailing_coefficients(capsys, monkeypatch):
+    # each of P_phi's five factors has a trailing coefficient above 1 here
+    calls = []
+    factorize = quadtower.family.factorize
+    monkeypatch.setattr(quadtower.family, "factorize",
+                        lambda n, budget: calls.append(n) or factorize(n, budget))
+    code, out, _ = run(capsys, "family-info", "--gamma", "0", "--c", "6,1", "--json")
+    assert code == 0
+    assert json.loads(out)["exceptional_set"] == list(range(-13, 14))
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("gamma, c, degree", [
+    ("0", ",".join(["1"] * 668), 4002),
+    ("0", ",".join(["1"] * 64_000), 383_994),  # about what a 128 KiB argument holds
+    ("0," * 800 + "1", "0,1", 4001),
+])
+def test_family_info_refuses_a_large_exceptional_degree(gamma, c, degree):
+    # deg c + max(2 deg f, deg c) + 3 deg f bounds deg P_phi before any
+    # product; the product for 64,000 coefficients takes minutes
+    start = time.perf_counter()
+    proc = run_capped("family-info", "--gamma", gamma, "--c", c)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "budget-exceeded", "partial": None}
+    assert proc.stderr == (f"quadtower: budget: P_phi would have degree up to {degree}; "
+                           f"the limit is {MAX_EXCEPTIONAL_DEGREE}\n")
+
+
+def test_family_info_expands_a_p_phi_at_the_degree_limit(capsys):
+    # gamma = t^800, c = 1: the bound 2 * 800 + 3 * 800 is the limit itself
+    code, out, err = run(capsys, "family-info", "--gamma", "0," * 800 + "1", "--c", "1", "--json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["exceptional_polynomial"]["display"].startswith(f"-t^{MAX_EXCEPTIONAL_DEGREE} + ")
+    assert data["exceptional_set"] == list(range(-1601, 1602))
 
 
 @pytest.mark.parametrize("fmt", [(), ("--json",)])

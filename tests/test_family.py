@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadtower.bigpoly import IntPolynomial, ZeroPolynomialError, decimal_str, height_int
@@ -189,6 +189,30 @@ def test_exceptional_set_contains_pcf_roots_brute_force():
         for a in range(-10 ** 5, 10 ** 5 + 1):
             if f.evaluate(a) in (0, -1, -2):
                 assert a in out, (fam, a)
+
+
+_SMALL_COEFFS = st.lists(st.integers(-30, 30), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SMALL_COEFFS, _SMALL_COEFFS)
+@example(f=[0, 1], c=[30, 1])  # c has the root -30, outside the ball |a| <= 2
+@example(f=[0, 1], c=[30, -1, -1])  # f^2 + c = 30 - t has the root 30
+def test_exceptional_set_matches_the_integer_roots_of_all_five_factors(f, c):
+    # info() reads roots from c and (c - gamma)^2 + c only; the reference
+    # takes sympy's integer roots of every factor of P_phi.  Drawing f =
+    # c - gamma apart from c lets c's roots fall outside the ball f sets.
+    sympy = pytest.importorskip("sympy")
+    c = IntPolynomial(c)
+    fam = QuadraticFamily(c - IntPolynomial(f), c)
+    assume(not fam.is_isotrivial and not fam.exceptional_polynomial().is_zero)
+    f, t = fam.difference, sympy.Symbol("t")
+    threshold = fam.compute_bound_constants().threshold
+    expected = set(range(-threshold, threshold + 1))
+    for p in (fam.c, f * f + fam.c, f, f + 1, f + 2):
+        roots = sympy.Poly(p.coeffs[::-1], t).ground_roots()
+        expected.update(int(r) for r in roots if r.is_integer)
+    assert fam.exceptional_set() == sorted(expected)
 
 
 def test_exceptional_set_errors():
