@@ -262,24 +262,26 @@ class QuadraticFamily(FrozenSlots):
         with the small-height ball {|a| <= threshold}; sorted.  Outside the
         ball only c and (c - gamma)^2 + c have roots, found by divisor
         enumeration of the trailing nonzero coefficient, never by polynomial
-        factorization.  A threshold above MAX_EXCEPTIONAL_THRESHOLD or a
-        coefficient with more than MAX_DIVISORS divisors raises BudgetError.
+        factorization; only divisors within Cauchy's root bound are tried.  A
+        threshold above MAX_EXCEPTIONAL_THRESHOLD or a coefficient with more
+        than MAX_DIVISORS divisors raises BudgetError.  Every refusal comes
+        before P_phi is multiplied out.
         """
-        poly = self.exceptional_polynomial()
-        if self.is_isotrivial:
-            return FamilyInfo(self, poly, None, None, None)
-        bounds, m_phi = self.compute_bound_constants(), self.m_phi()
-        if poly.is_zero:
-            return FamilyInfo(self, poly, m_phi, bounds, None)
-        threshold = bounds.threshold
-        if threshold > MAX_EXCEPTIONAL_THRESHOLD:
-            raise BudgetError(
-                f"F_phi would list every |a| <= {decimal_str(threshold)}; "
-                f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}"
-            )
-        roots = _integer_roots(self._exceptional_factors()[:2], budget)
-        roots.update(range(-threshold, threshold + 1))
-        return FamilyInfo(self, poly, m_phi, bounds, sorted(roots))
+        factors = self._exceptional_factors()
+        m_phi = bounds = roots = None
+        if not self.is_isotrivial:
+            bounds, m_phi = self.compute_bound_constants(), self.m_phi()
+            # P_phi vanishes iff one of its factors does
+            if not any(p.is_zero for p in factors):
+                threshold = bounds.threshold
+                if threshold > MAX_EXCEPTIONAL_THRESHOLD:
+                    raise BudgetError(
+                        f"F_phi would list every |a| <= {decimal_str(threshold)}; "
+                        f"the limit is {MAX_EXCEPTIONAL_THRESHOLD}"
+                    )
+                roots = _integer_roots(factors[:2], budget)
+                roots = sorted(roots.union(range(-threshold, threshold + 1)))
+        return FamilyInfo(self, math.prod(factors), m_phi, bounds, roots)
 
     def m_phi(self) -> int:
         """Tree level whose maximality persists generically in the family:
@@ -299,6 +301,11 @@ class QuadraticFamily(FrozenSlots):
         degenerates or the conjugate lands on a post-critically finite map.
         A degree bound above MAX_EXCEPTIONAL_DEGREE raises BudgetError first.
         """
+        return math.prod(self._exceptional_factors())
+
+    def _exceptional_factors(self) -> tuple[IntPolynomial, ...]:
+        """The five factors whose product is P_phi; a degree bound on P_phi
+        above MAX_EXCEPTIONAL_DEGREE raises BudgetError before any product."""
         dc, df = self.c.degree or 0, self.difference.degree or 0
         degree = dc + max(2 * df, dc) + 3 * df
         if degree > MAX_EXCEPTIONAL_DEGREE:
@@ -306,10 +313,6 @@ class QuadraticFamily(FrozenSlots):
                 f"P_phi would have degree up to {degree}; "
                 f"the limit is {MAX_EXCEPTIONAL_DEGREE}"
             )
-        return math.prod(self._exceptional_factors())
-
-    def _exceptional_factors(self) -> tuple[IntPolynomial, ...]:
-        """The five factors whose product is P_phi."""
         f = self.difference
         # phi(gamma(t)) collapses to c(t); phi^2(gamma(t)) = (c - gamma)^2 + c
         return (self.c, f * f + self.c, f, f + 1, f + 2)
@@ -444,8 +447,11 @@ def _integer_roots(polys, budget: Budget) -> set[int]:
                 f"the trailing coefficient of P_phi has more than {MAX_DIVISORS} divisors")
         tails.append((p, fac.factors))
     for p, factors in tails:
+        # Cauchy's bound: every root r has |r| <= 1 + max |a_i| / |lc| over the
+        # coefficients a_i below the leading one lc
+        bound = 1 + max(map(abs, p.coeffs[:-1])) // abs(p.coeffs[-1])
         divs = [1]
         for prime, e in factors:
             divs = [d * prime ** j for d in divs for j in range(e + 1)]
-        roots.update(r for d in divs for r in (d, -d) if p.evaluate(r) == 0)
+        roots.update(r for d in divs if d <= bound for r in (d, -d) if p.evaluate(r) == 0)
     return roots

@@ -365,18 +365,17 @@ class CriticalResidues:
     - stripped_witness(n, x): the stripped cofactor R = |v_n| / q in decimal,
       and whether it certifies a primitive divisor.
 
-    Exact values are kept only for a prefix of the orbit: cofactor(n) makes
-    it reach level n // 2 (at least 1), value(k) level k, and the rigid gcds
-    further while the critical orbit stays smaller than the orbit
-    w_j = phi_a^j(0) of 0 (see _rigid_gcd).  Every other v_n is read through
-    its residues, got by stepping the orbit modulo small numbers from the
-    last exact value.  The orbit of 0 is kept exactly as far as the rigid
-    gcds need it.
+    Both orbits, v and the orbit w_j = phi_a^j(0) of 0, are kept as exact
+    prefixes from index 0 (v_0 = gamma_a, w_0 = 0), extended by _exact and
+    read modulo m by _residue, which steps from the last exact value.
+    cofactor(n) makes v exact up to level n // 2 (at least 1), value(k) up
+    to level k, and the rigid gcds extend whichever orbit is smaller (see
+    _rigid_gcd).
     """
 
     def __init__(self, map: SpecializedMap):
         self.map = map
-        self.v: list[int] = []  # v_1, v_2, ...
+        self.v = [map.gamma_a]  # v_0, v_1, ...
         self.w = [0]  # w_0, w_1, ...
         self.first_zero: int | None = None  # first walked level whose value is 0
         self.square_modulus = square_filter_modulus()
@@ -401,25 +400,29 @@ class CriticalResidues:
                 self.first_zero = n
             yield n, x
 
+    def _exact(self, orbit: list[int], k: int) -> int:
+        """orbit[k], exactly; the orbit's exact prefix reaches index k from
+        then on."""
+        while len(orbit) <= k:
+            orbit.append(self.map.apply(orbit[-1]))
+        return orbit[k]
+
+    def _residue(self, orbit: list[int], k: int, m: int) -> int:
+        """orbit[k] mod m, stepped modulo m from the last exact value."""
+        if k < len(orbit):
+            return orbit[k] % m
+        x = orbit[-1] % m
+        for _ in range(k + 1 - len(orbit)):
+            x = self.map.apply_mod(x, m)
+        return x
+
     def value(self, k: int) -> int:
         """v_k, exactly; v_1..v_k are kept from then on."""
-        while len(self.v) < k:
-            self.v.append(self.map.apply(self.v[-1] if self.v else self.map.gamma_a))
-        return self.v[k - 1]
-
-    def _exact_w(self, j: int) -> int:
-        while len(self.w) <= j:
-            self.w.append(self.map.apply(self.w[-1]))
-        return self.w[j]
+        return self._exact(self.v, k)
 
     def residue(self, n: int, m: int) -> int:
         """v_n mod m."""
-        if n <= len(self.v):
-            return self.v[n - 1] % m
-        x = (self.v[-1] if self.v else self.map.gamma_a) % m
-        for _ in range(n - len(self.v)):
-            x = self.map.apply_mod(x, m)
-        return x
+        return self._residue(self.v, n, m)
 
     def square_root(self, n: int, x):
         """The square root, as a Decimal, of the adjusted value a_n (-x at
@@ -449,26 +452,22 @@ class CriticalResidues:
         w_j = 0 makes the gcd |v_k| itself.
 
         Until one of the two is exact, the orbit whose last exact value is
-        smaller takes the next step (v starting from v_0 = gamma_a), so
-        about the cheaper one is built: the bounded one when only one orbit
-        escapes, and mostly w_j, below level n / 2, when both do.
+        smaller takes the next step, so about the cheaper one is built: the
+        bounded one when only one orbit escapes, and mostly w_j, below level
+        n / 2, when both do.
         """
         j = n - k
-        while k > len(self.v) and j >= len(self.w):
-            if abs(self.v[-1] if self.v else self.map.gamma_a) <= abs(self.w[-1]):
-                self.value(len(self.v) + 1)
-            else:
-                self._exact_w(len(self.w))
-        if k <= len(self.v):
-            m = abs(self.v[k - 1])
-            x = 0
-            for _ in range(j):
-                x = self.map.apply_mod(x, m)
-            return math.gcd(m, x)
-        w = abs(self._exact_w(j))
-        if w == 0:
+        v, w = self.v, self.w
+        while k >= len(v) and j >= len(w):
+            smaller = v if abs(v[-1]) <= abs(w[-1]) else w
+            self._exact(smaller, len(smaller))
+        if k < len(v):
+            m = abs(v[k])
+            return math.gcd(m, self._residue(w, j, m))
+        if w[j] == 0:
             return abs(self.value(k))
-        return math.gcd(w, self.residue(k, w))
+        m = abs(w[j])
+        return math.gcd(m, self._residue(v, k, m))
 
     def cofactor(self, n: int) -> int:
         """q, the largest divisor of v_n != 0 built from the primes of

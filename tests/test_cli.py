@@ -169,7 +169,8 @@ def test_family_info_expands_a_p_phi_at_the_degree_limit(capsys):
 
 @pytest.mark.parametrize("fmt", [(), ("--json",)])
 def test_family_info_computes_each_family_constant_once(capsys, monkeypatch, fmt):
-    calls = {"exceptional_polynomial": 0, "compute_bound_constants": 0}
+    # every P_phi, expanded or not, starts from _exceptional_factors
+    calls = {"_exceptional_factors": 0, "compute_bound_constants": 0}
     for name in calls:
         method = getattr(QuadraticFamily, name)
 
@@ -180,7 +181,7 @@ def test_family_info_computes_each_family_constant_once(capsys, monkeypatch, fmt
         monkeypatch.setattr(QuadraticFamily, name, counted)
     code, _, _ = run(capsys, "family-info", "--gamma", "0", "--c", "0,1", *fmt)
     assert code == 0
-    assert calls == {"exceptional_polynomial": 1, "compute_bound_constants": 1}
+    assert calls == {"_exceptional_factors": 1, "compute_bound_constants": 1}
 
 
 def test_family_info_json(capsys):

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadtower.bigpoly import IntPolynomial, ZeroPolynomialError, decimal_str, height_int
+from quadtower.factor import Budget, IncompleteFactorizationError
 from quadtower.family import (
     HallLangConstants,
     InvalidConstantsError,
@@ -213,6 +214,40 @@ def test_exceptional_set_matches_the_integer_roots_of_all_five_factors(f, c):
         roots = sympy.Poly(p.coeffs[::-1], t).ground_roots()
         expected.update(int(r) for r in roots if r.is_integer)
     assert fam.exceptional_set() == sorted(expected)
+
+
+def test_exceptional_set_tries_only_divisors_within_the_root_bound(monkeypatch):
+    # c = K (1 + t + ... + t^59), K = 9999999999: the trailing coefficients
+    # K and K^2 + K have 48 and 5,808 divisors, but Cauchy's bound keeps
+    # only |r| <= 2 for c and |r| <= 61 for c^2 + c
+    calls = []
+    evaluate = IntPolynomial.evaluate
+    monkeypatch.setattr(IntPolynomial, "evaluate",
+                        lambda self, x: calls.append(x) or evaluate(self, x))
+    assert QuadraticFamily.of([0], [9999999999] * 60).exceptional_set() == list(range(-119, 120))
+    assert len(calls) <= 100
+
+
+def test_info_refuses_before_it_multiplies_p_phi_out(monkeypatch):
+    # c = N + t with N = 10007 * 10009, which no rho iteration is left to
+    # split: info() is refused with no product of P_phi's factors
+    products = []
+    prod = math.prod
+
+    def recording_prod(factors, **kwargs):
+        factors = list(factors)
+        if any(isinstance(p, IntPolynomial) for p in factors):
+            products.append(factors)
+        return prod(factors, **kwargs)
+
+    monkeypatch.setattr(math, "prod", recording_prod)
+    n = 10007 * 10009
+    fam = QuadraticFamily.of([n], [n, 1])
+    with pytest.raises(IncompleteFactorizationError):
+        fam.info(Budget(trial_bound=100, rho_iters=0))
+    assert products == []
+    fam.exceptional_polynomial()
+    assert len(products) == 1
 
 
 def test_exceptional_set_errors():

@@ -319,6 +319,32 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
                 assert [orbit._rigid_gcd(n, k) for k in range(1, n)] == direct
 
 
+@pytest.mark.parametrize("gamma, c", [
+    (5, 5), (3, 1), (4, 2), (-5, -5),  # the critical orbit is bounded, 0 escapes
+    (0, -1), (0, -2),  # both orbits are bounded
+    (2, -4),  # 0 is fixed, the critical orbit escapes
+    (0, 2), (1, 3), (0, -3),  # both orbits escape
+])
+def test_rigid_gcd_matches_gcd_of_exact_values(gamma, c):
+    # where one orbit is bounded, its exact prefix mostly reaches the index a
+    # gcd needs first; a fresh reader, readers shared in both orders and one
+    # with both orbits exact to level 12 cover every mix of exact and reduced
+    # values
+    m = SpecializedMap.make(0, gamma, c)
+    values = critical_orbit(m, 12).values
+    pairs = [(n, k) for n in range(2, 13) for k in range(1, n) if values[k - 1]]
+    exact = CriticalResidues(m)
+    exact.value(12)
+    exact._exact(exact.w, 12)
+    for order in (pairs, pairs[::-1]):
+        shared = CriticalResidues(m)
+        for n, k in order:
+            direct = math.gcd(values[n - 1], values[k - 1])
+            assert CriticalResidues(m)._rigid_gcd(n, k) == direct
+            assert shared._rigid_gcd(n, k) == direct
+            assert exact._rigid_gcd(n, k) == direct
+
+
 @pytest.mark.parametrize("gamma, c, depth", [
     ((0,), (-9,), 1),  # x^2 - 9: -c_a = 9 is a square at level 1
     ((0,), (-18,), 3),  # x^2 - 18: v_1 < 0 strips to the square R = 9
@@ -386,11 +412,12 @@ def test_certify_tower_builds_no_binary_value_above_half_depth(monkeypatch):
     report = certify_tower(X2P2, 1, 20)
     assert len(report.certificates) == 20
     assert biggest and max(biggest) == limit
-    # on its own, cofactor(n) makes exactly v_1..v_(n // 2) exact (v_1 at n = 1)
+    # on its own, cofactor(n) makes exactly v_1..v_(n // 2) exact (v_1 at n = 1);
+    # reader.v also holds v_0 = gamma_a
     for n in range(1, 21):
         reader = CriticalResidues(X2P2)
         reader.cofactor(n)
-        assert len(reader.v) == max(1, n // 2)
+        assert len(reader.v) - 1 == max(1, n // 2)
 
 
 @pytest.mark.parametrize("gamma, c", [(5, 5), (3, 1), (4, 2), (-3, -5)])
