@@ -39,7 +39,6 @@ from quadtower.galois import (
     CERTIFIED_MAXIMAL,
     FAILED_SQUARE_OVER_Q,
     UNKNOWN,
-    CriticalResidues,
     CurveModel,
     IntegralPoint,
     MaximalityCertificate,
@@ -59,6 +58,7 @@ from quadtower.galois import (
 from quadtower.orbit import (
     DEFAULT_MAX_BITS,
     CriticalOrbit,
+    CriticalResidues,
     DigitBudgetError,
     OrbitSlice,
     PostCriticallyFiniteError,

@@ -57,18 +57,9 @@ class DigitBudgetError(BudgetError):
 
 def check_bits(value, max_bits: int, what: str, partial=None) -> None:
     """Raise DigitBudgetError, naming what the value is and carrying
-    partial, when value needs more than max_bits bits.
-
-    value is an int or an integer decimal.Decimal.  A Decimal of d digits
-    needs fewer than d * log2(10) bits, so only one whose digit count puts it
-    within a bit of the budget is measured exactly.
-    """
-    if isinstance(value, int):
-        bits = value.bit_length()
-    elif (value.adjusted() + 1) * _LOG2_10 < max_bits - 1:
-        return
-    else:
-        bits = _decimal_bit_length(value)
+    partial, when value, an int or an integer decimal.Decimal, needs more
+    than max_bits bits."""
+    bits = value.bit_length() if isinstance(value, int) else decimal_bit_length(value)
     if bits > max_bits:
         raise DigitBudgetError(f"{what} needs {bits} bits; budget is {max_bits}", partial,
                                what, bits, max_bits)
@@ -461,6 +452,11 @@ _INT_LEAF_DIGITS = 640
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                          traps=[decimal.InvalidOperation, decimal.DivisionByZero,
                                 decimal.Overflow, decimal.Inexact])
+# decimal_bit_length reads a value's 18 leading digits, rounded down, in
+# _LEAD.  Its float log2 then errs by about 1e-15 per further digit, far
+# below _HAIR, the band per digit that it settles exactly.
+_LEAD = decimal.Context(prec=18, rounding=decimal.ROUND_DOWN, Emax=decimal.MAX_EMAX, traps=[])
+_HAIR = 2.0 ** -40
 
 
 def _pow2(powers: dict, w: int) -> decimal.Decimal:
@@ -537,19 +533,24 @@ def _from_digits(digits: str, powers: dict) -> int:
     return _from_digits(digits[:-half], powers) * power + _from_digits(digits[-half:], powers)
 
 
-def _decimal_bit_length(x: decimal.Decimal) -> int:
-    """bit_length of the integer Decimal x, by comparing |x| with powers of
-    two in exact decimal arithmetic, starting a bit below the digit bound."""
+def decimal_bit_length(x: decimal.Decimal) -> int:
+    """int(x).bit_length() for the integer Decimal x, without converting it.
+    log2|x| is estimated from its 18 leading digits and its exponent; only an
+    estimate within _HAIR per digit of a whole number k compares |x| with 2^k."""
     x = x.copy_abs()
-    if not x:
-        return 0
-    # |x| >= 10^adjusted, so 2^bits <= |x| holds from the start
-    bits = max(0, int(x.adjusted() * _LOG2_10) - 1)
-    power = _EXACT.power(2, bits)
-    while power <= x:
-        power = _EXACT.multiply(power, 2)
-        bits += 1
-    return bits
+    shift = x.adjusted() + 1 - _LEAD.prec  # |x| = lead * 10^shift, lead < 10^18
+    if shift <= 0:
+        return int(x).bit_length()
+    log = math.log2(int(_LEAD.scaleb(x, -shift))) + shift * _LOG2_10
+    k = round(log)
+    if abs(log - k) > shift * _HAIR:
+        return math.floor(log) + 1
+    return k + 1 if x >= _EXACT.power(2, k) else k
+
+
+def decimal_product(*factors: decimal.Decimal) -> decimal.Decimal:
+    """The exact product of integer Decimals."""
+    return functools.reduce(_EXACT.multiply, factors)
 
 
 def decimal_isqrt(x: decimal.Decimal) -> decimal.Decimal | None:

@@ -11,7 +11,7 @@ rho_iters; strong-probable-prime tests and square-free decompositions
 2^e * d * y^2.  Everything is deterministic given the budget and its seed.
 stripped_cofactor strips a value against earlier values by plain gcds; the
 tower certificates get the same cofactor from residues instead
-(galois.CriticalResidues.cofactor), so no CLI command calls it.
+(orbit.CriticalResidues.cofactor), so no CLI command calls it.
 """
 
 from __future__ import annotations

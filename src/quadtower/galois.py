@@ -12,33 +12,28 @@ the level value (primitive_divisor_exact), or without factoring, from its
 stripped cofactor (primitive_divisor_certificate).
 
 stability_scan, certify_tower and both primitive-divisor routes read the
-critical orbit through one CriticalResidues: one walk in exact decimal
+critical orbit through one orbit.CriticalResidues: one walk in exact decimal
 arithmetic, one square test of the adjusted value and one stripped witness;
 the exact route factors the reader's exact level value and tests lower levels
-by residues.  The curve and discriminant pipelines build the binary
-CriticalOrbit instead, since they read every exact value.
+by residues.  The discriminant and curve pipelines read the same walk through
+critical_orbit: its decimal values, and exact ints only up to the curve's level.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import islice
+import decimal
 from typing import NamedTuple
 
 from quadtower.bigpoly import (
     IntPolynomial,
     check_bits,
-    decimal_isqrt,
-    decimal_orbit,
-    decimal_quotient,
+    decimal_product,
     decimal_str,
     discriminant_direct,
     height_int,
     is_perfect_square,
     parse_int,
-    passes_square_filter,
     poly_height,
-    square_filter_modulus,
 )
 from quadtower.factor import (
     DEFAULT_BUDGET,
@@ -50,7 +45,8 @@ from quadtower.factor import (
     squarefree_decompose,
 )
 from quadtower.family import SpecializedMap
-from quadtower.orbit import DEFAULT_MAX_BITS, CriticalOrbit, DigitBudgetError, OrbitRows, critical_orbit
+from quadtower.orbit import (DEFAULT_MAX_BITS, CriticalOrbit, CriticalResidues, DigitBudgetError,
+                             critical_orbit)
 
 CERTIFIED_MAXIMAL = "CertifiedMaximal"
 FAILED_SQUARE_OVER_Q = "FailedSquareOverQ"
@@ -62,9 +58,9 @@ UNKNOWN = "Unknown"
 _COURTESY_BUDGET = Budget(trial_bound=10 ** 4, rho_iters=10 ** 5)
 _COURTESY_MAX_BITS = 1024
 
-# phi_a^n has degree 2^n, and composing it then taking its resultant grows
-# steeply: for x^2 + 1, 0.8 s at level 9, 4.8 s at level 10 and 54 s at
-# level 11 (CPython 3.11, one core), so higher levels are refused.
+# phi_a^n has degree 2^n, and its resultant grows steeply: for x^2 + 1,
+# 0.24 s at level 9, 2.3 s at level 10 and 37 s at level 11 (CPython 3.11.7,
+# 2 vCPUs), so higher levels are refused.
 DIRECT_DISCRIMINANT_MAX_LEVEL = 10
 
 
@@ -256,25 +252,25 @@ class CurveReport(NamedTuple):
 
 
 class DiscriminantReport(NamedTuple):
-    """|disc(phi_a^n)| by the recurrence and, when asked for, directly from
-    the composed polynomial phi_a^n."""
+    """|disc(phi_a^n)| by the recurrence, an integer decimal.Decimal, and,
+    when asked for, directly from the polynomial phi_a^n, an int."""
 
     level: int
-    recurrence: int
+    recurrence: decimal.Decimal
     direct: int | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"level": self.level, "recurrence": decimal_str(self.recurrence)}
+        out: dict = {"level": self.level, "recurrence": str(self.recurrence)}
         if self.direct is not None:
             out["direct"] = decimal_str(self.direct)
-            out["agree"] = self.direct == self.recurrence
+            out["agree"] = out["direct"] == out["recurrence"]
         return out
 
     def text_lines(self):
-        yield f"|disc(phi_a^{self.level})| = {decimal_str(self.recurrence)}"
-        if self.direct is not None:
-            agree = self.direct == self.recurrence
-            yield f"direct: {decimal_str(self.direct)} (agree: {agree})"
+        out = self.to_json_dict()
+        yield f"|disc(phi_a^{self.level})| = {out['recurrence']}"
+        if "direct" in out:
+            yield f"direct: {out['direct']} (agree: {out['agree']})"
 
 
 def stability_scan(
@@ -294,26 +290,20 @@ def stability_scan(
     return StabilityReport(depth=depth, squares_found=tuple(squares))
 
 
-def _check_discriminant_level(n: int, max_bits: int) -> None:
-    """Refuse a level n >= 2 with 2^n > max_bits, whose factor 2^(2^n) alone
-    outgrows the budget, naming the first such level; 2^n is never built."""
-    first = max(2, max_bits.bit_length())
-    if n >= first:
-        raise DigitBudgetError(f"discriminant at level {first} needs more than {max_bits} bits")
-
-
 def discriminant_recurrence(
     crit: CriticalOrbit, n: int, max_bits: int = DEFAULT_MAX_BITS
-) -> int:
-    """|disc(phi_a^n)| via |D_n| = D_{n-1}^2 * 2^(2^n) * |phi_a^n(gamma_a)|,
-    seeded by the directly computed quadratic discriminant D_1 of crit.map
-    and reading the critical values from crit, which must reach level n."""
-    if not 1 <= n <= len(crit.values):
+) -> decimal.Decimal:
+    """|disc(phi_a^n)| via |D_n| = D_{n-1}^2 * 2^(2^n) * |phi_a^n(gamma_a)|
+    from D_0 = 1 (so D_1 = 4|c_a|), as an exact integer decimal.Decimal,
+    multiplying the decimal critical values of crit, which must reach level n.
+    A D_k over max_bits raises DigitBudgetError."""
+    if not 1 <= n <= len(crit.rows):
         raise ValueError(f"level {n} outside computed orbit")
-    _check_discriminant_level(n, max_bits)
-    delta = abs(discriminant_direct(crit.map.phi_polynomial()))
-    for k in range(2, n + 1):
-        delta = delta * delta * (1 << (1 << k)) * abs(crit.values[k - 1])
+    delta, power = decimal.Decimal(1), decimal.Decimal(2)  # D_0 and 2^(2^0)
+    for k in range(1, n + 1):
+        power = decimal_product(power, power)  # 2^(2^k)
+        # the two small factors first: one big product besides the square
+        delta = decimal_product(power, crit.rows[k - 1].copy_abs(), decimal_product(delta, delta))
         check_bits(delta, max_bits, "discriminant")
     return delta
 
@@ -321,9 +311,10 @@ def discriminant_recurrence(
 def discriminant_report(
     map: SpecializedMap, n: int, direct: bool = False, max_bits: int = DEFAULT_MAX_BITS
 ) -> DiscriminantReport:
-    """|disc(phi_a^n)| by the recurrence and, with direct, by composing
-    phi_a^n, which is refused above DIRECT_DISCRIMINANT_MAX_LEVEL.  Every
-    refusal comes before any orbit value is computed; level 1 needs none."""
+    """|disc(phi_a^n)| by the recurrence and, with direct, from the
+    polynomial phi_a^n = (phi_a^(n-1) - gamma_a)^2 + c_a, which is refused
+    above DIRECT_DISCRIMINANT_MAX_LEVEL.  Both refusals of a level come
+    before any orbit value is computed."""
     if n < 1:
         raise ValueError("level must be >= 1")
     if direct and n > DIRECT_DISCRIMINANT_MAX_LEVEL:
@@ -331,188 +322,19 @@ def discriminant_report(
             f"direct discriminant at level {n} is refused; "
             f"--direct goes up to level {DIRECT_DISCRIMINANT_MAX_LEVEL}"
         )
-    _check_discriminant_level(n, max_bits)
-    phi = map.phi_polynomial()
-    if n == 1:
-        value = abs(discriminant_direct(phi))
-    else:
-        value = discriminant_recurrence(critical_orbit(map, n, max_bits), n, max_bits)
+    # from level 2 on, 2^n > max_bits makes the factor 2^(2^n) alone outgrow
+    # the budget: refuse at once, naming the first such level
+    first = max(2, max_bits.bit_length())
+    if n >= first:
+        raise DigitBudgetError(f"discriminant at level {first} needs more than {max_bits} bits")
+    value = discriminant_recurrence(critical_orbit(map, n, max_bits), n, max_bits)
     if not direct:
         return DiscriminantReport(level=n, recurrence=value)
-    phi_n = phi
-    for _ in range(n - 1):
-        phi_n = phi_n.compose(phi)
+    phi_n = IntPolynomial((0, 1))  # phi_a^0 = x
+    for _ in range(n):
+        shifted = phi_n - map.gamma_a
+        phi_n = shifted * shifted + map.c_a
     return DiscriminantReport(level=n, recurrence=value, direct=abs(discriminant_direct(phi_n)))
-
-
-class CriticalResidues:
-    """The critical orbit v_n = phi_a^n(gamma_a), the one reader behind the
-    verdicts of certify_tower, stability_scan, primitive_divisor_exact and
-    primitive_divisor_certificate.
-
-    walk(depth, max_bits) steps the orbit once in exact decimal arithmetic
-    (decimal_orbit), yielding (n, v_n as a Decimal).  It checks each value
-    against the bit budget and records the first level whose value is 0
-    (first_zero).  A reader is walked once.
-
-    The verdicts then read the orbit through:
-
-    - value(n): v_n as an exact int;
-    - square_root(n, x): the root of the adjusted value a_n (-c_a at level 1,
-      v_n above) when a_n is a square, given v_n as x;
-    - residue(n, m): v_n mod m;
-    - cofactor(n): the part q of v_n built from primes of lower values;
-    - stripped_witness(n, x): the stripped cofactor R = |v_n| / q in decimal,
-      and whether it certifies a primitive divisor.
-
-    Both orbits, v and the orbit w_j = phi_a^j(0) of 0, are kept as exact
-    prefixes from index 0 (v_0 = gamma_a, w_0 = 0), extended by _exact and
-    read modulo m by _residue, which steps from the last exact value.
-    cofactor(n) makes v exact up to level n // 2 (at least 1), value(k) up
-    to level k, and the rigid gcds extend whichever orbit is smaller (see
-    _rigid_gcd).
-    """
-
-    def __init__(self, map: SpecializedMap):
-        self.map = map
-        self.v = [map.gamma_a]  # v_0, v_1, ...
-        self.w = [0]  # w_0, w_1, ...
-        self.first_zero: int | None = None  # first walked level whose value is 0
-        self.square_modulus = square_filter_modulus()
-
-    def walk(self, depth: int, max_bits: int = DEFAULT_MAX_BITS, partial=None):
-        """(n, v_n) for n = 1..depth, v_n an exact decimal.Decimal.
-
-        A value over max_bits raises DigitBudgetError carrying partial(), or
-        without partial the exact critical values below it as orbit rows.
-        """
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        m = self.map
-        for n, x in enumerate(islice(decimal_orbit(m.gamma_a, m.c_a, m.c_a), depth), start=1):
-            try:
-                check_bits(x, max_bits, "orbit value")
-            except DigitBudgetError as err:
-                err.partial = partial() if partial else OrbitRows(
-                    m, 1, [self.value(k) for k in range(1, n)])
-                raise
-            if self.first_zero is None and x.is_zero():
-                self.first_zero = n
-            yield n, x
-
-    def _exact(self, orbit: list[int], k: int) -> int:
-        """orbit[k], exactly; the orbit's exact prefix reaches index k from
-        then on."""
-        while len(orbit) <= k:
-            orbit.append(self.map.apply(orbit[-1]))
-        return orbit[k]
-
-    def _residue(self, orbit: list[int], k: int, m: int) -> int:
-        """orbit[k] mod m, stepped modulo m from the last exact value."""
-        if k < len(orbit):
-            return orbit[k] % m
-        x = orbit[-1] % m
-        for _ in range(k + 1 - len(orbit)):
-            x = self.map.apply_mod(x, m)
-        return x
-
-    def value(self, k: int) -> int:
-        """v_k, exactly; v_1..v_k are kept from then on."""
-        return self._exact(self.v, k)
-
-    def residue(self, n: int, m: int) -> int:
-        """v_n mod m."""
-        return self._residue(self.v, n, m)
-
-    def square_root(self, n: int, x):
-        """The square root, as a Decimal, of the adjusted value a_n (-x at
-        level 1, x above) for the walked level-n value x; None when a_n is no
-        square.
-
-        Zero is its own root and a negative a_n has none.  Otherwise a_n mod
-        square_filter_modulus() must pass the filter before the exact root
-        of its decimal value is taken.
-        """
-        adjusted = x.copy_negate() if n == 1 else x
-        if adjusted.is_zero():
-            return adjusted.copy_abs()
-        if adjusted < 0:
-            return None
-        residue = self.residue(n, self.square_modulus)
-        if n == 1:
-            residue = -residue % self.square_modulus
-        return decimal_isqrt(adjusted) if passes_square_filter(residue) else None
-
-    def _rigid_gcd(self, n: int, k: int) -> int:
-        """gcd(v_n, v_k) for 1 <= k < n, where v_k is nonzero.
-
-        phi_a has integer coefficients, so v_n = phi_a^j(v_k) is congruent
-        to w_j mod v_k (j = n - k), and gcd(v_n, v_k) = gcd(v_k, w_j).  One
-        of v_k and w_j is made exact and the other is reduced modulo it.
-        w_j = 0 makes the gcd |v_k| itself.
-
-        Until one of the two is exact, the orbit whose last exact value is
-        smaller takes the next step, so about the cheaper one is built: the
-        bounded one when only one orbit escapes, and mostly w_j, below level
-        n / 2, when both do.
-        """
-        j = n - k
-        v, w = self.v, self.w
-        while k >= len(v) and j >= len(w):
-            smaller = v if abs(v[-1]) <= abs(w[-1]) else w
-            self._exact(smaller, len(smaller))
-        if k < len(v):
-            m = abs(v[k])
-            return math.gcd(m, self._residue(w, j, m))
-        if w[j] == 0:
-            return abs(self.value(k))
-        m = abs(w[j])
-        return math.gcd(m, self._residue(v, k, m))
-
-    def cofactor(self, n: int) -> int:
-        """q, the largest divisor of v_n != 0 built from the primes of
-        P = 2 * lcm(gcd(v_n, v_k) : k < n); |v_n| / q is the stripped
-        cofactor R.  None of v_1..v_(n-1) may be 0.
-
-        q_E = gcd(v_n, P^E) grows with E until every prime of P is
-        saturated, and q_E = q_2E means it is: a prime p with p^a exactly
-        dividing v_n gives the same part of both only if a <= E * v_p(P).
-        """
-        self.value(max(1, n // 2))
-        # a list, not a generator: CPython builds a generator's argument tuple
-        # by resizing, so each call moved one tuple between free lists, which
-        # grew by megabytes over many calls until a full collection
-        modulus = 2 * math.lcm(*[self._rigid_gcd(n, k) for k in range(1, n)])
-        q = math.gcd(self.residue(n, modulus), modulus)
-        while True:
-            modulus *= modulus
-            nxt = math.gcd(self.residue(n, modulus), modulus)
-            if nxt == q:
-                return q
-            q = nxt
-
-    def stripped_witness(self, n: int, x) -> tuple[str, bool]:
-        """(R in decimal, certified) for the walked level-n value x != 0,
-        with none of the lower values 0.
-
-        R = |v_n| / q, the stripped cofactor of v_n against all lower values,
-        is odd, unramified below, and keeps full valuations (stripping removes
-        whole primes, and gcd(v_n, v_k) has exactly the primes v_n shares with
-        v_k).  So R > 1 and not a square certify a square-free primitive
-        prime divisor.  R is a square only if (v_n mod q * M) / q, its residue
-        up to sign modulo M = square_filter_modulus(), passes the filter and
-        the exact root of R's decimal value squares back to it.
-        """
-        q = self.cofactor(n)
-        r = decimal_quotient(x.copy_abs(), q)
-        certified = False
-        if r > 1:
-            m = self.square_modulus
-            residue = self.residue(n, q * m) // q
-            if x < 0:
-                residue = -residue % m
-            certified = not passes_square_filter(residue) or decimal_isqrt(r) is None
-        return str(r), certified
 
 
 def _certify_level(orbit: CriticalResidues, n: int, x) -> MaximalityCertificate:
@@ -560,10 +382,13 @@ def certify_tower(
         raise ValueError("need 1 <= first_level <= last_level")
     orbit = CriticalResidues(map)
     certs: list[MaximalityCertificate] = []
-    for n, x in orbit.walk(last_level, max_bits,
-                           lambda: TowerReport(first_level, last_level, tuple(certs))):
-        if n >= first_level:
-            certs.append(_certify_level(orbit, n, x))
+    try:
+        for n, x in orbit.walk(last_level, max_bits):
+            if n >= first_level:
+                certs.append(_certify_level(orbit, n, x))
+    except DigitBudgetError as err:
+        err.partial = TowerReport(first_level, last_level, tuple(certs))
+        raise
     return TowerReport(first_level, last_level, tuple(certs))
 
 
@@ -589,10 +414,10 @@ def curve_report(
     map: SpecializedMap, n: int, genus: int = 1, search: int = 0,
     budget: Budget = DEFAULT_BUDGET, max_bits: int = DEFAULT_MAX_BITS,
 ) -> CurveReport:
-    """The level-n curve pipeline: the critical orbit to level n, the
-    square-free decomposition of its level-n value, the model, the forced
-    point checked on the genus-1 model from level 2 on, and the integral
-    points with |X| <= search when search is nonzero."""
+    """The level-n curve pipeline: the critical orbit walked to level n, the
+    square-free decomposition of its exact level-n value, the model, the
+    forced point checked on the genus-1 model from level 2 on, and the
+    integral points with |X| <= search when search is nonzero."""
     crit = critical_orbit(map, n, max_bits)
     dec = squarefree_decompose(crit.values[n - 1], budget)
     model = curve_model(map, n, dec, genus)
@@ -609,12 +434,12 @@ def verify_forced_point(
 ) -> bool:
     """Substitute the forced integral point
     (phi^(n-1)(gamma), 2^e * d * y * (phi^(n-2)(gamma) - gamma)) into the
-    genus-1 model, reading the values from the critical orbit crit; this is
-    an algebraic identity of the whole pipeline and must come back True for
-    every n >= 2."""
+    genus-1 model, reading the exact values from the critical orbit crit;
+    this is an algebraic identity of the whole pipeline and must come back
+    True for every n >= 2."""
     if model.genus != 1:
         raise ValueError("the forced point lives on the genus-1 model")
-    if not 2 <= n <= len(crit.values):
+    if not 2 <= n <= len(crit.rows):
         raise ValueError("the forced point needs 2 <= level <= the orbit's depth")
     if dec.value() != crit.values[n - 1]:
         raise ValueError("decomposition does not reconstruct the level value")

@@ -3,17 +3,27 @@
 Orbit values double in bit length per step, so every iterating routine runs
 under a configurable bit budget and converts runaway growth into a clean
 DigitBudgetError carrying whatever was already computed.
+
+An orbit is walked once in exact decimal arithmetic (bigpoly.decimal_orbit),
+which checks the budget and gives the printed rows, and is stepped in ints
+only as far as exact values are read (exact_prefix).  critical_orbit and the
+verdicts of galois read the critical orbit through one CriticalResidues.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 # DigitBudgetError is importable from here as well as from bigpoly
-from quadtower.bigpoly import DEFAULT_MAX_BITS, DigitBudgetError, check_bits, decimal_orbit, height_int
+from quadtower.bigpoly import (DEFAULT_MAX_BITS, DigitBudgetError, FrozenSlots, check_bits,
+                               decimal_bit_length, decimal_isqrt, decimal_orbit, decimal_quotient,
+                               height_int, passes_square_filter, square_filter_modulus)
 from quadtower.family import SpecializedMap
 
 _LOG2 = math.log(2.0)
@@ -24,93 +34,254 @@ class PostCriticallyFiniteError(ValueError):
 
 
 class OrbitRows(list):
-    """Orbit values v_i with v_(i+1) = map(v_i), numbered from first: 0 for
-    the orbit of b, 1 for the critical orbit.  A plain list of ints that also
-    renders as rows; DigitBudgetError.partial carries the values computed
-    before the budget ran out as one."""
+    """Orbit values as exact integer decimal.Decimal values, numbered from
+    first: 0 for the orbit of b, 1 for the critical orbit.  Renders as rows;
+    DigitBudgetError.partial carries the values walked before the budget ran
+    out as one."""
 
-    def __init__(self, map: SpecializedMap, first: int, values=()):
+    def __init__(self, first: int, values=()):
         super().__init__(values)
-        self.map = map
         self.first = first
 
     def to_json_dict(self) -> list[dict]:
-        """One row {"n", "value", "bits"} per value; the decimal text comes
-        from stepping the orbit once in decimal arithmetic (decimal_orbit)."""
-        texts = decimal_orbit(self.map.gamma_a, self.map.c_a, self[0]) if self else ()
-        return [{"n": n, "value": str(x), "bits": v.bit_length()}
-                for n, (v, x) in enumerate(zip(self, texts), start=self.first)]
+        """One row {"n", "value", "bits"} per value, read off the Decimal."""
+        return [{"n": n, "value": str(x), "bits": decimal_bit_length(x)}
+                for n, x in enumerate(self, start=self.first)]
 
     def text_lines(self):
         return (f"{r['n']}: {r['value']} ({r['bits']} bits)" for r in self.to_json_dict())
 
 
+def exact_prefix(map: SpecializedMap, orbit: list[int], k: int) -> list[int]:
+    """The list orbit of consecutive orbit values, extended in place by
+    stepping phi_a until it reaches index k."""
+    while len(orbit) <= k:
+        orbit.append(map.apply(orbit[-1]))
+    return orbit
+
+
 class OrbitSlice(NamedTuple):
-    """values[n] = phi_a^n(start) for n = 0..N, exactly."""
+    """phi_a^n(start) for n = 0..N: rows holds them as walked in decimal;
+    values builds them as ints, from start, each time it is read."""
 
     map: SpecializedMap
     start: int
-    values: tuple[int, ...]
+    rows: tuple[decimal.Decimal, ...]
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(exact_prefix(self.map, [self.start], len(self.rows) - 1))
 
     def text_lines(self):
-        return OrbitRows(self.map, 0, self.values).text_lines()
+        return OrbitRows(0, self.rows).text_lines()
 
     def json_lines(self):
         """One JSON object per row: orbit dumps are JSON lines."""
-        return map(json.dumps, OrbitRows(self.map, 0, self.values).to_json_dict())
+        return map(json.dumps, OrbitRows(0, self.rows).to_json_dict())
 
 
-class CriticalOrbit(NamedTuple):
-    """values[n-1] = phi_a^n(gamma_a) for n = 1..N.
+class CriticalOrbit(FrozenSlots):
+    """phi_a^n(gamma_a) for n = 1..N: rows[n-1] as walked in decimal; values
+    builds them as ints on its first read and keeps them (curve reads twice).
 
     condition_one_holds records whether the first two values are nonzero,
     the nonsingularity hypothesis behind the curve models.
     """
 
-    map: SpecializedMap
-    values: tuple[int, ...]
-    condition_one_holds: bool
+    _fields = ("map", "rows", "condition_one_holds")
+    __slots__ = (*_fields, "__dict__")  # __dict__ keeps values
+
+    def __init__(self, map: SpecializedMap, rows, condition_one_holds: bool):
+        self._set(map, tuple(rows), condition_one_holds)
+
+    @functools.cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(exact_prefix(self.map, [self.map.gamma_a], len(self.rows))[1:])
 
     def to_json_dict(self) -> dict:
-        rows = OrbitRows(self.map, 1, self.values).to_json_dict()
+        rows = OrbitRows(1, self.rows).to_json_dict()
         return {"condition_one_holds": self.condition_one_holds, "values": rows}
 
     def text_lines(self):
-        yield from OrbitRows(self.map, 1, self.values).text_lines()
+        yield from OrbitRows(1, self.rows).text_lines()
         yield f"condition (1) holds: {self.condition_one_holds}"
 
 
-def _walk(rows: OrbitRows, x: int, steps: int, max_bits: int) -> OrbitRows:
-    """Append phi(x), ..., phi^steps(x) to rows; a value over max_bits raises
-    DigitBudgetError carrying rows as they stand."""
-    for _ in range(steps):
-        x = rows.map.apply(x)
-        check_bits(x, max_bits, "orbit value", rows)
-        rows.append(x)
-    return rows
+class CriticalResidues:
+    """The critical orbit v_n = phi_a^n(gamma_a), the one reader behind
+    critical_orbit and the verdicts of galois (certify_tower, stability_scan
+    and both primitive-divisor routes).
+
+    walk(depth, max_bits) steps the orbit once in exact decimal arithmetic
+    (decimal_orbit), yielding (n, v_n as a Decimal).  It checks each value
+    against the bit budget and records the first level whose value is 0
+    (first_zero).  A reader is walked once.
+
+    The orbit is then read through:
+
+    - value(n): v_n as an exact int;
+    - square_root(n, x): the root of the adjusted value a_n (-c_a at level 1,
+      v_n above) when a_n is a square, given v_n as x;
+    - residue(n, m): v_n mod m;
+    - cofactor(n): the part q of v_n built from primes of lower values;
+    - stripped_witness(n, x): the stripped cofactor R = |v_n| / q in decimal,
+      and whether it certifies a primitive divisor.
+
+    Both orbits, v and the orbit w_j = phi_a^j(0) of 0, are kept as exact
+    prefixes from index 0 (v_0 = gamma_a, w_0 = 0), extended by exact_prefix
+    and read modulo m by _residue, which steps from the last exact value.
+    cofactor(n) makes v exact up to level n // 2 (at least 1), value(k) up
+    to level k, and the rigid gcds extend whichever orbit is smaller (see
+    _rigid_gcd).
+    """
+
+    def __init__(self, map: SpecializedMap):
+        self.map = map
+        self.v = [map.gamma_a]  # v_0, v_1, ...
+        self.w = [0]  # w_0, w_1, ...
+        self.first_zero: int | None = None  # first walked level whose value is 0
+        self.square_modulus = square_filter_modulus()
+
+    def walk(self, depth: int, max_bits: int = DEFAULT_MAX_BITS):
+        """(n, v_n) for n = 1..depth, v_n an exact decimal.Decimal; a value
+        over max_bits raises DigitBudgetError carrying the rows below it."""
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        m, rows = self.map, OrbitRows(1)
+        for n, x in enumerate(islice(decimal_orbit(m.gamma_a, m.c_a, m.c_a), depth), start=1):
+            check_bits(x, max_bits, "orbit value", rows)
+            rows.append(x)
+            if self.first_zero is None and x.is_zero():
+                self.first_zero = n
+            yield n, x
+
+    def _residue(self, orbit: list[int], k: int, m: int) -> int:
+        """orbit[k] mod m, stepped modulo m from the last exact value."""
+        if k < len(orbit):
+            return orbit[k] % m
+        x = orbit[-1] % m
+        for _ in range(k + 1 - len(orbit)):
+            x = self.map.apply_mod(x, m)
+        return x
+
+    def value(self, k: int) -> int:
+        """v_k, exactly; v_1..v_k are kept from then on."""
+        return exact_prefix(self.map, self.v, k)[k]
+
+    def residue(self, n: int, m: int) -> int:
+        """v_n mod m."""
+        return self._residue(self.v, n, m)
+
+    def square_root(self, n: int, x):
+        """The square root, as a Decimal, of the adjusted value a_n (-x at
+        level 1, x above) for the walked level-n value x; None when a_n is no
+        square.
+
+        Zero is its own root and a negative a_n has none.  Otherwise a_n mod
+        square_filter_modulus() must pass the filter before the exact root
+        of its decimal value is taken.
+        """
+        adjusted = x.copy_negate() if n == 1 else x
+        if adjusted.is_zero():
+            return adjusted.copy_abs()
+        if adjusted < 0:
+            return None
+        residue = self.residue(n, self.square_modulus)
+        if n == 1:
+            residue = -residue % self.square_modulus
+        return decimal_isqrt(adjusted) if passes_square_filter(residue) else None
+
+    def _rigid_gcd(self, n: int, k: int) -> int:
+        """gcd(v_n, v_k) for 1 <= k < n, where v_k is nonzero.
+
+        phi_a has integer coefficients, so v_n = phi_a^j(v_k) is congruent
+        to w_j mod v_k (j = n - k), and gcd(v_n, v_k) = gcd(v_k, w_j).  One
+        of v_k and w_j is made exact and the other is reduced modulo it.
+        w_j = 0 makes the gcd |v_k| itself.
+
+        Until one of the two is exact, the orbit whose last exact value is
+        smaller takes the next step, so about the cheaper one is built: the
+        bounded one when only one orbit escapes, and mostly w_j, below level
+        n / 2, when both do.
+        """
+        j = n - k
+        v, w = self.v, self.w
+        while k >= len(v) and j >= len(w):
+            smaller = v if abs(v[-1]) <= abs(w[-1]) else w
+            exact_prefix(self.map, smaller, len(smaller))
+        if k < len(v):
+            m = abs(v[k])
+            return math.gcd(m, self._residue(w, j, m))
+        if w[j] == 0:
+            return abs(self.value(k))
+        m = abs(w[j])
+        return math.gcd(m, self._residue(v, k, m))
+
+    def cofactor(self, n: int) -> int:
+        """q, the largest divisor of v_n != 0 built from the primes of
+        P = 2 * lcm(gcd(v_n, v_k) : k < n); |v_n| / q is the stripped
+        cofactor R.  None of v_1..v_(n-1) may be 0.
+
+        q_E = gcd(v_n, P^E) grows with E until every prime of P is
+        saturated, and q_E = q_2E means it is: a prime p with p^a exactly
+        dividing v_n gives the same part of both only if a <= E * v_p(P).
+        """
+        self.value(max(1, n // 2))
+        # a list, not a generator: CPython builds a generator's argument tuple
+        # by resizing, so each call moved one tuple between free lists, which
+        # grew by megabytes over many calls until a full collection
+        modulus = 2 * math.lcm(*[self._rigid_gcd(n, k) for k in range(1, n)])
+        q = math.gcd(self.residue(n, modulus), modulus)
+        while True:
+            modulus *= modulus
+            nxt = math.gcd(self.residue(n, modulus), modulus)
+            if nxt == q:
+                return q
+            q = nxt
+
+    def stripped_witness(self, n: int, x) -> tuple[str, bool]:
+        """(R in decimal, certified) for the walked level-n value x != 0,
+        with none of the lower values 0.
+
+        R = |v_n| / q, the stripped cofactor of v_n against all lower values,
+        is odd, unramified below, and keeps full valuations (stripping removes
+        whole primes, and gcd(v_n, v_k) has exactly the primes v_n shares with
+        v_k).  So R > 1 and not a square certify a square-free primitive
+        prime divisor.  R is a square only if (v_n mod q * M) / q, its residue
+        up to sign modulo M = square_filter_modulus(), passes the filter and
+        the exact root of R's decimal value squares back to it.
+        """
+        q = self.cofactor(n)
+        r = decimal_quotient(x.copy_abs(), q)
+        certified = False
+        if r > 1:
+            m = self.square_modulus
+            residue = self.residue(n, q * m) // q
+            if x < 0:
+                residue = -residue % m
+            certified = not passes_square_filter(residue) or decimal_isqrt(r) is None
+        return str(r), certified
 
 
 def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> OrbitSlice:
-    """The first depth+1 orbit values b, phi(b), ..., phi^depth(b)."""
+    """The first depth+1 orbit values b, ..., phi^depth(b), walked once in
+    decimal; one over max_bits raises DigitBudgetError carrying those below."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    x = int(b)
-    values = OrbitRows(map, 0, [x])
-    check_bits(x, max_bits, "orbit value", values)
-    return OrbitSlice(map=map, start=x, values=tuple(_walk(values, x, depth, max_bits)))
+    rows = OrbitRows(0)
+    for x in islice(decimal_orbit(map.gamma_a, map.c_a, int(b)), depth + 1):
+        check_bits(x, max_bits, "orbit value", rows)
+        rows.append(x)
+    return OrbitSlice(map=map, start=int(b), rows=tuple(rows))
 
 
 def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> CriticalOrbit:
-    """Critical values phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    values = _walk(OrbitRows(map, 1), map.gamma_a, depth, max_bits)
-    second = values[1] if depth >= 2 else map.apply(values[0])
-    return CriticalOrbit(
-        map=map,
-        values=tuple(values),
-        condition_one_holds=values[0] != 0 and second != 0,
-    )
+    """Critical values phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a),
+    walked once by a CriticalResidues."""
+    rows = [x for _, x in CriticalResidues(map).walk(depth, max_bits)]
+    # the walk reaches phi_a^2(gamma_a) = v_a^2 + c_a only from depth 2
+    second = rows[1] if depth >= 2 else map.v_a ** 2 + map.c_a
+    return CriticalOrbit(map, rows, not rows[0].is_zero() and second != 0)
 
 
 def sigma_orbit_identity(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:

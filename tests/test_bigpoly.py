@@ -16,6 +16,7 @@ from quadtower.bigpoly import (
     ZeroPolynomialError,
     _to_decimal,
     check_bits,
+    decimal_bit_length,
     decimal_isqrt,
     decimal_orbit,
     decimal_quotient,
@@ -453,12 +454,18 @@ def test_check_bits_names_the_quantity():
     assert (err.value.what, err.value.bits, err.value.max_bits) == ("discriminant", 9, 8)
 
 
-@pytest.mark.parametrize("k", [1, 3, 4, 10, 64, 333, 3322, 3323, 40000])
+@pytest.mark.parametrize("k", [1, 3, 4, 10, 64, 333, 3322, 3323, 40000, 332193, 1000000])
 def test_check_bits_on_a_decimal_matches_the_int(k):
-    # the digit bound decides most values; these sit on the boundary band,
-    # where the exact comparison must give the int's answer and message
+    # powers of two and of ten sit where the leading-digit estimate of
+    # decimal_bit_length is within a hair of a whole bit count, so it must
+    # compare with a power of two, and check_bits must give the int's answer
+    # and message
+    assert decimal_bit_length(Decimal(0)) == decimal_bit_length(Decimal("-0")) == 0
     for n in (2 ** k - 1, 2 ** k, 2 ** k + 1, 10 ** (k // 3), 10 ** (k // 3) - 1):
         for sign in (1, -1):
+            x = _to_decimal(sign * n)
+            with localcontext(Context(prec=5)):
+                assert decimal_bit_length(x) == n.bit_length(), (n, sign)
             for budget in (k - 1, k, k + 1):
                 if budget < 1:
                     continue
@@ -469,7 +476,7 @@ def test_check_bits_on_a_decimal_matches_the_int(k):
                     expected = str(err)
                 try:
                     with localcontext(Context(prec=5)):
-                        check_bits(Decimal(sign * n), budget, "orbit value")
+                        check_bits(x, budget, "orbit value")
                     got = None
                 except DigitBudgetError as err:
                     got = str(err)

@@ -472,10 +472,13 @@ def test_budget_error_exits_two_with_partial(capsys):
 
 def test_budget_error_without_orbit_prints_null_partial(capsys):
     # no orbit lies behind these refusals, so there is nothing partial to print;
-    # discriminant refuses level 25 (2^25 > 2^20 bits) before the orbit
+    # discriminant refuses level 25 (2^25 > 2^20 bits) before the orbit, and
+    # its level-1 value 4|c_a| = 4 needs 3 bits like any other level's
     for argv in (("index-bound", "--n", "7", "--bits", "120"),
                  ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1",
                   "--level", "3", "--bits", "16"),
+                 ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1",
+                  "--level", "1", "--bits", "2"),
                  ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", "25")):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -201,6 +201,33 @@ def test_verdict_commands_read_the_orbit_only_through_critical_residues(monkeypa
     assert not mismatches, mismatches
 
 
+def test_orbit_commands_build_exact_values_only_where_they_read_them(monkeypatch):
+    # critical-orbit, orbit and discriminant print from the one decimal walk
+    # and build no binary orbit value; curve builds v_1..v_n, none above its
+    # level n.  Every binary orbit value comes out of SpecializedMap.apply.
+    from quadtower.family import SpecializedMap
+
+    apply = SpecializedMap.apply
+    built = []
+
+    def recording_apply(self, x):
+        y = apply(self, x)
+        built.append(y)
+        return y
+
+    monkeypatch.setattr(SpecializedMap, "apply", recording_apply)
+    expected = json.loads(FIXTURE.read_text())
+    calls = [(argv, want) for argv, want in zip(ARGVS, expected)
+             if argv[0] in ("critical-orbit", "orbit", "discriminant", "curve")]
+    assert len(calls) == 70
+    for argv, want in calls:
+        built.clear()
+        assert _run(argv) == want, argv
+        level = dict(zip(argv, argv[1:])).get("--level", "0")
+        limit = int(level) if argv[0] == "curve" else 0
+        assert len(built) <= limit, (argv, len(built))
+
+
 def test_budget_calls_print_the_recorded_stderr_line():
     assert len(BUDGET_STDERR) == len(BUDGET_ARGVS)
     for argv, line in zip(BUDGET_ARGVS, BUDGET_STDERR):

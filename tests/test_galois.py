@@ -19,7 +19,6 @@ from quadtower.galois import (
     CERTIFIED_MAXIMAL,
     FAILED_SQUARE_OVER_Q,
     UNKNOWN,
-    CriticalResidues,
     MaximalityCertificate,
     SingularModelError,
     certify_tower,
@@ -30,7 +29,7 @@ from quadtower.galois import (
     stability_scan,
     verify_forced_point,
 )
-from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
+from quadtower.orbit import CriticalResidues, DigitBudgetError, critical_orbit, exact_prefix, orbit
 
 from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A
 
@@ -335,7 +334,7 @@ def test_rigid_gcd_matches_gcd_of_exact_values(gamma, c):
     pairs = [(n, k) for n in range(2, 13) for k in range(1, n) if values[k - 1]]
     exact = CriticalResidues(m)
     exact.value(12)
-    exact._exact(exact.w, 12)
+    exact_prefix(m, exact.w, 12)
     for order in (pairs, pairs[::-1]):
         shared = CriticalResidues(m)
         for n, k in order:
