@@ -271,43 +271,27 @@ def _display(texts: list[str], var: str) -> str:
 # -- resultants and discriminants -----------------------------------------
 
 
-def _content(p: IntPolynomial) -> int:
-    g = 0
-    for c in p.coeffs:
-        g = math.gcd(g, c)
-    return g
-
-
-def _divide_coeffs(p: IntPolynomial, k: int) -> IntPolynomial:
-    out = []
-    for c in p.coeffs:
-        q, r = divmod(c, k)
-        assert r == 0, "non-exact division in subresultant sequence"
-        out.append(q)
-    return IntPolynomial(out)
-
-
-def _int_div_exact(a: int, b: int) -> int:
+def _exact_div(a: int, b: int) -> int:
+    """a / b when b divides a; ArithmeticError, which python -O keeps, otherwise."""
     q, r = divmod(a, b)
-    assert r == 0, "non-exact integer division in subresultant sequence"
+    if r:
+        raise ArithmeticError("non-exact division in the subresultant sequence")
     return q
 
 
-def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """prem(a, b): lc(b)^(deg a - deg b + 1) * a reduced mod b, exactly in Z."""
-    db = b.degree
-    lb = b.leading_coefficient
-    r = a
-    e = a.degree - db + 1
-    while not r.is_zero and r.degree >= db:
-        lead = r.leading_coefficient
-        shift = r.degree - db
-        new = [lb * c for c in r.coeffs]
-        for i, bc in enumerate(b.coeffs):
-            new[shift + i] -= lead * bc
-        r = IntPolynomial(new)
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """prem(a, b): lc(b)^(deg a - deg b + 1) * a reduced mod b, exactly in Z.
+    Coefficient lists run leading coefficient first; [] is zero."""
+    lb, n = b[0], len(b)
+    r, e = a, len(a) - n + 1
+    while len(r) >= n:
+        lead = r[0]
+        r = [lb * x - lead * y for x, y in zip(r[1:n], b[1:])] + [lb * x for x in r[n:]]
         e -= 1
-    return r * (lb ** e)
+        while r and not r[0]:
+            del r[0]
+    scale = lb ** e
+    return [scale * x for x in r]
 
 
 def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
@@ -318,34 +302,34 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomialError("resultant needs nonzero polynomials")
-    a, b = p, q
+    # leading coefficient first; a polynomial of odd degree has an even length
+    a, b = p.coeffs[::-1], q.coeffs[::-1]
     s = 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+    if len(a) < len(b):
+        if len(a) % 2 == len(b) % 2 == 0:
             s = -1
         a, b = b, a
-    if b.degree == 0:
-        return s * b.leading_coefficient ** a.degree
-    ca, cb = _content(a), _content(b)
-    a = _divide_coeffs(a, ca)
-    b = _divide_coeffs(b, cb)
-    t = ca ** b.degree * cb ** a.degree
+    if len(b) == 1:
+        return s * b[0] ** (len(a) - 1)
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a = [_exact_div(x, ca) for x in a]
+    b = [_exact_div(x, cb) for x in b]
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
     g = h = 1
     while True:
-        delta = a.degree - b.degree
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == len(b) % 2 == 0:
             s = -s
-        r = _pseudo_remainder(a, b)
-        if r.is_zero:
+        r = _prem(a, b)
+        if not r:
             return 0
-        a, b = b, _divide_coeffs(r, g * h ** delta)
-        g = a.leading_coefficient
+        k = g * h ** delta
+        a, b = b, [_exact_div(x, k) for x in r]
+        g = a[0]
         if delta >= 1:
-            h = _int_div_exact(g ** delta, h ** (delta - 1))
-        if b.degree == 0:
-            return s * t * _int_div_exact(
-                b.leading_coefficient ** a.degree, h ** (a.degree - 1)
-            )
+            h = _exact_div(g ** delta, h ** (delta - 1))
+        if len(b) == 1:
+            return s * t * _exact_div(b[0] ** (len(a) - 1), h ** (len(a) - 2))
 
 
 def discriminant_direct(p: IntPolynomial) -> int:
@@ -356,7 +340,7 @@ def discriminant_direct(p: IntPolynomial) -> int:
     r = resultant(p, p.derivative())
     if (d * (d - 1) // 2) % 2:
         r = -r
-    return _int_div_exact(r, p.leading_coefficient)
+    return _exact_div(r, p.leading_coefficient)
 
 
 # -- heights ---------------------------------------------------------------

@@ -115,11 +115,13 @@ class StabilityReport(NamedTuple):
 
     A square at level n witnesses that the level-n tower step is not maximal;
     it is not a witness of instability.  No square up to depth N is a
-    one-sided no-obstruction certificate, not a proof of stability.
+    one-sided no-obstruction certificate, not a proof of stability.  Roots
+    are the walk's exact Decimals, printed by str(); Decimal arithmetic rounds
+    to the thread's context (28 digits by default), so square int(root).
     """
 
     depth: int
-    squares_found: tuple[tuple[int, int], ...]
+    squares_found: tuple[tuple[int, decimal.Decimal], ...]
 
     @property
     def verdict(self) -> str:
@@ -132,14 +134,14 @@ class StabilityReport(NamedTuple):
             "depth": self.depth,
             "verdict": self.verdict,
             "squares_found": [
-                {"level": n, "root": decimal_str(r)} for n, r in self.squares_found
+                {"level": n, "root": str(r)} for n, r in self.squares_found
             ],
         }
 
     def text_lines(self):
         yield f"verdict: {self.verdict}"
         for n, root in self.squares_found:
-            yield f"level {n}: square with root {decimal_str(root)}"
+            yield f"level {n}: square with root {root}"
 
 
 class MaximalityCertificate(NamedTuple):
@@ -286,7 +288,7 @@ def stability_scan(
     for n, x in orbit.walk(depth, max_bits):
         root = orbit.square_root(n, x)
         if root is not None:
-            squares.append((n, int(root)))
+            squares.append((n, root))
     return StabilityReport(depth=depth, squares_found=tuple(squares))
 
 

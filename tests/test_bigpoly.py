@@ -1,6 +1,9 @@
 import gc
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadtower
 from quadtower.bigpoly import (
     _DECIMAL_LEAF_BITS,
     DigitBudgetError,
@@ -213,6 +217,34 @@ def test_discriminant_rejects_constants():
         discriminant_direct(IntPolynomial((5,)))
     with pytest.raises(ZeroPolynomialError):
         discriminant_direct(IntPolynomial())
+
+
+def test_a_non_exact_step_raises_under_python_o():
+    # python -O deletes assert statements, so the exactness check must not be
+    # one: every pseudo-remainder gets +1 on one coefficient, which makes a
+    # later exact division fail on the degree-16 t^2 + 1 -> p^2 + 1 -> ...
+    code = ("import sys\n"
+            "from quadtower import bigpoly\n"
+            "prem = bigpoly._prem\n"
+            "def forged(a, b):\n"
+            "    r = prem(a, b)\n"
+            "    r[-1] += 1\n"
+            "    return r\n"
+            "bigpoly._prem = forged\n"
+            "p = bigpoly.IntPolynomial((1, 0, 1))\n"
+            "for _ in range(3):\n"
+            "    p = p * p + 1\n"
+            "try:\n"
+            "    print(sys.flags.optimize, bigpoly.discriminant_direct(p))\n"
+            "except ArithmeticError as e:\n"
+            "    print(sys.flags.optimize, type(e).__name__)\n")
+    src = pathlib.Path(quadtower.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "ArithmeticError"]
 
 
 def test_height_int():

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -78,13 +79,21 @@ def test_stability_scan_negative_start():
     (SpecializedMap.make(-16, 0, -16), 12),  # x^2 - 16
     (SpecializedMap.make(4, 2, -4), 12),  # (x - 2)^2 - 4: 0 is fixed
     (SpecializedMap.make(0, 5, 5), 12),  # (x - 5)^2 + 5: bounded, stays at 5
+    (SpecializedMap.make(0, 3, 0), 12),  # (x - 3)^2: c_a = 0, every level a square
     (QuadraticFamily.of([0, 1], [1, 1]).specialize(JONES_A), 9),  # a square at level 9
 ], ids=[e.name for e in ACCEPTANCE_MAPS] + [
-    "x2-1", "x2-9", "x2-16", "shift-2-minus-4", "shift-5-plus-5", "jones"])
+    "x2-1", "x2-9", "x2-16", "shift-2-minus-4", "shift-5-plus-5", "shift-3-square", "jones"])
 def test_stability_scan_matches_a_binary_rescan(m, depth):
     # the scan reads the decimal orbit through CriticalResidues; the oracle
     # square-roots the binary critical values
-    assert stability_scan(m, depth).squares_found == _binary_rescan(m, depth)
+    squares = stability_scan(m, depth).squares_found
+    assert squares == _binary_rescan(m, depth)
+    # each root is the walk's Decimal, the witness certify prints at that level
+    certificates = certify_tower(m, 1, depth).certificates
+    for n, root in squares:
+        assert isinstance(root, decimal.Decimal)
+        assert certificates[n - 1].status == FAILED_SQUARE_OVER_Q
+        assert certificates[n - 1].witness == str(root)
 
 
 def test_stability_scan_jones_square_at_level_nine():
@@ -94,7 +103,7 @@ def test_stability_scan_jones_square_at_level_nine():
     (level, root), = rep.squares_found
     assert level == 9
     assert root == 44127887745906175987803
-    assert root * root == critical_orbit(m, 9).values[8]
+    assert int(root) ** 2 == critical_orbit(m, 9).values[8]
 
 
 def test_discriminant_recurrence_x2p1():
