@@ -58,7 +58,6 @@ from quadtower.galois import (
 from quadtower.orbit import (
     DEFAULT_MAX_BITS,
     CriticalOrbit,
-    CriticalResidues,
     DigitBudgetError,
     OrbitSlice,
     PostCriticallyFiniteError,

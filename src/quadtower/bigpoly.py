@@ -537,6 +537,11 @@ def decimal_product(*factors: decimal.Decimal) -> decimal.Decimal:
     return functools.reduce(_EXACT.multiply, factors)
 
 
+def decimal_difference(x: decimal.Decimal, n: int) -> decimal.Decimal:
+    """x - n, exactly, for an integer Decimal x and an int n."""
+    return _EXACT.subtract(x, _to_decimal(n))
+
+
 def decimal_isqrt(x: decimal.Decimal) -> decimal.Decimal | None:
     """The square root of the integer Decimal x >= 0 when x is a perfect
     square, else None.

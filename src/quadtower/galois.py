@@ -11,12 +11,13 @@ Square-free primitive prime divisors come two ways: exactly, by factoring
 the level value (primitive_divisor_exact), or without factoring, from its
 stripped cofactor (primitive_divisor_certificate).
 
-stability_scan, certify_tower and both primitive-divisor routes read the
-critical orbit through one orbit.CriticalResidues: one walk in exact decimal
-arithmetic, one square test of the adjusted value and one stripped witness;
-the exact route factors the reader's exact level value and tests lower levels
-by residues.  The discriminant and curve pipelines read the same walk through
-critical_orbit: its decimal values, and exact ints only up to the curve's level.
+stability_scan, certify_tower and both primitive-divisor routes each walk
+one orbit.CriticalOrbit: one walk in exact decimal arithmetic, one exact
+square test of the adjusted value and one stripped witness; the exact route
+factors the orbit's exact level value and tests lower levels by residues.
+The discriminant and curve pipelines read the CriticalOrbit that
+critical_orbit walks: its decimal values, and exact ints only up to the
+curve's level.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from quadtower.factor import (
     squarefree_decompose,
 )
 from quadtower.family import SpecializedMap
-from quadtower.orbit import (DEFAULT_MAX_BITS, CriticalOrbit, CriticalResidues, DigitBudgetError,
-                             critical_orbit)
+from quadtower.orbit import DEFAULT_MAX_BITS, CriticalOrbit, DigitBudgetError, critical_orbit
 
 CERTIFIED_MAXIMAL = "CertifiedMaximal"
 FAILED_SQUARE_OVER_Q = "FailedSquareOverQ"
@@ -281,12 +281,12 @@ def stability_scan(
     """Square-test the adjusted critical orbit -c_a, phi_a^n(gamma_a) for
     n = 2..depth: level 1 is Q(sqrt(-c_a)), level n >= 2 adjoins
     sqrt(phi_a^n(gamma_a)) over level n - 1.  The orbit is walked once in
-    decimal (CriticalResidues); a value over max_bits raises DigitBudgetError
+    decimal (CriticalOrbit); a value over max_bits raises DigitBudgetError
     carrying the critical values below it."""
-    orbit = CriticalResidues(map)
+    orbit = CriticalOrbit(map)
     squares = []
-    for n, x in orbit.walk(depth, max_bits):
-        root = orbit.square_root(n, x)
+    for n, _ in orbit.walk(depth, max_bits):
+        root = orbit.square_root(n)
         if root is not None:
             squares.append((n, root))
     return StabilityReport(depth=depth, squares_found=tuple(squares))
@@ -339,25 +339,25 @@ def discriminant_report(
     return DiscriminantReport(level=n, recurrence=value, direct=abs(discriminant_direct(phi_n)))
 
 
-def _certify_level(orbit: CriticalResidues, n: int, x) -> MaximalityCertificate:
-    """Certify maximality of the level-n tower step from the level's exact
-    decimal value x and the residues of the critical orbit.
+def _certify_level(orbit: CriticalOrbit, n: int) -> MaximalityCertificate:
+    """Certify maximality of the level-n tower step of the orbit walked to
+    level n, from its exact decimal values and its residues.
 
     A perfect-square adjusted value (-c_a at level 1, the critical value
     phi_a^n(gamma_a) above) disproves maximality over Q.  A lower value 0
     leaves Unknown with no witness: nothing can be stripped meaningfully.
     Otherwise a stripped cofactor R > 1 that is no square certifies
-    maximality (see CriticalResidues.stripped_witness), and anything else is
+    maximality (see CriticalOrbit.stripped_witness), and anything else is
     Unknown: the criterion is sufficient, not necessary.  Level 1 is
     Q(sqrt(-c_a)), where phi_a(gamma_a) = c_a; past the square test, a
     non-square odd part of |c_a| still certifies it.
     """
-    root = orbit.square_root(n, x)
+    root = orbit.square_root(n)
     if root is not None:
         return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=str(root))
     if orbit.first_zero is not None and orbit.first_zero < n:
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
-    text, certified = orbit.stripped_witness(n, x)
+    text, certified = orbit.stripped_witness(n)
     return MaximalityCertificate(
         level=n, status=CERTIFIED_MAXIMAL if certified else UNKNOWN, witness=text
     )
@@ -375,19 +375,19 @@ def certify_tower(
     (decimal_orbit): that decides the bit budget, zeros, the few exact
     square roots and prints the witnesses.  Everything else is read from
     residues of the orbit modulo small numbers and from exact binary values
-    below about level last_level / 2 (see CriticalResidues), so no binary
+    below about level last_level / 2 (see CriticalOrbit), so no binary
     critical value near full size is ever built.  On budget overflow the
     DigitBudgetError carries a TowerReport for the levels that were still
     computable.
     """
     if not 1 <= first_level <= last_level:
         raise ValueError("need 1 <= first_level <= last_level")
-    orbit = CriticalResidues(map)
+    orbit = CriticalOrbit(map)
     certs: list[MaximalityCertificate] = []
     try:
-        for n, x in orbit.walk(last_level, max_bits):
+        for n, _ in orbit.walk(last_level, max_bits):
             if n >= first_level:
-                certs.append(_certify_level(orbit, n, x))
+                certs.append(_certify_level(orbit, n))
     except DigitBudgetError as err:
         err.partial = TowerReport(first_level, last_level, tuple(certs))
         raise
@@ -421,7 +421,7 @@ def curve_report(
     forced point checked on the genus-1 model from level 2 on, and the
     integral points with |X| <= search when search is nonzero."""
     crit = critical_orbit(map, n, max_bits)
-    dec = squarefree_decompose(crit.values[n - 1], budget)
+    dec = squarefree_decompose(crit.value(n), budget)
     model = curve_model(map, n, dec, genus)
     verified = verify_forced_point(model, crit, n, dec) if genus == 1 and n >= 2 else None
     points = tuple(search_integral_points(model, search)) if search else None
@@ -443,24 +443,10 @@ def verify_forced_point(
         raise ValueError("the forced point lives on the genus-1 model")
     if not 2 <= n <= len(crit.rows):
         raise ValueError("the forced point needs 2 <= level <= the orbit's depth")
-    if dec.value() != crit.values[n - 1]:
+    if dec.value() != crit.value(n):
         raise ValueError("decomposition does not reconstruct the level value")
-    x = crit.values[n - 2]
-    gamma = crit.map.gamma_a
-    prev = crit.values[n - 3] if n >= 3 else gamma
-    y = (1 << dec.e) * dec.d * dec.y * (prev - gamma)
-    return y * y == model.rhs.evaluate(x)
-
-
-def _walk_to_level(map: SpecializedMap, n: int, max_bits: int):
-    """A CriticalResidues walked to level n, and v_n as a Decimal; a zero v_n
-    raises ZeroInputError."""
-    orbit = CriticalResidues(map)
-    for _, x in orbit.walk(n, max_bits):
-        pass
-    if x.is_zero():
-        raise ZeroInputError("level value is zero")
-    return orbit, x
+    y = (1 << dec.e) * dec.d * dec.y * (crit.value(n - 2) - crit.map.gamma_a)
+    return y * y == model.rhs.evaluate(crit.value(n - 1))
 
 
 def primitive_divisor_exact(
@@ -471,13 +457,17 @@ def primitive_divisor_exact(
     prime divisors: odd primes with odd valuation there and zero valuation
     at all lower levels.  2 is reported separately via two_primitive.
 
-    The critical orbit is walked once to level n (CriticalResidues), which
+    The critical orbit is walked once to level n (CriticalOrbit), which
     decides the bit budget and the zero check.  A prime p is new at level n
     when v_k mod p is nonzero for every k < n, so a lower value 0 leaves no
     prime new.  A factorization the budget cannot finish raises
     IncompleteFactorizationError carrying it.
     """
-    orbit, _ = _walk_to_level(map, n, max_bits)
+    orbit = CriticalOrbit(map)
+    for _, x in orbit.walk(n, max_bits):
+        pass
+    if x.is_zero():
+        raise ZeroInputError("level value is zero")
     fac = factorize(orbit.value(n), budget)
     if not fac.complete:
         raise IncompleteFactorizationError(
@@ -508,7 +498,7 @@ def primitive_divisor_certificate(
     """Certify a square-free primitive prime divisor at level n without
     factoring.
 
-    The critical orbit is walked once to level n (CriticalResidues), which
+    The critical orbit is walked once to level n (CriticalOrbit), which
     decides the bit budget and the zero checks.  The status and the decimal
     text of R, the stripped cofactor of the level-n value against the lower
     values, come from the routine certify uses (stripped_witness).  R > 1
@@ -517,10 +507,14 @@ def primitive_divisor_certificate(
     means unknown.  R's primes are listed when a small courtesy
     factorization finds them, which is not tried above _COURTESY_MAX_BITS.
     """
-    orbit, x = _walk_to_level(map, n, max_bits)
+    orbit = CriticalOrbit(map)
+    for _, x in orbit.walk(n, max_bits):
+        pass
+    if x.is_zero():
+        raise ZeroInputError("level value is zero")
     if orbit.first_zero is not None:
         raise ZeroInputError("earlier values must be nonzero")
-    text, certified = orbit.stripped_witness(n, x)
+    text, certified = orbit.stripped_witness(n)
     primes: tuple[int, ...] = ()
     # 2^1024 has 309 digits, so the digit count rules out most large R unparsed
     if certified and len(text) <= 309 and (r := parse_int(text)).bit_length() <= _COURTESY_MAX_BITS:

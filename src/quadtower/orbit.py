@@ -7,13 +7,12 @@ DigitBudgetError carrying whatever was already computed.
 An orbit is walked once in exact decimal arithmetic (bigpoly.decimal_orbit),
 which checks the budget and gives the printed rows, and is stepped in ints
 only as far as exact values are read (exact_prefix).  critical_orbit and the
-verdicts of galois read the critical orbit through one CriticalResidues.
+verdicts of galois read the critical orbit through one CriticalOrbit.
 """
 
 from __future__ import annotations
 
 import decimal
-import functools
 import json
 import math
 from fractions import Fraction
@@ -21,9 +20,10 @@ from itertools import islice
 from typing import NamedTuple
 
 # DigitBudgetError is importable from here as well as from bigpoly
-from quadtower.bigpoly import (DEFAULT_MAX_BITS, DigitBudgetError, FrozenSlots, check_bits,
-                               decimal_bit_length, decimal_isqrt, decimal_orbit, decimal_quotient,
-                               height_int, passes_square_filter, square_filter_modulus)
+from quadtower.bigpoly import (DEFAULT_MAX_BITS, DigitBudgetError, check_bits, decimal_bit_length,
+                               decimal_difference, decimal_isqrt, decimal_orbit, decimal_quotient,
+                               height_int, is_perfect_square, parse_int,
+                               passes_square_filter, square_filter_modulus)
 from quadtower.family import SpecializedMap
 
 _LOG2 = math.log(2.0)
@@ -80,51 +80,28 @@ class OrbitSlice(NamedTuple):
         return map(json.dumps, OrbitRows(0, self.rows).to_json_dict())
 
 
-class CriticalOrbit(FrozenSlots):
-    """phi_a^n(gamma_a) for n = 1..N: rows[n-1] as walked in decimal; values
-    builds them as ints on its first read and keeps them (curve reads twice).
-
-    condition_one_holds records whether the first two values are nonzero,
-    the nonsingularity hypothesis behind the curve models.
-    """
-
-    _fields = ("map", "rows", "condition_one_holds")
-    __slots__ = (*_fields, "__dict__")  # __dict__ keeps values
-
-    def __init__(self, map: SpecializedMap, rows, condition_one_holds: bool):
-        self._set(map, tuple(rows), condition_one_holds)
-
-    @functools.cached_property
-    def values(self) -> tuple[int, ...]:
-        return tuple(exact_prefix(self.map, [self.map.gamma_a], len(self.rows))[1:])
-
-    def to_json_dict(self) -> dict:
-        rows = OrbitRows(1, self.rows).to_json_dict()
-        return {"condition_one_holds": self.condition_one_holds, "values": rows}
-
-    def text_lines(self):
-        yield from OrbitRows(1, self.rows).text_lines()
-        yield f"condition (1) holds: {self.condition_one_holds}"
-
-
-class CriticalResidues:
-    """The critical orbit v_n = phi_a^n(gamma_a), the one reader behind
-    critical_orbit and the verdicts of galois (certify_tower, stability_scan
-    and both primitive-divisor routes).
+class CriticalOrbit:
+    """The critical orbit v_n = phi_a^n(gamma_a), the one critical-orbit
+    object: critical_orbit returns one walked, and the verdicts of galois
+    (certify_tower, stability_scan and both primitive-divisor routes) each
+    walk their own.
 
     walk(depth, max_bits) steps the orbit once in exact decimal arithmetic
-    (decimal_orbit), yielding (n, v_n as a Decimal).  It checks each value
-    against the bit budget and records the first level whose value is 0
-    (first_zero).  A reader is walked once.
+    (decimal_orbit), yielding (n, v_n as a Decimal) and keeping v_n as
+    rows[n-1].  It checks each value against the bit budget and records the
+    first level whose value is 0 (first_zero).  An orbit is walked once.
 
-    The orbit is then read through:
+    The walked orbit is then read through:
 
-    - value(n): v_n as an exact int;
-    - square_root(n, x): the root of the adjusted value a_n (-c_a at level 1,
-      v_n above) when a_n is a square, given v_n as x;
+    - rows, to_json_dict and text_lines: the values as walked;
+    - values and value(k): v_1..v_N and v_k as exact ints;
+    - condition_one_holds: whether v_1 and v_2 are nonzero, the
+      nonsingularity hypothesis behind the curve models;
+    - square_root(n): the root of the adjusted value a_n (-c_a at level 1,
+      v_n above) when a_n is a square;
     - residue(n, m): v_n mod m;
     - cofactor(n): the part q of v_n built from primes of lower values;
-    - stripped_witness(n, x): the stripped cofactor R = |v_n| / q in decimal,
+    - stripped_witness(n): the stripped cofactor R = |v_n| / q in decimal,
       and whether it certifies a primitive divisor.
 
     Both orbits, v and the orbit w_j = phi_a^j(0) of 0, are kept as exact
@@ -137,6 +114,7 @@ class CriticalResidues:
 
     def __init__(self, map: SpecializedMap):
         self.map = map
+        self.rows = OrbitRows(1)  # v_1, v_2, ... as walked
         self.v = [map.gamma_a]  # v_0, v_1, ...
         self.w = [0]  # w_0, w_1, ...
         self.first_zero: int | None = None  # first walked level whose value is 0
@@ -147,13 +125,33 @@ class CriticalResidues:
         over max_bits raises DigitBudgetError carrying the rows below it."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        m, rows = self.map, OrbitRows(1)
+        m, rows = self.map, self.rows
         for n, x in enumerate(islice(decimal_orbit(m.gamma_a, m.c_a, m.c_a), depth), start=1):
             check_bits(x, max_bits, "orbit value", rows)
             rows.append(x)
             if self.first_zero is None and x.is_zero():
                 self.first_zero = n
             yield n, x
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """v_1..v_N for the walked depth N, as ints."""
+        depth = len(self.rows)
+        return tuple(exact_prefix(self.map, self.v, depth)[1:depth + 1])
+
+    @property
+    def condition_one_holds(self) -> bool:
+        # the walk reaches v_2 = v_a^2 + c_a only from depth 2
+        m = self.map
+        second = self.rows[1] if len(self.rows) >= 2 else m.v_a ** 2 + m.c_a
+        return not self.rows[0].is_zero() and second != 0
+
+    def to_json_dict(self) -> dict:
+        return {"condition_one_holds": self.condition_one_holds, "values": self.rows.to_json_dict()}
+
+    def text_lines(self):
+        yield from self.rows.text_lines()
+        yield f"condition (1) holds: {self.condition_one_holds}"
 
     def _residue(self, orbit: list[int], k: int, m: int) -> int:
         """orbit[k] mod m, stepped modulo m from the last exact value."""
@@ -172,24 +170,27 @@ class CriticalResidues:
         """v_n mod m."""
         return self._residue(self.v, n, m)
 
-    def square_root(self, n: int, x):
-        """The square root, as a Decimal, of the adjusted value a_n (-x at
-        level 1, x above) for the walked level-n value x; None when a_n is no
-        square.
+    def square_root(self, n: int):
+        """The square root, as a Decimal, of the adjusted value a_n (-c_a at
+        level 1, v_n above) of the walked orbit; None when a_n is no square.
 
-        Zero is its own root and a negative a_n has none.  Otherwise a_n mod
-        square_filter_modulus() must pass the filter before the exact root
-        of its decimal value is taken.
+        Decided exactly, from c_a at level 1 and from v_(n-1) above: there
+        a_n = y^2 + c_a with y = v_(n-1) - gamma_a.  With c_a = 0 the root is
+        |y|.  Otherwise s^2 - y^2 = c_a forces |y| <= |c_a|, so only a y that
+        small is tested, as an int.
         """
-        adjusted = x.copy_negate() if n == 1 else x
-        if adjusted.is_zero():
-            return adjusted.copy_abs()
-        if adjusted < 0:
-            return None
-        residue = self.residue(n, self.square_modulus)
+        c = self.map.c_a
         if n == 1:
-            residue = -residue % self.square_modulus
-        return decimal_isqrt(adjusted) if passes_square_filter(residue) else None
+            a = -c
+        else:
+            y = decimal_difference(self.rows[n - 2], self.map.gamma_a).copy_abs()
+            if c == 0:
+                return y
+            if y > self.rows[0].copy_abs():  # rows[0] is c_a
+                return None
+            a = parse_int(str(y)) ** 2 + c  # int(y) is quadratic in y's digits
+        root = is_perfect_square(a)
+        return None if root is None else decimal.Decimal(root)
 
     def _rigid_gcd(self, n: int, k: int) -> int:
         """gcd(v_n, v_k) for 1 <= k < n, where v_k is nonzero.
@@ -239,9 +240,9 @@ class CriticalResidues:
                 return q
             q = nxt
 
-    def stripped_witness(self, n: int, x) -> tuple[str, bool]:
-        """(R in decimal, certified) for the walked level-n value x != 0,
-        with none of the lower values 0.
+    def stripped_witness(self, n: int) -> tuple[str, bool]:
+        """(R in decimal, certified) for the walked level n, whose value is
+        nonzero, with none of the lower values 0.
 
         R = |v_n| / q, the stripped cofactor of v_n against all lower values,
         is odd, unramified below, and keeps full valuations (stripping removes
@@ -251,7 +252,7 @@ class CriticalResidues:
         up to sign modulo M = square_filter_modulus(), passes the filter and
         the exact root of R's decimal value squares back to it.
         """
-        q = self.cofactor(n)
+        x, q = self.rows[n - 1], self.cofactor(n)
         r = decimal_quotient(x.copy_abs(), q)
         certified = False
         if r > 1:
@@ -276,12 +277,12 @@ def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_B
 
 
 def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> CriticalOrbit:
-    """Critical values phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a),
-    walked once by a CriticalResidues."""
-    rows = [x for _, x in CriticalResidues(map).walk(depth, max_bits)]
-    # the walk reaches phi_a^2(gamma_a) = v_a^2 + c_a only from depth 2
-    second = rows[1] if depth >= 2 else map.v_a ** 2 + map.c_a
-    return CriticalOrbit(map, rows, not rows[0].is_zero() and second != 0)
+    """The CriticalOrbit of map walked to depth: critical values
+    phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a)."""
+    crit = CriticalOrbit(map)
+    for _ in crit.walk(depth, max_bits):
+        pass
+    return crit
 
 
 def sigma_orbit_identity(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:

@@ -1,3 +1,4 @@
+import ast
 import gc
 import math
 import os
@@ -245,6 +246,16 @@ def test_a_non_exact_step_raises_under_python_o():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "ArithmeticError"]
+
+
+def test_the_package_holds_no_assert_statement():
+    # python -O deletes assert statements, so no check in the package may be one
+    package = pathlib.Path(quadtower.__file__).resolve().parent
+    asserts = [f"{path.relative_to(package)}:{node.lineno}"
+               for path in sorted(package.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert not asserts, asserts
 
 
 def test_height_int():

@@ -1,4 +1,5 @@
 import decimal
+import importlib
 import math
 import random
 
@@ -30,7 +31,7 @@ from quadtower.galois import (
     stability_scan,
     verify_forced_point,
 )
-from quadtower.orbit import CriticalResidues, DigitBudgetError, critical_orbit, exact_prefix, orbit
+from quadtower.orbit import CriticalOrbit, DigitBudgetError, critical_orbit, exact_prefix, orbit
 
 from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A
 
@@ -84,7 +85,7 @@ def test_stability_scan_negative_start():
 ], ids=[e.name for e in ACCEPTANCE_MAPS] + [
     "x2-1", "x2-9", "x2-16", "shift-2-minus-4", "shift-5-plus-5", "shift-3-square", "jones"])
 def test_stability_scan_matches_a_binary_rescan(m, depth):
-    # the scan reads the decimal orbit through CriticalResidues; the oracle
+    # the scan reads the decimal orbit through CriticalOrbit; the oracle
     # square-roots the binary critical values
     squares = stability_scan(m, depth).squares_found
     assert squares == _binary_rescan(m, depth)
@@ -104,6 +105,38 @@ def test_stability_scan_jones_square_at_level_nine():
     assert level == 9
     assert root == 44127887745906175987803
     assert int(root) ** 2 == critical_orbit(m, 9).values[8]
+
+
+def test_square_root_matches_isqrt_of_the_exact_adjusted_value():
+    # (x - g)^2 + c over a grid holding c = 0 maps, whose levels n >= 2 are
+    # all squares, and x^2 - 1 (g = 0, c = -1), whose squares fall at n >= 2
+    squares = 0
+    for g in range(-4, 5):
+        for c in range(-8, 9):
+            m = SpecializedMap.make(0, g, c)
+            crit = critical_orbit(m, 10)
+            for n, a in enumerate((-c,) + crit.values[1:], start=1):
+                root = crit.square_root(n)
+                expected = math.isqrt(a) if a >= 0 and math.isqrt(a) ** 2 == a else None
+                if expected is None:
+                    assert root is None, (g, c, n)
+                    continue
+                squares += 1
+                assert isinstance(root, decimal.Decimal)
+                assert str(root) == decimal_str(expected), (g, c, n)
+    assert squares >= 150, squares  # 166: the grid is not vacuous
+
+
+def test_stability_square_test_takes_no_decimal_root(monkeypatch):
+    # every level of (x - 3)^2 is a square; level 22 has about 2.6 million
+    # bits, whose decimal square root took seconds
+    def no_root(x):
+        raise AssertionError("the square test took a decimal square root")
+
+    # the package attribute quadtower.orbit is the orbit function, not the module
+    monkeypatch.setattr(importlib.import_module("quadtower.orbit"), "decimal_isqrt", no_root)
+    report = stability_scan(SpecializedMap.make(0, 3, 0), 22, max_bits=4194304)
+    assert [n for n, _ in report.squares_found] == list(range(1, 23))
 
 
 def test_discriminant_recurrence_x2p1():
@@ -321,7 +354,7 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
             # every v_k exact, and none: then the smaller of the two orbits
             # steps until v_k or w_(n-k) is exact
             for exact in (True, False):
-                orbit = CriticalResidues(m)
+                orbit = CriticalOrbit(m)
                 if exact:
                     orbit.value(n)
                 assert [orbit._rigid_gcd(n, k) for k in range(1, n)] == direct
@@ -341,14 +374,14 @@ def test_rigid_gcd_matches_gcd_of_exact_values(gamma, c):
     m = SpecializedMap.make(0, gamma, c)
     values = critical_orbit(m, 12).values
     pairs = [(n, k) for n in range(2, 13) for k in range(1, n) if values[k - 1]]
-    exact = CriticalResidues(m)
+    exact = CriticalOrbit(m)
     exact.value(12)
     exact_prefix(m, exact.w, 12)
     for order in (pairs, pairs[::-1]):
-        shared = CriticalResidues(m)
+        shared = CriticalOrbit(m)
         for n, k in order:
             direct = math.gcd(values[n - 1], values[k - 1])
-            assert CriticalResidues(m)._rigid_gcd(n, k) == direct
+            assert CriticalOrbit(m)._rigid_gcd(n, k) == direct
             assert shared._rigid_gcd(n, k) == direct
             assert exact._rigid_gcd(n, k) == direct
 
@@ -373,7 +406,7 @@ def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
     assert certify_tower(m, 1, depth).certificates == expected
     if c == (-9,) or gamma == (0, 1):
         assert expected[-1].status == FAILED_SQUARE_OVER_Q
-    reader = CriticalResidues(m)
+    reader = CriticalOrbit(m)
     for n, _ in reader.walk(depth):
         if 0 in values[:n]:
             break
@@ -423,7 +456,7 @@ def test_certify_tower_builds_no_binary_value_above_half_depth(monkeypatch):
     # on its own, cofactor(n) makes exactly v_1..v_(n // 2) exact (v_1 at n = 1);
     # reader.v also holds v_0 = gamma_a
     for n in range(1, 21):
-        reader = CriticalResidues(X2P2)
+        reader = CriticalOrbit(X2P2)
         reader.cofactor(n)
         assert len(reader.v) - 1 == max(1, n // 2)
 

@@ -32,7 +32,7 @@ from quadtower.galois import (
     StabilityReport,
     TowerReport,
 )
-from quadtower.orbit import CriticalOrbit, OrbitSlice
+from quadtower.orbit import OrbitSlice
 
 
 def _x2p1():
@@ -85,11 +85,9 @@ CASES = [
     (lambda: DensityCurve(0, (DensityRow(2, 1, 0, Fraction(0)),), ()),
      "DensityCurve(b=0, rows=(DensityRow(x=2, primes_tested=1, members=0, "
      "proportion=Fraction(0, 1)),), member_primes=())"),
-    # orbit records hold the rows of their one decimal walk
+    # an orbit record holds the rows of its one decimal walk
     (lambda: OrbitSlice(_x2p1(), 0, (Decimal(0), Decimal(1))),
      f"OrbitSlice(map={_X2P1}, start=0, rows=(Decimal('0'), Decimal('1')))"),
-    (lambda: CriticalOrbit(_x2p1(), (Decimal(1), Decimal(2)), True),
-     f"CriticalOrbit(map={_X2P1}, rows=(Decimal('1'), Decimal('2')), condition_one_holds=True)"),
     (lambda: StabilityReport(2, ((2, 3),)), "StabilityReport(depth=2, squares_found=((2, 3),))"),
     (_cert, _CERT),
     (lambda: TowerReport(1, 1, (_cert(),)),
