@@ -59,7 +59,7 @@ from quadtower.orbit import (
     DEFAULT_MAX_BITS,
     CriticalOrbit,
     DigitBudgetError,
-    OrbitSlice,
+    Orbit,
     PostCriticallyFiniteError,
     canonical_height,
     check_ingram_lower_bound,

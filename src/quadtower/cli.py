@@ -64,7 +64,7 @@ from quadtower.galois import (
     primitive_divisor_exact,
     stability_scan,
 )
-from quadtower.orbit import DEFAULT_MAX_BITS, OrbitSlice, critical_orbit, orbit
+from quadtower.orbit import DEFAULT_MAX_BITS, Orbit, critical_orbit, orbit
 
 
 class UsageError(ValueError):
@@ -175,7 +175,7 @@ COMMANDS = {
         "orbit of b under phi_a", ("fam", "spot", "start", "bits"),
         lambda a: orbit(_map(a), a.b, a.depth, a.bits),
         flags=(_flag("--depth", type=int, range=(0, MAX_LEVEL), default=10),),
-        required=("b",), formats={"json": OrbitSlice.json_lines}),
+        required=("b",), formats={"json": Orbit.json_lines}),
     "critical-orbit": Command(
         "critical values phi_a^n(gamma_a)", ("fam", "spot", "depth", "bits"),
         lambda a: critical_orbit(_map(a), a.depth, a.bits)),

@@ -12,12 +12,11 @@ the level value (primitive_divisor_exact), or without factoring, from its
 stripped cofactor (primitive_divisor_certificate).
 
 stability_scan, certify_tower and both primitive-divisor routes each walk
-one orbit.CriticalOrbit: one walk in exact decimal arithmetic, one exact
-square test of the adjusted value and one stripped witness; the exact route
-factors the orbit's exact level value and tests lower levels by residues.
-The discriminant and curve pipelines read the CriticalOrbit that
-critical_orbit walks: its decimal values, and exact ints only up to the
-curve's level.
+one orbit.CriticalOrbit first and then read it: one exact square test of the
+adjusted value and one stripped witness per level; the exact route factors
+the orbit's exact level value and tests lower levels by residues.  The
+discriminant and curve pipelines read the CriticalOrbit that critical_orbit
+walks: its decimal values, and exact ints only up to the curve's level.
 """
 
 from __future__ import annotations
@@ -283,13 +282,10 @@ def stability_scan(
     sqrt(phi_a^n(gamma_a)) over level n - 1.  The orbit is walked once in
     decimal (CriticalOrbit); a value over max_bits raises DigitBudgetError
     carrying the critical values below it."""
-    orbit = CriticalOrbit(map)
-    squares = []
-    for n, _ in orbit.walk(depth, max_bits):
-        root = orbit.square_root(n)
-        if root is not None:
-            squares.append((n, root))
-    return StabilityReport(depth=depth, squares_found=tuple(squares))
+    orbit = CriticalOrbit(map).walk(depth, max_bits)
+    roots = ((n, orbit.square_root(n)) for n in range(1, depth + 1))
+    # a root Decimal('0') is a square too, so test for None, not truth
+    return StabilityReport(depth, tuple((n, r) for n, r in roots if r is not None))
 
 
 def discriminant_recurrence(
@@ -371,27 +367,29 @@ def certify_tower(
 ) -> TowerReport:
     """Per-level certificates over an inclusive level range.
 
-    The critical orbit is stepped once, in exact decimal arithmetic
+    The critical orbit is walked first, once, in exact decimal arithmetic
     (decimal_orbit): that decides the bit budget, zeros, the few exact
-    square roots and prints the witnesses.  Everything else is read from
-    residues of the orbit modulo small numbers and from exact binary values
-    below about level last_level / 2 (see CriticalOrbit), so no binary
-    critical value near full size is ever built.  On budget overflow the
-    DigitBudgetError carries a TowerReport for the levels that were still
-    computable.
+    square roots and prints the witnesses.  Then each walked level from
+    first_level on is certified.  Everything else is read from residues of
+    the orbit modulo small numbers and from exact binary values below about
+    level last_level / 2 (see CriticalOrbit), so no binary critical value
+    near full size is ever built.  On budget overflow the DigitBudgetError
+    carries a TowerReport for the levels walked within the budget.
     """
     if not 1 <= first_level <= last_level:
         raise ValueError("need 1 <= first_level <= last_level")
     orbit = CriticalOrbit(map)
-    certs: list[MaximalityCertificate] = []
+
+    def report() -> TowerReport:
+        levels = range(first_level, len(orbit.rows) + 1)
+        return TowerReport(first_level, last_level, tuple(_certify_level(orbit, n) for n in levels))
+
     try:
-        for n, _ in orbit.walk(last_level, max_bits):
-            if n >= first_level:
-                certs.append(_certify_level(orbit, n))
+        orbit.walk(last_level, max_bits)
     except DigitBudgetError as err:
-        err.partial = TowerReport(first_level, last_level, tuple(certs))
+        err.partial = report()
         raise
-    return TowerReport(first_level, last_level, tuple(certs))
+    return report()
 
 
 def curve_model(
@@ -463,10 +461,8 @@ def primitive_divisor_exact(
     prime new.  A factorization the budget cannot finish raises
     IncompleteFactorizationError carrying it.
     """
-    orbit = CriticalOrbit(map)
-    for _, x in orbit.walk(n, max_bits):
-        pass
-    if x.is_zero():
+    orbit = CriticalOrbit(map).walk(n, max_bits)
+    if orbit.rows[-1].is_zero():
         raise ZeroInputError("level value is zero")
     fac = factorize(orbit.value(n), budget)
     if not fac.complete:
@@ -507,10 +503,8 @@ def primitive_divisor_certificate(
     means unknown.  R's primes are listed when a small courtesy
     factorization finds them, which is not tried above _COURTESY_MAX_BITS.
     """
-    orbit = CriticalOrbit(map)
-    for _, x in orbit.walk(n, max_bits):
-        pass
-    if x.is_zero():
+    orbit = CriticalOrbit(map).walk(n, max_bits)
+    if orbit.rows[-1].is_zero():
         raise ZeroInputError("level value is zero")
     if orbit.first_zero is not None:
         raise ZeroInputError("earlier values must be nonzero")

@@ -4,10 +4,13 @@ Orbit values double in bit length per step, so every iterating routine runs
 under a configurable bit budget and converts runaway growth into a clean
 DigitBudgetError carrying whatever was already computed.
 
-An orbit is walked once in exact decimal arithmetic (bigpoly.decimal_orbit),
-which checks the budget and gives the printed rows, and is stepped in ints
-only as far as exact values are read (exact_prefix).  critical_orbit and the
-verdicts of galois read the critical orbit through one CriticalOrbit.
+Every walked orbit is one Orbit: walked once in exact decimal arithmetic
+(bigpoly.decimal_orbit), which checks the budget and gives the printed rows,
+and stepped in ints only as far as exact values are read (exact_prefix).
+orbit() walks the orbit of b from index 0.  The critical orbit is the Orbit
+of gamma_a read from index 1, a CriticalOrbit, which adds the square test
+and the stripped witnesses; critical_orbit and the verdicts of galois read
+the critical orbit through one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import json
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple
 
 # DigitBudgetError is importable from here as well as from bigpoly
 from quadtower.bigpoly import (DEFAULT_MAX_BITS, DigitBudgetError, check_bits, decimal_bit_length,
@@ -60,43 +62,67 @@ def exact_prefix(map: SpecializedMap, orbit: list[int], k: int) -> list[int]:
     return orbit
 
 
-class OrbitSlice(NamedTuple):
-    """phi_a^n(start) for n = 0..N: rows holds them as walked in decimal;
-    values builds them as ints, from start, each time it is read."""
+class Orbit:
+    """The orbit phi_a^n(start), read from index first on: 0 for the orbit
+    of b, 1 for the critical orbit.
 
-    map: SpecializedMap
-    start: int
-    rows: tuple[decimal.Decimal, ...]
+    walk(count, max_bits) steps the orbit once in exact decimal arithmetic
+    (decimal_orbit) and keeps the count values from index first on as rows,
+    an OrbitRows(first); an orbit is walked once.  value(k) and values build
+    exact ints from start (the exact prefix v) only when they are read.
+    """
+
+    def __init__(self, map: SpecializedMap, start: int, first: int = 0):
+        self.map = map
+        self.start = start
+        self.rows = OrbitRows(first)  # as walked, from index first
+        self.v = [start]  # phi_a^0(start), phi_a^1(start), ... as ints
+
+    def walk(self, count: int, max_bits: int = DEFAULT_MAX_BITS) -> Orbit:
+        """Walk the count values from index first on, each an exact
+        decimal.Decimal; one over max_bits raises DigitBudgetError carrying
+        the rows below it.  The values before index first are skipped, not
+        checked."""
+        if count < 1:
+            raise ValueError("depth must be >= 1")
+        m, rows = self.map, self.rows
+        for x in islice(decimal_orbit(m.gamma_a, m.c_a, self.start), rows.first, rows.first + count):
+            check_bits(x, max_bits, "orbit value", rows)
+            rows.append(x)
+        return self
+
+    def value(self, k: int) -> int:
+        """phi_a^k(start), exactly; the values up to index k are kept."""
+        return exact_prefix(self.map, self.v, k)[k]
 
     @property
     def values(self) -> tuple[int, ...]:
-        return tuple(exact_prefix(self.map, [self.start], len(self.rows) - 1))
+        """The walked values as ints."""
+        first = self.rows.first
+        last = first + len(self.rows) - 1
+        return tuple(exact_prefix(self.map, self.v, last)[first:last + 1])
 
     def text_lines(self):
-        return OrbitRows(0, self.rows).text_lines()
+        return self.rows.text_lines()
 
     def json_lines(self):
         """One JSON object per row: orbit dumps are JSON lines."""
-        return map(json.dumps, OrbitRows(0, self.rows).to_json_dict())
+        return map(json.dumps, self.rows.to_json_dict())
 
 
-class CriticalOrbit:
-    """The critical orbit v_n = phi_a^n(gamma_a), the one critical-orbit
-    object: critical_orbit returns one walked, and the verdicts of galois
-    (certify_tower, stability_scan and both primitive-divisor routes) each
-    walk their own.
+class CriticalOrbit(Orbit):
+    """The critical orbit v_n = phi_a^n(gamma_a) read from v_1 = c_a, the
+    one critical-orbit object: critical_orbit returns one walked, and the
+    verdicts of galois (certify_tower, stability_scan and both
+    primitive-divisor routes) each walk their own.
 
-    walk(depth, max_bits) steps the orbit once in exact decimal arithmetic
-    (decimal_orbit), yielding (n, v_n as a Decimal) and keeping v_n as
-    rows[n-1].  It checks each value against the bit budget and records the
-    first level whose value is 0 (first_zero).  An orbit is walked once.
+    Besides what every Orbit gives (rows, values, value(k)), the walked
+    orbit is read through:
 
-    The walked orbit is then read through:
-
-    - rows, to_json_dict and text_lines: the values as walked;
-    - values and value(k): v_1..v_N and v_k as exact ints;
+    - first_zero: the first walked level whose value is 0, read off rows;
     - condition_one_holds: whether v_1 and v_2 are nonzero, the
       nonsingularity hypothesis behind the curve models;
+    - to_json_dict and text_lines: the rows and condition (1);
     - square_root(n): the root of the adjusted value a_n (-c_a at level 1,
       v_n above) when a_n is a square;
     - residue(n, m): v_n mod m;
@@ -113,31 +139,13 @@ class CriticalOrbit:
     """
 
     def __init__(self, map: SpecializedMap):
-        self.map = map
-        self.rows = OrbitRows(1)  # v_1, v_2, ... as walked
-        self.v = [map.gamma_a]  # v_0, v_1, ...
+        super().__init__(map, map.gamma_a, first=1)
         self.w = [0]  # w_0, w_1, ...
-        self.first_zero: int | None = None  # first walked level whose value is 0
         self.square_modulus = square_filter_modulus()
 
-    def walk(self, depth: int, max_bits: int = DEFAULT_MAX_BITS):
-        """(n, v_n) for n = 1..depth, v_n an exact decimal.Decimal; a value
-        over max_bits raises DigitBudgetError carrying the rows below it."""
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        m, rows = self.map, self.rows
-        for n, x in enumerate(islice(decimal_orbit(m.gamma_a, m.c_a, m.c_a), depth), start=1):
-            check_bits(x, max_bits, "orbit value", rows)
-            rows.append(x)
-            if self.first_zero is None and x.is_zero():
-                self.first_zero = n
-            yield n, x
-
     @property
-    def values(self) -> tuple[int, ...]:
-        """v_1..v_N for the walked depth N, as ints."""
-        depth = len(self.rows)
-        return tuple(exact_prefix(self.map, self.v, depth)[1:depth + 1])
+    def first_zero(self) -> int | None:
+        return next((n for n, x in enumerate(self.rows, start=1) if x.is_zero()), None)
 
     @property
     def condition_one_holds(self) -> bool:
@@ -150,21 +158,21 @@ class CriticalOrbit:
         return {"condition_one_holds": self.condition_one_holds, "values": self.rows.to_json_dict()}
 
     def text_lines(self):
-        yield from self.rows.text_lines()
+        yield from super().text_lines()
         yield f"condition (1) holds: {self.condition_one_holds}"
 
     def _residue(self, orbit: list[int], k: int, m: int) -> int:
-        """orbit[k] mod m, stepped modulo m from the last exact value."""
+        """orbit[k] mod m, stepped modulo m from the last exact value.  A
+        negative last value above -m is stepped as it is: its residue would
+        be as wide as m before it is squared."""
         if k < len(orbit):
             return orbit[k] % m
-        x = orbit[-1] % m
-        for _ in range(k + 1 - len(orbit)):
+        x, steps = orbit[-1], k + 1 - len(orbit)
+        if -m < x < 0:
+            x, steps = self.map.apply(x) % m, steps - 1
+        for _ in range(steps):
             x = self.map.apply_mod(x, m)
         return x
-
-    def value(self, k: int) -> int:
-        """v_k, exactly; v_1..v_k are kept from then on."""
-        return exact_prefix(self.map, self.v, k)[k]
 
     def residue(self, n: int, m: int) -> int:
         """v_n mod m."""
@@ -264,25 +272,18 @@ class CriticalOrbit:
         return str(r), certified
 
 
-def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> OrbitSlice:
-    """The first depth+1 orbit values b, ..., phi^depth(b), walked once in
-    decimal; one over max_bits raises DigitBudgetError carrying those below."""
+def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> Orbit:
+    """The Orbit of b walked to depth: b, ..., phi^depth(b); one value over
+    max_bits raises DigitBudgetError carrying those below."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rows = OrbitRows(0)
-    for x in islice(decimal_orbit(map.gamma_a, map.c_a, int(b)), depth + 1):
-        check_bits(x, max_bits, "orbit value", rows)
-        rows.append(x)
-    return OrbitSlice(map=map, start=int(b), rows=tuple(rows))
+    return Orbit(map, int(b)).walk(depth + 1, max_bits)
 
 
 def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> CriticalOrbit:
     """The CriticalOrbit of map walked to depth: critical values
     phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a)."""
-    crit = CriticalOrbit(map)
-    for _ in crit.walk(depth, max_bits):
-        pass
-    return crit
+    return CriticalOrbit(map).walk(depth, max_bits)
 
 
 def sigma_orbit_identity(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:

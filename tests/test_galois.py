@@ -27,6 +27,7 @@ from quadtower.galois import (
     curve_model,
     discriminant_recurrence,
     primitive_divisor_certificate,
+    primitive_divisor_exact,
     search_integral_points,
     stability_scan,
     verify_forced_point,
@@ -224,11 +225,30 @@ def test_certify_tower_v_zero_degenerate():
 
 
 def test_certify_tower_partial_on_budget():
-    with pytest.raises(DigitBudgetError) as err:
-        certify_tower(X2P2, 1, 40, max_bits=256)
-    partial = err.value.partial
-    assert partial.certificates  # carries what was computable
-    assert partial.certificates[0].level == 1
+    # the partial certifies every level walked within the budget, the same
+    # certificates as a call that stops at the last of them
+    with pytest.raises(DigitBudgetError) as walked:
+        critical_orbit(X2P2, 40, max_bits=256)
+    last = len(walked.value.partial)
+    for first in (1, 3):
+        with pytest.raises(DigitBudgetError) as err:
+            certify_tower(X2P2, first, 40, max_bits=256)
+        partial = err.value.partial
+        assert [c.level for c in partial.certificates] == list(range(first, last + 1))
+        assert partial.certificates == certify_tower(X2P2, first, last, max_bits=256).certificates
+
+
+@pytest.mark.parametrize("call, least", [
+    (lambda m: critical_orbit(m, 0), 1),
+    (lambda m: stability_scan(m, 0), 1),
+    (lambda m: primitive_divisor_exact(m, 0), 1),
+    (lambda m: primitive_divisor_certificate(m, 0), 1),
+    (lambda m: orbit(m, 0, -1), 0),  # the orbit of b starts at depth 0
+], ids=["critical_orbit", "stability_scan", "primitive_divisor_exact",
+        "primitive_divisor_certificate", "orbit"])
+def test_depth_below_the_first_row_is_refused(call, least):
+    with pytest.raises(ValueError, match=f"^depth must be >= {least}$"):
+        call(X2P2)
 
 
 def test_failed_square_iff_stability_square():
@@ -406,8 +426,8 @@ def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
     assert certify_tower(m, 1, depth).certificates == expected
     if c == (-9,) or gamma == (0, 1):
         assert expected[-1].status == FAILED_SQUARE_OVER_Q
-    reader = CriticalOrbit(m)
-    for n, _ in reader.walk(depth):
+    reader = CriticalOrbit(m).walk(depth)
+    for n in range(1, depth + 1):
         if 0 in values[:n]:
             break
         assert abs(values[n - 1]) // reader.cofactor(n) == stripped_cofactor(
@@ -459,6 +479,24 @@ def test_certify_tower_builds_no_binary_value_above_half_depth(monkeypatch):
         reader = CriticalOrbit(X2P2)
         reader.cofactor(n)
         assert len(reader.v) - 1 == max(1, n // 2)
+
+
+def test_residues_step_a_negative_value_as_it_is(monkeypatch):
+    # v_1 = -s^2 is negative: reduced first, it would be a residue as wide
+    # as each saturation modulus of v_2's cofactor (80,008 bits here)
+    s = 2 ** 5000 - 12345
+    m = SpecializedMap.make(0, 0, -s * s)
+    apply_mod = SpecializedMap.apply_mod
+    widths = []
+
+    def recording_apply_mod(self, x, p):
+        widths.append(x.bit_length())
+        return apply_mod(self, x, p)
+
+    monkeypatch.setattr(SpecializedMap, "apply_mod", recording_apply_mod)
+    report = certify_tower(m, 1, 2)
+    assert [c.status for c in report.certificates] == [FAILED_SQUARE_OVER_Q, CERTIFIED_MAXIMAL]
+    assert max(widths, default=0) <= 2 * (s * s).bit_length() + 2
 
 
 @pytest.mark.parametrize("gamma, c", [(5, 5), (3, 1), (4, 2), (-3, -5)])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtower.family import QuadraticFamily, SpecializedMap
 from quadtower.orbit import (
@@ -39,6 +41,16 @@ def test_orbit_budget_guard():
     with pytest.raises(DigitBudgetError) as err:
         orbit(X2P1, 0, 64, max_bits=64)
     assert err.value.partial == [0, 1, 2, 5, 26, 677, 458330, 210066388901]
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from(CORPUS), depth=st.integers(1, 12))
+def test_critical_orbit_is_the_orbit_of_gamma_from_index_1(entry, depth):
+    m = entry.map()
+    crit, whole = critical_orbit(m, depth), orbit(m, m.gamma_a, depth)
+    assert crit.rows.first == 1
+    assert crit.rows == whole.rows[1:]
+    assert crit.values == whole.values[1:]
 
 
 def test_critical_orbit_x2p1():
