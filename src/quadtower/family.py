@@ -55,23 +55,21 @@ class InvalidConstantsError(ValueError):
 
 
 class SpecializedMap(FrozenSlots):
-    """phi_a(x) = (x - gamma_a)^2 + c_a and its conjugate sigma_a = x^2 + v_a.
-
-    v_a = c_a - gamma_a; conjugation is by the shift lambda_a(x) = x + gamma_a.
+    """phi_a(x) = (x - gamma_a)^2 + c_a and its conjugate sigma_a = x^2 + v_a,
+    built from a, gamma_a and c_a as ints (make is an alias); v_a = c_a -
+    gamma_a is derived.  Conjugation is by the shift lambda_a(x) = x + gamma_a.
     A slots class rather than a NamedTuple: apply_mod reads two fields per
     step of certify's residue loops, and NamedTuple field reads are slower.
     """
 
-    __slots__ = _fields = ("a", "gamma_a", "c_a", "v_a")
+    _fields = ("a", "gamma_a", "c_a")
+    __slots__ = (*_fields, "v_a")
 
-    def __init__(self, a: int, gamma_a: int, c_a: int, v_a: int):
-        if v_a != c_a - gamma_a:
-            raise ValueError("v_a must equal c_a - gamma_a")
-        self._set(a, gamma_a, c_a, v_a)
+    def __init__(self, a: int, gamma_a: int, c_a: int):
+        self._set(int(a), int(gamma_a), int(c_a))
+        object.__setattr__(self, "v_a", self.c_a - self.gamma_a)
 
-    @classmethod
-    def make(cls, a: int, gamma_a: int, c_a: int) -> SpecializedMap:
-        return cls(a=int(a), gamma_a=int(gamma_a), c_a=int(c_a), v_a=int(c_a) - int(gamma_a))
+    make = classmethod(lambda cls, a, gamma_a, c_a: cls(a, gamma_a, c_a))
 
     def apply(self, x: int) -> int:
         y = x - self.gamma_a
@@ -84,10 +82,14 @@ class SpecializedMap(FrozenSlots):
         y = (x - self.gamma_a) % p
         return (y * y + self.c_a) % p
 
-    def phi_polynomial(self) -> IntPolynomial:
-        """phi_a as a polynomial in x."""
-        g = self.gamma_a
-        return IntPolynomial((g * g + self.c_a, -2 * g, 1))
+    def phi_polynomial(self, k: int = 1) -> IntPolynomial:
+        """phi_a^k as a polynomial in x, the one builder of phi_a's iterates:
+        phi_a^k = (phi_a^(k-1) - gamma_a)^2 + c_a from phi_a^0 = x."""
+        phi = IntPolynomial((0, 1))
+        for _ in range(k):
+            shifted = phi - self.gamma_a
+            phi = shifted * shifted + self.c_a
+        return phi
 
 
 class HallLangConstants(FrozenSlots):
@@ -361,10 +363,12 @@ class QuadraticFamily(FrozenSlots):
         denominator D*x - b1 (D = deg(c - gamma)); on the admissible ray
         x >= x_min it is monotone, so its supremum is the larger of the value
         at x_min and the asymptote.  x_min = log(a_min) with a_min =
-        threshold + 1, the least integer exceeding exp(b1/D) = threshold.
+        threshold + 1, the least integer exceeding exp(b1/D) = threshold, so
+        the denominator there is D*log1p(1/threshold), which does not cancel.
         Then M_phi = max M_i and n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)).
         Kappas so large that some M_i overflows a float raise
-        InvalidConstantsError; a denominator that cancels to 0, ValueError.
+        InvalidConstantsError; a threshold (from about 10^305) past which M4
+        overflows whatever the kappas, ValueError.
         """
         if self.is_isotrivial:
             raise IsotrivialError("nphi_bound needs deg(c - gamma) >= 1")
@@ -372,24 +376,23 @@ class QuadraticFamily(FrozenSlots):
         big_d = self.difference.degree
         big_g = self.gamma.degree or 0
         k1 = constants.kappa1
-        kappa2_prime = constants.kappa2 + big_g + big_d
-        kappa3_prime = (
-            constants.kappa3
-            + 2 * math.log(3.0)
-            + poly_height(self.gamma)
-            + bounds.a4
-            + _LOG2
-        )
+
+        def kappa3_prime_of(kappa3: float) -> float:
+            return kappa3 + 2 * math.log(3.0) + poly_height(self.gamma) + bounds.a4 + _LOG2
+
         a_min = bounds.threshold + 1
         x_min = math.log(a_min)
-        denom = big_d * x_min - bounds.b1
-        if denom <= 0:  # D*log(1 + 1/threshold) > 0, lost to cancellation in floats
-            raise ValueError("the bound chain's denominator D*log(threshold + 1) - B1 cancels "
-                             f"to {denom!r} at threshold {decimal_str(bounds.threshold)}")
+        denom = big_d * math.log1p(1 / bounds.threshold)
 
         def sup(slope: float, const: float) -> float:
             return max((slope * x_min + const) / denom, slope / big_d)
 
+        # M4 at kappa2 = kappa3 = 0 is below M4 whatever the kappas
+        if denom == 0.0 or math.isinf(sup(big_g + big_d, kappa3_prime_of(0.0))):
+            raise ValueError("the bound chain leaves the float range at threshold "
+                             f"{decimal_str(bounds.threshold)}")
+        kappa2_prime = constants.kappa2 + big_g + big_d
+        kappa3_prime = kappa3_prime_of(constants.kappa3)
         m1 = sup(k1 * big_d, k1 * bounds.a2)
         m2 = sup(k1 * big_g, k1 * bounds.a3)
         m3 = sup(k1 * big_g, k1 * bounds.a1)

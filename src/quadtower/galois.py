@@ -310,8 +310,8 @@ def discriminant_report(
     map: SpecializedMap, n: int, direct: bool = False, max_bits: int = DEFAULT_MAX_BITS
 ) -> DiscriminantReport:
     """|disc(phi_a^n)| by the recurrence and, with direct, from the
-    polynomial phi_a^n = (phi_a^(n-1) - gamma_a)^2 + c_a, which is refused
-    above DIRECT_DISCRIMINANT_MAX_LEVEL.  Both refusals of a level come
+    polynomial map.phi_polynomial(n), which is refused above
+    DIRECT_DISCRIMINANT_MAX_LEVEL.  Both refusals of a level come
     before any orbit value is computed."""
     if n < 1:
         raise ValueError("level must be >= 1")
@@ -326,13 +326,8 @@ def discriminant_report(
     if n >= first:
         raise DigitBudgetError(f"discriminant at level {first} needs more than {max_bits} bits")
     value = discriminant_recurrence(critical_orbit(map, n, max_bits), n, max_bits)
-    if not direct:
-        return DiscriminantReport(level=n, recurrence=value)
-    phi_n = IntPolynomial((0, 1))  # phi_a^0 = x
-    for _ in range(n):
-        shifted = phi_n - map.gamma_a
-        phi_n = shifted * shifted + map.c_a
-    return DiscriminantReport(level=n, recurrence=value, direct=abs(discriminant_direct(phi_n)))
+    exact = abs(discriminant_direct(map.phi_polynomial(n))) if direct else None
+    return DiscriminantReport(level=n, recurrence=value, direct=exact)
 
 
 def _certify_level(orbit: CriticalOrbit, n: int) -> MaximalityCertificate:
@@ -398,13 +393,12 @@ def curve_model(
     dec: SquareFreeDecomposition,
     genus: int = 1,
 ) -> CurveModel:
-    """Emit Y^2 = 2^e * d * (X - c_a) * phi_a(X) (genus 1) or the phi_a^2
-    variant (genus 2) for the level-n decomposition 2^e * d * y^2."""
+    """Emit Y^2 = 2^e * d * (X - c_a) * phi_a^genus(X), the phi_a (genus 1)
+    or phi_a^2 (genus 2) model, for the level-n decomposition 2^e * d * y^2;
+    phi_a^genus is map.phi_polynomial(genus)."""
     if genus not in (1, 2):
         raise ValueError("genus must be 1 or 2")
-    phi = map.phi_polynomial()
-    g = phi if genus == 1 else phi.compose(phi)
-    rhs = IntPolynomial((-map.c_a, 1)) * g * ((1 << dec.e) * dec.d)
+    rhs = IntPolynomial((-map.c_a, 1)) * map.phi_polynomial(genus) * ((1 << dec.e) * dec.d)
     if discriminant_direct(rhs) == 0:
         raise SingularModelError("right-hand side has a repeated root")
     return CurveModel(rhs=rhs, level=n, genus=genus, e=dec.e, d=dec.d, c_a=map.c_a)

@@ -323,7 +323,7 @@ def canonical_height(
         k += 1
     cur = Fraction(x)
     for _ in range(k):
-        cur = cur * cur + map.v_a
+        cur = map.apply_sigma(cur)
         check_bits(max(abs(cur.numerator), cur.denominator), max_bits, "orbit value")
     return height_int(cur) / (1 << k)
 

@@ -387,9 +387,9 @@ def test_curve_with_search(capsys):
 
 
 @pytest.mark.parametrize("kappa, digest", [
-    ("--kappa1", "7d224b8de43cf51bb41e08bee013f5598e25ab2a4d226d5ee9fed23b677092f0"),
-    ("--kappa2", "e831acba3e309ee25c887b18506828c72d71eda597d90b7f3a93ef34d11e199f"),
-    ("--kappa3", "70236c27eebaaf8cc8934a5b5dc3846b82f430fe61adb9aac66ebf54100b3ac5"),
+    ("--kappa1", "1caca3877d3a54d9de790e7c73c05e03f152acdf60e2db6a30536473e8603c8d"),
+    ("--kappa2", "c80065031ce5eaf1d4d272b676f73e4f979eebe3ebb5ff0874db00250d4bbc3d"),
+    ("--kappa3", "3fd4892ad095a731bb85d6e7ab4c2768d3c51be2119e735bfeb5a14c84ae4d8f"),
 ])
 def test_nphi_bound_refuses_a_kappa_that_overflows_the_chain(capsys, kappa, digest):
     def call(value):
@@ -421,20 +421,28 @@ def test_nphi_bound_and_index_bound(capsys):
 
 @pytest.mark.parametrize("exponent", [15, 20, 40, 400])
 def test_nphi_bound_refuses_a_threshold_whose_denominator_cancels(capsys, exponent):
-    # D*log(threshold + 1) - B1 is positive, but 0.0 in floats from a
-    # threshold near 10^15 on; the chain divided by it
+    # D*log(threshold + 1) - B1 is 0.0 in floats from a threshold near 10^15
+    # on, so the chain must divide by D*log1p(1/threshold); only a threshold
+    # that takes the chain out of the float range is refused
     code, out, err = run(capsys, "nphi-bound", "--gamma", "0", "--c", f"{10 ** exponent},1",
-                         "--kappa1", "1", "--kappa2", "1", "--kappa3", "1")
-    assert (code, out) == (1, "")
-    assert err == ("quadtower: error: the bound chain's denominator D*log(threshold + 1) - B1 "
-                   f"cancels to 0.0 at threshold {2 * 10 ** exponent + 1}\n")
+                         "--kappa1", "1", "--kappa2", "1", "--kappa3", "1", "--json")
+    if exponent < 305:
+        fam = QuadraticFamily.of([0], [10 ** exponent, 1])
+        assert code == 0
+        assert json.loads(out)["n_phi"] == fam.nphi_bound(HallLangConstants(1.0, 1.0, 1.0)).n_phi
+    else:
+        assert (code, out) == (1, "")
+        assert err == ("quadtower: error: the bound chain leaves the float range at threshold "
+                       f"{2 * 10 ** exponent + 1}\n")
 
 
 def test_nphi_bound_below_the_cancellation_keeps_its_output(capsys):
+    # the float difference of logs gives n_phi 128 here; the exact chain gives 129
     code, out, _ = run(capsys, "nphi-bound", "--gamma", "0", "--c", "100000000000000,1",
                        "--kappa1", "1", "--kappa2", "1", "--kappa3", "1")
+    assert "n_phi: 129\n" in out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
-        0, "da416b2d6c2a2d5dd077eed5a4f5c5f0ebeab533a4af496155a42db3c4ccb129")
+        0, "31a243b81ad30e6db3b0a1d85b0382695feab872d4854c905007de9f097cda12")
 
 
 def test_csv_restricted_to_density(capsys):

@@ -1,5 +1,8 @@
+import decimal
 import math
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,8 @@ from quadtower.family import (
 )
 from quadtower.orbit import DigitBudgetError
 
+from conftest import CORPUS
+
 T = IntPolynomial((0, 1))
 X2PT = QuadraticFamily.of([0], [0, 1])  # phi_a = x^2 + a
 
@@ -31,9 +36,30 @@ def test_specialize_examples():
     assert (m.gamma_a, m.c_a, m.v_a) == (2, 5, 3)
 
 
-def test_specialized_map_validates():
-    with pytest.raises(ValueError):
-        SpecializedMap(a=1, gamma_a=2, c_a=3, v_a=5)
+def test_specialized_map_derives_v_a_from_its_three_fields():
+    for a, g, c in ((1, 2, 3), (0, -5, 7), (-4, 10 ** 40, -(10 ** 41))):
+        m = SpecializedMap(a, g, c)
+        assert m.v_a == c - g
+        assert SpecializedMap.make(a, g, c) == m
+        assert SpecializedMap(str(a), g, c) == m  # each field is coerced to int
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and hash(copy) == hash(m) and copy.v_a == m.v_a
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from(CORPUS), k=st.integers(0, 4), x=st.integers(-20, 20))
+def test_phi_polynomial_is_the_kth_iterate(entry, k, x):
+    m = entry.map()
+    phi_k = m.phi_polynomial(k)
+    y = x
+    for _ in range(k):
+        y = m.apply(y)
+    assert phi_k.evaluate(x) == y
+    # the independent reference: the k-fold composition of phi_a
+    composed = IntPolynomial((0, 1))
+    for _ in range(k):
+        composed = composed.compose(m.phi_polynomial())
+    assert phi_k == composed and phi_k.degree == 2 ** k
 
 
 def test_conjugation_identity_random():
@@ -312,6 +338,51 @@ def test_nphi_floor_of_six_never_binds(gamma, c, kappas):
     assert rep.a_min == fam.compute_bound_constants().threshold + 1
     assert rep.m4 >= 1.0
     assert rep.n_phi == 1 + math.ceil(2 * math.log2(rep.m_phi) + 19) >= 20
+
+
+def _ln(n):
+    return Decimal(n).ln()
+
+
+def _nphi_reference(fam, k1, k2, k3):
+    """n_phi from the bound chain of QuadraticFamily.nphi_bound evaluated in
+    60-digit decimal, with the exact integer threshold and exact logs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        f, big_d, big_g = fam.difference, fam.difference.degree, fam.gamma.degree or 0
+        a3 = _ln(max(1, sum(map(abs, fam.gamma.coeffs))))
+        a4 = _ln(max(1, sum(map(abs, f.coeffs))))
+        a1, a2 = a3 + _ln(2), a4 + _ln(2)
+        threshold = fam.compute_bound_constants().threshold
+        x_min = _ln(threshold + 1)
+        denom = big_d * (x_min - _ln(threshold))
+        k1, k2, k3 = map(Decimal, (k1, k2, k3))
+        height = _ln(max([1, *map(abs, fam.gamma.coeffs)]))
+        k2p = k2 + big_g + big_d
+        k3p = k3 + 2 * _ln(3) + height + a4 + _ln(2)
+
+        def sup(slope, const):
+            return max((slope * x_min + const) / denom, slope / big_d)
+
+        m_phi = max(sup(k1 * big_d, k1 * a2), sup(k1 * big_g, k1 * a3),
+                    sup(k1 * big_g, k1 * a1), sup(k2p, k3p))
+        return 1 + max(6, math.ceil(2 * m_phi.ln() / _ln(2) + 19))
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_nphi_bound_agrees_with_a_decimal_reference_on_large_thresholds(k):
+    # D*log(threshold + 1) - B1 cancels in floats: at 10^14 it gives n_phi
+    # 128 against 129, and from 10^15 on it is 0.0
+    fam = QuadraticFamily.of([0], [10 ** k, 1])
+    assert fam.nphi_bound(HallLangConstants(1.0, 1.0, 1.0)).n_phi == _nphi_reference(fam, 1, 1, 1)
+
+
+def test_nphi_bound_refuses_a_threshold_that_leaves_the_float_range():
+    # M4 overflows even at the smallest kappas
+    for k in (305, 306, 400):
+        fam = QuadraticFamily.of([0], [10 ** k, 1])
+        with pytest.raises(ValueError, match="leaves the float range at threshold 2000"):
+            fam.nphi_bound(HallLangConstants(2.0 ** -40, 0.0, 0.0))
 
 
 def test_nphi_monotone_in_kappas():

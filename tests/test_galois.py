@@ -1,5 +1,6 @@
 import decimal
 import importlib
+import itertools
 import math
 import random
 
@@ -653,3 +654,89 @@ def test_certify_tower_never_refutes_a_map_stoll_proves_maximal():
     assert len(statuses) == 2900
     assert FAILED_SQUARE_OVER_Q not in statuses
     assert statuses.count(UNKNOWN) <= 31
+
+
+# (gamma, c, level): families whose generic adjusted orbit a_1(t) = -c(t),
+# a_n(t) = phi^n(gamma)(t) has a product ending in a_level that is a square
+# in Q(t).  All seven level-2 drops and five level-1 drops of the search in
+# test_generic_drops_of_small_families_are_never_certified_maximal.
+GENERIC_DROPS = [
+    ((), (-1, 0, -1), 2),  # a_1 * a_2 = t^2 (1 + t^2)^2
+    ((), (-2, -2, -1), 2),
+    ((), (-2, 2, -1), 2),
+    ((0, -1), (-1, -2), 2),
+    ((0, 1), (-1, 2), 2),
+    ((1, -1), (1, -2), 2),
+    ((1, 1), (1, 2), 2),
+    ((), (0, 0, -1), 1),  # a_1 = t^2
+    ((), (-1, 2, -1), 1),
+    ((2,), (-1, -2, -1), 1),
+    ((0, 1), (-1,), 1),
+    ((-2, 2), (0, 0, -1), 1),
+]
+
+
+def _generic_drop_level(sympy, gamma, c, depth):
+    """The first level n <= depth at which some product of a_1(t), ...,
+    a_n(t) that takes a_n is a square in Q(t), by sympy's factor_list; None
+    when there is none or one of the a_n vanishes identically."""
+    t = sympy.symbols("t")
+    g = sum(k * t ** i for i, k in enumerate(gamma))
+    cc = sum(k * t ** i for i, k in enumerate(c))
+    adjusted, v = [sympy.expand(-cc)], cc
+    for _ in range(depth - 1):
+        v = sympy.expand((v - g) ** 2 + cc)
+        adjusted.append(v)
+    if 0 in adjusted:
+        return None
+
+    def is_square(p):
+        content, factors = sympy.factor_list(sympy.expand(p), t)
+        return (content > 0 and sympy.sqrt(content).is_rational
+                and all(e % 2 == 0 for _, e in factors))
+
+    for n in range(1, depth + 1):
+        lower = adjusted[:n - 1]
+        for r in range(n):
+            if any(is_square(sympy.prod(sub) * adjusted[n - 1])
+                   for sub in itertools.combinations(lower, r)):
+                return n
+    return None
+
+
+def _certified_at(gamma, c, level):
+    """The a in [-30, 30] whose level-n step certify_tower proves maximal."""
+    fam = QuadraticFamily.of(gamma, c)
+    return [a for a in range(-30, 31)
+            if certify_tower(fam.specialize(a), level, level).certificates[0].status
+            == CERTIFIED_MAXIMAL]
+
+
+@pytest.mark.parametrize("gamma, c, level", GENERIC_DROPS)
+def test_no_specialization_of_a_generic_drop_is_certified_maximal(gamma, c, level):
+    # a square in Q(t) specializes to a square in Q at every t = a, so the
+    # level-n step is maximal at no a: CertifiedMaximal there would over-claim
+    sympy = pytest.importorskip("sympy")
+    assert _generic_drop_level(sympy, gamma, c, level) == level
+    assert _certified_at(gamma, c, level) == []
+
+
+@pytest.mark.slow
+def test_generic_drops_of_small_families_are_never_certified_maximal():
+    # every non-isotrivial family with gamma of degree <= 1 and c of degree
+    # <= 2, coefficients in [-2, 2], whose generic tower drops at level 1 or 2
+    sympy = pytest.importorskip("sympy")
+    found = []
+    for gamma in itertools.product(range(-2, 3), repeat=2):
+        for c in itertools.product(range(-2, 3), repeat=3):
+            fam = QuadraticFamily.of(gamma, c)
+            if fam.is_isotrivial:
+                continue
+            gamma_t, c_t = fam.gamma.coeffs, fam.c.coeffs
+            level = _generic_drop_level(sympy, gamma_t, c_t, 2)
+            if level is not None:
+                found.append((gamma_t, c_t, level))
+    assert set(GENERIC_DROPS) <= set(found)
+    assert [n for *_, n in found].count(2) == 7
+    for gamma, c, level in found:
+        assert _certified_at(gamma, c, level) == [], (gamma, c, level)

@@ -49,7 +49,7 @@ def _cert():
     return MaximalityCertificate(1, "Unknown", None)
 
 
-_X2P1 = "SpecializedMap(a=1, gamma_a=0, c_a=1, v_a=1)"
+_X2P1 = "SpecializedMap(a=1, gamma_a=0, c_a=1)"
 _BOUNDS = "BoundConstants(a1=0.5, a2=1.5, a3=0.0, a4=0.75, b1=1.25, threshold=2)"
 _MODEL = "CurveModel(rhs=IntPolynomial(coeffs=(2, 0, 1)), level=2, genus=1, e=0, d=1, c_a=1)"
 _CERT = "MaximalityCertificate(level=1, status='Unknown', witness=None)"
@@ -110,8 +110,6 @@ def test_record_is_an_immutable_value(make, text):
 @pytest.mark.parametrize("make, error, message", [
     (lambda: Budget(trial_bound=1), ValueError, "trial_bound must be in [2, 10000000]"),
     (lambda: Budget(rho_iters=-1), ValueError, "rho_iters must be >= 0"),
-    (lambda: SpecializedMap(a=1, gamma_a=2, c_a=3, v_a=5), ValueError,
-     "v_a must equal c_a - gamma_a"),
     (lambda: HallLangConstants(0.0, 1.0, 1.0), InvalidConstantsError, "kappa1 must be positive"),
     (lambda: HallLangConstants(1.0, -1.0, 0.0), InvalidConstantsError,
      "kappa2 must be finite and nonnegative"),
