@@ -60,13 +60,9 @@ from quadtower.orbit import (
     CriticalOrbit,
     DigitBudgetError,
     Orbit,
-    PostCriticallyFiniteError,
     canonical_height,
-    check_ingram_lower_bound,
     critical_orbit,
-    is_postcritically_finite,
     orbit,
-    sigma_orbit_identity,
 )
 
 __version__ = "0.1.0"

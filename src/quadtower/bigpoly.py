@@ -184,9 +184,6 @@ class IntPolynomial(FrozenSlots):
             return NotImplemented
         return self + (-q)
 
-    def __rsub__(self, other) -> IntPolynomial:
-        return -(self - other)
-
     def __mul__(self, other) -> IntPolynomial:
         q = self._coerce(other)
         if q is None:
@@ -202,18 +199,6 @@ class IntPolynomial(FrozenSlots):
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> IntPolynomial:
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, x: int) -> int:
         """Exact value at x by Horner's scheme."""

@@ -8,6 +8,7 @@ constants into a concrete tower level n_phi.
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import NamedTuple
 
@@ -17,9 +18,8 @@ from quadtower.bigpoly import (
     DigitBudgetError,
     FrozenSlots,
     IntPolynomial,
-    ZeroPolynomialError,
+    _to_decimal,
     decimal_str,
-    poly_height,
 )
 from quadtower.factor import (
     DEFAULT_BUDGET,
@@ -56,10 +56,10 @@ class InvalidConstantsError(ValueError):
 
 class SpecializedMap(FrozenSlots):
     """phi_a(x) = (x - gamma_a)^2 + c_a and its conjugate sigma_a = x^2 + v_a,
-    built from a, gamma_a and c_a as ints (make is an alias); v_a = c_a -
-    gamma_a is derived.  Conjugation is by the shift lambda_a(x) = x + gamma_a.
-    A slots class rather than a NamedTuple: apply_mod reads two fields per
-    step of certify's residue loops, and NamedTuple field reads are slower.
+    built from a, gamma_a and c_a as ints; v_a = c_a - gamma_a is derived.
+    Conjugation is by the shift lambda_a(x) = x + gamma_a.  A slots class
+    rather than a NamedTuple: apply_mod reads two fields per step of
+    certify's residue loops, and NamedTuple field reads are slower.
     """
 
     _fields = ("a", "gamma_a", "c_a")
@@ -69,7 +69,10 @@ class SpecializedMap(FrozenSlots):
         self._set(int(a), int(gamma_a), int(c_a))
         object.__setattr__(self, "v_a", self.c_a - self.gamma_a)
 
-    make = classmethod(lambda cls, a, gamma_a, c_a: cls(a, gamma_a, c_a))
+    @classmethod
+    def make(cls, a: int, gamma_a: int, c_a: int) -> SpecializedMap:
+        """The constructor's older name, kept only for bench/probes.py."""
+        return cls(a, gamma_a, c_a)
 
     def apply(self, x: int) -> int:
         y = x - self.gamma_a
@@ -256,7 +259,7 @@ class QuadraticFamily(FrozenSlots):
         return self.difference.degree in (None, 0)
 
     def specialize(self, a: int) -> SpecializedMap:
-        return SpecializedMap.make(a, self.gamma.evaluate(a), self.c.evaluate(a))
+        return SpecializedMap(a, self.gamma.evaluate(a), self.c.evaluate(a))
 
     def info(self, budget: Budget = DEFAULT_BUDGET) -> FamilyInfo:
         """P_phi, and for a non-isotrivial family m_phi, the bound constants
@@ -296,18 +299,10 @@ class QuadraticFamily(FrozenSlots):
             return 17
         return math.ceil(2 * math.log2(78 * dg / self.difference.degree + 9))
 
-    def exceptional_polynomial(self) -> IntPolynomial:
-        """P_phi(t) = phi(gamma) * phi^2(gamma) * (c-g) * (c-g+1) * (c-g+2).
-
-        Its integer roots are the specializations where the critical orbit
-        degenerates or the conjugate lands on a post-critically finite map.
-        A degree bound above MAX_EXCEPTIONAL_DEGREE raises BudgetError first.
-        """
-        return math.prod(self._exceptional_factors())
-
     def _exceptional_factors(self) -> tuple[IntPolynomial, ...]:
-        """The five factors whose product is P_phi; a degree bound on P_phi
-        above MAX_EXCEPTIONAL_DEGREE raises BudgetError before any product."""
+        """The five factors of P_phi = phi(gamma) phi^2(gamma) (c-g) (c-g+1)
+        (c-g+2); a degree bound on P_phi above MAX_EXCEPTIONAL_DEGREE raises
+        BudgetError before any product."""
         dc, df = self.c.degree or 0, self.difference.degree or 0
         degree = dc + max(2 * df, dc) + 3 * df
         if degree > MAX_EXCEPTIONAL_DEGREE:
@@ -347,15 +342,6 @@ class QuadraticFamily(FrozenSlots):
             threshold=threshold,
         )
 
-    def exceptional_set(self, budget: Budget = DEFAULT_BUDGET) -> list[int]:
-        """F_phi as info() computes it; raises where info() leaves it None."""
-        if self.is_isotrivial:
-            raise IsotrivialError("the exceptional set needs deg(c - gamma) >= 1")
-        out = self.info(budget).exceptional_set
-        if out is None:
-            raise ZeroPolynomialError("P_phi vanishes identically")
-        return out
-
     def nphi_bound(self, constants: HallLangConstants) -> NphiReport:
         """Evaluate the conditional bound chain.
 
@@ -365,7 +351,8 @@ class QuadraticFamily(FrozenSlots):
         at x_min and the asymptote.  x_min = log(a_min) with a_min =
         threshold + 1, the least integer exceeding exp(b1/D) = threshold, so
         the denominator there is D*log1p(1/threshold), which does not cancel.
-        Then M_phi = max M_i and n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)).
+        Then M_phi = max M_i and n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)),
+        taken from an upper bound on M_phi (_n_phi); the M_i are floats.
         Kappas so large that some M_i overflows a float raise
         InvalidConstantsError; a threshold (from about 10^305) past which M4
         overflows whatever the kappas, ValueError.
@@ -373,47 +360,69 @@ class QuadraticFamily(FrozenSlots):
         if self.is_isotrivial:
             raise IsotrivialError("nphi_bound needs deg(c - gamma) >= 1")
         bounds = self.compute_bound_constants()
-        big_d = self.difference.degree
-        big_g = self.gamma.degree or 0
-        k1 = constants.kappa1
-
-        def kappa3_prime_of(kappa3: float) -> float:
-            return kappa3 + 2 * math.log(3.0) + poly_height(self.gamma) + bounds.a4 + _LOG2
-
-        a_min = bounds.threshold + 1
-        x_min = math.log(a_min)
-        denom = big_d * math.log1p(1 / bounds.threshold)
-
-        def sup(slope: float, const: float) -> float:
-            return max((slope * x_min + const) / denom, slope / big_d)
-
+        threshold = bounds.threshold
+        denom = self.difference.degree * math.log1p(1 / threshold)
         # M4 at kappa2 = kappa3 = 0 is below M4 whatever the kappas
-        if denom == 0.0 or math.isinf(sup(big_g + big_d, kappa3_prime_of(0.0))):
+        if denom == 0.0 or math.isinf(
+                self._bound_chain(1.0, 0.0, 0.0, threshold, math.log, denom)[3]):
             raise ValueError("the bound chain leaves the float range at threshold "
-                             f"{decimal_str(bounds.threshold)}")
-        kappa2_prime = constants.kappa2 + big_g + big_d
-        kappa3_prime = kappa3_prime_of(constants.kappa3)
-        m1 = sup(k1 * big_d, k1 * bounds.a2)
-        m2 = sup(k1 * big_g, k1 * bounds.a3)
-        m3 = sup(k1 * big_g, k1 * bounds.a1)
-        m4 = sup(kappa2_prime, kappa3_prime)
+                             f"{decimal_str(threshold)}")
+        kappas = (constants.kappa1, constants.kappa2, constants.kappa3)
+        m1, m2, m3, m4, kappa2_prime, kappa3_prime, x_min = self._bound_chain(
+            *kappas, threshold, math.log, denom)
         if not all(map(math.isfinite, (m1, m2, m3, m4))):
             raise InvalidConstantsError("the bound chain overflows a float; use smaller kappas")
-        m_phi = max(m1, m2, m3, m4)
         return NphiReport(
             m1=m1,
             m2=m2,
             m3=m3,
             m4=m4,
-            m_phi=m_phi,
-            # m_phi >= m1 >= kappa1 > 0, so its logarithm exists
-            n_phi=1 + max(6, math.ceil(2 * math.log2(m_phi) + 19)),
+            m_phi=max(m1, m2, m3, m4),
+            n_phi=self._n_phi(kappas, threshold),
             kappa2_prime=kappa2_prime,
             kappa3_prime=kappa3_prime,
-            a_min=a_min,
+            a_min=threshold + 1,
             x_min=x_min,
             bounds=bounds,
         )
+
+    def _bound_chain(self, k1, k2, k3, threshold: int, ln, denom) -> tuple:
+        """(M1, M2, M3, M4, kappa2', kappa3', x_min) from kappas, logs ln and
+        denom = D*log1p(1/threshold), all floats or all Decimals."""
+        f, gamma = self.difference, self.gamma
+        big_d, big_g, ln2 = f.degree, gamma.degree or 0, ln(2)
+        a3 = ln(max(1, sum(map(abs, gamma.coeffs))))
+        a4 = ln(max(1, sum(map(abs, f.coeffs))))
+        x_min = ln(threshold + 1)
+
+        def sup(slope, const):
+            return max((slope * x_min + const) / denom, slope / big_d)
+
+        kappa2_prime = k2 + big_g + big_d
+        kappa3_prime = k3 + 2 * ln(3) + ln(max([1, *map(abs, gamma.coeffs)])) + a4 + ln2
+        return (sup(k1 * big_d, k1 * (a4 + ln2)), sup(k1 * big_g, k1 * a3),
+                sup(k1 * big_g, k1 * (a3 + ln2)), sup(kappa2_prime, kappa3_prime),
+                kappa2_prime, kappa3_prime, x_min)
+
+    def _n_phi(self, kappas: tuple, threshold: int) -> int:
+        """1 + max(6, ceil(2*log2(M_phi) + 19)) from an upper bound on M_phi,
+        so that no rounding lowers n_phi: the chain in decimal, every step
+        rounded up but denom and log 2, which are rounded down.  ln rounds
+        correctly, so its neighbour on the side asked for bounds the true
+        log.  The kappas convert exactly, and the precision keeps 40 digits
+        of 1/threshold in 1 + 1/threshold."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40 + threshold.bit_length() // 3
+            ctx.rounding = decimal.ROUND_FLOOR
+            one = decimal.Decimal(1)
+            denom = self.difference.degree * ctx.next_minus((one + one / threshold).ln())
+            ln2 = ctx.next_minus(decimal.Decimal(2).ln())
+            ctx.rounding = decimal.ROUND_CEILING
+            chain = self._bound_chain(*map(decimal.Decimal, kappas), threshold,
+                                      lambda n: ctx.next_plus(_to_decimal(n).ln()), denom)
+            # M_phi >= M4 >= kappa2'/D >= 1, so its log is nonnegative
+            log_m_phi = ctx.next_plus(max(chain[:4]).ln())
+            return 1 + max(6, math.ceil(2 * log_m_phi / ln2 + 19))
 
 
 def index_bound(n_phi: int, max_bits: int = DEFAULT_MAX_BITS) -> int:

@@ -1,4 +1,4 @@
-"""Exact big-integer orbits, conjugation identities, and canonical heights.
+"""Exact big-integer orbits and canonical heights.
 
 Orbit values double in bit length per step, so every iterating routine runs
 under a configurable bit budget and converts runaway growth into a clean
@@ -29,10 +29,6 @@ from quadtower.bigpoly import (DEFAULT_MAX_BITS, DigitBudgetError, check_bits, d
 from quadtower.family import SpecializedMap
 
 _LOG2 = math.log(2.0)
-
-
-class PostCriticallyFiniteError(ValueError):
-    """The check only applies to wandering critical orbits (v not in {0,-1,-2})."""
 
 
 class OrbitRows(list):
@@ -286,23 +282,6 @@ def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_
     return CriticalOrbit(map).walk(depth, max_bits)
 
 
-def sigma_orbit_identity(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
-    """Check sigma_a^n(0) == phi_a^n(gamma_a) - gamma_a for all n <= depth,
-    computing the two sides independently: phi's from critical_orbit."""
-    sig = 0
-    for phi in critical_orbit(map, depth, max_bits).values:
-        sig = map.apply_sigma(sig)
-        if sig != phi - map.gamma_a:
-            return False
-    return True
-
-
-def is_postcritically_finite(map: SpecializedMap) -> bool:
-    """For integer parameters the critical orbit is finite exactly when
-    v_a lies in {0, -1, -2} (the integer points of the Mandelbrot interval)."""
-    return map.v_a in (0, -1, -2)
-
-
 def canonical_height(
     map: SpecializedMap,
     x: "int | Fraction",
@@ -327,16 +306,3 @@ def canonical_height(
         check_bits(max(abs(cur.numerator), cur.denominator), max_bits, "orbit value")
     return height_int(cur) / (1 << k)
 
-
-def check_ingram_lower_bound(
-    map: SpecializedMap,
-    eps: float = 0.03125,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> bool:
-    """One-sided check of the wandering-point height floor
-    h_hat(0) >= max(h(v_a), 1) / 32, via a canonical-height estimate within
-    eps (so the check can only fail if the floor is genuinely violated)."""
-    if is_postcritically_finite(map):
-        raise PostCriticallyFiniteError(f"v_a = {map.v_a} is post-critically finite")
-    est = canonical_height(map, 0, eps, max_bits)
-    return est + eps >= max(height_int(map.v_a), 1.0) / 32.0

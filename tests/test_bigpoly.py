@@ -59,10 +59,10 @@ def test_evaluate_matches_naive_power_sum():
 
 
 def test_compose_examples():
-    assert (T ** 2).compose(T + 1) == IntPolynomial((1, 2, 1))
+    assert (T * T).compose(T + 1) == IntPolynomial((1, 2, 1))
     p = IntPolynomial((3, -2, 0, 7))
     assert p.compose(T) == p
-    assert IntPolynomial((0, 1, 1)).compose(T ** 2) == IntPolynomial((0, 0, 1, 0, 1))
+    assert IntPolynomial((0, 1, 1)).compose(T * T) == IntPolynomial((0, 0, 1, 0, 1))
 
 
 def test_compose_degree_multiplies():

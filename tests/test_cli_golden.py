@@ -1,21 +1,39 @@
-"""Golden CLI digests: every call below must print the same stdout (compared
-by sha256) and return the same exit code as when the fixture was recorded.
+"""Golden CLI outputs: every call below must print the same stdout and
+return the same exit code as when tests/fixtures/cli_golden.json was
+recorded.
 
-Re-record tests/fixtures/cli_golden.json only when an output is meant to
-change:
+The fixture holds one entry per call, in the order of ARGVS: the call as a
+shell line, its exit code, the sha256 of its stdout and, for a call that
+prints at most TEXT_LIMIT bytes, the stdout itself split at newlines, so a
+re-recorded output reads as a line diff.  The 7 level-20 calls print 92-199 KB
+each and keep the digest only.  On a mismatch the test prints a unified diff
+of the recorded and the new stdout where the text is kept.
+
+Re-record the fixture only when an output is meant to change; it lists each
+call whose digest or exit code changed:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+A deliberate output change updates, in the same commit: this fixture; the
+stdout_sha256 values that CI's bench-smoke job pins in
+.github/workflows/tests.yml, when a benchmark workload prints it;
+check_certificate in bench/workloads.py, when the certify output moves; and
+CHANGES.md, which records all of them.
 """
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import pathlib
+import shlex
 
 from quadtower.cli import main
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "cli_golden.json"
+# a call whose stdout has at most this many bytes keeps its text in the fixture
+TEXT_LIMIT = 4096
 
 # name -> (gamma, c, a)
 _MAPS = {
@@ -167,17 +185,46 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run(argv):
+def _entry(argv):
+    """The fixture entry of one call, and its stdout."""
     code, out, _ = _call(argv)
-    return [code, hashlib.sha256(out.encode()).hexdigest()]
+    data = out.encode()
+    entry = {"call": shlex.join(argv), "exit": code, "sha256": hashlib.sha256(data).hexdigest()}
+    if len(data) <= TEXT_LIMIT:
+        entry["stdout"] = out.split("\n")
+    return entry, out
+
+
+def _mismatch(argv, want):
+    """None when the call still prints what want recorded; else a report of
+    what moved, with a unified diff of the stdout where want keeps its text."""
+    got, out = _entry(argv)
+    if (got["exit"], got["sha256"]) == (want["exit"], want["sha256"]):
+        return None
+    report = [f"{want['call']}: exit {want['exit']} -> {got['exit']}, "
+              f"sha256 {want['sha256'][:12]} -> {got['sha256'][:12]}"]
+    if "stdout" in want:
+        report += difflib.unified_diff(want["stdout"], out.split("\n"), "recorded", "now",
+                                       lineterm="")
+    return "\n".join(report)
+
+
+def _expected():
+    expected = json.loads(FIXTURE.read_text())
+    assert [want["call"] for want in expected] == list(map(shlex.join, ARGVS))
+    return expected
 
 
 def test_cli_stdout_and_exit_codes_match_the_recorded_digests():
-    expected = json.loads(FIXTURE.read_text())
-    assert len(expected) == len(ARGVS)
-    mismatches = [(argv, want, got) for argv, want in zip(ARGVS, expected)
-                  if (got := _run(argv)) != want]
-    assert not mismatches, mismatches
+    expected = _expected()
+    # a kept text is the text its digest was taken from
+    for want in expected:
+        if "stdout" in want:
+            text = "\n".join(want["stdout"]).encode()
+            assert len(text) <= TEXT_LIMIT and hashlib.sha256(text).hexdigest() == want["sha256"]
+    assert sum("stdout" not in want for want in expected) == 7
+    mismatches = [m for argv, want in zip(ARGVS, expected) if (m := _mismatch(argv, want))]
+    assert not mismatches, "\n\n".join(mismatches)
 
 
 def _no_binary_orbit(*args, **kwargs):
@@ -193,12 +240,11 @@ def test_verdict_commands_read_the_orbit_only_through_critical_residues(monkeypa
     monkeypatch.setattr(quadtower.galois, "critical_orbit", _no_binary_orbit)
     monkeypatch.setattr(quadtower.cli, "critical_orbit", _no_binary_orbit)
     monkeypatch.setattr(quadtower.galois, "is_perfect_square", _no_binary_orbit)
-    expected = json.loads(FIXTURE.read_text())
-    calls = [(argv, want) for argv, want in zip(ARGVS, expected)
+    calls = [(argv, want) for argv, want in zip(ARGVS, _expected())
              if argv[0] in ("certify", "stability", "primitive-divisors")]
     assert len(calls) == 62
-    mismatches = [(argv, want, got) for argv, want in calls if (got := _run(argv)) != want]
-    assert not mismatches, mismatches
+    mismatches = [m for argv, want in calls if (m := _mismatch(argv, want))]
+    assert not mismatches, "\n\n".join(mismatches)
 
 
 def test_orbit_commands_build_exact_values_only_where_they_read_them(monkeypatch):
@@ -216,13 +262,13 @@ def test_orbit_commands_build_exact_values_only_where_they_read_them(monkeypatch
         return y
 
     monkeypatch.setattr(SpecializedMap, "apply", recording_apply)
-    expected = json.loads(FIXTURE.read_text())
-    calls = [(argv, want) for argv, want in zip(ARGVS, expected)
+    calls = [(argv, want) for argv, want in zip(ARGVS, _expected())
              if argv[0] in ("critical-orbit", "orbit", "discriminant", "curve")]
     assert len(calls) == 70
     for argv, want in calls:
         built.clear()
-        assert _run(argv) == want, argv
+        mismatch = _mismatch(argv, want)
+        assert mismatch is None, mismatch
         level = dict(zip(argv, argv[1:])).get("--level", "0")
         limit = int(level) if argv[0] == "curve" else 0
         assert len(built) <= limit, (argv, len(built))
@@ -236,4 +282,10 @@ def test_budget_calls_print_the_recorded_stderr_line():
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps([_run(argv) for argv in ARGVS], indent=1) + "\n")
+    recorded = {want["call"]: want for want in json.loads(FIXTURE.read_text())}
+    entries = [_entry(argv)[0] for argv in ARGVS]
+    for entry in entries:
+        before = recorded.get(entry["call"])
+        if before is None or (before["exit"], before["sha256"]) != (entry["exit"], entry["sha256"]):
+            print("new:" if before is None else "changed:", entry["call"])
+    FIXTURE.write_text(json.dumps(entries, indent=1) + "\n")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadtower.bigpoly import IntPolynomial, ZeroPolynomialError, decimal_str, height_int
+from quadtower.bigpoly import IntPolynomial, decimal_str, height_int
 from quadtower.factor import Budget, IncompleteFactorizationError
 from quadtower.family import (
     HallLangConstants,
@@ -93,20 +93,20 @@ def test_m_phi():
 
 def test_exceptional_polynomial_x2pt():
     # t^3 (t+1)^2 (t+2), assembled independently
-    expected = (T ** 3) * ((T + 1) ** 2) * (T + 2)
-    assert X2PT.exceptional_polynomial() == expected
+    expected = T * T * T * (T + 1) * (T + 1) * (T + 2)
+    assert X2PT.info().exceptional_polynomial == expected
 
 
 def test_exceptional_polynomial_isotrivial_zero():
     fam = QuadraticFamily.of([0, 1], [0, 1])
-    assert fam.exceptional_polynomial().is_zero
+    assert fam.info().exceptional_polynomial.is_zero
 
 
 def test_exceptional_polynomial_shifted():
     fam = QuadraticFamily.of([0], [-1, 1])  # gamma = 0, c = t - 1
     f = T - 1
     expected = f * (f * f + f) * f * T * (T + 1)
-    assert fam.exceptional_polynomial() == expected
+    assert fam.info().exceptional_polynomial == expected
 
 
 def test_bound_constants_x2pt():
@@ -194,15 +194,15 @@ def test_a3_a1_contracts():
 
 
 def test_exceptional_set_x2pt():
-    assert X2PT.exceptional_set() == [-2, -1, 0, 1, 2]
+    assert X2PT.info().exceptional_set == [-2, -1, 0, 1, 2]
     # the same c - gamma = t with c = 2^1000 t: phi^2(gamma) = t (t + 2^1000)
     fam = QuadraticFamily.of([0, 2 ** 1000 - 1], [0, 2 ** 1000])
-    assert fam.exceptional_set() == [-(2 ** 1000), -2, -1, 0, 1, 2]
+    assert fam.info().exceptional_set == [-(2 ** 1000), -2, -1, 0, 1, 2]
 
 
 def test_exceptional_set_shifted():
     fam = QuadraticFamily.of([0], [10, 1])  # c = t + 10
-    out = fam.exceptional_set()
+    out = fam.info().exceptional_set
     for root in (-10, -11, -12):
         assert root in out
     threshold = fam.compute_bound_constants().threshold
@@ -211,7 +211,7 @@ def test_exceptional_set_shifted():
 
 def test_exceptional_set_contains_pcf_roots_brute_force():
     for fam in FAMILIES[:3]:
-        out = set(fam.exceptional_set())
+        out = set(fam.info().exceptional_set)
         f = fam.difference
         for a in range(-10 ** 5, 10 ** 5 + 1):
             if f.evaluate(a) in (0, -1, -2):
@@ -232,14 +232,14 @@ def test_exceptional_set_matches_the_integer_roots_of_all_five_factors(f, c):
     sympy = pytest.importorskip("sympy")
     c = IntPolynomial(c)
     fam = QuadraticFamily(c - IntPolynomial(f), c)
-    assume(not fam.is_isotrivial and not fam.exceptional_polynomial().is_zero)
+    assume(not fam.is_isotrivial and not fam.info().exceptional_polynomial.is_zero)
     f, t = fam.difference, sympy.Symbol("t")
     threshold = fam.compute_bound_constants().threshold
     expected = set(range(-threshold, threshold + 1))
     for p in (fam.c, f * f + fam.c, f, f + 1, f + 2):
         roots = sympy.Poly(p.coeffs[::-1], t).ground_roots()
         expected.update(int(r) for r in roots if r.is_integer)
-    assert fam.exceptional_set() == sorted(expected)
+    assert fam.info().exceptional_set == sorted(expected)
 
 
 def test_exceptional_set_tries_only_divisors_within_the_root_bound(monkeypatch):
@@ -250,7 +250,8 @@ def test_exceptional_set_tries_only_divisors_within_the_root_bound(monkeypatch):
     evaluate = IntPolynomial.evaluate
     monkeypatch.setattr(IntPolynomial, "evaluate",
                         lambda self, x: calls.append(x) or evaluate(self, x))
-    assert QuadraticFamily.of([0], [9999999999] * 60).exceptional_set() == list(range(-119, 120))
+    fam = QuadraticFamily.of([0], [9999999999] * 60)
+    assert fam.info().exceptional_set == list(range(-119, 120))
     assert len(calls) <= 100
 
 
@@ -272,15 +273,16 @@ def test_info_refuses_before_it_multiplies_p_phi_out(monkeypatch):
     with pytest.raises(IncompleteFactorizationError):
         fam.info(Budget(trial_bound=100, rho_iters=0))
     assert products == []
-    fam.exceptional_polynomial()
+    fam.info()
     assert len(products) == 1
 
 
 def test_exceptional_set_errors():
-    with pytest.raises(IsotrivialError):
-        QuadraticFamily.of([0, 1], [0, 1]).exceptional_set()
-    with pytest.raises(ZeroPolynomialError):
-        QuadraticFamily.of([0, -1], []).exceptional_set()  # c = 0 kills P_phi
+    # no F_phi for an isotrivial family, nor when c = 0 kills P_phi
+    isotrivial = QuadraticFamily.of([0, 1], [0, 1]).info()
+    assert (isotrivial.m_phi, isotrivial.bounds, isotrivial.exceptional_set) == (None, None, None)
+    vanishing = QuadraticFamily.of([0, -1], []).info()
+    assert vanishing.exceptional_polynomial.is_zero and vanishing.exceptional_set is None
 
 
 def test_hall_lang_validation():
@@ -375,6 +377,42 @@ def test_nphi_bound_agrees_with_a_decimal_reference_on_large_thresholds(k):
     # 128 against 129, and from 10^15 on it is 0.0
     fam = QuadraticFamily.of([0], [10 ** k, 1])
     assert fam.nphi_bound(HallLangConstants(1.0, 1.0, 1.0)).n_phi == _nphi_reference(fam, 1, 1, 1)
+
+
+# On x^2 + t with kappa1 = kappa2 = 1: for each n from 31 to 60, the least
+# float kappa3 at which the reference reaches n_phi = n, found by bisecting
+# kappa3 against it.  There 2*log2(M_phi) + 19 lies just above an integer,
+# and the float chain, rounded onto that integer, gave n - 1.
+_NPHI_BOUNDARIES = [
+    7.887287124228877, 13.261659823348072, 20.862170583690137, 31.61091598192853,
+    46.81193750261266, 68.30942829908945, 98.7114713404577, 141.70645293341127,
+    202.5105390161478, 288.5005022020549, 410.10867436752795, 582.0886007393423,
+    825.3049450702883, 1169.2647978139169, 1655.697486475809, 2343.617191963066,
+    3316.4825692868503, 4692.321980261365, 6638.052734908933, 9389.731556857962,
+    13281.193066153099, 18784.550710051157, 26567.47372864143, 37574.18901643754,
+    53140.03505361809, 75153.46562921032, 106285.15770357141, 150312.01885475588,
+    212575.40300347807, 300629.125305847,
+]
+
+
+@pytest.mark.parametrize("n, kappa3", zip(range(31, 61), _NPHI_BOUNDARIES))
+def test_nphi_bound_is_exact_at_rounding_boundaries(n, kappa3):
+    # n at the boundary, and n - 1 one float below it: no under-report, and
+    # the outward rounding adds no level either
+    for k3, want in ((kappa3, n), (math.nextafter(kappa3, 0.0), n - 1)):
+        rep = X2PT.nphi_bound(HallLangConstants(1.0, 1.0, k3))
+        assert rep.n_phi == want == _nphi_reference(X2PT, 1.0, 1.0, k3), k3
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.lists(st.integers(-50, 50), max_size=4),
+       c=st.lists(st.integers(-50, 50), max_size=4),
+       kappas=st.tuples(st.floats(2.0 ** -40, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 1e6)))
+@example(gamma=[0], c=[0, 1], kappas=(1.0, 1.0, 13.261659823348088))
+def test_nphi_bound_is_never_below_the_decimal_reference(gamma, c, kappas):
+    fam = QuadraticFamily.of(gamma, c)
+    assume(not fam.is_isotrivial)
+    assert fam.nphi_bound(HallLangConstants(*kappas)).n_phi >= _nphi_reference(fam, *kappas)
 
 
 def test_nphi_bound_refuses_a_threshold_that_leaves_the_float_range():

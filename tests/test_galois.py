@@ -37,8 +37,8 @@ from quadtower.orbit import CriticalOrbit, DigitBudgetError, critical_orbit, exa
 
 from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A
 
-X2P1 = SpecializedMap.make(1, 0, 1)
-X2P2 = SpecializedMap.make(2, 0, 2)
+X2P1 = SpecializedMap(1, 0, 1)
+X2P2 = SpecializedMap(2, 0, 2)
 
 
 def test_stability_scan_examples():
@@ -48,7 +48,7 @@ def test_stability_scan_examples():
     assert rep.verdict == "NoSquareUpTo(6)"
     assert rep.squares_found == ()
 
-    rep = stability_scan(SpecializedMap.make(-9, 0, -9), 1)  # x^2 - 9
+    rep = stability_scan(SpecializedMap(-9, 0, -9), 1)  # x^2 - 9
     assert rep.verdict == "SquareFoundAt(1)"
     assert rep.squares_found == ((1, 3),)
 
@@ -69,7 +69,7 @@ def _binary_rescan(m, depth):
 
 
 def test_stability_scan_negative_start():
-    m = SpecializedMap.make(-16, 0, -16)  # x^2 - 16
+    m = SpecializedMap(-16, 0, -16)  # x^2 - 16
     rep = stability_scan(m, 6)
     assert rep.squares_found[0] == (1, 4)  # -c_a = 16
     assert rep.squares_found == _binary_rescan(m, 6)
@@ -77,12 +77,12 @@ def test_stability_scan_negative_start():
 
 @pytest.mark.parametrize("m, depth", [
     *((e.map(), 9) for e in ACCEPTANCE_MAPS),
-    (SpecializedMap.make(-1, 0, -1), 12),  # x^2 - 1: -1, 0, -1, 0, ...
-    (SpecializedMap.make(-9, 0, -9), 12),  # x^2 - 9
-    (SpecializedMap.make(-16, 0, -16), 12),  # x^2 - 16
-    (SpecializedMap.make(4, 2, -4), 12),  # (x - 2)^2 - 4: 0 is fixed
-    (SpecializedMap.make(0, 5, 5), 12),  # (x - 5)^2 + 5: bounded, stays at 5
-    (SpecializedMap.make(0, 3, 0), 12),  # (x - 3)^2: c_a = 0, every level a square
+    (SpecializedMap(-1, 0, -1), 12),  # x^2 - 1: -1, 0, -1, 0, ...
+    (SpecializedMap(-9, 0, -9), 12),  # x^2 - 9
+    (SpecializedMap(-16, 0, -16), 12),  # x^2 - 16
+    (SpecializedMap(4, 2, -4), 12),  # (x - 2)^2 - 4: 0 is fixed
+    (SpecializedMap(0, 5, 5), 12),  # (x - 5)^2 + 5: bounded, stays at 5
+    (SpecializedMap(0, 3, 0), 12),  # (x - 3)^2: c_a = 0, every level a square
     (QuadraticFamily.of([0, 1], [1, 1]).specialize(JONES_A), 9),  # a square at level 9
 ], ids=[e.name for e in ACCEPTANCE_MAPS] + [
     "x2-1", "x2-9", "x2-16", "shift-2-minus-4", "shift-5-plus-5", "shift-3-square", "jones"])
@@ -115,7 +115,7 @@ def test_square_root_matches_isqrt_of_the_exact_adjusted_value():
     squares = 0
     for g in range(-4, 5):
         for c in range(-8, 9):
-            m = SpecializedMap.make(0, g, c)
+            m = SpecializedMap(0, g, c)
             crit = critical_orbit(m, 10)
             for n, a in enumerate((-c,) + crit.values[1:], start=1):
                 root = crit.square_root(n)
@@ -137,7 +137,7 @@ def test_stability_square_test_takes_no_decimal_root(monkeypatch):
 
     # the package attribute quadtower.orbit is the orbit function, not the module
     monkeypatch.setattr(importlib.import_module("quadtower.orbit"), "decimal_isqrt", no_root)
-    report = stability_scan(SpecializedMap.make(0, 3, 0), 22, max_bits=4194304)
+    report = stability_scan(SpecializedMap(0, 3, 0), 22, max_bits=4194304)
     assert [n for n, _ in report.squares_found] == list(range(1, 23))
 
 
@@ -155,12 +155,12 @@ def test_discriminant_recurrence_x2p1():
 def test_discriminant_recurrence_matches_direct_random():
     rng = random.Random(401)
     for _ in range(20):
-        m = SpecializedMap.make(0, rng.randint(-50, 50), rng.randint(-50, 50) )
+        m = SpecializedMap(0, rng.randint(-50, 50), rng.randint(-50, 50) )
         phi = m.phi_polynomial()
         crit = critical_orbit(m, 2)
         assert discriminant_recurrence(crit, 2) == abs(discriminant_direct(phi.compose(phi)))
     for _ in range(5):
-        m = SpecializedMap.make(0, rng.randint(-20, 20), rng.randint(-20, 20))
+        m = SpecializedMap(0, rng.randint(-20, 20), rng.randint(-20, 20))
         phi = m.phi_polynomial()
         phi3 = phi.compose(phi).compose(phi)
         assert discriminant_recurrence(critical_orbit(m, 3), 3) == abs(discriminant_direct(phi3))
@@ -178,27 +178,27 @@ def test_certify_level_examples():
     assert cert.witness == "1"
 
     # x^2 - 9 = (x - 3)(x + 3): -c_a = 9 is the square of the witness
-    cert = certify_tower(SpecializedMap.make(-9, 0, -9), 1, 1).certificates[0]
+    cert = certify_tower(SpecializedMap(-9, 0, -9), 1, 1).certificates[0]
     assert cert.status == FAILED_SQUARE_OVER_Q
     assert cert.witness == "3"
 
     # x^2 + 9: -9 is no square, but the odd part 9 of c_a is, so nothing proved
-    cert = certify_tower(SpecializedMap.make(9, 0, 9), 1, 1).certificates[0]
+    cert = certify_tower(SpecializedMap(9, 0, 9), 1, 1).certificates[0]
     assert cert.status == UNKNOWN
     assert cert.witness == "9"
 
     # x^2 - 12: odd part 3 of c_a is a non-square, so -c_a = 12 is one too
-    cert = certify_tower(SpecializedMap.make(-12, 0, -12), 1, 1).certificates[0]
+    cert = certify_tower(SpecializedMap(-12, 0, -12), 1, 1).certificates[0]
     assert cert.status == CERTIFIED_MAXIMAL
     assert cert.witness == "3"
 
     # c_a = 0: x^2 is reducible, witness 0
-    cert = certify_tower(SpecializedMap.make(0, 0, 0), 1, 1).certificates[0]
+    cert = certify_tower(SpecializedMap(0, 0, 0), 1, 1).certificates[0]
     assert cert.status == FAILED_SQUARE_OVER_Q
     assert cert.witness == "0"
 
     # 2^k times a square: nothing survives stripping
-    m = SpecializedMap.make(0, 0, 8)
+    m = SpecializedMap(0, 0, 8)
     cert = certify_tower(m, 1, 1).certificates[0]
     assert cert.status == UNKNOWN
     assert cert.witness == "1"
@@ -219,7 +219,7 @@ def test_certify_tower_x2p1():
 
 
 def test_certify_tower_v_zero_degenerate():
-    m = SpecializedMap.make(0, 5, 5)  # constant critical orbit at 5
+    m = SpecializedMap(0, 5, 5)  # constant critical orbit at 5
     report = certify_tower(m, 1, 5)
     assert report.certificates[0].status == CERTIFIED_MAXIMAL  # value 5 itself
     assert all(c.status == UNKNOWN for c in report.certificates[1:])
@@ -273,7 +273,7 @@ def test_certificates_against_sympy_galois_groups():
     checked = {CERTIFIED_MAXIMAL: 0, FAILED_SQUARE_OVER_Q: 0}
     for gamma in range(-2, 3):
         for c in range(-20, 21):
-            m = SpecializedMap.make(0, gamma, c)
+            m = SpecializedMap(0, gamma, c)
             level1, level2 = certify_tower(m, 1, 2).certificates
             phi = sympy.Poly((x - gamma) ** 2 + c, x)
             assert (level1.status == FAILED_SQUARE_OVER_Q) == (not phi.is_irreducible), (gamma, c)
@@ -392,7 +392,7 @@ def test_rigid_gcd_matches_gcd_of_exact_values(gamma, c):
     # gcd needs first; a fresh reader, readers shared in both orders and one
     # with both orbits exact to level 12 cover every mix of exact and reduced
     # values
-    m = SpecializedMap.make(0, gamma, c)
+    m = SpecializedMap(0, gamma, c)
     values = critical_orbit(m, 12).values
     pairs = [(n, k) for n in range(2, 13) for k in range(1, n) if values[k - 1]]
     exact = CriticalOrbit(m)
@@ -439,7 +439,7 @@ def test_certificates_without_the_square_filter_primes(monkeypatch):
     # with no filter primes, every value that passes mod 64 goes to the
     # exact square root; no certificate may change
     maps = [e.map() for e in ACCEPTANCE_MAPS] + [
-        SpecializedMap.make(0, 0, c) for c in (-9, -1, 0, 9, -12, 8, -16)
+        SpecializedMap(0, 0, c) for c in (-9, -1, 0, 9, -12, 8, -16)
     ]
     before = [certify_tower(m, 1, 12) for m in maps]
     monkeypatch.setattr(bigpoly_mod, "_SQUARE_FILTER_PRIMES", ())
@@ -486,7 +486,7 @@ def test_residues_step_a_negative_value_as_it_is(monkeypatch):
     # v_1 = -s^2 is negative: reduced first, it would be a residue as wide
     # as each saturation modulus of v_2's cofactor (80,008 bits here)
     s = 2 ** 5000 - 12345
-    m = SpecializedMap.make(0, 0, -s * s)
+    m = SpecializedMap(0, 0, -s * s)
     apply_mod = SpecializedMap.apply_mod
     widths = []
 
@@ -505,7 +505,7 @@ def test_bounded_critical_orbit_builds_no_big_value_while_0_escapes(monkeypatch,
     # c - gamma in {0, -2} keeps the critical orbit bounded while the orbit
     # of 0 escapes; at level 64 the rigid gcds must read the small exact v_k,
     # never w_j for j near 32, which has about 2^j digits
-    m = SpecializedMap.make(0, gamma, c)
+    m = SpecializedMap(0, gamma, c)
     apply = SpecializedMap.apply
 
     def capped_apply(self, x):
@@ -543,7 +543,7 @@ def test_curve_model_x2p1_level4():
 
 
 def test_curve_model_singular():
-    m = SpecializedMap.make(0, 0, 0)
+    m = SpecializedMap(0, 0, 0)
     dec = SquareFreeDecomposition(e=0, d=1, y=1)
     with pytest.raises(SingularModelError):
         curve_model(m, 1, dec, genus=1)
@@ -565,7 +565,7 @@ def test_forced_point_boundary_level_two():
 
 def test_forced_point_with_negative_level_value():
     # (x+2)^2 - 3 has critical values -3, -2, -3, -2, ... so d < 0 throughout
-    m = SpecializedMap.make(0, -2, -3)
+    m = SpecializedMap(0, -2, -3)
     values = critical_orbit(m, 3).values
     assert values == (-3, -2, -3)
     dec = squarefree_decompose(values[2])
@@ -650,7 +650,7 @@ def test_certify_tower_never_refutes_a_map_stoll_proves_maximal():
     maps = [a for a in range(-400, 401) if _stoll_maximal(a)]
     assert len(maps) == 290
     statuses = [cert.status for a in maps
-                for cert in certify_tower(SpecializedMap.make(a, 0, a), 1, 10).certificates]
+                for cert in certify_tower(SpecializedMap(a, 0, a), 1, 10).certificates]
     assert len(statuses) == 2900
     assert FAILED_SQUARE_OVER_Q not in statuses
     assert statuses.count(UNKNOWN) <= 31

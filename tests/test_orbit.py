@@ -5,21 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtower.family import QuadraticFamily, SpecializedMap
-from quadtower.orbit import (
-    DigitBudgetError,
-    PostCriticallyFiniteError,
-    canonical_height,
-    check_ingram_lower_bound,
-    critical_orbit,
-    is_postcritically_finite,
-    orbit,
-    sigma_orbit_identity,
-)
+from quadtower.bigpoly import height_int
+from quadtower.orbit import DigitBudgetError, canonical_height, critical_orbit, orbit
 
 from conftest import CORPUS, JONES_A
 
-FERMAT = SpecializedMap.make(0, 1, 1)       # (x-1)^2 + 1
-X2P1 = SpecializedMap.make(1, 0, 1)         # x^2 + 1
+FERMAT = SpecializedMap(0, 1, 1)       # (x-1)^2 + 1
+X2P1 = SpecializedMap(1, 0, 1)         # x^2 + 1
 
 
 def test_orbit_fermat_numbers():
@@ -29,7 +21,7 @@ def test_orbit_fermat_numbers():
 
 
 def test_orbit_fixed_point():
-    m = SpecializedMap.make(0, 0, 0)  # x^2
+    m = SpecializedMap(0, 0, 0)  # x^2
     assert orbit(m, 1, 10).values == (1,) * 11
 
 
@@ -60,13 +52,13 @@ def test_critical_orbit_x2p1():
 
 
 def test_critical_orbit_constant_when_v_zero():
-    m = SpecializedMap.make(5, 5, 5)  # gamma = c = t at a = 5
+    m = SpecializedMap(5, 5, 5)  # gamma = c = t at a = 5
     crit = critical_orbit(m, 5)
     assert crit.values == (5,) * 5
 
 
 def test_critical_orbit_condition_one_failure():
-    m = SpecializedMap.make(0, 0, 0)
+    m = SpecializedMap(0, 0, 0)
     crit = critical_orbit(m, 3)
     assert not crit.condition_one_holds
 
@@ -81,12 +73,21 @@ def test_critical_orbit_jones_fixture():
         assert cur == prev * prev + 1
 
 
+def _assert_sigma_orbit_identity(m, depth, max_bits=1 << 20):
+    # sigma_a^n(0) == phi_a^n(gamma_a) - gamma_a for n <= depth, each side
+    # computed on its own: sigma's by apply_sigma, phi's by critical_orbit
+    sig = 0
+    for n, phi in enumerate(critical_orbit(m, depth, max_bits).values, start=1):
+        sig = m.apply_sigma(sig)
+        assert sig == phi - m.gamma_a, (m, n)
+
+
 def test_sigma_orbit_identity_examples():
-    assert sigma_orbit_identity(X2P1, 6)  # gamma_a = 0: trivially exact
+    _assert_sigma_orbit_identity(X2P1, 6)  # gamma_a = 0: trivially exact
     m = QuadraticFamily.of([0, 1], [1, 0, 1]).specialize(3)
-    assert sigma_orbit_identity(m, 6)
+    _assert_sigma_orbit_identity(m, 6)
     jones = QuadraticFamily.of([0, 1], [1, 1]).specialize(JONES_A)
-    assert sigma_orbit_identity(jones, 5)
+    _assert_sigma_orbit_identity(jones, 5)
 
 
 def test_sigma_orbit_identity_random():
@@ -97,14 +98,7 @@ def test_sigma_orbit_identity_random():
             [rng.randint(-20, 20) for _ in range(rng.randrange(1, 4))],
         )
         m = fam.specialize(rng.randint(-30, 30))
-        assert sigma_orbit_identity(m, 8, max_bits=1 << 20)
-
-
-def test_is_postcritically_finite():
-    assert is_postcritically_finite(SpecializedMap.make(0, 0, -1))
-    assert is_postcritically_finite(SpecializedMap.make(0, 0, -2))
-    assert is_postcritically_finite(SpecializedMap.make(0, 0, 0))
-    assert not is_postcritically_finite(X2P1)
+        _assert_sigma_orbit_identity(m, 8)
 
 
 def test_pcf_matches_orbit_repetition():
@@ -122,7 +116,7 @@ def test_pcf_matches_orbit_repetition():
 def test_growth_law_bit_doubling():
     for entry in CORPUS:
         m = entry.map()
-        if is_postcritically_finite(m):
+        if m.v_a in (0, -1, -2):  # post-critically finite
             continue
         values = critical_orbit(m, 12).values
         for prev, cur in zip(values, values[1:]):
@@ -132,10 +126,10 @@ def test_growth_law_bit_doubling():
 
 
 def test_canonical_height_periodic_points():
-    assert canonical_height(SpecializedMap.make(0, 0, 0), 0, 1e-6) == 0.0
-    assert canonical_height(SpecializedMap.make(0, 1, 0), 0, 1e-6) == 0.0  # v=-1
+    assert canonical_height(SpecializedMap(0, 0, 0), 0, 1e-6) == 0.0
+    assert canonical_height(SpecializedMap(0, 1, 0), 0, 1e-6) == 0.0  # v=-1
     # v = -1: orbit of 0 is 0 -> -1 -> 0, heights all zero
-    m = SpecializedMap.make(0, 1, 0)
+    m = SpecializedMap(0, 1, 0)
     assert m.v_a == -1
     assert canonical_height(m, 0, 1e-4) == 0.0
 
@@ -154,8 +148,8 @@ def test_canonical_height_halving():
     for _ in range(20):
         v = rng.choice([1, 2, 3, 5, -3, -4, 7])
         x = rng.randint(-8, 8)
-        m = SpecializedMap.make(0, 0, v)
-        if is_postcritically_finite(m):
+        m = SpecializedMap(0, 0, v)
+        if m.v_a in (0, -1, -2):  # post-critically finite
             continue
         hx = canonical_height(m, x, eps)
         hfx = canonical_height(m, m.apply_sigma(x), eps)
@@ -175,7 +169,8 @@ def test_canonical_height_rejects_bad_eps():
 
 
 def test_check_ingram_lower_bound():
-    assert check_ingram_lower_bound(X2P1)
-    assert check_ingram_lower_bound(SpecializedMap.make(0, 0, 10 ** 6))
-    with pytest.raises(PostCriticallyFiniteError):
-        check_ingram_lower_bound(SpecializedMap.make(0, 1, 0))
+    # Ingram's floor h_hat(0) >= max(h(v_a), 1) / 32 for a wandering critical
+    # orbit, read from an estimate within eps, so only a genuine violation fails
+    eps = 1 / 32
+    for m in (X2P1, SpecializedMap(0, 0, 10 ** 6)):
+        assert canonical_height(m, 0, eps) + eps >= max(height_int(m.v_a), 1.0) / 32

@@ -41,6 +41,6 @@ def test_readme_library_tour_prints_what_its_comments_say():
         value = eval(compile(ast.Expression(node.value), str(README), "eval"), namespace)
         assert value == claimed[0], expr
         checked.append(expr)
-    # fam.m_phi(), fam.exceptional_set(), the info fields, n_phi, the
+    # fam.m_phi(), the info fields m_phi, threshold and F_phi, n_phi, the
     # critical orbit, the stability verdict and the stripped witness
     assert len(checked) == 7, checked

@@ -34,7 +34,7 @@ from quadtower.galois import (
 
 
 def _x2p1():
-    return SpecializedMap.make(1, 0, 1)
+    return SpecializedMap(1, 0, 1)
 
 
 def _bounds():
