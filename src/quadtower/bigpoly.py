@@ -403,10 +403,15 @@ def is_perfect_square(n: int) -> int | None:
 
 # -- decimal text ------------------------------------------------------------
 #
-# Integers become text through decimal_str and text becomes integers through
-# parse_int, nowhere else.  CPython before 3.12 converts between the two in
-# quadratic time, and 3.11+ (3.10.7+) refuses either way past 4,300 digits
-# unless a process-wide limit is lifted; both split big values instead.
+# Integers become Decimals through _to_decimal and text through decimal_str,
+# which prints one; text becomes integers through parse_int.  Nothing else
+# converts a value that can be large.  CPython before 3.12 converts ints to
+# and from text in quadratic time, and 3.11+ (3.10.7+) refuses either way
+# past 4,300 digits unless a process-wide limit is lifted; decimal.Decimal(int)
+# is quadratic too (2.1 s against _to_decimal's 0.13 s at 1 Mbit, Python
+# 3.11.7, 2 vCPUs).  All three split big values instead.  No root is taken in
+# decimal: a Decimal that may be a square is read back with parse_int, and
+# is_perfect_square decides it.
 
 # Pieces at most this wide convert directly with Decimal(int).
 _DECIMAL_LEAF_BITS = 1024
@@ -525,19 +530,6 @@ def decimal_product(*factors: decimal.Decimal) -> decimal.Decimal:
 def decimal_difference(x: decimal.Decimal, n: int) -> decimal.Decimal:
     """x - n, exactly, for an integer Decimal x and an int n."""
     return _EXACT.subtract(x, _to_decimal(n))
-
-
-def decimal_isqrt(x: decimal.Decimal) -> decimal.Decimal | None:
-    """The square root of the integer Decimal x >= 0 when x is a perfect
-    square, else None.
-
-    The root is taken to a few digits more than half of x's, so a square's
-    root comes out exact; squaring it back decides.
-    """
-    ctx = decimal.Context(prec=x.adjusted() // 2 + 3, Emax=decimal.MAX_EMAX,
-                          Emin=decimal.MIN_EMIN)
-    root = ctx.to_integral_value(ctx.sqrt(x))
-    return root if _EXACT.multiply(root, root) == x else None
 
 
 def decimal_quotient(x: decimal.Decimal, q: int) -> decimal.Decimal:

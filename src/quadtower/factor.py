@@ -286,24 +286,25 @@ def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int)
 def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
     """x(k*P) = (X:Z) mod n for k >= 1 from the affine x(P) = x by the
     Montgomery ladder, which keeps the pair (j*P, (j + 1)*P) = (x0:z0),
-    (x1:z1) so that each addition knows its difference P = (x:1)."""
-    s, d = (x + 1) ** 2 % n, (x - 1) ** 2 % n
-    t = s - d
-    x0, z0, x1, z1 = x, 1, s * d % n, t * (d + a24 * t) % n
+    (x1:z1) so that each addition knows its difference P = (x:1).  A 0 bit
+    doubles the first point and adds; a 1 bit does the same with the pair
+    swapped before and after, so each bit costs one _xdbl and one _xadd,
+    written out here."""
+    x0, z0 = x, 1
+    x1, z1 = _xdbl((x, 1), a24, n)
     for bit in bin(k)[3:]:
-        # sum: u, v as in _xadd; double: s, d as in _xdbl, of the point
-        # the bit says to double
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        # _xadd of the pair, whose difference is (x:1)
         u = (x0 - z0) * (x1 + z1) % n
         v = (x0 + z0) * (x1 - z1) % n
-        xs, zs = (u + v) ** 2 % n, x * ((u - v) ** 2 % n) % n
+        x1, z1 = (u + v) ** 2 % n, x * ((u - v) ** 2 % n) % n
+        # _xdbl of the first point
+        s, d = (x0 + z0) ** 2 % n, (x0 - z0) ** 2 % n
+        t = s - d
+        x0, z0 = s * d % n, t * (d + a24 * t) % n
         if bit == "1":
-            s, d = (x1 + z1) ** 2 % n, (x1 - z1) ** 2 % n
-            t = s - d
-            x0, z0, x1, z1 = xs, zs, s * d % n, t * (d + a24 * t) % n
-        else:
-            s, d = (x0 + z0) ** 2 % n, (x0 - z0) ** 2 % n
-            t = s - d
-            x0, z0, x1, z1 = s * d % n, t * (d + a24 * t) % n, xs, zs
+            x0, z0, x1, z1 = x1, z1, x0, z0
     return x0, z0
 
 

@@ -229,8 +229,9 @@ class IndexBound(NamedTuple):
         return [f"[Aut(T_inf) : G_inf] <= {decimal_str(self.value)}"]
 
 
-def _log_coeff_sum(p: IntPolynomial) -> float:
-    return math.log(max(1, sum(abs(c) for c in p.coeffs)))
+def _log_coeff_sum(p: IntPolynomial, ln=math.log):
+    """ln max(1, sum |coeffs of p|) by ln: math.log, or a log in decimal."""
+    return ln(max(1, sum(map(abs, p.coeffs))))
 
 
 class QuadraticFamily(FrozenSlots):
@@ -391,8 +392,7 @@ class QuadraticFamily(FrozenSlots):
         denom = D*log1p(1/threshold), all floats or all Decimals."""
         f, gamma = self.difference, self.gamma
         big_d, big_g, ln2 = f.degree, gamma.degree or 0, ln(2)
-        a3 = ln(max(1, sum(map(abs, gamma.coeffs))))
-        a4 = ln(max(1, sum(map(abs, f.coeffs))))
+        a3, a4 = _log_coeff_sum(gamma, ln), _log_coeff_sum(f, ln)
         x_min = ln(threshold + 1)
 
         def sup(slope, const):

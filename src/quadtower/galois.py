@@ -199,7 +199,6 @@ class CurveModel(NamedTuple):
     genus: int
     e: int
     d: int
-    c_a: int
 
     def equation(self) -> str:
         return f"Y^2 = {self.rhs.to_string(var='X')}"
@@ -401,7 +400,7 @@ def curve_model(
     rhs = IntPolynomial((-map.c_a, 1)) * map.phi_polynomial(genus) * ((1 << dec.e) * dec.d)
     if discriminant_direct(rhs) == 0:
         raise SingularModelError("right-hand side has a repeated root")
-    return CurveModel(rhs=rhs, level=n, genus=genus, e=dec.e, d=dec.d, c_a=map.c_a)
+    return CurveModel(rhs=rhs, level=n, genus=genus, e=dec.e, d=dec.d)
 
 
 def curve_report(

@@ -15,16 +15,15 @@ the critical orbit through one.
 
 from __future__ import annotations
 
-import decimal
 import json
 import math
 from fractions import Fraction
 from itertools import islice
 
 # DigitBudgetError is importable from here as well as from bigpoly
-from quadtower.bigpoly import (DEFAULT_MAX_BITS, DigitBudgetError, check_bits, decimal_bit_length,
-                               decimal_difference, decimal_isqrt, decimal_orbit, decimal_quotient,
-                               height_int, is_perfect_square, parse_int,
+from quadtower.bigpoly import (DEFAULT_MAX_BITS, DigitBudgetError, _to_decimal, check_bits,
+                               decimal_bit_length, decimal_difference, decimal_orbit,
+                               decimal_quotient, height_int, is_perfect_square, parse_int,
                                passes_square_filter, square_filter_modulus)
 from quadtower.family import SpecializedMap
 
@@ -37,8 +36,8 @@ class OrbitRows(list):
     DigitBudgetError.partial carries the values walked before the budget ran
     out as one."""
 
-    def __init__(self, first: int, values=()):
-        super().__init__(values)
+    def __init__(self, first: int):
+        super().__init__()
         self.first = first
 
     def to_json_dict(self) -> list[dict]:
@@ -137,7 +136,6 @@ class CriticalOrbit(Orbit):
     def __init__(self, map: SpecializedMap):
         super().__init__(map, map.gamma_a, first=1)
         self.w = [0]  # w_0, w_1, ...
-        self.square_modulus = square_filter_modulus()
 
     @property
     def first_zero(self) -> int | None:
@@ -194,7 +192,7 @@ class CriticalOrbit(Orbit):
                 return None
             a = parse_int(str(y)) ** 2 + c  # int(y) is quadratic in y's digits
         root = is_perfect_square(a)
-        return None if root is None else decimal.Decimal(root)
+        return None if root is None else _to_decimal(root)
 
     def _rigid_gcd(self, n: int, k: int) -> int:
         """gcd(v_n, v_k) for 1 <= k < n, where v_k is nonzero.
@@ -254,18 +252,20 @@ class CriticalOrbit(Orbit):
         v_k).  So R > 1 and not a square certify a square-free primitive
         prime divisor.  R is a square only if (v_n mod q * M) / q, its residue
         up to sign modulo M = square_filter_modulus(), passes the filter and
-        the exact root of R's decimal value squares back to it.
+        is_perfect_square finds a root of R, read back from its decimal text
+        by parse_int; almost no non-square gets that far.
         """
         x, q = self.rows[n - 1], self.cofactor(n)
         r = decimal_quotient(x.copy_abs(), q)
-        certified = False
+        text, certified = str(r), False
         if r > 1:
-            m = self.square_modulus
+            m = square_filter_modulus()
             residue = self.residue(n, q * m) // q
             if x < 0:
                 residue = -residue % m
-            certified = not passes_square_filter(residue) or decimal_isqrt(r) is None
-        return str(r), certified
+            certified = (not passes_square_filter(residue)
+                         or is_perfect_square(parse_int(text)) is None)
+        return text, certified
 
 
 def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> Orbit:

@@ -22,7 +22,6 @@ from quadtower.bigpoly import (
     _to_decimal,
     check_bits,
     decimal_bit_length,
-    decimal_isqrt,
     decimal_orbit,
     decimal_quotient,
     decimal_str,
@@ -430,14 +429,12 @@ def test_decimal_orbit_steps_the_orbit_exactly():
     values = _orbit(5, -7, -(3 ** 21000), 3)
     texts = [lift_int_limit(str, v) for v in values]
     assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == texts
-    # the orbit, quotients and square roots ignore the caller's context: at
-    # 5 digits each would otherwise round or come out wrong
+    # the orbit and quotients ignore the caller's context: at 5 digits each
+    # would otherwise round or come out wrong
     n = 3 ** 21000
     with localcontext(Context(prec=5)):
         assert [str(x) for _, x in zip(values, decimal_orbit(5, -7, values[0]))] == texts
         assert str(decimal_quotient(_to_decimal(n * 7 ** 100), 7 ** 100)) == lift_int_limit(str, n)
-        assert str(decimal_isqrt(_to_decimal(n * n))) == lift_int_limit(str, n)
-        assert decimal_isqrt(_to_decimal(n * n + 1)) is None
 
 
 def test_decimal_quotient_and_orbit_reject_a_non_divisor_and_a_non_orbit(monkeypatch):

@@ -371,6 +371,19 @@ def test_ecm_curve_matches_reference(p, q, sigma):
     assert factor_mod._ecm_curve(p * q, sigma) == _ecm_curve_reference(p * q, sigma)
 
 
+@pytest.mark.parametrize("bits", [130, 400, 800])
+def test_ladder_matches_the_reference_ladder(bits):
+    # the swapped ladder against the one written with both branches, on odd
+    # moduli; k = 1 takes no step, the B1 product is stage 1's
+    rng = random.Random(bits)
+    n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    ks = (1, 2, 3, factor_mod._ECM_D, factor_mod._prime_power_product(factor_mod._ECM_B1))
+    for _ in range(3):
+        x, a24 = rng.randrange(n), rng.randrange(n)
+        for k in ks:
+            assert factor_mod._ladder(k, x, a24, n) == _ladder_reference(k, (x, 1), a24, n)
+
+
 def test_ecm_curve_keeps_projective_giants_when_their_z_is_no_unit(monkeypatch):
     affine = factor_mod._affine_xs
     unnormalized = []

@@ -131,12 +131,20 @@ def test_square_root_matches_isqrt_of_the_exact_adjusted_value():
 
 def test_stability_square_test_takes_no_decimal_root(monkeypatch):
     # every level of (x - 3)^2 is a square; level 22 has about 2.6 million
-    # bits, whose decimal square root took seconds
-    def no_root(x):
-        raise AssertionError("the square test took a decimal square root")
+    # bits, whose exact root took seconds.  With c_a = 0 each root is
+    # |v_(n-1) - 3|, read off the walk: no int of more than 1,024 bits may
+    # have its root taken, and no text of more than 1,024 digits be read back
+    def refuse_large(f, size):
+        def check(value):
+            assert size(value) <= 1024, "the square test took an exact root of a large value"
+            return f(value)
+        return check
 
     # the package attribute quadtower.orbit is the orbit function, not the module
-    monkeypatch.setattr(importlib.import_module("quadtower.orbit"), "decimal_isqrt", no_root)
+    orbit_mod = importlib.import_module("quadtower.orbit")
+    monkeypatch.setattr(orbit_mod, "is_perfect_square",
+                        refuse_large(is_perfect_square, int.bit_length))
+    monkeypatch.setattr(orbit_mod, "parse_int", refuse_large(bigpoly_mod.parse_int, len))
     report = stability_scan(SpecializedMap(0, 3, 0), 22, max_bits=4194304)
     assert [n for n, _ in report.squares_found] == list(range(1, 23))
 
@@ -445,6 +453,18 @@ def test_certificates_without_the_square_filter_primes(monkeypatch):
     monkeypatch.setattr(bigpoly_mod, "_SQUARE_FILTER_PRIMES", ())
     assert bigpoly_mod.square_filter_modulus() == 64
     assert [certify_tower(m, 1, 12) for m in maps] == before
+
+
+def test_square_stripped_cofactor_above_640_digits():
+    # x^2 + c at a = c = -2s^2: v_1 = -2s^2 strips to R = s^2, 1,401 digits
+    # and a square, so level 1 stays Unknown; v_2 = c(c + 1) strips to
+    # 2s^2 - 1, which certifies level 2.  R's root is taken from its text by
+    # parse_int, which int() could not read under a 640-digit limit
+    s = 10 ** 700 + 3
+    c = -2 * s * s
+    level1, level2 = certify_tower(SpecializedMap(c, 0, c), 1, 2).certificates
+    assert (level1.status, level2.status) == (UNKNOWN, CERTIFIED_MAXIMAL)
+    assert level1.witness == decimal_str(s * s)
 
 
 @pytest.mark.parametrize("entry", [e for e in CORPUS if e.name in (

@@ -42,7 +42,7 @@ def _bounds():
 
 
 def _model():
-    return CurveModel(IntPolynomial([2, 0, 1]), 2, 1, 0, 1, 1)
+    return CurveModel(IntPolynomial([2, 0, 1]), 2, 1, 0, 1)
 
 
 def _cert():
@@ -51,7 +51,7 @@ def _cert():
 
 _X2P1 = "SpecializedMap(a=1, gamma_a=0, c_a=1)"
 _BOUNDS = "BoundConstants(a1=0.5, a2=1.5, a3=0.0, a4=0.75, b1=1.25, threshold=2)"
-_MODEL = "CurveModel(rhs=IntPolynomial(coeffs=(2, 0, 1)), level=2, genus=1, e=0, d=1, c_a=1)"
+_MODEL = "CurveModel(rhs=IntPolynomial(coeffs=(2, 0, 1)), level=2, genus=1, e=0, d=1)"
 _CERT = "MaximalityCertificate(level=1, status='Unknown', witness=None)"
 _FAMILY = "QuadraticFamily(gamma=IntPolynomial(coeffs=()), c=IntPolynomial(coeffs=(0, 1)))"
 
