@@ -534,12 +534,12 @@ def decimal_difference(x: decimal.Decimal, n: int) -> decimal.Decimal:
 
 def decimal_quotient(x: decimal.Decimal, q: int) -> decimal.Decimal:
     """x / q for an integer Decimal x and an int q > 0 that divides it,
-    exactly; ValueError when q does not divide x."""
+    exactly; ArithmeticError when q does not divide x."""
     if q == 1:
         return x
     quotient, rem = _EXACT.divmod(x, q)
     if rem:
-        raise ValueError(f"{decimal_str(q)} does not divide the value")
+        raise ArithmeticError(f"{decimal_str(q)} does not divide the value")
     return quotient
 
 
@@ -555,14 +555,14 @@ def decimal_orbit(gamma: int, c: int, start: int) -> Iterator[decimal.Decimal]:
     whose multiplication is subquadratic, so each level costs one decimal
     squaring instead of a base conversion.  The last 18 digits of every
     value are checked against the orbit stepped modulo 10^18, which ties the
-    decimal values back to the integers.  The next value is computed only
-    when it is asked for.
+    decimal values back to the integers, and a mismatch raises ArithmeticError.
+    The next value is computed only when it is asked for.
     """
     x, g, k = _to_decimal(start), _to_decimal(gamma), _to_decimal(c)
     r = start % _TAIL
     while True:
         if int(_EXACT.remainder(x, _TAIL)) % _TAIL != r:
-            raise ValueError("the decimal orbit disagrees with the orbit mod 10^18")
+            raise ArithmeticError("the decimal orbit disagrees with the orbit mod 10^18")
         yield x
         y = _EXACT.subtract(x, g)
         x = _EXACT.add(_EXACT.multiply(y, y), k)

@@ -1,8 +1,9 @@
 """Single-binary command-line interface.
 
-One subcommand per pipeline; each builds one report and prints its
-text_lines(), or with --format json (--json) its to_json_dict() as one JSON
-document, big integers as decimal strings.  Integer text crosses in bigpoly
+One subcommand per pipeline; each builds one report by one library call and
+prints its text_lines(), or with --format json its to_json_dict() as one JSON
+document, big integers as decimal strings; --json is --format json at its
+position, and the last of the two wins.  Integer text crosses in bigpoly
 alone: decimal_str out, parse_int in (integer flags, --checkpoints and
 coefficients), so no call changes the interpreter's int-to-str limit.  Two
 formats live in their reports instead: orbit --json prints JSON lines, one
@@ -29,11 +30,12 @@ above 2,048 bits (factor.MAX_FACTOR_BITS) is not factored, so curve,
 primitive-divisors --method exact and family-info stop there as incomplete
 factorizations.
 
-Each integer flag declares its accepted range beside it in GROUPS or
-COMMANDS, and `quadtower <command> -h` prints it.  A value outside it is a
-usage error, checked in one place before any work: "--flag must be in [lo,
-hi]", or "--flag must be >= lo" for a range without an upper end.  The
-library checks what depends on other flags: density --shards must still be
+Each integer flag declares its accepted range beside it in GROUPS or COMMANDS,
+and `quadtower <command> -h` prints it; a flag its command needs is marked
+required there.  One check after --config, before any work, makes each a usage
+error: a range first ("--flag must be in [lo, hi]" or "--flag must be >= lo"),
+then every missing flag in table order ("--gamma, --c, --a are required").
+The library checks what depends on other flags: density --shards must still be
 at most 10^4 (density.MAX_SHARDS) once it counts as at most X - 1.
 
 --config FILE reads a JSON object whose keys are the long flags without their
@@ -55,7 +57,7 @@ from typing import Callable, NamedTuple
 from quadtower.bigpoly import BudgetError, IntPolynomial, parse_int
 from quadtower.density import density_curve
 from quadtower.factor import DEFAULT_BUDGET, MAX_RHO_ITERS, MAX_TRIAL_BOUND, Budget
-from quadtower.family import HallLangConstants, IndexBound, QuadraticFamily, index_bound
+from quadtower.family import HallLangConstants, QuadraticFamily, index_bound
 from quadtower.galois import (
     certify_tower,
     curve_report,
@@ -112,21 +114,17 @@ def _budget(args: argparse.Namespace) -> Budget:
 
 
 def _family(args: argparse.Namespace) -> QuadraticFamily:
-    if args.gamma is None or args.c is None:
-        raise UsageError("--gamma and --c are required (flags or config)")
     return QuadraticFamily(_parse_poly(args.gamma, "gamma"), _parse_poly(args.c, "c"))
 
 
 def _map(args: argparse.Namespace):
-    if args.a is None:
-        raise UsageError("--a is required")
     return _family(args).specialize(args.a)
 
 
 def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     """One flag: argparse's names and keywords, plus for every type=int flag
     without choices a range: (lo, hi) with hi None for no upper end, or None
-    for no bound."""
+    for no bound; required=True marks a flag its command cannot run without."""
     return names, kwargs
 
 
@@ -138,11 +136,13 @@ def _range_text(lo: int, hi: int | None) -> str:
 GROUPS = {
     "common": (_flag("--config", help="JSON config file; explicit flags win"),
                _flag("--format", dest="fmt", choices=("text", "json", "csv"), default="text"),
-               _flag("--json", action="store_true", help="shorthand for --format json")),
-    "fam": (_flag("--gamma", help="gamma coefficients, low-to-high, e.g. '0,1'"),
-            _flag("--c", help="c coefficients, low-to-high")),
-    "spot": (_flag("--a", type=int, range=None, help="integer specialization point"),),
-    "start": (_flag("--b", type=int, range=None),),
+               _flag("--json", dest="fmt", action="store_const", const="json",
+                     help="shorthand for --format json")),
+    "fam": (_flag("--gamma", required=True, help="gamma coefficients, low-to-high, e.g. '0,1'"),
+            _flag("--c", required=True, help="c coefficients, low-to-high")),
+    "spot": (_flag("--a", type=int, range=None, required=True,
+                   help="integer specialization point"),),
+    "start": (_flag("--b", type=int, range=None, required=True),),
     # critical-orbit and stability start at level 1; orbit declares its own --depth from 0
     "depth": (_flag("--depth", type=int, range=(1, MAX_LEVEL), default=10),),
     "level": (_flag("--level", type=int, range=(1, MAX_LEVEL), default=1),),
@@ -161,7 +161,6 @@ class Command(NamedTuple):
     groups: tuple[str, ...]  # names of shared flag groups
     build: Callable[[argparse.Namespace], object]  # args -> report
     flags: tuple = ()  # the subcommand's own flags
-    required: tuple[str, ...] = ()  # flags checked before build runs
     formats: dict = {}  # format -> the report's lines in it, beside text and json
 
 
@@ -175,7 +174,7 @@ COMMANDS = {
         "orbit of b under phi_a", ("fam", "spot", "start", "bits"),
         lambda a: orbit(_map(a), a.b, a.depth, a.bits),
         flags=(_flag("--depth", type=int, range=(0, MAX_LEVEL), default=10),),
-        required=("b",), formats={"json": Orbit.json_lines}),
+        formats={"json": Orbit.json_lines}),
     "critical-orbit": Command(
         "critical values phi_a^n(gamma_a)", ("fam", "spot", "depth", "bits"),
         lambda a: critical_orbit(_map(a), a.depth, a.bits)),
@@ -215,16 +214,15 @@ COMMANDS = {
                _flag("--checkpoints"),
                _flag("--shards", type=int, range=(1, None), default=1),
                _flag("--threads", type=int, range=(1, None), default=1)),
-        required=("b",), formats={"csv": lambda curve: curve.to_csv().splitlines()}),
+        formats={"csv": lambda curve: curve.to_csv().splitlines()}),
     "nphi-bound": Command(
         "evaluate the conditional bound chain for given kappas", ("fam",),
         lambda a: _family(a).nphi_bound(HallLangConstants(a.kappa1, a.kappa2, a.kappa3)),
-        flags=tuple(_flag(f"--kappa{i}", type=float) for i in (1, 2, 3)),
-        required=("kappa1", "kappa2", "kappa3")),
+        flags=tuple(_flag(f"--kappa{i}", type=float, required=True) for i in (1, 2, 3))),
     "index-bound": Command(
         "the uniform index bound 2^(2^n - n - 1)", ("bits",),
-        lambda a: IndexBound(a.n, index_bound(a.n, a.bits)),
-        flags=(_flag("--n", type=int, range=(1, None)),), required=("n",)),
+        lambda a: index_bound(a.n, a.bits),
+        flags=(_flag("--n", type=int, range=(1, None), required=True),)),
 }
 
 
@@ -241,6 +239,7 @@ def _add_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParse
     for names, kwargs in flags:
         kwargs = dict(kwargs)
         bounds = kwargs.pop("range", None)
+        kwargs.pop("required", None)  # --config values arrive after parsing
         if bounds is not None:  # -h prints the range after the help text
             kwargs["help"] = "; ".join(filter(None, (kwargs.get("help"), _range_text(*bounds))))
         parser.add_argument(*names, **kwargs)
@@ -276,14 +275,20 @@ def _parse(argv) -> tuple[str, argparse.Namespace]:
     return called.command, args
 
 
-def _check_ranges(name: str, args: argparse.Namespace) -> None:
+def _check_flags(name: str, args: argparse.Namespace) -> None:
+    """Each declared range, then every missing required flag, in table order."""
+    missing = []
     for names, kwargs in _flags(name):
-        if kwargs.get("range") is None:
-            continue
-        lo, hi = kwargs["range"]
         value = getattr(args, kwargs.get("dest", names[0][2:].replace("-", "_")))
-        if value is not None and (value < lo or hi is not None and value > hi):
-            raise UsageError(f"{names[0]} must be {_range_text(lo, hi)}")
+        if value is None:
+            if kwargs.get("required"):
+                missing.append(names[0])
+        elif kwargs.get("range") is not None:
+            lo, hi = kwargs["range"]
+            if value < lo or hi is not None and value > hi:
+                raise UsageError(f"{names[0]} must be {_range_text(lo, hi)}")
+    if missing:
+        raise UsageError(f"{', '.join(missing)} {'is' if len(missing) == 1 else 'are'} required")
 
 
 def _config_argv(name: str, path: str) -> list[str]:
@@ -331,14 +336,9 @@ def main(argv=None) -> int:
     try:
         name, args = _parse(argv)
         command = COMMANDS[name]
-        if args.json:
-            args.fmt = "json"
         if args.fmt == "csv" and "csv" not in command.formats:
             raise UsageError("--format csv is only available for density")
-        _check_ranges(name, args)
-        if any(getattr(args, dest) is None for dest in command.required):
-            flags = ", ".join(f"--{name}" for name in command.required)
-            raise UsageError(f"{flags} {'is' if len(command.required) == 1 else 'are'} required")
+        _check_flags(name, args)
         report = command.build(args)
     except ValueError as err:
         print(f"quadtower: error: {err}", file=sys.stderr)

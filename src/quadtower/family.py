@@ -425,19 +425,18 @@ class QuadraticFamily(FrozenSlots):
             return 1 + max(6, math.ceil(2 * log_m_phi / ln2 + 19))
 
 
-def index_bound(n_phi: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    """Uniform index bound 2^(2^n_phi - n_phi - 1) as an exact big integer.
+def index_bound(n_phi: int, max_bits: int = DEFAULT_MAX_BITS) -> IndexBound:
+    """The IndexBound report of 2^(2^n_phi - n_phi - 1), an exact big integer.
 
-    The result needs 2^n_phi - n_phi >= 2^(n_phi - 1) bits; DigitBudgetError
+    The value needs 2^n_phi - n_phi >= 2^(n_phi - 1) bits; DigitBudgetError
     is raised before anything that size is built when that exceeds max_bits.
     """
     if n_phi < 1:
         raise ValueError("n_phi must be >= 1")
     if n_phi > max_bits.bit_length() + 1 or (1 << n_phi) - n_phi > max_bits:
-        raise DigitBudgetError(
-            f"index bound needs 2^{n_phi} - {n_phi} bits; budget is {max_bits}"
-        )
-    return 1 << ((1 << n_phi) - n_phi - 1)
+        n = decimal_str(n_phi)
+        raise DigitBudgetError(f"index bound needs 2^{n} - {n} bits; budget is {max_bits}")
+    return IndexBound(n_phi, 1 << ((1 << n_phi) - n_phi - 1))
 
 
 def _integer_roots(polys, budget: Budget) -> set[int]:

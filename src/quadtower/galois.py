@@ -316,7 +316,7 @@ def discriminant_report(
         raise ValueError("level must be >= 1")
     if direct and n > DIRECT_DISCRIMINANT_MAX_LEVEL:
         raise DigitBudgetError(
-            f"direct discriminant at level {n} is refused; "
+            f"direct discriminant at level {decimal_str(n)} is refused; "
             f"--direct goes up to level {DIRECT_DISCRIMINANT_MAX_LEVEL}"
         )
     # from level 2 on, 2^n > max_bits makes the factor 2^(2^n) alone outgrow

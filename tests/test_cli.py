@@ -663,6 +663,21 @@ def test_hundred_thousand_digit_values_need_no_lift_of_the_int_str_limit(capsys,
     assert proc.stdout == out
 
 
+@pytest.mark.parametrize("argv", [
+    ("index-bound", "--n", _HUGE),
+    ("discriminant", "--gamma", "0", "--c", "0,1", "--a", "1", "--level", _HUGE, "--direct"),
+], ids=["n", "level"])
+def test_hundred_thousand_digit_levels_are_budget_refusals(capsys, argv):
+    # the refusal names the level through decimal_str, so it is a budget
+    # error under any limit, not the interpreter's "Exceeds the limit"
+    refusal = '{\n  "error": "digit-budget-exceeded",\n  "partial": null\n}\n'
+    proc = run_subprocess(*argv)
+    code, out, err = run(capsys, *argv)
+    assert proc.returncode == code == 2, proc.stderr[-500:]
+    assert proc.stdout == out == refusal
+    assert proc.stderr == err and _HUGE in err
+
+
 @pytest.mark.slow
 def test_values_at_the_factoring_cap_keep_their_output():
     # level 12 of x^2 + 1 (1,206 bits) is factored as before the cap; the
@@ -772,10 +787,44 @@ def _cheap_argv(name):
     level."""
     if name == "index-bound":
         return [name, "--n", "3"]
-    point = [] if name == "family-info" else ["--a=-2"]
+    point = [] if name in ("family-info", "nphi-bound") else ["--a=-2"]
     extra = {"orbit": ["--b", "0"], "density": ["--b", "0", "--X", "100"],
-             "certify": ["--to", str(MAX_LEVEL)]}.get(name, [])
+             "certify": ["--to", str(MAX_LEVEL)],
+             "nphi-bound": ["--kappa1", "1", "--kappa2", "1", "--kappa3", "1"]}.get(name, [])
     return [name, "--gamma", "0", "--c", "0,1", *point, *extra]
+
+
+# the flags each command cannot run without, in table order
+REQUIRED = {
+    "family-info": ("--gamma", "--c"),
+    "orbit": ("--gamma", "--c", "--a", "--b"),
+    "critical-orbit": ("--gamma", "--c", "--a"),
+    "stability": ("--gamma", "--c", "--a"),
+    "certify": ("--gamma", "--c", "--a"),
+    "primitive-divisors": ("--gamma", "--c", "--a"),
+    "discriminant": ("--gamma", "--c", "--a"),
+    "curve": ("--gamma", "--c", "--a"),
+    "density": ("--gamma", "--c", "--a", "--b"),
+    "nphi-bound": ("--gamma", "--c", "--kappa1", "--kappa2", "--kappa3"),
+    "index-bound": ("--n",),
+}
+REQUIRED_FLAGS = [(name, flag) for name, flags in REQUIRED.items() for flag in flags]
+
+
+def test_the_table_marks_exactly_the_required_flags():
+    marked = {name: tuple(names[0] for names, kwargs in quadtower.cli._flags(name)
+                          if kwargs.get("required")) for name in COMMANDS}
+    assert marked == REQUIRED
+
+
+@pytest.mark.parametrize("name, flag", REQUIRED_FLAGS, ids=[f"{n}:{f}" for n, f in REQUIRED_FLAGS])
+def test_leaving_out_a_required_flag_exits_one(capsys, name, flag):
+    argv = _cheap_argv(name)
+    assert run(capsys, *argv)[0] == 0
+    # the flag is one token (--a=-2) or two (--n 3)
+    i = next(i for i, token in enumerate(argv) if token.split("=")[0] == flag)
+    rest = argv[:i] + argv[i + 1 + (argv[i] == flag):]
+    assert run(capsys, *rest) == (1, "", f"quadtower: error: {flag} is required\n")
 
 
 @pytest.mark.parametrize("name, flag, lo, hi", RANGED, ids=[f"{n}:{f}" for n, f, *_ in RANGED])
@@ -983,7 +1032,7 @@ def test_discriminant_direct_refusal_needs_a_map_first(capsys):
     # without a map the call is a usage error; with one, the level refusal
     # prints the budget error before any composing
     code, out, err = run(capsys, "discriminant", "--level", "12", "--direct")
-    assert (code, out, err) == (1, "", "quadtower: error: --a is required\n")
+    assert (code, out, err) == (1, "", "quadtower: error: --gamma, --c, --a are required\n")
     code, out, err = run(capsys, "discriminant", "--gamma", "0", "--c", "0,1", "--a", "1",
                          "--level", "12", "--direct")
     assert code == 2
