@@ -306,7 +306,7 @@ def _config_argv(name: str, path: str) -> list[str]:
             raise UsageError(f"config {path} is larger than {MAX_CONFIG_BYTES} bytes")
         # numbers stay as written, so argparse sees the file's own text
         raw = json.loads(data.decode("utf-8"), parse_int=str, parse_float=str)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")

@@ -116,7 +116,9 @@ class StabilityReport(NamedTuple):
     it is not a witness of instability.  No square up to depth N is a
     one-sided no-obstruction certificate, not a proof of stability.  Roots
     are the walk's exact Decimals, printed by str(); Decimal arithmetic rounds
-    to the thread's context (28 digits by default), so square int(root).
+    to the thread's context (28 digits by default), so square a root by
+    bigpoly.decimal_product(root, root) or parse_int(str(root)) ** 2: int()
+    of a Decimal is quadratic in its digits.
     """
 
     depth: int

@@ -6,7 +6,8 @@ DigitBudgetError carrying whatever was already computed.
 
 Every walked orbit is one Orbit: walked once in exact decimal arithmetic
 (bigpoly.decimal_orbit), which checks the budget and gives the printed rows,
-and stepped in ints only as far as exact values are read (exact_prefix).
+and stepped in ints only as far as exact values are read (Orbit.value) or
+read modulo m from the last exact one (Orbit.residue).
 orbit() walks the orbit of b from index 0.  The critical orbit is the Orbit
 of gamma_a read from index 1, a CriticalOrbit, which adds the square test
 and the stripped witnesses; critical_orbit and the verdicts of galois read
@@ -49,14 +50,6 @@ class OrbitRows(list):
         return (f"{r['n']}: {r['value']} ({r['bits']} bits)" for r in self.to_json_dict())
 
 
-def exact_prefix(map: SpecializedMap, orbit: list[int], k: int) -> list[int]:
-    """The list orbit of consecutive orbit values, extended in place by
-    stepping phi_a until it reaches index k."""
-    while len(orbit) <= k:
-        orbit.append(map.apply(orbit[-1]))
-    return orbit
-
-
 class Orbit:
     """The orbit phi_a^n(start), read from index first on: 0 for the orbit
     of b, 1 for the critical orbit.
@@ -64,7 +57,8 @@ class Orbit:
     walk(count, max_bits) steps the orbit once in exact decimal arithmetic
     (decimal_orbit) and keeps the count values from index first on as rows,
     an OrbitRows(first); an orbit is walked once.  value(k) and values build
-    exact ints from start (the exact prefix v) only when they are read.
+    exact ints from start (the exact prefix v) only when they are read, and
+    residue(k, m) steps modulo m from the last of them.
     """
 
     def __init__(self, map: SpecializedMap, start: int, first: int = 0):
@@ -88,14 +82,32 @@ class Orbit:
 
     def value(self, k: int) -> int:
         """phi_a^k(start), exactly; the values up to index k are kept."""
-        return exact_prefix(self.map, self.v, k)[k]
+        v = self.v
+        while len(v) <= k:
+            v.append(self.map.apply(v[-1]))
+        return v[k]
+
+    def residue(self, k: int, m: int) -> int:
+        """phi_a^k(start) mod m, stepped modulo m from the last exact value.
+        A negative last value above -m is stepped as it is: its residue
+        would be as wide as m before it is squared."""
+        v = self.v
+        if k < len(v):
+            return v[k] % m
+        x, steps = v[-1], k + 1 - len(v)
+        if -m < x < 0:
+            x, steps = self.map.apply(x) % m, steps - 1
+        for _ in range(steps):
+            x = self.map.apply_mod(x, m)
+        return x
 
     @property
     def values(self) -> tuple[int, ...]:
         """The walked values as ints."""
         first = self.rows.first
         last = first + len(self.rows) - 1
-        return tuple(exact_prefix(self.map, self.v, last)[first:last + 1])
+        self.value(last)
+        return tuple(self.v[first:last + 1])
 
     def text_lines(self):
         return self.rows.text_lines()
@@ -111,8 +123,8 @@ class CriticalOrbit(Orbit):
     verdicts of galois (certify_tower, stability_scan and both
     primitive-divisor routes) each walk their own.
 
-    Besides what every Orbit gives (rows, values, value(k)), the walked
-    orbit is read through:
+    Besides what every Orbit gives (rows, values, value(k), residue(n, m)),
+    the walked orbit is read through:
 
     - first_zero: the first walked level whose value is 0, read off rows;
     - condition_one_holds: whether v_1 and v_2 are nonzero, the
@@ -120,22 +132,20 @@ class CriticalOrbit(Orbit):
     - to_json_dict and text_lines: the rows and condition (1);
     - square_root(n): the root of the adjusted value a_n (-c_a at level 1,
       v_n above) when a_n is a square;
-    - residue(n, m): v_n mod m;
     - cofactor(n): the part q of v_n built from primes of lower values;
     - stripped_witness(n): the stripped cofactor R = |v_n| / q in decimal,
       and whether it certifies a primitive divisor.
 
-    Both orbits, v and the orbit w_j = phi_a^j(0) of 0, are kept as exact
-    prefixes from index 0 (v_0 = gamma_a, w_0 = 0), extended by exact_prefix
-    and read modulo m by _residue, which steps from the last exact value.
-    cofactor(n) makes v exact up to level n // 2 (at least 1), value(k) up
-    to level k, and the rigid gcds extend whichever orbit is smaller (see
-    _rigid_gcd).
+    The orbit w_j = phi_a^j(0) of 0 is the Orbit w, so both orbits keep
+    exact prefixes from index 0 (v_0 = gamma_a, w_0 = 0), grown by
+    Orbit.value and read modulo m by Orbit.residue.  cofactor(n) makes v
+    exact up to level n // 2 (at least 1), value(k) up to level k, and the
+    rigid gcds extend whichever orbit is smaller (see _rigid_gcd).
     """
 
     def __init__(self, map: SpecializedMap):
         super().__init__(map, map.gamma_a, first=1)
-        self.w = [0]  # w_0, w_1, ...
+        self.w = Orbit(map, 0)  # the orbit of 0, read by _rigid_gcd
 
     @property
     def first_zero(self) -> int | None:
@@ -154,23 +164,6 @@ class CriticalOrbit(Orbit):
     def text_lines(self):
         yield from super().text_lines()
         yield f"condition (1) holds: {self.condition_one_holds}"
-
-    def _residue(self, orbit: list[int], k: int, m: int) -> int:
-        """orbit[k] mod m, stepped modulo m from the last exact value.  A
-        negative last value above -m is stepped as it is: its residue would
-        be as wide as m before it is squared."""
-        if k < len(orbit):
-            return orbit[k] % m
-        x, steps = orbit[-1], k + 1 - len(orbit)
-        if -m < x < 0:
-            x, steps = self.map.apply(x) % m, steps - 1
-        for _ in range(steps):
-            x = self.map.apply_mod(x, m)
-        return x
-
-    def residue(self, n: int, m: int) -> int:
-        """v_n mod m."""
-        return self._residue(self.v, n, m)
 
     def square_root(self, n: int):
         """The square root, as a Decimal, of the adjusted value a_n (-c_a at
@@ -207,18 +200,17 @@ class CriticalOrbit(Orbit):
         bounded one when only one orbit escapes, and mostly w_j, below level
         n / 2, when both do.
         """
-        j = n - k
-        v, w = self.v, self.w
-        while k >= len(v) and j >= len(w):
-            smaller = v if abs(v[-1]) <= abs(w[-1]) else w
-            exact_prefix(self.map, smaller, len(smaller))
-        if k < len(v):
-            m = abs(v[k])
-            return math.gcd(m, self._residue(w, j, m))
-        if w[j] == 0:
+        j, w = n - k, self.w
+        while k >= len(self.v) and j >= len(w.v):
+            smaller = self if abs(self.v[-1]) <= abs(w.v[-1]) else w
+            smaller.value(len(smaller.v))
+        if k < len(self.v):
+            m = abs(self.v[k])
+            return math.gcd(m, w.residue(j, m))
+        if w.v[j] == 0:
             return abs(self.value(k))
-        m = abs(w[j])
-        return math.gcd(m, self._residue(v, k, m))
+        m = abs(w.v[j])
+        return math.gcd(m, self.residue(k, m))
 
     def cofactor(self, n: int) -> int:
         """q, the largest divisor of v_n != 0 built from the primes of

@@ -1059,6 +1059,14 @@ def _run_config(capsys, tmp_path, text, *argv):
         return exc.code, captured.out, captured.err
 
 
+def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "certify", "--gamma", "0", "--c", "0,1", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"quadtower: error: cannot read config {cfg}: ")
+
+
 def test_config_keys_are_the_long_flags(tmp_path, capsys):
     assert len(CONFIG_KEYS) == 25
     for key in CONFIG_KEYS:

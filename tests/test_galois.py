@@ -33,7 +33,7 @@ from quadtower.galois import (
     stability_scan,
     verify_forced_point,
 )
-from quadtower.orbit import CriticalOrbit, DigitBudgetError, critical_orbit, exact_prefix, orbit
+from quadtower.orbit import CriticalOrbit, DigitBudgetError, critical_orbit, orbit
 
 from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A
 
@@ -405,7 +405,7 @@ def test_rigid_gcd_matches_gcd_of_exact_values(gamma, c):
     pairs = [(n, k) for n in range(2, 13) for k in range(1, n) if values[k - 1]]
     exact = CriticalOrbit(m)
     exact.value(12)
-    exact_prefix(m, exact.w, 12)
+    exact.w.value(12)
     for order in (pairs, pairs[::-1]):
         shared = CriticalOrbit(m)
         for n, k in order:
@@ -567,6 +567,30 @@ def test_curve_model_singular():
     dec = SquareFreeDecomposition(e=0, d=1, y=1)
     with pytest.raises(SingularModelError):
         curve_model(m, 1, dec, genus=1)
+
+
+def _singular(m, genus, e, d):
+    try:
+        curve_model(m, genus + 1, SquareFreeDecomposition(e=e, d=d, y=1), genus)
+    except SingularModelError:
+        return True
+    return False
+
+
+def test_curve_model_is_singular_exactly_where_a_critical_value_is_0():
+    # (X - c_a) * phi_a^g(X) has a repeated root exactly when one of
+    # v_1..v_(g+1) is 0: phi_a^g has one where v_1 or (g = 2) v_2 is 0, and
+    # c_a is a root of it where v_(g+1) is.  So condition (1) is the genus-1
+    # verdict
+    for g, c in itertools.product(range(-8, 9), range(-20, 21)):
+        m = SpecializedMap(0, g, c)
+        values = critical_orbit(m, 3).values
+        for genus in (1, 2):
+            for e, d in ((0, 1), (1, -3), (0, 5)):
+                assert _singular(m, genus, e, d) == (0 in values[:genus + 1]), (g, c, genus, e, d)
+        assert critical_orbit(m, 2).condition_one_holds == (0 not in values[:2])
+    # the grid holds a map whose genus-2 model alone is singular
+    assert critical_orbit(SpecializedMap(0, -5, -4), 3).values == (-4, -3, 0)
 
 
 def test_forced_point_x2p1_level4():

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadtower.family import QuadraticFamily, SpecializedMap
 from quadtower.bigpoly import height_int
-from quadtower.orbit import DigitBudgetError, canonical_height, critical_orbit, orbit
+from quadtower.orbit import (CriticalOrbit, DigitBudgetError, Orbit, canonical_height,
+                             critical_orbit, orbit)
 
 from conftest import CORPUS, JONES_A
 
@@ -43,6 +44,31 @@ def test_critical_orbit_is_the_orbit_of_gamma_from_index_1(entry, depth):
     assert crit.rows.first == 1
     assert crit.rows == whole.rows[1:]
     assert crit.values == whole.values[1:]
+
+
+def _reader(entry, which, b):
+    """A fresh orbit of entry's map: the orbit of b, the critical orbit or
+    its orbit w of 0."""
+    crit = CriticalOrbit(entry.map())
+    return {"b": Orbit(crit.map, b), "critical": crit, "w": crit.w}[which]
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(CORPUS), which=st.sampled_from(["b", "critical", "w"]),
+       b=st.integers(-3, 3), j=st.integers(0, 12), k=st.integers(0, 12),
+       kind=st.sampled_from(["small", "2^64+13", "value", "last"]),
+       small=st.integers(1, 50), delta=st.integers(-1, 1))
+# x^2 - 16: the exact prefix ends at v_1 = -16, stepped as it is mod 17
+@example(entry=CORPUS[3], which="critical", b=0, j=1, k=6, kind="last", small=1, delta=1)
+def test_residue_is_the_exact_value_mod_m(entry, which, b, j, k, kind, small, delta):
+    # residue(k, m) steps from the last exact value, index j here
+    reader = _reader(entry, which, b)
+    reader.value(j)
+    value = _reader(entry, which, b).value(k)
+    last = reader.v[-1]
+    m = {"small": small, "2^64+13": 2 ** 64 + 13,
+         "value": max(1, abs(value) + delta), "last": max(1, abs(last) + delta)}[kind]
+    assert reader.residue(k, m) == value % m
 
 
 def test_critical_orbit_x2p1():
