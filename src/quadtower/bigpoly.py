@@ -547,18 +547,18 @@ def decimal_quotient(x: decimal.Decimal, q: int) -> decimal.Decimal:
 _TAIL = 10 ** 18
 
 
-def decimal_orbit(gamma: int, c: int, start: int) -> Iterator[decimal.Decimal]:
-    """start, phi(start), phi^2(start), ... for phi(x) = (x - gamma)^2 + c,
-    as exact integer decimal.Decimal values.
+def decimal_orbit(map, start: int) -> Iterator[decimal.Decimal]:
+    """start, phi(start), phi^2(start), ... for phi(x) = (x - gamma_a)^2 + c_a
+    of map, a family.SpecializedMap, as exact integer decimal.Decimal values.
 
     start is converted once and the orbit is stepped in decimal arithmetic,
     whose multiplication is subquadratic, so each level costs one decimal
     squaring instead of a base conversion.  The last 18 digits of every
-    value are checked against the orbit stepped modulo 10^18, which ties the
-    decimal values back to the integers, and a mismatch raises ArithmeticError.
-    The next value is computed only when it is asked for.
+    value are checked against the orbit stepped modulo 10^18 (map.apply_mod),
+    which ties the decimal values back to the integers, and a mismatch raises
+    ArithmeticError.  The next value is computed only when it is asked for.
     """
-    x, g, k = _to_decimal(start), _to_decimal(gamma), _to_decimal(c)
+    x, g, k = _to_decimal(start), _to_decimal(map.gamma_a), _to_decimal(map.c_a)
     r = start % _TAIL
     while True:
         if int(_EXACT.remainder(x, _TAIL)) % _TAIL != r:
@@ -566,5 +566,4 @@ def decimal_orbit(gamma: int, c: int, start: int) -> Iterator[decimal.Decimal]:
         yield x
         y = _EXACT.subtract(x, g)
         x = _EXACT.add(_EXACT.multiply(y, y), k)
-        r = (((r - gamma) % _TAIL) ** 2 + c) % _TAIL
-
+        r = map.apply_mod(r, _TAIL)

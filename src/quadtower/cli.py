@@ -6,7 +6,7 @@ document, big integers as decimal strings; --json is --format json at its
 position, and the last of the two wins.  Integer text crosses in bigpoly
 alone: decimal_str out, parse_int in (integer flags, --checkpoints and
 coefficients), so no call changes the interpreter's int-to-str limit.  Two
-formats live in their reports instead: orbit --json prints JSON lines, one
+commands render a format of their own: orbit --json prints JSON lines, one
 {"n", "value", "bits"} per orbit value, and density --format csv prints CSV.
 density --shards above X - 1 counts as X - 1.
 
@@ -66,7 +66,7 @@ from quadtower.galois import (
     primitive_divisor_exact,
     stability_scan,
 )
-from quadtower.orbit import DEFAULT_MAX_BITS, Orbit, critical_orbit, orbit
+from quadtower.orbit import DEFAULT_MAX_BITS, critical_orbit, orbit
 
 
 class UsageError(ValueError):
@@ -172,9 +172,9 @@ COMMANDS = {
         lambda a: _family(a).info(_budget(a))),
     "orbit": Command(
         "orbit of b under phi_a", ("fam", "spot", "start", "bits"),
-        lambda a: orbit(_map(a), a.b, a.depth, a.bits),
+        lambda a: orbit(_map(a), a.b, a.depth, a.bits).rows,
         flags=(_flag("--depth", type=int, range=(0, MAX_LEVEL), default=10),),
-        formats={"json": Orbit.json_lines}),
+        formats={"json": lambda rows: map(json.dumps, rows.to_json_dict())}),
     "critical-orbit": Command(
         "critical values phi_a^n(gamma_a)", ("fam", "spot", "depth", "bits"),
         lambda a: critical_orbit(_map(a), a.depth, a.bits)),

@@ -11,12 +11,12 @@ Square-free primitive prime divisors come two ways: exactly, by factoring
 the level value (primitive_divisor_exact), or without factoring, from its
 stripped cofactor (primitive_divisor_certificate).
 
-stability_scan, certify_tower and both primitive-divisor routes each walk
-one orbit.CriticalOrbit first and then read it: one exact square test of the
-adjusted value and one stripped witness per level; the exact route factors
-the orbit's exact level value and tests lower levels by residues.  The
-discriminant and curve pipelines read the CriticalOrbit that critical_orbit
-walks: its decimal values, and exact ints only up to the curve's level.
+Every verdict reads one orbit.CriticalOrbit, walked once: certify_tower
+builds its own, to report the levels walked when the bit budget runs out,
+and stability_scan, both primitive-divisor routes and the discriminant and
+curve pipelines read the one critical_orbit walks.  They read one exact
+square test of the adjusted value and one stripped witness per level; the
+exact route and the curve factor the orbit's exact level value.
 """
 
 from __future__ import annotations
@@ -281,9 +281,9 @@ def stability_scan(
     """Square-test the adjusted critical orbit -c_a, phi_a^n(gamma_a) for
     n = 2..depth: level 1 is Q(sqrt(-c_a)), level n >= 2 adjoins
     sqrt(phi_a^n(gamma_a)) over level n - 1.  The orbit is walked once in
-    decimal (CriticalOrbit); a value over max_bits raises DigitBudgetError
+    decimal (critical_orbit); a value over max_bits raises DigitBudgetError
     carrying the critical values below it."""
-    orbit = CriticalOrbit(map).walk(depth, max_bits)
+    orbit = critical_orbit(map, depth, max_bits)
     roots = ((n, orbit.square_root(n)) for n in range(1, depth + 1))
     # a root Decimal('0') is a square too, so test for None, not truth
     return StabilityReport(depth, tuple((n, r) for n, r in roots if r is not None))
@@ -414,9 +414,11 @@ def curve_report(
     forced point checked on the genus-1 model from level 2 on, and the
     integral points with |X| <= search when search is nonzero."""
     crit = critical_orbit(map, n, max_bits)
+    if crit.rows[-1].is_zero():
+        raise ZeroInputError("level value is zero")
     dec = squarefree_decompose(crit.value(n), budget)
     model = curve_model(map, n, dec, genus)
-    verified = verify_forced_point(model, crit, n, dec) if genus == 1 and n >= 2 else None
+    verified = verify_forced_point(model, crit, dec) if genus == 1 and n >= 2 else None
     points = tuple(search_integral_points(model, search)) if search else None
     return CurveReport(model=model, forced_point_verified=verified, points=points)
 
@@ -424,14 +426,14 @@ def curve_report(
 def verify_forced_point(
     model: CurveModel,
     crit: CriticalOrbit,
-    n: int,
     dec: SquareFreeDecomposition,
 ) -> bool:
     """Substitute the forced integral point
     (phi^(n-1)(gamma), 2^e * d * y * (phi^(n-2)(gamma) - gamma)) into the
-    genus-1 model, reading the exact values from the critical orbit crit;
-    this is an algebraic identity of the whole pipeline and must come back
-    True for every n >= 2."""
+    genus-1 model of level n = model.level, reading the exact values from the
+    critical orbit crit; this is an algebraic identity of the whole pipeline
+    and must come back True for every n >= 2."""
+    n = model.level
     if model.genus != 1:
         raise ValueError("the forced point lives on the genus-1 model")
     if not 2 <= n <= len(crit.rows):
@@ -450,13 +452,13 @@ def primitive_divisor_exact(
     prime divisors: odd primes with odd valuation there and zero valuation
     at all lower levels.  2 is reported separately via two_primitive.
 
-    The critical orbit is walked once to level n (CriticalOrbit), which
+    The critical orbit is walked once to level n (critical_orbit), which
     decides the bit budget and the zero check.  A prime p is new at level n
     when v_k mod p is nonzero for every k < n, so a lower value 0 leaves no
     prime new.  A factorization the budget cannot finish raises
     IncompleteFactorizationError carrying it.
     """
-    orbit = CriticalOrbit(map).walk(n, max_bits)
+    orbit = critical_orbit(map, n, max_bits)
     if orbit.rows[-1].is_zero():
         raise ZeroInputError("level value is zero")
     fac = factorize(orbit.value(n), budget)
@@ -489,7 +491,7 @@ def primitive_divisor_certificate(
     """Certify a square-free primitive prime divisor at level n without
     factoring.
 
-    The critical orbit is walked once to level n (CriticalOrbit), which
+    The critical orbit is walked once to level n (critical_orbit), which
     decides the bit budget and the zero checks.  The status and the decimal
     text of R, the stripped cofactor of the level-n value against the lower
     values, come from the routine certify uses (stripped_witness).  R > 1
@@ -498,7 +500,7 @@ def primitive_divisor_certificate(
     means unknown.  R's primes are listed when a small courtesy
     factorization finds them, which is not tried above _COURTESY_MAX_BITS.
     """
-    orbit = CriticalOrbit(map).walk(n, max_bits)
+    orbit = critical_orbit(map, n, max_bits)
     if orbit.rows[-1].is_zero():
         raise ZeroInputError("level value is zero")
     if orbit.first_zero is not None:

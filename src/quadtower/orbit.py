@@ -5,18 +5,18 @@ under a configurable bit budget and converts runaway growth into a clean
 DigitBudgetError carrying whatever was already computed.
 
 Every walked orbit is one Orbit: walked once in exact decimal arithmetic
-(bigpoly.decimal_orbit), which checks the budget and gives the printed rows,
-and stepped in ints only as far as exact values are read (Orbit.value) or
-read modulo m from the last exact one (Orbit.residue).
+(bigpoly.decimal_orbit(map, start), self-checked by map.apply_mod), which
+checks the budget and gives the printed rows, an OrbitRows, and stepped in
+ints only as far as exact values are read (Orbit.value) or read modulo m
+from the last exact one (Orbit.residue).
 orbit() walks the orbit of b from index 0.  The critical orbit is the Orbit
 of gamma_a read from index 1, a CriticalOrbit, which adds the square test
-and the stripped witnesses; critical_orbit and the verdicts of galois read
-the critical orbit through one.
+and the stripped witnesses; critical_orbit walks one for every verdict of
+galois but certify_tower, which walks its own to report a partial tower.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import islice
@@ -56,9 +56,10 @@ class Orbit:
 
     walk(count, max_bits) steps the orbit once in exact decimal arithmetic
     (decimal_orbit) and keeps the count values from index first on as rows,
-    an OrbitRows(first); an orbit is walked once.  value(k) and values build
-    exact ints from start (the exact prefix v) only when they are read, and
-    residue(k, m) steps modulo m from the last of them.
+    an OrbitRows(first), which the orbit command prints; an orbit is walked
+    once.  value(k) and values build exact ints from start (the exact prefix
+    v) only when they are read, and residue(k, m) steps modulo m from the
+    last of them.
     """
 
     def __init__(self, map: SpecializedMap, start: int, first: int = 0):
@@ -74,8 +75,8 @@ class Orbit:
         checked."""
         if count < 1:
             raise ValueError("depth must be >= 1")
-        m, rows = self.map, self.rows
-        for x in islice(decimal_orbit(m.gamma_a, m.c_a, self.start), rows.first, rows.first + count):
+        rows = self.rows
+        for x in islice(decimal_orbit(self.map, self.start), rows.first, rows.first + count):
             check_bits(x, max_bits, "orbit value", rows)
             rows.append(x)
         return self
@@ -109,19 +110,11 @@ class Orbit:
         self.value(last)
         return tuple(self.v[first:last + 1])
 
-    def text_lines(self):
-        return self.rows.text_lines()
-
-    def json_lines(self):
-        """One JSON object per row: orbit dumps are JSON lines."""
-        return map(json.dumps, self.rows.to_json_dict())
-
 
 class CriticalOrbit(Orbit):
     """The critical orbit v_n = phi_a^n(gamma_a) read from v_1 = c_a, the
-    one critical-orbit object: critical_orbit returns one walked, and the
-    verdicts of galois (certify_tower, stability_scan and both
-    primitive-divisor routes) each walk their own.
+    one critical-orbit object: critical_orbit returns one walked, which the
+    verdicts of galois read; only certify_tower walks its own.
 
     Besides what every Orbit gives (rows, values, value(k), residue(n, m)),
     the walked orbit is read through:
@@ -162,7 +155,7 @@ class CriticalOrbit(Orbit):
         return {"condition_one_holds": self.condition_one_holds, "values": self.rows.to_json_dict()}
 
     def text_lines(self):
-        yield from super().text_lines()
+        yield from self.rows.text_lines()
         yield f"condition (1) holds: {self.condition_one_holds}"
 
     def square_root(self, n: int):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -134,3 +135,52 @@ def naive_orbit_member(gamma_a: int, c_a: int, b: int, p: int) -> bool:
         if x == 0:
             return True
     return False
+
+
+@functools.lru_cache(maxsize=None)
+def _tonelli_constants(p: int) -> tuple[int, int, int]:
+    """(q, s, z^q) for p - 1 = q * 2^s with q odd and z a non-residue mod p."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in itertools.count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+    return q, s, pow(z, q, p)
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p by Tonelli-Shanks, or None
+    when a is a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s, c = _tonelli_constants(p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def root_counts_mod_p(gamma_a: int, c_a: int, p: int, depth: int) -> list[int]:
+    """The numbers of distinct roots of phi^1, ..., phi^depth modulo the odd
+    prime p, phi(x) = (x - gamma_a)^2 + c_a, by walking the preimage tree of
+    0: the roots of phi^k are gamma_a +- sqrt(y - c_a) over the roots y of
+    phi^(k-1)."""
+    roots, counts = [0], []
+    for _ in range(depth):
+        below = []
+        for y in roots:
+            s = sqrt_mod(y - c_a, p)
+            if s is not None:
+                below += {(gamma_a + s) % p, (gamma_a - s) % p}
+        roots = below
+        counts.append(len(roots))
+    return counts

@@ -113,7 +113,7 @@ def test_criterion_04_forced_point():
             except IncompleteFactorizationError:
                 continue
             model = curve_model(m, n, dec, genus=1)
-            assert verify_forced_point(model, crit, n, dec), (entry.name, n)
+            assert verify_forced_point(model, crit, dec), (entry.name, n)
             verified += 1
     assert verified >= 30
 

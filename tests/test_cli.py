@@ -461,6 +461,13 @@ def test_usage_errors_exit_one(capsys):
                        "--kappa1", "1", "--kappa2", "0", "--kappa3", "0")
     assert code == 1  # isotrivial family
 
+    # x^2 at a = 0: every critical value is 0, and each route that factors or
+    # strips the level value refuses it by name before it tries
+    for argv in (("curve",), ("primitive-divisors", "--method", "exact"),
+                 ("primitive-divisors", "--method", "certificate")):
+        code, _, err = run(capsys, *argv, "--gamma", "0", "--c", "0,1", "--a", "0", "--level", "2")
+        assert (code, err) == (1, "quadtower: error: level value is zero\n"), argv
+
     with pytest.raises(SystemExit) as exc:
         main(["orbit", "--no-such-flag"])
     assert exc.value.code == 1

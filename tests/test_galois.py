@@ -3,6 +3,8 @@ import importlib
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from quadtower.galois import (
 )
 from quadtower.orbit import CriticalOrbit, DigitBudgetError, critical_orbit, orbit
 
-from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A
+from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A, plain_primes, root_counts_mod_p
 
 X2P1 = SpecializedMap(1, 0, 1)
 X2P2 = SpecializedMap(2, 0, 2)
@@ -596,7 +598,7 @@ def test_curve_model_is_singular_exactly_where_a_critical_value_is_0():
 def test_forced_point_x2p1_level4():
     dec = squarefree_decompose(26)
     model = curve_model(X2P1, 4, dec, genus=1)
-    assert verify_forced_point(model, critical_orbit(X2P1, 4), 4, dec)
+    assert verify_forced_point(model, critical_orbit(X2P1, 4), dec)
     # the displayed point is (5, 52): 52^2 == 26 * 4 * 26
     assert model.rhs.evaluate(5) == 52 * 52
 
@@ -604,7 +606,7 @@ def test_forced_point_x2p1_level4():
 def test_forced_point_boundary_level_two():
     dec = squarefree_decompose(2)
     model = curve_model(X2P1, 2, dec, genus=1)
-    assert verify_forced_point(model, critical_orbit(X2P1, 2), 2, dec)
+    assert verify_forced_point(model, critical_orbit(X2P1, 2), dec)
 
 
 def test_forced_point_with_negative_level_value():
@@ -615,19 +617,19 @@ def test_forced_point_with_negative_level_value():
     dec = squarefree_decompose(values[2])
     assert dec.d == -3
     model = curve_model(m, 3, dec, genus=1)
-    assert verify_forced_point(model, critical_orbit(m, 3), 3, dec)
+    assert verify_forced_point(model, critical_orbit(m, 3), dec)
 
 
 def test_forced_point_rejects_wrong_decomposition():
     dec = squarefree_decompose(26)
     model = curve_model(X2P1, 4, dec, genus=1)
-    with pytest.raises(ValueError):
-        verify_forced_point(model, critical_orbit(X2P1, 3), 3, dec)
+    with pytest.raises(ValueError, match="does not reconstruct"):  # v_3 = 5, not 26
+        verify_forced_point(curve_model(X2P1, 3, dec, genus=1), critical_orbit(X2P1, 3), dec)
     model2 = curve_model(X2P1, 4, dec, genus=2)
-    with pytest.raises(ValueError):
-        verify_forced_point(model2, critical_orbit(X2P1, 4), 4, dec)
-    with pytest.raises(ValueError):  # the orbit stops below the level
-        verify_forced_point(model, critical_orbit(X2P1, 3), 4, dec)
+    with pytest.raises(ValueError, match="genus-1"):
+        verify_forced_point(model2, critical_orbit(X2P1, 4), dec)
+    with pytest.raises(ValueError, match="depth"):  # the orbit stops below the model's level
+        verify_forced_point(model, critical_orbit(X2P1, 3), dec)
 
 
 def test_forced_point_across_corpus():
@@ -643,7 +645,7 @@ def test_forced_point_across_corpus():
             except IncompleteFactorizationError:
                 continue
             model = curve_model(m, n, dec, genus=1)
-            assert verify_forced_point(model, crit, n, dec), (entry.name, n)
+            assert verify_forced_point(model, crit, dec), (entry.name, n)
             verified += 1
     assert verified >= 40
 
@@ -698,6 +700,110 @@ def test_certify_tower_never_refutes_a_map_stoll_proves_maximal():
     assert len(statuses) == 2900
     assert FAILED_SQUARE_OVER_Q not in statuses
     assert statuses.count(UNKNOWN) <= 31
+
+
+# The six maps of the tower-20 benchmark workload.  Frobenius statistics say
+# x^2+3 and shifted-jones-small drop at level 3: there a_3 is a square in K_2.
+TOWER_MAPS = {e.name: e.map() for e in CORPUS + ACCEPTANCE_MAPS if e.name in (
+    "x2+1", "x2+2", "x2-3", "x2+3", "shift-by-1", "shifted-jones-small")}
+ORACLE_PRIMES = plain_primes(10 ** 5)[1:]  # the odd primes up to 10^5
+ORACLE_LEVELS = 4
+# Chi-square against P_k over those primes reads at most 6.3 on the four
+# maximal maps at levels 1-4, and at least 14.2 on the two others at 3 and 4.
+CHI_SQUARE_BOUND = 10
+
+
+@pytest.fixture(scope="module")
+def tower_maps_mod_p():
+    """name -> [(p, roots, adjusted)] over ORACLE_PRIMES, where roots[k - 1]
+    counts the roots of phi_a^k mod p and adjusted[n - 1] is a_n mod p
+    (a_1 = -c_a, a_n = phi_a^n(gamma_a) above), for k, n <= ORACLE_LEVELS.
+    Stdlib only: the preimage tree of 0 and the orbit stepped mod p."""
+    data = {}
+    for name, m in TOWER_MAPS.items():
+        rows = []
+        for p in ORACLE_PRIMES:
+            adjusted, v = [-m.c_a % p], m.c_a % p
+            for _ in range(ORACLE_LEVELS - 1):
+                v = ((v - m.gamma_a) ** 2 + m.c_a) % p
+                adjusted.append(v)
+            rows.append((p, root_counts_mod_p(m.gamma_a, m.c_a, p, ORACLE_LEVELS), adjusted))
+        data[name] = rows
+    return data
+
+
+def _fixed_point_distribution(k):
+    """{r: share of Aut(T_k) fixing exactly r leaves}, from Odoni's
+    P_0(z) = z, P_k(z) = (P_(k-1)(z)^2 + 1) / 2."""
+    dist = {1: Fraction(1)}
+    for _ in range(k):
+        square = {0: Fraction(1)}
+        for (i, x), (j, y) in itertools.product(dist.items(), repeat=2):
+            square[i + j] = square.get(i + j, 0) + x * y
+        dist = {r: x / 2 for r, x in square.items()}
+    return dist
+
+
+def _chi_square(counts, k):
+    """Chi-square of the level-k root counts against P_k; from the most roots
+    down, cells are pooled until each expects at least 5 primes."""
+    dist, observed = _fixed_point_distribution(k), Counter(counts)
+    assert set(observed) <= set(dist), observed
+    cells, seen, expected = [], 0, 0.0
+    for r in sorted(dist, reverse=True):
+        seen, expected = seen + observed[r], expected + len(counts) * float(dist[r])
+        if expected >= 5:
+            cells.append((seen, expected))
+            seen, expected = 0, 0.0
+    cells[-1] = (cells[-1][0] + seen, cells[-1][1] + expected)
+    return sum((o - e) ** 2 / e for o, e in cells)
+
+
+def _statuses(name):
+    return {c.level: c.status for c in certify_tower(TOWER_MAPS[name], 1, ORACLE_LEVELS).certificates}
+
+
+def test_root_counts_mod_p_follow_the_fixed_points_of_aut_t_k(tower_maps_mod_p):
+    # Chebotarev: over the unramified primes the roots of phi_a^k mod p are
+    # distributed as the fixed leaves of G_k, which is Aut(T_k) only when
+    # every level up to k is maximal
+    chi = {}
+    for name, rows in tower_maps_mod_p.items():
+        unramified = [roots for _, roots, adjusted in rows if all(adjusted)]
+        for k in range(1, ORACLE_LEVELS + 1):
+            chi[name, k] = _chi_square([roots[k - 1] for roots in unramified], k)
+    for name in ("x2+1", "x2+2", "x2-3", "shift-by-1"):
+        for k in range(1, ORACLE_LEVELS + 1):
+            assert chi[name, k] < CHI_SQUARE_BOUND, (name, k, chi[name, k])
+    for name in ("x2+3", "shifted-jones-small"):
+        for k in (3, 4):
+            assert chi[name, k] > CHI_SQUARE_BOUND, (name, k, chi[name, k])
+    # a G_k that is no Aut(T_k) has some non-maximal level up to k; where
+    # G_(k-1) still reads as Aut(T_(k-1)), that level is k
+    for name in TOWER_MAPS:
+        statuses = _statuses(name)
+        for k in range(2, ORACLE_LEVELS + 1):
+            if chi[name, k] > CHI_SQUARE_BOUND:
+                assert any(statuses[n] != CERTIFIED_MAXIMAL for n in range(2, k + 1)), (name, k)
+                if chi[name, k - 1] < CHI_SQUARE_BOUND:
+                    assert statuses[k] != CERTIFIED_MAXIMAL, (name, k)
+
+
+def test_frobenius_witnesses_agree_with_the_certified_levels(tower_maps_mod_p):
+    # at an odd p dividing none of a_1..a_n where phi_a^(n-1) splits into
+    # 2^(n-1) roots, Frobenius is trivial on K_(n-1): a square of K_(n-1) is
+    # a residue mod p, so one non-residue proves a_n no square in K_(n-1)
+    checked = set()
+    for name, rows in tower_maps_mod_p.items():
+        for n, status in _statuses(name).items():
+            residues = [pow(adjusted[n - 1], (p - 1) // 2, p) == 1 for p, roots, adjusted in rows
+                        if all(adjusted[:n]) and (n == 1 or roots[n - 2] == 2 ** (n - 1))]
+            if status == CERTIFIED_MAXIMAL:
+                assert not all(residues), (name, n)
+            elif status == FAILED_SQUARE_OVER_Q:
+                assert residues and all(residues), (name, n)
+            checked.add(status)
+    assert {CERTIFIED_MAXIMAL, FAILED_SQUARE_OVER_Q} <= checked
 
 
 # (gamma, c, level): families whose generic adjusted orbit a_1(t) = -c(t),
