@@ -2,7 +2,9 @@
 density for one-parameter quadratic families (x - gamma(t))^2 + c(t)."""
 
 from quadtower.bigpoly import (
+    DEFAULT_MAX_BITS,
     BudgetError,
+    DigitBudgetError,
     IntPolynomial,
     ZeroPolynomialError,
     decimal_str,
@@ -55,14 +57,6 @@ from quadtower.galois import (
     stability_scan,
     verify_forced_point,
 )
-from quadtower.orbit import (
-    DEFAULT_MAX_BITS,
-    CriticalOrbit,
-    DigitBudgetError,
-    Orbit,
-    canonical_height,
-    critical_orbit,
-    orbit,
-)
+from quadtower.orbit import CriticalOrbit, Orbit, canonical_height, critical_orbit, orbit
 
 __version__ = "0.1.0"

@@ -207,13 +207,6 @@ class IntPolynomial(FrozenSlots):
             acc = acc * x + c
         return acc
 
-    def compose(self, other: IntPolynomial) -> IntPolynomial:
-        """Substitution self(other(t)), expanded over Z."""
-        acc = IntPolynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * other + c
-        return acc
-
     def derivative(self) -> IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 

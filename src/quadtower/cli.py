@@ -28,7 +28,11 @@ threshold above 10^5 (family.MAX_EXCEPTIONAL_THRESHOLD) and a factor c or
 divisors (family.MAX_DIVISORS).  A value
 above 2,048 bits (factor.MAX_FACTOR_BITS) is not factored, so curve,
 primitive-divisors --method exact and family-info stop there as incomplete
-factorizations.
+factorizations, and all three name the cap the same way ("a 2408-bit value is
+not factored; factoring stops at 2048 bits"); below it, each names the budget
+that ran out in its own words.  primitive-divisors --method certificate takes
+the effort flags too, but factors nothing with them: its courtesy
+factorization of the witness uses the fixed galois._COURTESY_BUDGET.
 
 Each integer flag declares its accepted range beside it in GROUPS or COMMANDS,
 and `quadtower <command> -h` prints it; a flag its command needs is marked
@@ -54,7 +58,7 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from quadtower.bigpoly import BudgetError, IntPolynomial, parse_int
+from quadtower.bigpoly import DEFAULT_MAX_BITS, BudgetError, IntPolynomial, parse_int
 from quadtower.density import density_curve
 from quadtower.factor import DEFAULT_BUDGET, MAX_RHO_ITERS, MAX_TRIAL_BOUND, Budget
 from quadtower.family import HallLangConstants, QuadraticFamily, index_bound
@@ -66,7 +70,7 @@ from quadtower.galois import (
     primitive_divisor_exact,
     stability_scan,
 )
-from quadtower.orbit import DEFAULT_MAX_BITS, critical_orbit, orbit
+from quadtower.orbit import critical_orbit, orbit
 
 
 class UsageError(ValueError):

@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 from array import array
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from quadtower.bigpoly import BudgetError, FrozenSlots, decimal_str, is_perfect_square
 
@@ -482,6 +482,25 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     )
 
 
+def factorize_fully(
+    n: int, budget: Budget, refusal: Callable[[Factorization], str]
+) -> Factorization:
+    """factorize(n, budget) when it completes; otherwise the one refusal of
+    an incomplete factorization, an IncompleteFactorizationError carrying it.
+
+    A value factorize returned untried, above MAX_FACTOR_BITS, is refused by
+    naming the cap; one the budget ran out on by refusal(fac), the caller's
+    text, which is only built then.
+    """
+    fac = factorize(n, budget)
+    if not fac.complete:
+        bits = fac.cofactor.bit_length()
+        raise IncompleteFactorizationError(
+            f"a {bits}-bit value is not factored; factoring stops at {MAX_FACTOR_BITS} bits"
+            if bits > MAX_FACTOR_BITS else refusal(fac), fac)
+    return fac
+
+
 def squarefree_decompose(
     n: int, budget: Budget = DEFAULT_BUDGET
 ) -> SquareFreeDecomposition:
@@ -494,17 +513,8 @@ def squarefree_decompose(
     """
     if n == 0:
         raise ZeroInputError("cannot decompose 0")
-    fac = factorize(n, budget)
-    if fac.cofactor.bit_length() > MAX_FACTOR_BITS:
-        # the message names the 2,048-bit cap rather than the unfactored cofactor
-        raise IncompleteFactorizationError(
-            f"a {fac.cofactor.bit_length()}-bit value is not factored; "
-            f"factoring stops at {MAX_FACTOR_BITS} bits", fac
-        )
-    if not fac.complete:
-        raise IncompleteFactorizationError(
-            f"budget exhausted on cofactor {decimal_str(fac.cofactor)}", fac
-        )
+    fac = factorize_fully(
+        n, budget, lambda fac: f"budget exhausted on cofactor {decimal_str(fac.cofactor)}")
     e, d, y = 0, 1, 1
     for p, k in fac.factors:
         if p == 2:

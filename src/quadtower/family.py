@@ -21,12 +21,7 @@ from quadtower.bigpoly import (
     _to_decimal,
     decimal_str,
 )
-from quadtower.factor import (
-    DEFAULT_BUDGET,
-    Budget,
-    IncompleteFactorizationError,
-    factorize,
-)
+from quadtower.factor import DEFAULT_BUDGET, Budget, factorize_fully
 
 _LOG2 = math.log(2.0)
 # F_phi lists every a with |a| <= threshold, so a larger threshold is
@@ -449,10 +444,8 @@ def _integer_roots(polys, budget: Budget) -> set[int]:
             roots.add(0)
         if k == p.degree:
             continue
-        fac = factorize(abs(p.coeffs[k]), budget)
-        if not fac.complete:
-            raise IncompleteFactorizationError(
-                "cannot enumerate divisors of the trailing coefficient", fac)
+        fac = factorize_fully(abs(p.coeffs[k]), budget,
+                              lambda _: "cannot enumerate divisors of the trailing coefficient")
         if math.prod(e + 1 for _, e in fac.factors) > MAX_DIVISORS:
             raise BudgetError(
                 f"the trailing coefficient of P_phi has more than {MAX_DIVISORS} divisors")

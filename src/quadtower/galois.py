@@ -25,6 +25,8 @@ import decimal
 from typing import NamedTuple
 
 from quadtower.bigpoly import (
+    DEFAULT_MAX_BITS,
+    DigitBudgetError,
     IntPolynomial,
     check_bits,
     decimal_product,
@@ -38,14 +40,14 @@ from quadtower.bigpoly import (
 from quadtower.factor import (
     DEFAULT_BUDGET,
     Budget,
-    IncompleteFactorizationError,
     SquareFreeDecomposition,
     ZeroInputError,
     factorize,
+    factorize_fully,
     squarefree_decompose,
 )
 from quadtower.family import SpecializedMap
-from quadtower.orbit import DEFAULT_MAX_BITS, CriticalOrbit, DigitBudgetError, critical_orbit
+from quadtower.orbit import CriticalOrbit, critical_orbit
 
 CERTIFIED_MAXIMAL = "CertifiedMaximal"
 FAILED_SQUARE_OVER_Q = "FailedSquareOverQ"
@@ -388,6 +390,15 @@ def certify_tower(
     return report()
 
 
+def _nonzero_level(map: SpecializedMap, n: int, max_bits: int) -> CriticalOrbit:
+    """The critical orbit walked to level n, refused when its level-n value is
+    zero, which neither a curve model nor a primitive divisor can read."""
+    orbit = critical_orbit(map, n, max_bits)
+    if orbit.rows[-1].is_zero():
+        raise ZeroInputError("level value is zero")
+    return orbit
+
+
 def curve_model(
     map: SpecializedMap,
     n: int,
@@ -413,9 +424,7 @@ def curve_report(
     square-free decomposition of its exact level-n value, the model, the
     forced point checked on the genus-1 model from level 2 on, and the
     integral points with |X| <= search when search is nonzero."""
-    crit = critical_orbit(map, n, max_bits)
-    if crit.rows[-1].is_zero():
-        raise ZeroInputError("level value is zero")
+    crit = _nonzero_level(map, n, max_bits)
     dec = squarefree_decompose(crit.value(n), budget)
     model = curve_model(map, n, dec, genus)
     verified = verify_forced_point(model, crit, dec) if genus == 1 and n >= 2 else None
@@ -455,17 +464,12 @@ def primitive_divisor_exact(
     The critical orbit is walked once to level n (critical_orbit), which
     decides the bit budget and the zero check.  A prime p is new at level n
     when v_k mod p is nonzero for every k < n, so a lower value 0 leaves no
-    prime new.  A factorization the budget cannot finish raises
-    IncompleteFactorizationError carrying it.
+    prime new.  A factorization that does not complete raises
+    factor.factorize_fully's IncompleteFactorizationError carrying it.
     """
-    orbit = critical_orbit(map, n, max_bits)
-    if orbit.rows[-1].is_zero():
-        raise ZeroInputError("level value is zero")
-    fac = factorize(orbit.value(n), budget)
-    if not fac.complete:
-        raise IncompleteFactorizationError(
-            f"level {n} value resists the factoring budget", fac
-        )
+    orbit = _nonzero_level(map, n, max_bits)
+    fac = factorize_fully(orbit.value(n), budget,
+                          lambda _: f"level {n} value resists the factoring budget")
     primes = []
     two_primitive = False
     for p, k in fac.factors:
@@ -500,9 +504,7 @@ def primitive_divisor_certificate(
     means unknown.  R's primes are listed when a small courtesy
     factorization finds them, which is not tried above _COURTESY_MAX_BITS.
     """
-    orbit = critical_orbit(map, n, max_bits)
-    if orbit.rows[-1].is_zero():
-        raise ZeroInputError("level value is zero")
+    orbit = _nonzero_level(map, n, max_bits)
     if orbit.first_zero is not None:
         raise ZeroInputError("earlier values must be nonzero")
     text, certified = orbit.stripped_witness(n)

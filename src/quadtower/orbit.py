@@ -1,14 +1,15 @@
 """Exact big-integer orbits and canonical heights.
 
 Orbit values double in bit length per step, so every iterating routine runs
-under a configurable bit budget and converts runaway growth into a clean
-DigitBudgetError carrying whatever was already computed.
+under a configurable bit budget (bigpoly.DEFAULT_MAX_BITS by default) and
+converts runaway growth into a clean bigpoly.DigitBudgetError carrying
+whatever was already computed; both are imported from bigpoly, not from here.
 
 Every walked orbit is one Orbit: walked once in exact decimal arithmetic
-(bigpoly.decimal_orbit(map, start), self-checked by map.apply_mod), which
-checks the budget and gives the printed rows, an OrbitRows, and stepped in
-ints only as far as exact values are read (Orbit.value) or read modulo m
-from the last exact one (Orbit.residue).
+(bigpoly.decimal_orbit(map, start), self-checked by map.apply_mod; a second
+walk raises ValueError), which checks the budget and gives the printed rows,
+an OrbitRows, and stepped in ints only as far as exact values are read
+(Orbit.value) or read modulo m from the last exact one (Orbit.residue).
 orbit() walks the orbit of b from index 0.  The critical orbit is the Orbit
 of gamma_a read from index 1, a CriticalOrbit, which adds the square test
 and the stripped witnesses; critical_orbit walks one for every verdict of
@@ -21,11 +22,10 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-# DigitBudgetError is importable from here as well as from bigpoly
-from quadtower.bigpoly import (DEFAULT_MAX_BITS, DigitBudgetError, _to_decimal, check_bits,
-                               decimal_bit_length, decimal_difference, decimal_orbit,
-                               decimal_quotient, height_int, is_perfect_square, parse_int,
-                               passes_square_filter, square_filter_modulus)
+from quadtower.bigpoly import (DEFAULT_MAX_BITS, _to_decimal, check_bits, decimal_bit_length,
+                               decimal_difference, decimal_orbit, decimal_quotient, height_int,
+                               is_perfect_square, parse_int, passes_square_filter,
+                               square_filter_modulus)
 from quadtower.family import SpecializedMap
 
 _LOG2 = math.log(2.0)
@@ -72,10 +72,13 @@ class Orbit:
         """Walk the count values from index first on, each an exact
         decimal.Decimal; one over max_bits raises DigitBudgetError carrying
         the rows below it.  The values before index first are skipped, not
-        checked."""
+        checked.  An orbit that already has rows raises ValueError: a second
+        walk would append a second copy of them."""
         if count < 1:
             raise ValueError("depth must be >= 1")
         rows = self.rows
+        if rows:
+            raise ValueError("an orbit is walked once")
         for x in islice(decimal_orbit(self.map, self.start), rows.first, rows.first + count):
             check_bits(x, max_bits, "orbit value", rows)
             rows.append(x)

@@ -86,6 +86,15 @@ def plain_primes(bound: int) -> tuple[int, ...]:
     return tuple(itertools.compress(range(bound + 1), flags))
 
 
+def compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """p(q(t)) expanded over Z by Horner's scheme: the reference that
+    SpecializedMap.phi_polynomial(k) is checked against."""
+    acc = IntPolynomial()
+    for c in reversed(p.coeffs):
+        acc = acc * q + c
+    return acc
+
+
 def bareiss_det(matrix: list[list[int]]) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
     m = [row[:] for row in matrix]

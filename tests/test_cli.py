@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadtower
-from quadtower.bigpoly import decimal_str
+from quadtower.bigpoly import DigitBudgetError, decimal_str
 import quadtower.cli
 from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_CONFIG_BYTES, MAX_LEVEL, main
 from quadtower.density import MAX_SHARDS
+import quadtower.factor
 from quadtower.factor import MAX_RHO_ITERS
 import quadtower.family
 from quadtower.family import (
@@ -30,7 +31,7 @@ from quadtower.family import (
     QuadraticFamily,
 )
 from quadtower.galois import certify_tower
-from quadtower.orbit import DigitBudgetError, critical_orbit, orbit
+from quadtower.orbit import critical_orbit, orbit
 
 from conftest import ACCEPTANCE_MAPS, CorpusEntry, lift_int_limit
 
@@ -130,15 +131,16 @@ def test_family_info_skips_the_factors_whose_roots_stay_in_the_ball(capsys):
 
 
 def test_family_info_factors_at_most_two_trailing_coefficients(capsys, monkeypatch):
-    # each of P_phi's five factors has a trailing coefficient above 1 here
+    # each of P_phi's five factors has a trailing coefficient above 1 here;
+    # family factors them through factor.factorize_fully
     calls = []
-    factorize = quadtower.family.factorize
-    monkeypatch.setattr(quadtower.family, "factorize",
+    factorize = quadtower.factor.factorize
+    monkeypatch.setattr(quadtower.factor, "factorize",
                         lambda n, budget: calls.append(n) or factorize(n, budget))
     code, out, _ = run(capsys, "family-info", "--gamma", "0", "--c", "6,1", "--json")
     assert code == 0
     assert json.loads(out)["exceptional_set"] == list(range(-13, 14))
-    assert len(calls) <= 2
+    assert 1 <= len(calls) <= 2
 
 
 @pytest.mark.parametrize("gamma, c, degree", [
@@ -635,6 +637,18 @@ def test_values_above_max_factor_bits_exit_two_unfactored(argv, level):
     for p, e in partial["factors"]:
         value *= int(p) ** e
     assert value == critical_orbit(QuadraticFamily.of([0], [0, 1]).specialize(1), level).values[-1]
+    # both commands name the cap, not the budget: the value was never tried
+    assert proc.stderr == (f"quadtower: budget: a {value.bit_length()}-bit value is not factored; "
+                           "factoring stops at 2048 bits\n")
+
+
+def test_family_info_names_the_factoring_cap_above_it(capsys):
+    # P_phi's first factor c = K + t has the 2,101-bit trailing coefficient K
+    k = decimal_str(2 ** 2100 + 1)
+    code, out, err = run(capsys, "family-info", "--gamma", k, "--c", f"{k},1")
+    assert code == 2
+    assert json.loads(out)["partial"] == {"sign": 1, "factors": [], "cofactor": k, "complete": False}
+    assert err == "quadtower: budget: a 2101-bit value is not factored; factoring stops at 2048 bits\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

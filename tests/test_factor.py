@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quadtower.factor as factor_mod
-from quadtower.bigpoly import BudgetError, decimal_str, is_perfect_square
+from quadtower.bigpoly import BudgetError, DigitBudgetError, decimal_str, is_perfect_square
 from quadtower.factor import (
     Budget,
     Factorization,
@@ -28,7 +28,7 @@ from quadtower.galois import (
     primitive_divisor_certificate,
     primitive_divisor_exact,
 )
-from quadtower.orbit import DigitBudgetError, critical_orbit
+from quadtower.orbit import critical_orbit
 
 from conftest import CORPUS, plain_primes
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadtower.bigpoly import IntPolynomial, decimal_str, height_int
+from quadtower.bigpoly import DigitBudgetError, IntPolynomial, decimal_str, height_int
 from quadtower.factor import Budget, IncompleteFactorizationError
 from quadtower.family import (
     HallLangConstants,
@@ -19,9 +19,8 @@ from quadtower.family import (
     SpecializedMap,
     index_bound,
 )
-from quadtower.orbit import DigitBudgetError
 
-from conftest import CORPUS
+from conftest import CORPUS, compose
 
 T = IntPolynomial((0, 1))
 X2PT = QuadraticFamily.of([0], [0, 1])  # phi_a = x^2 + a
@@ -58,7 +57,7 @@ def test_phi_polynomial_is_the_kth_iterate(entry, k, x):
     # the independent reference: the k-fold composition of phi_a
     composed = IntPolynomial((0, 1))
     for _ in range(k):
-        composed = composed.compose(m.phi_polynomial())
+        composed = compose(composed, m.phi_polynomial())
     assert phi_k == composed and phi_k.degree == 2 ** k
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadtower.bigpoly as bigpoly_mod
-from quadtower.bigpoly import IntPolynomial, decimal_str, discriminant_direct, is_perfect_square
+from quadtower.bigpoly import (DigitBudgetError, IntPolynomial, decimal_str, discriminant_direct,
+                               is_perfect_square)
 from quadtower.factor import (
     Budget,
     IncompleteFactorizationError,
@@ -35,9 +36,9 @@ from quadtower.galois import (
     stability_scan,
     verify_forced_point,
 )
-from quadtower.orbit import CriticalOrbit, DigitBudgetError, critical_orbit, orbit
+from quadtower.orbit import CriticalOrbit, critical_orbit, orbit
 
-from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A, plain_primes, root_counts_mod_p
+from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A, compose, plain_primes, root_counts_mod_p
 
 X2P1 = SpecializedMap(1, 0, 1)
 X2P2 = SpecializedMap(2, 0, 2)
@@ -156,9 +157,9 @@ def test_discriminant_recurrence_x2p1():
     assert discriminant_recurrence(critical_orbit(X2P1, 2), 2) == 512
     phi = X2P1.phi_polynomial()
     assert phi == IntPolynomial((1, 0, 1))
-    phi2 = phi.compose(phi)
+    phi2 = compose(phi, phi)
     assert abs(discriminant_direct(phi2)) == 512
-    phi3 = phi2.compose(phi)
+    phi3 = compose(phi2, phi)
     assert discriminant_recurrence(critical_orbit(X2P1, 3), 3) == abs(discriminant_direct(phi3))
 
 
@@ -168,11 +169,11 @@ def test_discriminant_recurrence_matches_direct_random():
         m = SpecializedMap(0, rng.randint(-50, 50), rng.randint(-50, 50) )
         phi = m.phi_polynomial()
         crit = critical_orbit(m, 2)
-        assert discriminant_recurrence(crit, 2) == abs(discriminant_direct(phi.compose(phi)))
+        assert discriminant_recurrence(crit, 2) == abs(discriminant_direct(compose(phi, phi)))
     for _ in range(5):
         m = SpecializedMap(0, rng.randint(-20, 20), rng.randint(-20, 20))
         phi = m.phi_polynomial()
-        phi3 = phi.compose(phi).compose(phi)
+        phi3 = compose(compose(phi, phi), phi)
         assert discriminant_recurrence(critical_orbit(m, 3), 3) == abs(discriminant_direct(phi3))
 
 
@@ -559,7 +560,7 @@ def test_curve_model_x2p1_level4():
     assert model.equation() == "Y^2 = 26X^3 - 26X^2 + 26X - 26"
 
     model2 = curve_model(X2P1, 4, dec, genus=2)
-    phi2 = IntPolynomial((1, 0, 1)).compose(IntPolynomial((1, 0, 1)))
+    phi2 = compose(IntPolynomial((1, 0, 1)), IntPolynomial((1, 0, 1)))
     assert model2.rhs == IntPolynomial((-1, 1)) * phi2 * 26
     assert model2.rhs.degree == 5
 
@@ -804,6 +805,61 @@ def test_frobenius_witnesses_agree_with_the_certified_levels(tower_maps_mod_p):
                 assert residues and all(residues), (name, n)
             checked.add(status)
     assert {CERTIFIED_MAXIMAL, FAILED_SQUARE_OVER_Q} <= checked
+
+
+# x^2 + a for every |a| <= 400 outside F_phi = [-2, 2]: 288 of the 290
+# Stoll maps, with x^2 + 1 and x^2 + 2 in TOWER_MAPS above
+SWEEP_A = [a for a in range(-400, 401) if abs(a) > 2]
+SWEEP_LEVELS = 8
+
+
+@pytest.fixture(scope="module")
+def x2_plus_t_sweep():
+    """a -> {level: status} of certify_tower on x^2 + a at levels 1-8."""
+    return {a: {c.level: c.status for c in certify_tower(SpecializedMap(a, 0, a), 1,
+                                                         SWEEP_LEVELS).certificates}
+            for a in SWEEP_A}
+
+
+def test_verdict_census_of_x2_plus_t(x2_plus_t_sweep):
+    # the census of ROADMAP item 13 at levels 1-8: a changed count is a
+    # verdict change, whose reason belongs in CHANGES.md
+    census = Counter((n, status) for statuses in x2_plus_t_sweep.values()
+                     for n, status in statuses.items() if status != CERTIFIED_MAXIMAL)
+    assert census == {(1, FAILED_SQUARE_OVER_Q): 19, (1, UNKNOWN): 45, (2, UNKNOWN): 64,
+                      (3, UNKNOWN): 1}
+    assert sorted(a for a, statuses in x2_plus_t_sweep.items()
+                  if statuses[1] == FAILED_SQUARE_OVER_Q) == [-s * s for s in range(20, 1, -1)]
+    assert [a for a, statuses in x2_plus_t_sweep.items() if statuses[3] == UNKNOWN] == [3]
+
+
+def test_frobenius_witnesses_cover_the_certified_levels_of_x2_plus_t(x2_plus_t_sweep):
+    # the witness of test_frobenius_witnesses_agree_with_the_certified_levels
+    # on the sweep at levels 1-4, each map's primes walked until every
+    # CertifiedMaximal level has one.  Level 5 stays out: most Stoll maps
+    # find no level-5 witness below 10^5.
+    for a, statuses in x2_plus_t_sweep.items():
+        levels = range(1, ORACLE_LEVELS + 1)
+        pending = {n for n in levels if statuses[n] == CERTIFIED_MAXIMAL}
+        failed = {n for n in levels if statuses[n] == FAILED_SQUARE_OVER_Q}
+        residues = []
+        for p in ORACLE_PRIMES:
+            if not pending:
+                break
+            adjusted, v = [-a % p], a % p
+            for _ in range(ORACLE_LEVELS - 1):
+                v = (v * v + a) % p
+                adjusted.append(v)
+            roots = root_counts_mod_p(0, a, p, max(pending | failed) - 1)
+            for n in sorted(pending | failed):
+                if all(adjusted[:n]) and (n == 1 or roots[n - 2] == 2 ** (n - 1)):
+                    residue = pow(adjusted[n - 1], (p - 1) // 2, p) == 1
+                    if n in failed:
+                        residues.append(residue)
+                    elif not residue:
+                        pending.discard(n)
+        assert not pending, (a, pending)
+        assert not failed or (residues and all(residues)), (a, failed)
 
 
 # (gamma, c, level): families whose generic adjusted orbit a_1(t) = -c(t),

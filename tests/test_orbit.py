@@ -5,9 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadtower.family import QuadraticFamily, SpecializedMap
-from quadtower.bigpoly import height_int
-from quadtower.orbit import (CriticalOrbit, DigitBudgetError, Orbit, canonical_height,
-                             critical_orbit, orbit)
+from quadtower.bigpoly import DigitBudgetError, height_int
+from quadtower.orbit import CriticalOrbit, Orbit, canonical_height, critical_orbit, orbit
 
 from conftest import CORPUS, JONES_A
 
@@ -75,6 +74,17 @@ def test_critical_orbit_x2p1():
     crit = critical_orbit(X2P1, 4)
     assert crit.values == (1, 2, 5, 26)
     assert crit.condition_one_holds
+
+
+def test_an_orbit_is_walked_once():
+    # a second walk appended a second copy of the rows, 1, 2, 5, 1, 2 for
+    # x^2 + 1, so every reader of rows took v_4 for 1
+    crit = CriticalOrbit(X2P1).walk(3)
+    with pytest.raises(ValueError, match="walked once"):
+        crit.walk(2)
+    assert crit.rows == [1, 2, 5]
+    with pytest.raises(ValueError, match="walked once"):
+        orbit(X2P1, 0, 2).walk(1)
 
 
 def test_critical_orbit_constant_when_v_zero():
