@@ -11,7 +11,7 @@ rho_iters; strong-probable-prime tests and square-free decompositions
 2^e * d * y^2.  Everything is deterministic given the budget and its seed.
 stripped_cofactor strips a value against earlier values by plain gcds; the
 tower certificates get the same cofactor from residues instead
-(orbit.CriticalOrbit.cofactor), so no CLI command calls it.
+(orbit.CriticalOrbit.stripped_witness), so no CLI command calls it.
 """
 
 from __future__ import annotations
@@ -353,8 +353,8 @@ def _ecm_curve(n: int, sigma: int) -> int:
     baby-step giant-step stage 2 to B2 = _ECM_B2.
 
     Returns a divisor of n found along the way: 1 or n when the curve failed.
-    A failed inversion of the curve's start or of a baby step's Z is a find
-    like any other.
+    A failed inversion of the curve's start or of any stage-2 step's Z is a
+    find like any other.
     """
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
@@ -383,26 +383,18 @@ def _ecm_curve(n: int, sigma: int) -> int:
     giants = [step, _xdbl(step, a24, n)]
     while len(giants) < len(plan):
         giants.append(_xadd(giants[-1], step, giants[-2], n))
-    # accumulate x_G - x_j over the plan, one gcd per curve; one inversion
-    # gives the affine x of every baby and giant step
+    # one inversion gives the affine x of every baby and giant step.  A Z
+    # with no inverse mod n is a find like any other: j*Q or m*D*Q is the
+    # identity mod some p | n, so p divides that Z
     xs = _affine_xs(babies + giants, n)
-    acc = 1
     if xs is None:
-        # some Z has no inverse mod n.  A baby's Z is a find; a giant's
-        # (m*D*Q is the identity mod some p | n) is not, so accumulate
-        # X_G - x_j * Z_G with projective giants: where every Z_G is a unit
-        # this has the same gcd with n as the affine product
         g = math.gcd(math.prod(z for _x, z in babies), n)
-        if g != 1:
-            return g
-        xs = _affine_xs(babies, n)
-        for (gx, gz), row in zip(giants, plan):
-            for i in row:
-                acc = acc * (gx - xs[i] * gz) % n
-    else:
-        for gx, row in zip(xs[len(babies):], plan):
-            for i in row:
-                acc = acc * (gx - xs[i]) % n
+        return g if g != 1 else math.gcd(math.prod(z for _x, z in giants), n)
+    # accumulate x_G - x_j over the plan, one gcd per curve
+    acc = 1
+    for gx, row in zip(xs[len(babies):], plan):
+        for i in row:
+            acc = acc * (gx - xs[i]) % n
     return math.gcd(acc, n)
 
 

@@ -15,8 +15,8 @@ Every verdict reads one orbit.CriticalOrbit, walked once: certify_tower
 builds its own, to report the levels walked when the bit budget runs out,
 and stability_scan, both primitive-divisor routes and the discriminant and
 curve pipelines read the one critical_orbit walks.  They read one exact
-square test of the adjusted value and one stripped witness per level; the
-exact route and the curve factor the orbit's exact level value.
+square test of the adjusted value and one stripped witness per level
+(none above a zero); the exact route and the curve factor the level value.
 """
 
 from __future__ import annotations
@@ -338,19 +338,16 @@ def _certify_level(orbit: CriticalOrbit, n: int) -> MaximalityCertificate:
     level n, from its exact decimal values and its residues.
 
     A perfect-square adjusted value (-c_a at level 1, the critical value
-    phi_a^n(gamma_a) above) disproves maximality over Q.  A lower value 0
-    leaves Unknown with no witness: nothing can be stripped meaningfully.
-    Otherwise a stripped cofactor R > 1 that is no square certifies
-    maximality (see CriticalOrbit.stripped_witness), and anything else is
-    Unknown: the criterion is sufficient, not necessary.  Level 1 is
-    Q(sqrt(-c_a)), where phi_a(gamma_a) = c_a; past the square test, a
-    non-square odd part of |c_a| still certifies it.
+    phi_a^n(gamma_a) above) disproves maximality over Q.  Otherwise a
+    stripped cofactor R > 1 that is no square certifies maximality (see
+    CriticalOrbit.stripped_witness, which gives no witness above a zero),
+    and anything else is Unknown: the criterion is sufficient, not
+    necessary.  Level 1 is Q(sqrt(-c_a)), where phi_a(gamma_a) = c_a; past
+    the square test, a non-square odd part of |c_a| still certifies it.
     """
     root = orbit.square_root(n)
     if root is not None:
         return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=str(root))
-    if orbit.first_zero is not None and orbit.first_zero < n:
-        return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
     text, certified = orbit.stripped_witness(n)
     return MaximalityCertificate(
         level=n, status=CERTIFIED_MAXIMAL if certified else UNKNOWN, witness=text
@@ -495,18 +492,17 @@ def primitive_divisor_certificate(
     """Certify a square-free primitive prime divisor at level n without
     factoring.
 
-    The critical orbit is walked once to level n (critical_orbit), which
-    decides the bit budget and the zero checks.  The status and the decimal
-    text of R, the stripped cofactor of the level-n value against the lower
-    values, come from the routine certify uses (stripped_witness).  R > 1
-    and R not a perfect square force some prime of R to divide level n to
-    odd order while dividing nothing earlier.  One-sided: not certified only
-    means unknown.  R's primes are listed when a small courtesy
-    factorization finds them, which is not tried above _COURTESY_MAX_BITS.
+    The critical orbit is walked once to level n (_nonzero_level), which
+    decides the bit budget and refuses a zero level value.  The status and
+    the decimal text of R, the stripped cofactor of the level-n value, come
+    from the routine certify uses (stripped_witness): above a zero,
+    certified=False with no witness.  R > 1 and R not a perfect square
+    force some prime of R to divide level n to odd order while dividing
+    nothing earlier.  One-sided: not certified only means unknown.  R's
+    primes are listed when a small courtesy factorization finds them, which
+    is not tried above _COURTESY_MAX_BITS.
     """
     orbit = _nonzero_level(map, n, max_bits)
-    if orbit.first_zero is not None:
-        raise ZeroInputError("earlier values must be nonzero")
     text, certified = orbit.stripped_witness(n)
     primes: tuple[int, ...] = ()
     # 2^1024 has 309 digits, so the digit count rules out most large R unparsed

@@ -12,8 +12,8 @@ an OrbitRows, and stepped in ints only as far as exact values are read
 (Orbit.value) or read modulo m from the last exact one (Orbit.residue).
 orbit() walks the orbit of b from index 0.  The critical orbit is the Orbit
 of gamma_a read from index 1, a CriticalOrbit, which adds the square test
-and the stripped witnesses; critical_orbit walks one for every verdict of
-galois but certify_tower, which walks its own to report a partial tower.
+and the stripped witnesses, none at or above a zero; critical_orbit walks
+one for every verdict of galois but certify_tower, which walks its own.
 """
 
 from __future__ import annotations
@@ -128,13 +128,13 @@ class CriticalOrbit(Orbit):
     - to_json_dict and text_lines: the rows and condition (1);
     - square_root(n): the root of the adjusted value a_n (-c_a at level 1,
       v_n above) when a_n is a square;
-    - cofactor(n): the part q of v_n built from primes of lower values;
     - stripped_witness(n): the stripped cofactor R = |v_n| / q in decimal,
-      and whether it certifies a primitive divisor.
+      and whether it certifies a primitive divisor; (None, False) at and
+      above a zero, where every prime divides some value up to level n.
 
     The orbit w_j = phi_a^j(0) of 0 is the Orbit w, so both orbits keep
     exact prefixes from index 0 (v_0 = gamma_a, w_0 = 0), grown by
-    Orbit.value and read modulo m by Orbit.residue.  cofactor(n) makes v
+    Orbit.value and read modulo m by Orbit.residue.  _cofactor(n) makes v
     exact up to level n // 2 (at least 1), value(k) up to level k, and the
     rigid gcds extend whichever orbit is smaller (see _rigid_gcd).
     """
@@ -208,10 +208,10 @@ class CriticalOrbit(Orbit):
         m = abs(w.v[j])
         return math.gcd(m, self.residue(k, m))
 
-    def cofactor(self, n: int) -> int:
+    def _cofactor(self, n: int) -> int:
         """q, the largest divisor of v_n != 0 built from the primes of
         P = 2 * lcm(gcd(v_n, v_k) : k < n); |v_n| / q is the stripped
-        cofactor R.  None of v_1..v_(n-1) may be 0.
+        cofactor R.  None of v_1..v_n may be 0 (stripped_witness sees to it).
 
         q_E = gcd(v_n, P^E) grows with E until every prime of P is
         saturated, and q_E = q_2E means it is: a prime p with p^a exactly
@@ -230,9 +230,9 @@ class CriticalOrbit(Orbit):
                 return q
             q = nxt
 
-    def stripped_witness(self, n: int) -> tuple[str, bool]:
-        """(R in decimal, certified) for the walked level n, whose value is
-        nonzero, with none of the lower values 0.
+    def stripped_witness(self, n: int) -> tuple[str | None, bool]:
+        """(R in decimal, certified) for the walked level n; (None, False)
+        when some value up to level n is 0, as nothing is primitive there.
 
         R = |v_n| / q, the stripped cofactor of v_n against all lower values,
         is odd, unramified below, and keeps full valuations (stripping removes
@@ -243,7 +243,9 @@ class CriticalOrbit(Orbit):
         is_perfect_square finds a root of R, read back from its decimal text
         by parse_int; almost no non-square gets that far.
         """
-        x, q = self.rows[n - 1], self.cofactor(n)
+        if (zero := self.first_zero) is not None and zero <= n:
+            return None, False
+        x, q = self.rows[n - 1], self._cofactor(n)
         r = decimal_quotient(x.copy_abs(), q)
         text, certified = str(r), False
         if r > 1:

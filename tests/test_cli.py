@@ -475,6 +475,15 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == 1
 
 
+def test_primitive_divisors_above_a_zero_certify_nothing(capsys):
+    # x^2 - 1: -1, 0, -1, 0, ...; above the zero at level 2 no prime is
+    # primitive, and both methods say so: the certificate prints no witness
+    for method in ("certificate", "exact"):
+        code, out, err = run(capsys, "primitive-divisors", "--gamma", "0", "--c", "0,1",
+                             "--a", "-1", "--level", "3", "--method", method)
+        assert (code, out, err) == (0, f"level 3 ({method}): certified=False\n", ""), method
+
+
 def test_budget_error_exits_two_with_partial(capsys):
     code, out, err = run(
         capsys, "orbit", "--gamma", "0", "--c", "0,1", "--a", "1",

@@ -358,17 +358,37 @@ def test_ecm_outcomes_cover_both_stages_and_failure(monkeypatch):
         assert _ecm_outcome(p * q, sigma, monkeypatch) == expected, name
 
 
+def _ecm_curve_and_inversions(n, sigma):
+    """_ecm_curve(n, sigma) and, for each batch inversion of its stage 2,
+    whether the batch had no inverse mod n."""
+    affine, failed = factor_mod._affine_xs, []
+
+    def spy(points, n):
+        xs = affine(points, n)
+        failed.append(xs is None)
+        return xs
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(factor_mod, "_affine_xs", spy)
+        return factor_mod._ecm_curve(n, sigma), failed
+
+
 @settings(max_examples=30, deadline=None)
 @given(p=st.integers(2 ** 15, 2 ** 48), q=st.integers(2 ** 15, 2 ** 48),
        sigma=st.integers(6, 2 ** 32 - 1))
 @example(*ECM_OUTCOMES["stage 1"])
 @example(*ECM_OUTCOMES["stage 2"])
 @example(*ECM_OUTCOMES["failure"])
-@example(*ECM_OUTCOMES["giant Z"])
 def test_ecm_curve_matches_reference(p, q, sigma):
+    # where the baby and giant steps invert as one batch, the curve is the
+    # reference's; where they do not, some Z shares a prime with n, a find
     p, q = _next_prime(p), _next_prime(q)
     assume(p != q)
-    assert factor_mod._ecm_curve(p * q, sigma) == _ecm_curve_reference(p * q, sigma)
+    g, failed = _ecm_curve_and_inversions(p * q, sigma)
+    if failed == [True]:
+        assert 1 < g < p * q and (p * q) % g == 0
+    else:
+        assert g == _ecm_curve_reference(p * q, sigma)
 
 
 @pytest.mark.parametrize("bits", [130, 400, 800])
@@ -384,25 +404,13 @@ def test_ladder_matches_the_reference_ladder(bits):
             assert factor_mod._ladder(k, x, a24, n) == _ladder_reference(k, (x, 1), a24, n)
 
 
-def test_ecm_curve_keeps_projective_giants_when_their_z_is_no_unit(monkeypatch):
-    affine = factor_mod._affine_xs
-    unnormalized = []
-
-    def spy(points, n):
-        xs = affine(points, n)
-        if len(points) > len(factor_mod._ECM_BABIES):
-            unnormalized.append(xs is None)
-        return xs
-
-    monkeypatch.setattr(factor_mod, "_affine_xs", spy)
+def test_ecm_curve_finds_the_prime_a_giant_z_shares_with_n():
+    # the batch of baby and giant steps has no inverse mod n, as the Z of a
+    # giant step is 0 mod 1033381: that prime is the find, where the
+    # reference, stripping with projective giants, fails with n
     p, q, sigma = ECM_OUTCOMES["giant Z"]
-    assert factor_mod._ecm_curve(p * q, sigma) == _ecm_curve_reference(p * q, sigma)
-    assert unnormalized == [True]
-    # force the branch where the giants would normalize: the result is the same
-    monkeypatch.setattr(factor_mod, "_affine_xs", lambda points, n: (
-        None if len(points) > len(factor_mod._ECM_BABIES) else affine(points, n)))
-    for p, q, sigma in ECM_OUTCOMES.values():
-        assert factor_mod._ecm_curve(p * q, sigma) == _ecm_curve_reference(p * q, sigma)
+    assert _ecm_curve_reference(p * q, sigma) == p * q
+    assert _ecm_curve_and_inversions(p * q, sigma) == (p, [True])
 
 
 def _pm1_rho_reference(n, budget):
@@ -687,11 +695,18 @@ def test_primitive_divisor_certificate_unit():
     assert not rep.certified
 
 
-def test_primitive_divisor_certificate_rejects_an_orbit_through_zero():
-    # x^2 - 1: -1, 0, -1, 0, ...
-    for n in (3, 4):
-        with pytest.raises(ZeroInputError):
-            primitive_divisor_certificate(_x2(-1), n)
+def test_primitive_divisor_certificate_refuses_a_zero_level():
+    # x^2 - 1: -1, 0, -1, 0, ...; the level value 0 itself is refused
+    with pytest.raises(ZeroInputError, match="^level value is zero$"):
+        primitive_divisor_certificate(_x2(-1), 4)
+
+
+def test_primitive_divisor_certificate_above_a_zero_certifies_nothing():
+    # every prime divides v_2 = 0, so no prime is primitive at level 3, and
+    # no witness is stripped: the exact route's answer, without factoring
+    rep = primitive_divisor_certificate(_x2(-1), 3)
+    assert rep == PrimitiveDivisorReport(3, (), "certificate", False, witness=None)
+    assert not primitive_divisor_exact(_x2(-1), 3).certified
 
 
 def _full_strip_certificate(values, n):
@@ -703,37 +718,61 @@ def _full_strip_certificate(values, n):
 @settings(max_examples=60, deadline=None)
 @given(gamma=st.lists(st.integers(-3, 3), max_size=2), c=st.lists(st.integers(-5, 5), max_size=3),
        a=st.integers(-6, 6), n=st.integers(1, 8))
+@example(gamma=[0], c=[-1], a=0, n=2)  # x^2 - 1: -1, 0, -1, 0, ...
+@example(gamma=[0], c=[-1], a=0, n=5)
 def test_primitive_divisor_certificate_matches_full_stripping(gamma, c, a, n):
     m = QuadraticFamily.of(gamma, c).specialize(a)
     crit = critical_orbit(m, n)
-    if 0 in crit.values:
+    if crit.values[-1] == 0:
+        with pytest.raises(ZeroInputError, match="^level value is zero$"):
+            primitive_divisor_certificate(m, n)
         return
     rep = primitive_divisor_certificate(m, n)
+    if 0 in crit.values:
+        # above a zero no prime is primitive, which both routes answer; the
+        # exact one wherever its factorization completes
+        assert (rep.certified, rep.witness) == (False, None)
+        try:
+            assert not primitive_divisor_exact(m, n, Budget(10 ** 4, 10 ** 4)).certified
+        except IncompleteFactorizationError:
+            pass
+        return
     assert (int(rep.witness), rep.certified) == _full_strip_certificate(crit.values, n)
     assert rep.witness == rep.to_json_dict()["witness"] == decimal_str(int(rep.witness))
 
 
+# orbits through 0: x^2 - 1, and (x - a)^2 + a + 1, whose v_n = u_n + a for
+# u = 1, 2, 5, 26, ... of x^2 + 1, at a = -2, -5, -26 (v_2, v_3, v_4 = 0)
+THROUGH_ZERO = {"x2-1": _x2(-1), **{f"isotrivial a={a}": QuadraticFamily.of([0, 1], [1, 1])
+                                     .specialize(a) for a in (-2, -5, -26)}}
+
+
 def test_exact_and_certificate_agree_on_corpus():
-    for entry in CORPUS:
-        m = entry.map()
+    maps = {e.name: e.map() for e in CORPUS} | THROUGH_ZERO
+    above_zero = 0
+    for name, m in maps.items():
         values = critical_orbit(m, 7).values
         for n in range(1, 8):
-            if values[n - 1] == 0 or any(v == 0 for v in values[: n - 1]):
-                continue
-            if abs(values[n - 1]) >= 1 << 128:
+            if values[n - 1] == 0 or abs(values[n - 1]) >= 1 << 128:
                 continue
             cert = primitive_divisor_certificate(m, n)
             try:
                 exact = primitive_divisor_exact(m, n)
             except IncompleteFactorizationError:
                 continue
+            if 0 in values[: n - 1]:
+                # above a zero every prime divides a lower value
+                assert (cert.certified, cert.witness, exact.certified) == (False, None, False), (
+                    name, n)
+                above_zero += 1
             if cert.certified:
                 # soundness: the certificate promises an odd primitive prime
-                assert exact.primes, (entry.name, n)
+                assert exact.primes, (name, n)
             if exact.primes and not cert.certified:
                 # the only way exact wins: every primitive prime also divides
                 # the paired square part y^2 through an earlier gcd strip
                 assert all(int(cert.witness) % p != 0 for p in exact.primes)
+    assert above_zero > 0
 
 
 class PreconditionError(ValueError):

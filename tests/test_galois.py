@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadtower.bigpoly as bigpoly_mod
+import quadtower.galois as galois_mod
 from quadtower.bigpoly import (DigitBudgetError, IntPolynomial, decimal_str, discriminant_direct,
                                is_perfect_square)
 from quadtower.factor import (
@@ -30,6 +31,7 @@ from quadtower.galois import (
     certify_tower,
     curve_model,
     discriminant_recurrence,
+    discriminant_report,
     primitive_divisor_certificate,
     primitive_divisor_exact,
     search_integral_points,
@@ -442,7 +444,7 @@ def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
     for n in range(1, depth + 1):
         if 0 in values[:n]:
             break
-        assert abs(values[n - 1]) // reader.cofactor(n) == stripped_cofactor(
+        assert abs(values[n - 1]) // reader._cofactor(n) == stripped_cofactor(
             values[n - 1], values[: n - 1])
 
 
@@ -497,11 +499,11 @@ def test_certify_tower_builds_no_binary_value_above_half_depth(monkeypatch):
     report = certify_tower(X2P2, 1, 20)
     assert len(report.certificates) == 20
     assert biggest and max(biggest) == limit
-    # on its own, cofactor(n) makes exactly v_1..v_(n // 2) exact (v_1 at n = 1);
+    # on its own, _cofactor(n) makes exactly v_1..v_(n // 2) exact (v_1 at n = 1);
     # reader.v also holds v_0 = gamma_a
     for n in range(1, 21):
         reader = CriticalOrbit(X2P2)
-        reader.cofactor(n)
+        reader._cofactor(n)
         assert len(reader.v) - 1 == max(1, n // 2)
 
 
@@ -631,6 +633,38 @@ def test_forced_point_rejects_wrong_decomposition():
         verify_forced_point(model2, critical_orbit(X2P1, 4), dec)
     with pytest.raises(ValueError, match="depth"):  # the orbit stops below the model's level
         verify_forced_point(model, critical_orbit(X2P1, 3), dec)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: discriminant_report(X2P1, 0), "level must be >= 1"),
+    (lambda: discriminant_recurrence(critical_orbit(X2P1, 3), 4), "level 4 outside computed orbit"),
+    (lambda: curve_model(X2P1, 2, squarefree_decompose(2), genus=3), "genus must be 1 or 2"),
+    (lambda: search_integral_points(curve_model(X2P1, 2, squarefree_decompose(2)), 0),
+     "xbound must be >= 1"),
+])
+def test_library_guards_refuse_with_their_own_message(call, message):
+    # the CLI's range checks stop these inputs first, so only a library
+    # call reaches the guards
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_courtesy_factorization_stops_at_its_bit_cap(monkeypatch):
+    # x^2 + 2 certifies levels 8-13; the witness R is factored once on each
+    # of levels 8-10 (158, 331 and 650 bits) and never on levels 11-13, where
+    # R has 405 to 1,618 digits, above _COURTESY_MAX_BITS
+    calls = []
+    factorize = galois_mod.factorize
+    monkeypatch.setattr(galois_mod, "factorize",
+                        lambda n, budget: calls.append((level, n.bit_length())) or factorize(n, budget))
+    digits = {}
+    for level in range(8, 14):
+        rep = primitive_divisor_certificate(X2P2, level)
+        assert rep.certified
+        digits[level] = len(rep.witness)
+    assert calls == [(8, 158), (9, 331), (10, 650)]
+    assert [digits[n] for n in range(11, 14)] == [405, 794, 1618]
 
 
 def test_forced_point_across_corpus():
@@ -831,6 +865,39 @@ def test_verdict_census_of_x2_plus_t(x2_plus_t_sweep):
     assert sorted(a for a, statuses in x2_plus_t_sweep.items()
                   if statuses[1] == FAILED_SQUARE_OVER_Q) == [-s * s for s in range(20, 1, -1)]
     assert [a for a, statuses in x2_plus_t_sweep.items() if statuses[3] == UNKNOWN] == [3]
+
+
+def test_verdict_census_of_the_isotrivial_family():
+    # (x - t)^2 + t + 1 is isotrivial (c - gamma = 1): each map is x^2 + 1
+    # shifted by a, so v_n = u_n + a with u = 1, 2, 5, 26, 677, ...  It has
+    # no F_phi to leave out, so the census runs over every |a| <= 400.
+    # Unlike x^2 + t, non-maximal levels rise with |a|, up to level 8.
+    family = QuadraticFamily.of([0, 1], [1, 1])
+    sweep = {a: {c.level: c.status for c in certify_tower(family.specialize(a), 1,
+                                                          SWEEP_LEVELS).certificates}
+             for a in range(-400, 401)}
+    census = Counter((n, status) for statuses in sweep.values()
+                     for n, status in statuses.items() if status != CERTIFIED_MAXIMAL)
+    failed = [20, 21, 21, 21, 16, 1, 1, 1]
+    unknown = [48, 47, 85, 179, 112, 8, 3, 3]
+    assert census == {**{(n, FAILED_SQUARE_OVER_Q): k for n, k in enumerate(failed, 1)},
+                      **{(n, UNKNOWN): k for n, k in enumerate(unknown, 1)}}
+    # the oracle: the adjusted value -c_a = -1 - a at level 1, and u_n + a
+    # above, is a square exactly where the level fails
+    u = [1]
+    while len(u) < SWEEP_LEVELS:
+        u.append(u[-1] ** 2 + 1)
+    for n in range(1, SWEEP_LEVELS + 1):
+        adjusted = {a: -1 - a if n == 1 else u[n - 1] + a for a in sweep}
+        assert {a for a, statuses in sweep.items() if statuses[n] == FAILED_SQUARE_OVER_Q} == {
+            a for a, x in adjusted.items() if x >= 0 and math.isqrt(x) ** 2 == x}, n
+    # a = -1 starts at 0 and fails at every level; the Unknowns of levels 7
+    # and 8 lie above a zero (v_4, v_3 and v_2 = 0), with no witness
+    for n in (7, 8):
+        assert [a for a, statuses in sweep.items() if statuses[n] == UNKNOWN] == [-26, -5, -2]
+    for a in (-26, -5, -2):
+        assert [(c.status, c.witness) for c in certify_tower(family.specialize(a), 7, 8)
+                .certificates] == [(UNKNOWN, None)] * 2
 
 
 def test_frobenius_witnesses_cover_the_certified_levels_of_x2_plus_t(x2_plus_t_sweep):

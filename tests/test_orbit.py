@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -91,6 +93,31 @@ def test_critical_orbit_constant_when_v_zero():
     m = SpecializedMap(5, 5, 5)  # gamma = c = t at a = 5
     crit = critical_orbit(m, 5)
     assert crit.values == (5,) * 5
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once seconds of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_stripped_witness_at_and_above_a_zero():
+    # x^2 - 1: -1, 0, -1, 0, ...; every prime divides 0, so from level 2 on
+    # no prime is primitive and no cofactor is stripped
+    m = SpecializedMap(-1, 0, -1)
+    assert CriticalOrbit(m).walk(5).stripped_witness(1) == ("1", False)
+    for n in (2, 5):
+        with _time_limit(1):
+            assert CriticalOrbit(m).walk(n).stripped_witness(n) == (None, False)
 
 
 def test_critical_orbit_condition_one_failure():

@@ -42,5 +42,6 @@ def test_readme_library_tour_prints_what_its_comments_say():
         assert value == claimed[0], expr
         checked.append(expr)
     # fam.m_phi(), the info fields m_phi, threshold and F_phi, n_phi, the
-    # critical orbit, the stability verdict and the stripped witness
-    assert len(checked) == 7, checked
+    # critical orbit, the stability verdict and the stripped witnesses of
+    # x^2 + 1 and, above a zero, of x^2 - 1
+    assert len(checked) == 8, checked

@@ -10,7 +10,7 @@ import pytest
 
 from quadtower.bigpoly import IntPolynomial
 from quadtower.density import DensityCurve, DensityRow
-from quadtower.factor import Budget, Factorization, SquareFreeDecomposition
+from quadtower.factor import MAX_RHO_ITERS, Budget, Factorization, SquareFreeDecomposition
 from quadtower.family import (
     BoundConstants,
     FamilyInfo,
@@ -110,6 +110,7 @@ def test_record_is_an_immutable_value(make, text):
 @pytest.mark.parametrize("make, error, message", [
     (lambda: Budget(trial_bound=1), ValueError, "trial_bound must be in [2, 10000000]"),
     (lambda: Budget(rho_iters=-1), ValueError, "rho_iters must be >= 0"),
+    (lambda: Budget(rho_iters=MAX_RHO_ITERS + 1), ValueError, "rho_iters must be <= 20000000"),
     (lambda: HallLangConstants(0.0, 1.0, 1.0), InvalidConstantsError, "kappa1 must be positive"),
     (lambda: HallLangConstants(1.0, -1.0, 0.0), InvalidConstantsError,
      "kappa2 must be finite and nonnegative"),
