@@ -50,7 +50,6 @@ from quadtower.galois import (
     TowerReport,
     certify_tower,
     curve_model,
-    discriminant_recurrence,
     primitive_divisor_certificate,
     primitive_divisor_exact,
     search_integral_points,

@@ -139,7 +139,8 @@ def _range_text(lo: int, hi: int | None) -> str:
 # flag groups that several subcommands share; every subcommand takes "common"
 GROUPS = {
     "common": (_flag("--config", help="JSON config file; explicit flags win"),
-               _flag("--format", dest="fmt", choices=("text", "json", "csv"), default="text"),
+               _flag("--format", dest="fmt", choices=("text", "json", "csv"), default="text",
+                     help="csv is for density only"),
                _flag("--json", dest="fmt", action="store_const", const="json",
                      help="shorthand for --format json")),
     "fam": (_flag("--gamma", required=True, help="gamma coefficients, low-to-high, e.g. '0,1'"),
@@ -196,7 +197,8 @@ COMMANDS = {
         lambda a: (primitive_divisor_exact(_map(a), a.level, _budget(a), a.bits)
                    if a.method == "exact" else
                    primitive_divisor_certificate(_map(a), a.level, a.bits)),
-        flags=(_flag("--method", choices=("exact", "certificate"), default="certificate"),)),
+        flags=(_flag("--method", choices=("exact", "certificate"), default="certificate",
+                     help="only exact reads --trial-bound, --rho-iters and --seed"),)),
     "discriminant": Command(
         "|disc(phi_a^n)| via the recurrence", ("fam", "spot", "bits"),
         lambda a: discriminant_report(_map(a), a.level, a.direct, a.bits),

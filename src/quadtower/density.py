@@ -28,10 +28,16 @@ MAX_SHARDS = 10 ** 4
 
 
 class DensityRow(NamedTuple):
+    """Of the primes_tested primes up to x, members divide the orbit; the
+    property proportion is their exact ratio."""
+
     x: int
     primes_tested: int
     members: int
-    proportion: Fraction
+
+    @property
+    def proportion(self) -> Fraction:
+        return Fraction(self.members, self.primes_tested)
 
 
 class DensityCurve(NamedTuple):
@@ -174,7 +180,5 @@ def density_curve(
     for i, cp in enumerate(checkpoints):
         tested = sum(counts[i] for counts, _ in results)
         hit = bisect_right(members, cp)
-        rows.append(
-            DensityRow(x=cp, primes_tested=tested, members=hit, proportion=Fraction(hit, tested))
-        )
+        rows.append(DensityRow(x=cp, primes_tested=tested, members=hit))
     return DensityCurve(b=b, rows=tuple(rows), member_primes=tuple(members))

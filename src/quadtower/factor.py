@@ -88,12 +88,16 @@ MR_ROUNDS = 40
 
 
 class Factorization(NamedTuple):
-    """sign * prod(p^e) * cofactor == the input; cofactor > 1 means incomplete."""
+    """sign * prod(p^e) * cofactor == the input; cofactor > 1 means
+    incomplete, and the property complete reads cofactor == 1."""
 
     sign: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        return self.cofactor == 1
 
     def value(self) -> int:
         out = self.sign
@@ -420,8 +424,8 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     all within budget.rho_iters per composite cofactor.
 
     Every reported prime passes the strong-probable-prime test; whatever
-    resists the budget is returned as a composite cofactor with
-    complete=False.  An |n| above MAX_FACTOR_BITS bits is returned that way
+    resists the budget is returned as a composite cofactor, which makes
+    complete False.  An |n| above MAX_FACTOR_BITS bits is returned that way
     at once, untouched.  Deterministic for a fixed budget.
 
     >>> factorize(4294967297).factors
@@ -432,7 +436,7 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     sign = -1 if n < 0 else 1
     m = abs(n)
     if m.bit_length() > MAX_FACTOR_BITS:
-        return Factorization(sign=sign, factors=(), cofactor=m, complete=False)
+        return Factorization(sign=sign, factors=(), cofactor=m)
     counts: dict[int, int] = {}
     if m > 1:
         for p in prime_table(budget.trial_bound):
@@ -466,12 +470,7 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
             cofactor *= x ** k
         else:
             pending += [(f, k), (x // f, k)]
-    return Factorization(
-        sign=sign,
-        factors=tuple(sorted(counts.items())),
-        cofactor=cofactor,
-        complete=cofactor == 1,
-    )
+    return Factorization(sign=sign, factors=tuple(sorted(counts.items())), cofactor=cofactor)
 
 
 def factorize_fully(

@@ -51,23 +51,25 @@ class InvalidConstantsError(ValueError):
 
 class SpecializedMap(FrozenSlots):
     """phi_a(x) = (x - gamma_a)^2 + c_a and its conjugate sigma_a = x^2 + v_a,
-    built from a, gamma_a and c_a as ints; v_a = c_a - gamma_a is derived.
-    Conjugation is by the shift lambda_a(x) = x + gamma_a.  A slots class
-    rather than a NamedTuple: apply_mod reads two fields per step of
-    certify's residue loops, and NamedTuple field reads are slower.
+    built from gamma_a and c_a as ints; v_a = c_a - gamma_a is derived.  The
+    map is phi_a alone, so two parameters a with the same gamma(a) and c(a)
+    give equal maps.  Conjugation is by the shift lambda_a(x) = x + gamma_a.
+    A slots class rather than a NamedTuple: apply_mod reads two fields per
+    step of certify's residue loops, and NamedTuple field reads are slower.
     """
 
-    _fields = ("a", "gamma_a", "c_a")
+    _fields = ("gamma_a", "c_a")
     __slots__ = (*_fields, "v_a")
 
-    def __init__(self, a: int, gamma_a: int, c_a: int):
-        self._set(int(a), int(gamma_a), int(c_a))
+    def __init__(self, gamma_a: int, c_a: int):
+        self._set(int(gamma_a), int(c_a))
         object.__setattr__(self, "v_a", self.c_a - self.gamma_a)
 
     @classmethod
     def make(cls, a: int, gamma_a: int, c_a: int) -> SpecializedMap:
-        """The constructor's older name, kept only for bench/probes.py."""
-        return cls(a, gamma_a, c_a)
+        """SpecializedMap(gamma_a, c_a) under the constructor's older
+        three-argument form, kept only for bench/probes.py; a is ignored."""
+        return cls(gamma_a, c_a)
 
     def apply(self, x: int) -> int:
         y = x - self.gamma_a
@@ -106,7 +108,8 @@ class HallLangConstants(FrozenSlots):
 
 
 class BoundConstants(NamedTuple):
-    """Explicit height constants attached to a family.
+    """Explicit height constants attached to a family, from a3, a4, b1 and
+    threshold; the properties a1 = a3 + log 2 and a2 = a4 + log 2 are derived.
 
     Contracts, for f = c - gamma of degree d and all integers a:
       h(gamma(a))            <= deg(gamma) * h(a) + a3
@@ -118,12 +121,18 @@ class BoundConstants(NamedTuple):
     {h(a) <= b1/d} is exactly {|a| <= threshold}.
     """
 
-    a1: float
-    a2: float
     a3: float
     a4: float
     b1: float
     threshold: int
+
+    @property
+    def a1(self) -> float:
+        return self.a3 + _LOG2
+
+    @property
+    def a2(self) -> float:
+        return self.a4 + _LOG2
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,19 +148,30 @@ class BoundConstants(NamedTuple):
 
 
 class NphiReport(NamedTuple):
-    """Linear-fractional suprema M1..M4, their max M_phi, and the level n_phi."""
+    """Linear-fractional suprema M1..M4 and the level n_phi.  The properties
+    M_phi = max M_i, a_min = threshold + 1 and x_min = log(a_min) are derived
+    from the M_i and the bounds."""
 
     m1: float
     m2: float
     m3: float
     m4: float
-    m_phi: float
     n_phi: int
     kappa2_prime: float
     kappa3_prime: float
-    a_min: int
-    x_min: float
     bounds: BoundConstants
+
+    @property
+    def m_phi(self) -> float:
+        return max(self.m1, self.m2, self.m3, self.m4)
+
+    @property
+    def a_min(self) -> int:
+        return self.bounds.threshold + 1
+
+    @property
+    def x_min(self) -> float:
+        return math.log(self.a_min)
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,7 +275,7 @@ class QuadraticFamily(FrozenSlots):
         return self.difference.degree in (None, 0)
 
     def specialize(self, a: int) -> SpecializedMap:
-        return SpecializedMap(a, self.gamma.evaluate(a), self.c.evaluate(a))
+        return SpecializedMap(self.gamma.evaluate(a), self.c.evaluate(a))
 
     def info(self, budget: Budget = DEFAULT_BUDGET) -> FamilyInfo:
         """P_phi, and for a non-isotrivial family m_phi, the bound constants
@@ -313,8 +333,8 @@ class QuadraticFamily(FrozenSlots):
     def compute_bound_constants(self) -> BoundConstants:
         """Fully explicit constants; see BoundConstants for the contracts.
 
-        With S(p) = log max(1, sum |coeffs|): a3 = S(gamma), a4 = S(c-gamma),
-        a1 = a3 + log 2, a2 = a4 + log 2.  b1 = d * log T where T is the
+        With S(p) = log max(1, sum |coeffs|): a3 = S(gamma), a4 = S(c-gamma)
+        (BoundConstants adds log 2 for a1 and a2); b1 = d * log T where T is the
         least integer >= 2 exceeding 2*d*H/|lc|, H the largest non-leading
         |coefficient| of c - gamma: beyond |a| = T the leading term dominates,
         giving |f(a)| > |a|^d / 2 >= (|a|/T)^d and |f(a)| >= |a|^(d-1) *
@@ -329,14 +349,7 @@ class QuadraticFamily(FrozenSlots):
         lc = abs(f.leading_coefficient)
         high = max((abs(cf) for cf in f.coeffs[:-1]), default=0)
         threshold = max(2, (2 * d * high + lc - 1) // lc + 1)
-        return BoundConstants(
-            a1=a3 + _LOG2,
-            a2=a4 + _LOG2,
-            a3=a3,
-            a4=a4,
-            b1=d * math.log(threshold),
-            threshold=threshold,
-        )
+        return BoundConstants(a3=a3, a4=a4, b1=d * math.log(threshold), threshold=threshold)
 
     def nphi_bound(self, constants: HallLangConstants) -> NphiReport:
         """Evaluate the conditional bound chain.
@@ -347,7 +360,8 @@ class QuadraticFamily(FrozenSlots):
         at x_min and the asymptote.  x_min = log(a_min) with a_min =
         threshold + 1, the least integer exceeding exp(b1/D) = threshold, so
         the denominator there is D*log1p(1/threshold), which does not cancel.
-        Then M_phi = max M_i and n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)),
+        The report derives M_phi = max M_i, a_min and x_min from the M_i
+        and the bounds; n_phi = 1 + max(6, ceil(2*log2(M_phi) + 19)) is
         taken from an upper bound on M_phi (_n_phi); the M_i are floats.
         Kappas so large that some M_i overflows a float raise
         InvalidConstantsError; a threshold (from about 10^305) past which M4
@@ -364,27 +378,17 @@ class QuadraticFamily(FrozenSlots):
             raise ValueError("the bound chain leaves the float range at threshold "
                              f"{decimal_str(threshold)}")
         kappas = (constants.kappa1, constants.kappa2, constants.kappa3)
-        m1, m2, m3, m4, kappa2_prime, kappa3_prime, x_min = self._bound_chain(
+        m1, m2, m3, m4, kappa2_prime, kappa3_prime = self._bound_chain(
             *kappas, threshold, math.log, denom)
         if not all(map(math.isfinite, (m1, m2, m3, m4))):
             raise InvalidConstantsError("the bound chain overflows a float; use smaller kappas")
-        return NphiReport(
-            m1=m1,
-            m2=m2,
-            m3=m3,
-            m4=m4,
-            m_phi=max(m1, m2, m3, m4),
-            n_phi=self._n_phi(kappas, threshold),
-            kappa2_prime=kappa2_prime,
-            kappa3_prime=kappa3_prime,
-            a_min=threshold + 1,
-            x_min=x_min,
-            bounds=bounds,
-        )
+        return NphiReport(m1, m2, m3, m4, self._n_phi(kappas, threshold),
+                          kappa2_prime, kappa3_prime, bounds)
 
     def _bound_chain(self, k1, k2, k3, threshold: int, ln, denom) -> tuple:
-        """(M1, M2, M3, M4, kappa2', kappa3', x_min) from kappas, logs ln and
-        denom = D*log1p(1/threshold), all floats or all Decimals."""
+        """(M1, M2, M3, M4, kappa2', kappa3') from kappas, logs ln and
+        denom = D*log1p(1/threshold), all floats or all Decimals; the suprema
+        are taken from x_min = ln(threshold + 1)."""
         f, gamma = self.difference, self.gamma
         big_d, big_g, ln2 = f.degree, gamma.degree or 0, ln(2)
         a3, a4 = _log_coeff_sum(gamma, ln), _log_coeff_sum(f, ln)
@@ -397,7 +401,7 @@ class QuadraticFamily(FrozenSlots):
         kappa3_prime = k3 + 2 * ln(3) + ln(max([1, *map(abs, gamma.coeffs)])) + a4 + ln2
         return (sup(k1 * big_d, k1 * (a4 + ln2)), sup(k1 * big_g, k1 * a3),
                 sup(k1 * big_g, k1 * (a3 + ln2)), sup(kappa2_prime, kappa3_prime),
-                kappa2_prime, kappa3_prime, x_min)
+                kappa2_prime, kappa3_prime)
 
     def _n_phi(self, kappas: tuple, threshold: int) -> int:
         """1 + max(6, ceil(2*log2(M_phi) + 19)) from an upper bound on M_phi,

@@ -291,31 +291,18 @@ def stability_scan(
     return StabilityReport(depth, tuple((n, r) for n, r in roots if r is not None))
 
 
-def discriminant_recurrence(
-    crit: CriticalOrbit, n: int, max_bits: int = DEFAULT_MAX_BITS
-) -> decimal.Decimal:
-    """|disc(phi_a^n)| via |D_n| = D_{n-1}^2 * 2^(2^n) * |phi_a^n(gamma_a)|
-    from D_0 = 1 (so D_1 = 4|c_a|), as an exact integer decimal.Decimal,
-    multiplying the decimal critical values of crit, which must reach level n.
-    A D_k over max_bits raises DigitBudgetError."""
-    if not 1 <= n <= len(crit.rows):
-        raise ValueError(f"level {n} outside computed orbit")
-    delta, power = decimal.Decimal(1), decimal.Decimal(2)  # D_0 and 2^(2^0)
-    for k in range(1, n + 1):
-        power = decimal_product(power, power)  # 2^(2^k)
-        # the two small factors first: one big product besides the square
-        delta = decimal_product(power, crit.rows[k - 1].copy_abs(), decimal_product(delta, delta))
-        check_bits(delta, max_bits, "discriminant")
-    return delta
-
-
 def discriminant_report(
     map: SpecializedMap, n: int, direct: bool = False, max_bits: int = DEFAULT_MAX_BITS
 ) -> DiscriminantReport:
     """|disc(phi_a^n)| by the recurrence and, with direct, from the
     polynomial map.phi_polynomial(n), which is refused above
     DIRECT_DISCRIMINANT_MAX_LEVEL.  Both refusals of a level come
-    before any orbit value is computed."""
+    before any orbit value is computed.
+
+    The recurrence |D_k| = D_{k-1}^2 * 2^(2^k) * |phi_a^k(gamma_a)| from
+    D_0 = 1 (so D_1 = 4|c_a|) multiplies the decimal critical values of the
+    orbit walked to level n, exactly; a D_k over max_bits raises
+    DigitBudgetError."""
     if n < 1:
         raise ValueError("level must be >= 1")
     if direct and n > DIRECT_DISCRIMINANT_MAX_LEVEL:
@@ -328,9 +315,14 @@ def discriminant_report(
     first = max(2, max_bits.bit_length())
     if n >= first:
         raise DigitBudgetError(f"discriminant at level {first} needs more than {max_bits} bits")
-    value = discriminant_recurrence(critical_orbit(map, n, max_bits), n, max_bits)
+    delta, power = decimal.Decimal(1), decimal.Decimal(2)  # D_0 and 2^(2^0)
+    for row in critical_orbit(map, n, max_bits).rows:
+        power = decimal_product(power, power)  # 2^(2^k)
+        # the two small factors first: one big product besides the square
+        delta = decimal_product(power, row.copy_abs(), decimal_product(delta, delta))
+        check_bits(delta, max_bits, "discriminant")
     exact = abs(discriminant_direct(map.phi_polynomial(n))) if direct else None
-    return DiscriminantReport(level=n, recurrence=value, direct=exact)
+    return DiscriminantReport(level=n, recurrence=delta, direct=exact)
 
 
 def _certify_level(orbit: CriticalOrbit, n: int) -> MaximalityCertificate:

@@ -4,7 +4,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from quadtower.bigpoly import IntPolynomial
+from quadtower.bigpoly import IntPolynomial, is_perfect_square
+from quadtower.factor import stripped_cofactor
 from quadtower.family import QuadraticFamily
 
 
@@ -84,6 +85,14 @@ def plain_primes(bound: int) -> tuple[int, ...]:
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
     return tuple(itertools.compress(range(bound + 1), flags))
+
+
+def full_strip(values, n) -> tuple[int, bool]:
+    """Reference for the stripped-cofactor criterion on nonzero orbit values:
+    R, the level-n value stripped by plain gcds against all lower values,
+    and whether R certifies (R > 1 and R no perfect square)."""
+    r = stripped_cofactor(values[n - 1], values[: n - 1])
+    return r, r > 1 and is_perfect_square(r) is None
 
 
 def compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

@@ -25,7 +25,7 @@ from quadtower.galois import (
     CERTIFIED_MAXIMAL,
     certify_tower,
     curve_model,
-    discriminant_recurrence,
+    discriminant_report,
     primitive_divisor_exact,
     verify_forced_point,
 )
@@ -54,7 +54,7 @@ def criterion(num, desc):
 @criterion(1, "Fermat fixture: orbit of 3 under (x-1)^2+1 and F_5 = 641 * 6700417")
 def test_criterion_01_fermat_fixture():
     start = time.perf_counter()
-    m = SpecializedMap(0, 1, 1)
+    m = SpecializedMap(1, 1)
     values = orbit(m, 3, 5).values
     assert values[1:] == (5, 17, 257, 65537, 4294967297)
     fac = factorize(4294967297)
@@ -83,18 +83,17 @@ def test_criterion_02_conjugation_identity():
 def test_criterion_03_discriminant_agreement():
     start = time.perf_counter()
     rng = random.Random(12031)
-    x2p1 = SpecializedMap(1, 0, 1)
-    assert discriminant_recurrence(critical_orbit(x2p1, 2), 2) == 512
+    x2p1 = SpecializedMap(0, 1)
+    assert discriminant_report(x2p1, 2).recurrence == 512
     for _ in range(20):
-        m = SpecializedMap(0, rng.randint(-100, 100), rng.randint(-100, 100))
+        m = SpecializedMap(rng.randint(-100, 100), rng.randint(-100, 100))
         phi = m.phi_polynomial()
-        crit = critical_orbit(m, 2)
-        assert discriminant_recurrence(crit, 2) == abs(discriminant_direct(compose(phi, phi)))
+        assert discriminant_report(m, 2).recurrence == abs(discriminant_direct(compose(phi, phi)))
     for _ in range(5):
-        m = SpecializedMap(0, rng.randint(-30, 30), rng.randint(-30, 30))
+        m = SpecializedMap(rng.randint(-30, 30), rng.randint(-30, 30))
         phi = m.phi_polynomial()
         phi3 = compose(compose(phi, phi), phi)
-        assert discriminant_recurrence(critical_orbit(m, 3), 3) == abs(discriminant_direct(phi3))
+        assert discriminant_report(m, 3).recurrence == abs(discriminant_direct(phi3))
     assert time.perf_counter() - start < 30.0
 
 
@@ -198,7 +197,7 @@ def test_criterion_06_squarefree_round_trip():
 
 @criterion(7, "density oracle: x^2+1, b=0, X=1000 matches naive iteration prime-by-prime")
 def test_criterion_07_density_oracle():
-    m = SpecializedMap(1, 0, 1)
+    m = SpecializedMap(0, 1)
     curve = density_curve(m, 0, 1000)
     expected = [p for p in primes_up_to(1000) if naive_orbit_member(0, 1, 0, p)]
     assert list(curve.member_primes) == expected
@@ -209,7 +208,7 @@ def test_criterion_07_density_oracle():
 
 @criterion(8, "density determinism across shard counts 1/4/16 at X = 10^5, < 60 s")
 def test_criterion_08_density_determinism():
-    m = SpecializedMap(1, 0, 1)
+    m = SpecializedMap(0, 1)
     base = density_curve(m, 0, 10 ** 5, shards=1, workers=1).to_csv()
     four = density_curve(m, 0, 10 ** 5, shards=4, workers=1).to_csv()
     start = time.perf_counter()
@@ -239,12 +238,12 @@ def test_criterion_11_ingram_floor():
     for v in range(-1000, 1001):
         if v in (0, -1, -2):  # post-critically finite
             continue
-        m = SpecializedMap(0, 0, v)
+        m = SpecializedMap(0, v)
         assert canonical_height(m, 0, eps) + eps >= max(height_int(v), 1.0) / 32, v
     # self-consistency at eps = 1e-6: the next refinement stays within eps
     # (depth ~21 doubles values past 2^20 bits, so raise the budget knob)
     for v in (1, 2):
-        m = SpecializedMap(0, 0, v)
+        m = SpecializedMap(0, v)
         est = canonical_height(m, 0, 1e-6, max_bits=1 << 22)
         refined = canonical_height(m, 0, 5e-7, max_bits=1 << 22)
         assert abs(est - refined) <= 1e-6

@@ -19,6 +19,7 @@ from quadtower.bigpoly import (
     DigitBudgetError,
     IntPolynomial,
     ZeroPolynomialError,
+    _exact_div,
     _to_decimal,
     check_bits,
     decimal_bit_length,
@@ -224,6 +225,8 @@ def test_a_non_exact_step_raises_under_python_o():
     # python -O deletes assert statements, so the exactness check must not be
     # one: every pseudo-remainder gets +1 on one coefficient, which makes a
     # later exact division fail on the degree-16 t^2 + 1 -> p^2 + 1 -> ...
+    with pytest.raises(ArithmeticError, match="^non-exact division in the subresultant sequence$"):
+        _exact_div(7, 2)
     code = ("import sys\n"
             "from quadtower import bigpoly\n"
             "prem = bigpoly._prem\n"
@@ -429,12 +432,12 @@ def test_decimal_orbit_steps_the_orbit_exactly():
     # a start of -3^21000 makes every value big, the first one negative
     values = _orbit(5, -7, -(3 ** 21000), 3)
     texts = [lift_int_limit(str, v) for v in values]
-    assert [str(x) for _, x in zip(values, decimal_orbit(SpecializedMap(0, 5, -7), values[0]))] == texts
+    assert [str(x) for _, x in zip(values, decimal_orbit(SpecializedMap(5, -7), values[0]))] == texts
     # the orbit and quotients ignore the caller's context: at 5 digits each
     # would otherwise round or come out wrong
     n = 3 ** 21000
     with localcontext(Context(prec=5)):
-        assert [str(x) for _, x in zip(values, decimal_orbit(SpecializedMap(0, 5, -7), values[0]))] == texts
+        assert [str(x) for _, x in zip(values, decimal_orbit(SpecializedMap(5, -7), values[0]))] == texts
         assert str(decimal_quotient(_to_decimal(n * 7 ** 100), 7 ** 100)) == lift_int_limit(str, n)
 
 
@@ -443,12 +446,12 @@ def test_decimal_quotient_and_orbit_reject_a_non_divisor_and_a_non_orbit(monkeyp
 
     start = 3 ** 30000
     with pytest.raises(ArithmeticError, match="does not divide"):
-        decimal_quotient(next(decimal_orbit(SpecializedMap(0, 0, 1), start)), 2)
+        decimal_quotient(next(decimal_orbit(SpecializedMap(0, 1), start)), 2)
     # c converted as 2 instead of 1: level 0 agrees with the integers, level 1
     # no longer does
     real = bigpoly_mod._to_decimal
     monkeypatch.setattr(bigpoly_mod, "_to_decimal", lambda n: real(2 if n == 1 else n))
-    orbit = decimal_orbit(SpecializedMap(0, 0, 1), start)
+    orbit = decimal_orbit(SpecializedMap(0, 1), start)
     assert str(next(orbit)) == lift_int_limit(str, start)
     with pytest.raises(ArithmeticError, match="disagrees"):
         next(orbit)

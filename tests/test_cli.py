@@ -1196,6 +1196,13 @@ def test_command_help_lists_its_declared_flags_in_order(capsys, name):
     assert re.findall(r"^  (-[-\w]+)", options, re.M) == ["-h", *_declared(name)]
 
 
+def test_help_says_which_paths_read_a_flag(capsys):
+    out = " ".join(_help(capsys, "primitive-divisors").split())  # as argparse wraps it
+    assert ("--method {exact,certificate} only exact reads --trial-bound, --rho-iters and "
+            "--seed") in out
+    assert "--format {text,json,csv} csv is for density only" in out
+
+
 def test_top_level_help_names_every_command(capsys):
     out = _help(capsys)
     for name, command in COMMANDS.items():

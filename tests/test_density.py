@@ -19,7 +19,7 @@ from quadtower.family import SpecializedMap
 
 from conftest import CORPUS, lift_int_limit, naive_orbit_member, plain_primes
 
-X2P1 = SpecializedMap(1, 0, 1)
+X2P1 = SpecializedMap(0, 1)
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "density_x2p1.json"
 
 
@@ -53,7 +53,7 @@ def test_orbit_hits_zero_examples():
 
 def test_orbit_membership_ignores_n_zero():
     # b == 0 mod p alone must not count; only n >= 1 hits do
-    m = SpecializedMap(0, 0, 3)  # x^2 + 3: orbit of 0 is 3, 12, 147...
+    m = SpecializedMap(0, 3)  # x^2 + 3: orbit of 0 is 3, 12, 147...
     assert orbit_hits_zero_mod_p(m, 0, 5) is False
     assert naive_orbit_member(0, 3, 0, 5) is False
 
@@ -78,7 +78,7 @@ def test_brent_matches_naive_iteration():
         (0, -2, 2, None),   # x^2 - 2 fixes 2, a member only at p = 2
     ]
     for gamma_a, c_a, b, members in stop_rule_cases:
-        m = SpecializedMap(0, gamma_a, c_a)
+        m = SpecializedMap(gamma_a, c_a)
         for p in primes_up_to(10 ** 3):  # from p = 2 and 3 on
             # b itself, then two starts that are 0 mod p but not 0
             for start in (b, p, -3 * p):
@@ -86,7 +86,7 @@ def test_brent_matches_naive_iteration():
                 assert got == naive_orbit_member(gamma_a, c_a, start, p), (m, start, p)
             if members is not None:
                 assert orbit_hits_zero_mod_p(m, b, p) is members, (m, b, p)
-    x2m2 = SpecializedMap(0, 0, -2)
+    x2m2 = SpecializedMap(0, -2)
     assert [p for p in primes_up_to(100) if orbit_hits_zero_mod_p(x2m2, 2, p)] == [2]
 
 
@@ -101,14 +101,14 @@ def test_density_curve_x2p1_oracle():
 
 
 def test_density_power_map():
-    m = SpecializedMap(0, 0, 0)  # x^2; orbit of 2 is 2^(2^n)
+    m = SpecializedMap(0, 0)  # x^2; orbit of 2 is 2^(2^n)
     curve = density_curve(m, 2, 1000)
     assert list(curve.member_primes) == [2]
     assert curve.rows[-1].proportion == Fraction(1, 168)
 
 
 def test_density_fermat_map_contains_641():
-    m = SpecializedMap(0, 1, 1)  # (x - 1)^2 + 1, orbit of 3 = Fermat numbers
+    m = SpecializedMap(1, 1)  # (x - 1)^2 + 1, orbit of 3 = Fermat numbers
     curve = density_curve(m, 3, 10 ** 4)
     assert 641 in curve.member_primes  # 641 | F_5
     # every member divides some Fermat number 2^(2^n) + 1

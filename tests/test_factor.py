@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quadtower.factor as factor_mod
-from quadtower.bigpoly import BudgetError, DigitBudgetError, decimal_str, is_perfect_square
+from quadtower.bigpoly import BudgetError, DigitBudgetError, decimal_str
 from quadtower.factor import (
     Budget,
     Factorization,
@@ -30,7 +30,7 @@ from quadtower.galois import (
 )
 from quadtower.orbit import critical_orbit
 
-from conftest import CORPUS, plain_primes
+from conftest import CORPUS, full_strip, plain_primes
 
 def _x2(c):
     """The map x^2 + c."""
@@ -481,7 +481,7 @@ def test_factorize_tries_a_composite_square_root_once(monkeypatch):
         monkeypatch.setattr(factor_mod, name, counted)
     fac = factorize(n ** 2, Budget(rho_iters=10 ** 6))
     assert calls == [("_pollard_pm1", n), ("_brent_rho", n), ("_ecm", n)]
-    assert fac == Factorization(sign=1, factors=(), cofactor=n ** 2, complete=False)
+    assert fac == Factorization(sign=1, factors=(), cofactor=n ** 2)
     # a prime square above the trial bound is one prime with exponent 2,
     # and nested squares multiply the exponents
     p = 10 ** 18 + 3
@@ -492,7 +492,7 @@ def test_factorize_tries_a_composite_square_root_once(monkeypatch):
     # comes back whole, with none of its primes listed beside it
     n = 2400971 * 798638215261
     fac = factorize(n ** 2, Budget(trial_bound=100, rho_iters=4000))
-    assert fac == Factorization(sign=1, factors=(), cofactor=n ** 2, complete=False)
+    assert fac == Factorization(sign=1, factors=(), cofactor=n ** 2)
 
 
 def test_factorize_completes_x2p7_levels_7_and_8():
@@ -578,7 +578,7 @@ def test_factorize_returns_values_above_the_cap_untouched():
     # 3^1292 has 2,048 bits and is still factored; 2^2048 has 2,049
     assert factorize(3 ** 1292).factors == ((3, 1292),)
     n = -(1 << factor_mod.MAX_FACTOR_BITS)
-    assert factorize(n) == Factorization(sign=-1, factors=(), cofactor=-n, complete=False)
+    assert factorize(n) == Factorization(sign=-1, factors=(), cofactor=-n)
     with pytest.raises(IncompleteFactorizationError,
                        match="^a 2049-bit value is not factored; factoring stops at 2048 bits$"):
         squarefree_decompose(n)
@@ -709,12 +709,6 @@ def test_primitive_divisor_certificate_above_a_zero_certifies_nothing():
     assert not primitive_divisor_exact(_x2(-1), 3).certified
 
 
-def _full_strip_certificate(values, n):
-    """Reference: strip the level-n value against the full lower values."""
-    r = stripped_cofactor(values[n - 1], values[: n - 1])
-    return r, r > 1 and is_perfect_square(r) is None
-
-
 @settings(max_examples=60, deadline=None)
 @given(gamma=st.lists(st.integers(-3, 3), max_size=2), c=st.lists(st.integers(-5, 5), max_size=3),
        a=st.integers(-6, 6), n=st.integers(1, 8))
@@ -737,7 +731,7 @@ def test_primitive_divisor_certificate_matches_full_stripping(gamma, c, a, n):
         except IncompleteFactorizationError:
             pass
         return
-    assert (int(rep.witness), rep.certified) == _full_strip_certificate(crit.values, n)
+    assert (int(rep.witness), rep.certified) == full_strip(crit.values, n)
     assert rep.witness == rep.to_json_dict()["witness"] == decimal_str(int(rep.witness))
 
 

@@ -37,12 +37,19 @@ def test_specialize_examples():
 
 def test_specialized_map_derives_v_a_from_its_three_fields():
     for a, g, c in ((1, 2, 3), (0, -5, 7), (-4, 10 ** 40, -(10 ** 41))):
-        m = SpecializedMap(a, g, c)
+        m = SpecializedMap(g, c)
         assert m.v_a == c - g
         assert SpecializedMap.make(a, g, c) == m
-        assert SpecializedMap(str(a), g, c) == m  # each field is coerced to int
+        assert SpecializedMap(str(g), str(c)) == m  # each field is coerced to int
         copy = pickle.loads(pickle.dumps(m))
         assert copy == m and hash(copy) == hash(m) and copy.v_a == m.v_a
+
+
+def test_specialized_map_is_phi_a_alone():
+    # c = t^2 gives phi_1 = phi_-1 = x^2 + 1: the point a is not part of the map
+    fam = QuadraticFamily.of([0], [0, 0, 1])
+    m = fam.specialize(1)
+    assert m == fam.specialize(-1) and hash(m) == hash(fam.specialize(-1))
 
 
 @settings(max_examples=60, deadline=None)

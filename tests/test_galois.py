@@ -30,7 +30,6 @@ from quadtower.galois import (
     SingularModelError,
     certify_tower,
     curve_model,
-    discriminant_recurrence,
     discriminant_report,
     primitive_divisor_certificate,
     primitive_divisor_exact,
@@ -40,10 +39,18 @@ from quadtower.galois import (
 )
 from quadtower.orbit import CriticalOrbit, critical_orbit, orbit
 
-from conftest import ACCEPTANCE_MAPS, CORPUS, JONES_A, compose, plain_primes, root_counts_mod_p
+from conftest import (
+    ACCEPTANCE_MAPS,
+    CORPUS,
+    JONES_A,
+    compose,
+    full_strip,
+    plain_primes,
+    root_counts_mod_p,
+)
 
-X2P1 = SpecializedMap(1, 0, 1)
-X2P2 = SpecializedMap(2, 0, 2)
+X2P1 = SpecializedMap(0, 1)
+X2P2 = SpecializedMap(0, 2)
 
 
 def test_stability_scan_examples():
@@ -53,7 +60,7 @@ def test_stability_scan_examples():
     assert rep.verdict == "NoSquareUpTo(6)"
     assert rep.squares_found == ()
 
-    rep = stability_scan(SpecializedMap(-9, 0, -9), 1)  # x^2 - 9
+    rep = stability_scan(SpecializedMap(0, -9), 1)  # x^2 - 9
     assert rep.verdict == "SquareFoundAt(1)"
     assert rep.squares_found == ((1, 3),)
 
@@ -74,7 +81,7 @@ def _binary_rescan(m, depth):
 
 
 def test_stability_scan_negative_start():
-    m = SpecializedMap(-16, 0, -16)  # x^2 - 16
+    m = SpecializedMap(0, -16)  # x^2 - 16
     rep = stability_scan(m, 6)
     assert rep.squares_found[0] == (1, 4)  # -c_a = 16
     assert rep.squares_found == _binary_rescan(m, 6)
@@ -82,12 +89,12 @@ def test_stability_scan_negative_start():
 
 @pytest.mark.parametrize("m, depth", [
     *((e.map(), 9) for e in ACCEPTANCE_MAPS),
-    (SpecializedMap(-1, 0, -1), 12),  # x^2 - 1: -1, 0, -1, 0, ...
-    (SpecializedMap(-9, 0, -9), 12),  # x^2 - 9
-    (SpecializedMap(-16, 0, -16), 12),  # x^2 - 16
-    (SpecializedMap(4, 2, -4), 12),  # (x - 2)^2 - 4: 0 is fixed
-    (SpecializedMap(0, 5, 5), 12),  # (x - 5)^2 + 5: bounded, stays at 5
-    (SpecializedMap(0, 3, 0), 12),  # (x - 3)^2: c_a = 0, every level a square
+    (SpecializedMap(0, -1), 12),  # x^2 - 1: -1, 0, -1, 0, ...
+    (SpecializedMap(0, -9), 12),  # x^2 - 9
+    (SpecializedMap(0, -16), 12),  # x^2 - 16
+    (SpecializedMap(2, -4), 12),  # (x - 2)^2 - 4: 0 is fixed
+    (SpecializedMap(5, 5), 12),  # (x - 5)^2 + 5: bounded, stays at 5
+    (SpecializedMap(3, 0), 12),  # (x - 3)^2: c_a = 0, every level a square
     (QuadraticFamily.of([0, 1], [1, 1]).specialize(JONES_A), 9),  # a square at level 9
 ], ids=[e.name for e in ACCEPTANCE_MAPS] + [
     "x2-1", "x2-9", "x2-16", "shift-2-minus-4", "shift-5-plus-5", "shift-3-square", "jones"])
@@ -120,7 +127,7 @@ def test_square_root_matches_isqrt_of_the_exact_adjusted_value():
     squares = 0
     for g in range(-4, 5):
         for c in range(-8, 9):
-            m = SpecializedMap(0, g, c)
+            m = SpecializedMap(g, c)
             crit = critical_orbit(m, 10)
             for n, a in enumerate((-c,) + crit.values[1:], start=1):
                 root = crit.square_root(n)
@@ -150,33 +157,33 @@ def test_stability_square_test_takes_no_decimal_root(monkeypatch):
     monkeypatch.setattr(orbit_mod, "is_perfect_square",
                         refuse_large(is_perfect_square, int.bit_length))
     monkeypatch.setattr(orbit_mod, "parse_int", refuse_large(bigpoly_mod.parse_int, len))
-    report = stability_scan(SpecializedMap(0, 3, 0), 22, max_bits=4194304)
+    report = stability_scan(SpecializedMap(3, 0), 22, max_bits=4194304)
     assert [n for n, _ in report.squares_found] == list(range(1, 23))
 
 
 def test_discriminant_recurrence_x2p1():
-    assert discriminant_recurrence(critical_orbit(X2P1, 1), 1) == 4
-    assert discriminant_recurrence(critical_orbit(X2P1, 2), 2) == 512
+    assert discriminant_report(X2P1, 1).recurrence == 4
+    assert discriminant_report(X2P1, 2).recurrence == 512
     phi = X2P1.phi_polynomial()
     assert phi == IntPolynomial((1, 0, 1))
     phi2 = compose(phi, phi)
     assert abs(discriminant_direct(phi2)) == 512
     phi3 = compose(phi2, phi)
-    assert discriminant_recurrence(critical_orbit(X2P1, 3), 3) == abs(discriminant_direct(phi3))
+    rep = discriminant_report(X2P1, 3, direct=True)
+    assert rep.recurrence == rep.direct == abs(discriminant_direct(phi3))
 
 
 def test_discriminant_recurrence_matches_direct_random():
     rng = random.Random(401)
     for _ in range(20):
-        m = SpecializedMap(0, rng.randint(-50, 50), rng.randint(-50, 50) )
+        m = SpecializedMap(rng.randint(-50, 50), rng.randint(-50, 50) )
         phi = m.phi_polynomial()
-        crit = critical_orbit(m, 2)
-        assert discriminant_recurrence(crit, 2) == abs(discriminant_direct(compose(phi, phi)))
+        assert discriminant_report(m, 2).recurrence == abs(discriminant_direct(compose(phi, phi)))
     for _ in range(5):
-        m = SpecializedMap(0, rng.randint(-20, 20), rng.randint(-20, 20))
+        m = SpecializedMap(rng.randint(-20, 20), rng.randint(-20, 20))
         phi = m.phi_polynomial()
         phi3 = compose(compose(phi, phi), phi)
-        assert discriminant_recurrence(critical_orbit(m, 3), 3) == abs(discriminant_direct(phi3))
+        assert discriminant_report(m, 3).recurrence == abs(discriminant_direct(phi3))
 
 
 def test_certify_level_examples():
@@ -191,27 +198,27 @@ def test_certify_level_examples():
     assert cert.witness == "1"
 
     # x^2 - 9 = (x - 3)(x + 3): -c_a = 9 is the square of the witness
-    cert = certify_tower(SpecializedMap(-9, 0, -9), 1, 1).certificates[0]
+    cert = certify_tower(SpecializedMap(0, -9), 1, 1).certificates[0]
     assert cert.status == FAILED_SQUARE_OVER_Q
     assert cert.witness == "3"
 
     # x^2 + 9: -9 is no square, but the odd part 9 of c_a is, so nothing proved
-    cert = certify_tower(SpecializedMap(9, 0, 9), 1, 1).certificates[0]
+    cert = certify_tower(SpecializedMap(0, 9), 1, 1).certificates[0]
     assert cert.status == UNKNOWN
     assert cert.witness == "9"
 
     # x^2 - 12: odd part 3 of c_a is a non-square, so -c_a = 12 is one too
-    cert = certify_tower(SpecializedMap(-12, 0, -12), 1, 1).certificates[0]
+    cert = certify_tower(SpecializedMap(0, -12), 1, 1).certificates[0]
     assert cert.status == CERTIFIED_MAXIMAL
     assert cert.witness == "3"
 
     # c_a = 0: x^2 is reducible, witness 0
-    cert = certify_tower(SpecializedMap(0, 0, 0), 1, 1).certificates[0]
+    cert = certify_tower(SpecializedMap(0, 0), 1, 1).certificates[0]
     assert cert.status == FAILED_SQUARE_OVER_Q
     assert cert.witness == "0"
 
     # 2^k times a square: nothing survives stripping
-    m = SpecializedMap(0, 0, 8)
+    m = SpecializedMap(0, 8)
     cert = certify_tower(m, 1, 1).certificates[0]
     assert cert.status == UNKNOWN
     assert cert.witness == "1"
@@ -232,7 +239,7 @@ def test_certify_tower_x2p1():
 
 
 def test_certify_tower_v_zero_degenerate():
-    m = SpecializedMap(0, 5, 5)  # constant critical orbit at 5
+    m = SpecializedMap(5, 5)  # constant critical orbit at 5
     report = certify_tower(m, 1, 5)
     assert report.certificates[0].status == CERTIFIED_MAXIMAL  # value 5 itself
     assert all(c.status == UNKNOWN for c in report.certificates[1:])
@@ -286,7 +293,7 @@ def test_certificates_against_sympy_galois_groups():
     checked = {CERTIFIED_MAXIMAL: 0, FAILED_SQUARE_OVER_Q: 0}
     for gamma in range(-2, 3):
         for c in range(-20, 21):
-            m = SpecializedMap(0, gamma, c)
+            m = SpecializedMap(gamma, c)
             level1, level2 = certify_tower(m, 1, 2).certificates
             phi = sympy.Poly((x - gamma) ** 2 + c, x)
             assert (level1.status == FAILED_SQUARE_OVER_Q) == (not phi.is_irreducible), (gamma, c)
@@ -331,7 +338,7 @@ def test_certificates_never_factor(monkeypatch):
     assert certify_tower(X2P2, 1, 8) == before
 
 
-def _full_strip_certificate(values, n) -> MaximalityCertificate:
+def _strip_certificate(values, n) -> MaximalityCertificate:
     """Reference: strip the binary level-n value against the full lower
     values; level 1 square-tests the adjusted value -c_a.  The witness is
     converted to decimal on its own."""
@@ -340,11 +347,10 @@ def _full_strip_certificate(values, n) -> MaximalityCertificate:
     if root is not None:
         return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q,
                                      witness=decimal_str(root))
-    earlier = values[: n - 1]
-    if any(e == 0 for e in earlier):
+    if 0 in values[: n - 1]:
         return MaximalityCertificate(level=n, status=UNKNOWN, witness=None)
-    r = stripped_cofactor(value, earlier)
-    status = CERTIFIED_MAXIMAL if r > 1 and is_perfect_square(r) is None else UNKNOWN
+    r, certified = full_strip(values, n)
+    status = CERTIFIED_MAXIMAL if certified else UNKNOWN
     return MaximalityCertificate(level=n, status=status, witness=decimal_str(r))
 
 
@@ -356,7 +362,7 @@ small_coeffs = st.lists(st.integers(-4, 4), max_size=3)
 def test_rigid_gcd_stripping_matches_full_stripping(gamma, c, a, depth):
     m = QuadraticFamily.of(gamma, c).specialize(a)
     values = critical_orbit(m, depth).values
-    expected = tuple(_full_strip_certificate(values, n) for n in range(1, depth + 1))
+    expected = tuple(_strip_certificate(values, n) for n in range(1, depth + 1))
     assert certify_tower(m, 1, depth).certificates == expected
     assert certify_tower(m, depth, depth).certificates[0] == expected[-1]
 
@@ -366,7 +372,7 @@ def test_rigid_gcd_stripping_matches_full_stripping_on_corpus():
         m = entry.map()
         values = critical_orbit(m, 10).values
         for cert in certify_tower(m, 1, 10).certificates:
-            assert cert == _full_strip_certificate(values, cert.level)
+            assert cert == _strip_certificate(values, cert.level)
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,7 +386,7 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
     m = QuadraticFamily.of(gamma, c).specialize(a)
     values = critical_orbit(m, depth).values
     assert certify_tower(m, 1, depth).certificates == tuple(
-        _full_strip_certificate(values, n) for n in range(1, depth + 1)
+        _strip_certificate(values, n) for n in range(1, depth + 1)
     )
     for n in range(1, depth + 1):
         if 0 not in values[: n - 1]:
@@ -405,7 +411,7 @@ def test_rigid_gcd_matches_gcd_of_exact_values(gamma, c):
     # gcd needs first; a fresh reader, readers shared in both orders and one
     # with both orbits exact to level 12 cover every mix of exact and reduced
     # values
-    m = SpecializedMap(0, gamma, c)
+    m = SpecializedMap(gamma, c)
     values = critical_orbit(m, 12).values
     pairs = [(n, k) for n in range(2, 13) for k in range(1, n) if values[k - 1]]
     exact = CriticalOrbit(m)
@@ -436,7 +442,7 @@ def test_rigid_gcd_matches_gcd_of_exact_values(gamma, c):
 def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
     m = QuadraticFamily.of(gamma, c).specialize(4)
     values = critical_orbit(m, depth).values
-    expected = tuple(_full_strip_certificate(values, n) for n in range(1, depth + 1))
+    expected = tuple(_strip_certificate(values, n) for n in range(1, depth + 1))
     assert certify_tower(m, 1, depth).certificates == expected
     if c == (-9,) or gamma == (0, 1):
         assert expected[-1].status == FAILED_SQUARE_OVER_Q
@@ -452,7 +458,7 @@ def test_certificates_without_the_square_filter_primes(monkeypatch):
     # with no filter primes, every value that passes mod 64 goes to the
     # exact square root; no certificate may change
     maps = [e.map() for e in ACCEPTANCE_MAPS] + [
-        SpecializedMap(0, 0, c) for c in (-9, -1, 0, 9, -12, 8, -16)
+        SpecializedMap(0, c) for c in (-9, -1, 0, 9, -12, 8, -16)
     ]
     before = [certify_tower(m, 1, 12) for m in maps]
     monkeypatch.setattr(bigpoly_mod, "_SQUARE_FILTER_PRIMES", ())
@@ -467,7 +473,7 @@ def test_square_stripped_cofactor_above_640_digits():
     # parse_int, which int() could not read under a 640-digit limit
     s = 10 ** 700 + 3
     c = -2 * s * s
-    level1, level2 = certify_tower(SpecializedMap(c, 0, c), 1, 2).certificates
+    level1, level2 = certify_tower(SpecializedMap(0, c), 1, 2).certificates
     assert (level1.status, level2.status) == (UNKNOWN, CERTIFIED_MAXIMAL)
     assert level1.witness == decimal_str(s * s)
 
@@ -478,7 +484,7 @@ def test_square_stripped_cofactor_above_640_digits():
 def test_certify_tower_level_20_matches_full_stripping(entry):
     m = entry.map()
     values = critical_orbit(m, 20).values
-    expected = tuple(_full_strip_certificate(values, n) for n in range(1, 21))
+    expected = tuple(_strip_certificate(values, n) for n in range(1, 21))
     assert certify_tower(m, 1, 20).certificates == expected
 
 
@@ -511,7 +517,7 @@ def test_residues_step_a_negative_value_as_it_is(monkeypatch):
     # v_1 = -s^2 is negative: reduced first, it would be a residue as wide
     # as each saturation modulus of v_2's cofactor (80,008 bits here)
     s = 2 ** 5000 - 12345
-    m = SpecializedMap(0, 0, -s * s)
+    m = SpecializedMap(0, -s * s)
     apply_mod = SpecializedMap.apply_mod
     widths = []
 
@@ -530,7 +536,7 @@ def test_bounded_critical_orbit_builds_no_big_value_while_0_escapes(monkeypatch,
     # c - gamma in {0, -2} keeps the critical orbit bounded while the orbit
     # of 0 escapes; at level 64 the rigid gcds must read the small exact v_k,
     # never w_j for j near 32, which has about 2^j digits
-    m = SpecializedMap(0, gamma, c)
+    m = SpecializedMap(gamma, c)
     apply = SpecializedMap.apply
 
     def capped_apply(self, x):
@@ -568,7 +574,7 @@ def test_curve_model_x2p1_level4():
 
 
 def test_curve_model_singular():
-    m = SpecializedMap(0, 0, 0)
+    m = SpecializedMap(0, 0)
     dec = SquareFreeDecomposition(e=0, d=1, y=1)
     with pytest.raises(SingularModelError):
         curve_model(m, 1, dec, genus=1)
@@ -588,14 +594,14 @@ def test_curve_model_is_singular_exactly_where_a_critical_value_is_0():
     # c_a is a root of it where v_(g+1) is.  So condition (1) is the genus-1
     # verdict
     for g, c in itertools.product(range(-8, 9), range(-20, 21)):
-        m = SpecializedMap(0, g, c)
+        m = SpecializedMap(g, c)
         values = critical_orbit(m, 3).values
         for genus in (1, 2):
             for e, d in ((0, 1), (1, -3), (0, 5)):
                 assert _singular(m, genus, e, d) == (0 in values[:genus + 1]), (g, c, genus, e, d)
         assert critical_orbit(m, 2).condition_one_holds == (0 not in values[:2])
     # the grid holds a map whose genus-2 model alone is singular
-    assert critical_orbit(SpecializedMap(0, -5, -4), 3).values == (-4, -3, 0)
+    assert critical_orbit(SpecializedMap(-5, -4), 3).values == (-4, -3, 0)
 
 
 def test_forced_point_x2p1_level4():
@@ -614,7 +620,7 @@ def test_forced_point_boundary_level_two():
 
 def test_forced_point_with_negative_level_value():
     # (x+2)^2 - 3 has critical values -3, -2, -3, -2, ... so d < 0 throughout
-    m = SpecializedMap(0, -2, -3)
+    m = SpecializedMap(-2, -3)
     values = critical_orbit(m, 3).values
     assert values == (-3, -2, -3)
     dec = squarefree_decompose(values[2])
@@ -637,7 +643,6 @@ def test_forced_point_rejects_wrong_decomposition():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: discriminant_report(X2P1, 0), "level must be >= 1"),
-    (lambda: discriminant_recurrence(critical_orbit(X2P1, 3), 4), "level 4 outside computed orbit"),
     (lambda: curve_model(X2P1, 2, squarefree_decompose(2), genus=3), "genus must be 1 or 2"),
     (lambda: search_integral_points(curve_model(X2P1, 2, squarefree_decompose(2)), 0),
      "xbound must be >= 1"),
@@ -731,7 +736,7 @@ def test_certify_tower_never_refutes_a_map_stoll_proves_maximal():
     maps = [a for a in range(-400, 401) if _stoll_maximal(a)]
     assert len(maps) == 290
     statuses = [cert.status for a in maps
-                for cert in certify_tower(SpecializedMap(a, 0, a), 1, 10).certificates]
+                for cert in certify_tower(SpecializedMap(0, a), 1, 10).certificates]
     assert len(statuses) == 2900
     assert FAILED_SQUARE_OVER_Q not in statuses
     assert statuses.count(UNKNOWN) <= 31
@@ -850,7 +855,7 @@ SWEEP_LEVELS = 8
 @pytest.fixture(scope="module")
 def x2_plus_t_sweep():
     """a -> {level: status} of certify_tower on x^2 + a at levels 1-8."""
-    return {a: {c.level: c.status for c in certify_tower(SpecializedMap(a, 0, a), 1,
+    return {a: {c.level: c.status for c in certify_tower(SpecializedMap(0, a), 1,
                                                          SWEEP_LEVELS).certificates}
             for a in SWEEP_A}
 

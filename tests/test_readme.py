@@ -1,8 +1,14 @@
-"""The README's library tour runs, and its literal comments are its results."""
+"""The README's library tour runs, and its literal comments are its results;
+its CLI examples run too."""
 
 import ast
 import pathlib
 import re
+import shlex
+
+import pytest
+
+from quadtower.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +51,18 @@ def test_readme_library_tour_prints_what_its_comments_say():
     # critical orbit, the stability verdict and the stripped witnesses of
     # x^2 + 1 and, above a zero, of x^2 - 1
     assert len(checked) == 8, checked
+
+
+def _cli_examples() -> list[str]:
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("quadtower ")]
+
+
+def test_readme_lists_its_cli_examples():
+    assert len(_cli_examples()) == 11
+
+
+@pytest.mark.parametrize("line", _cli_examples())
+def test_readme_cli_example_exits_0(line, capsys):
+    assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
