@@ -177,7 +177,7 @@ COMMANDS = {
         lambda a: _family(a).info(_budget(a))),
     "orbit": Command(
         "orbit of b under phi_a", ("fam", "spot", "start", "bits"),
-        lambda a: orbit(_map(a), a.b, a.depth, a.bits).rows,
+        lambda a: orbit(_map(a), a.b, a.depth, a.bits),
         flags=(_flag("--depth", type=int, range=(0, MAX_LEVEL), default=10),),
         formats={"json": lambda rows: map(json.dumps, rows.to_json_dict())}),
     "critical-orbit": Command(

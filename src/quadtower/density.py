@@ -152,7 +152,9 @@ def density_curve(
         raise ValueError("shards and workers must be >= 1")
     if checkpoints is None:
         checkpoints = default_checkpoints(x_max)
-    if not checkpoints or sorted(set(checkpoints)) != list(checkpoints):
+    if not checkpoints:
+        raise ValueError("checkpoints must not be empty")
+    if sorted(set(checkpoints)) != list(checkpoints):
         raise ValueError("checkpoints must be strictly increasing")
     if checkpoints[0] < 2 or checkpoints[-1] > x_max:
         raise ValueError("checkpoints must lie in [2, x_max]")

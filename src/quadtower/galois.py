@@ -11,10 +11,10 @@ Square-free primitive prime divisors come two ways: exactly, by factoring
 the level value (primitive_divisor_exact), or without factoring, from its
 stripped cofactor (primitive_divisor_certificate).
 
-Every verdict reads one orbit.CriticalOrbit, walked once: certify_tower
-builds its own, to report the levels walked when the bit budget runs out,
-and stability_scan, both primitive-divisor routes and the discriminant and
-curve pipelines read the one critical_orbit walks.  They read one exact
+Every verdict reads the one orbit.CriticalOrbit that critical_orbit walks:
+certify_tower, stability_scan, both primitive-divisor routes and the
+discriminant and curve pipelines.  When the bit budget runs out,
+certify_tower certifies the rows walked within it.  They read one exact
 square test of the adjusted value and one stripped witness per level
 (none above a zero); the exact route and the curve factor the level value.
 """
@@ -282,8 +282,8 @@ def stability_scan(
 ) -> StabilityReport:
     """Square-test the adjusted critical orbit -c_a, phi_a^n(gamma_a) for
     n = 2..depth: level 1 is Q(sqrt(-c_a)), level n >= 2 adjoins
-    sqrt(phi_a^n(gamma_a)) over level n - 1.  The orbit is walked once in
-    decimal (critical_orbit); a value over max_bits raises DigitBudgetError
+    sqrt(phi_a^n(gamma_a)) over level n - 1.  The orbit is walked in
+    decimal by critical_orbit; a value over max_bits raises DigitBudgetError
     carrying the critical values below it."""
     orbit = critical_orbit(map, depth, max_bits)
     roots = ((n, orbit.square_root(n)) for n in range(1, depth + 1))
@@ -325,9 +325,9 @@ def discriminant_report(
     return DiscriminantReport(level=n, recurrence=delta, direct=exact)
 
 
-def _certify_level(orbit: CriticalOrbit, n: int) -> MaximalityCertificate:
-    """Certify maximality of the level-n tower step of the orbit walked to
-    level n, from its exact decimal values and its residues.
+def _tower_report(orbit: CriticalOrbit, first_level: int, last_level: int) -> TowerReport:
+    """Certify maximality of each tower step of orbit from first_level to its
+    last walked level, from its exact decimal values and its residues.
 
     A perfect-square adjusted value (-c_a at level 1, the critical value
     phi_a^n(gamma_a) above) disproves maximality over Q.  Otherwise a
@@ -337,13 +337,16 @@ def _certify_level(orbit: CriticalOrbit, n: int) -> MaximalityCertificate:
     necessary.  Level 1 is Q(sqrt(-c_a)), where phi_a(gamma_a) = c_a; past
     the square test, a non-square odd part of |c_a| still certifies it.
     """
-    root = orbit.square_root(n)
-    if root is not None:
-        return MaximalityCertificate(level=n, status=FAILED_SQUARE_OVER_Q, witness=str(root))
-    text, certified = orbit.stripped_witness(n)
-    return MaximalityCertificate(
-        level=n, status=CERTIFIED_MAXIMAL if certified else UNKNOWN, witness=text
-    )
+    certificates = []
+    for n in range(first_level, len(orbit.rows) + 1):
+        root = orbit.square_root(n)
+        if root is not None:
+            status, text = FAILED_SQUARE_OVER_Q, str(root)
+        else:
+            text, certified = orbit.stripped_witness(n)
+            status = CERTIFIED_MAXIMAL if certified else UNKNOWN
+        certificates.append(MaximalityCertificate(level=n, status=status, witness=text))
+    return TowerReport(first_level, last_level, tuple(certificates))
 
 
 def certify_tower(
@@ -354,29 +357,24 @@ def certify_tower(
 ) -> TowerReport:
     """Per-level certificates over an inclusive level range.
 
-    The critical orbit is walked first, once, in exact decimal arithmetic
-    (decimal_orbit): that decides the bit budget, zeros, the few exact
+    The critical orbit is walked first, in exact decimal arithmetic
+    (critical_orbit): that decides the bit budget, zeros, the few exact
     square roots and prints the witnesses.  Then each walked level from
     first_level on is certified.  Everything else is read from residues of
     the orbit modulo small numbers and from exact binary values below about
     level last_level / 2 (see CriticalOrbit), so no binary critical value
     near full size is ever built.  On budget overflow the DigitBudgetError
-    carries a TowerReport for the levels walked within the budget.
+    carries a TowerReport for the levels walked within the budget, read off
+    the CriticalOrbit of the rows it carried.
     """
     if not 1 <= first_level <= last_level:
         raise ValueError("need 1 <= first_level <= last_level")
-    orbit = CriticalOrbit(map)
-
-    def report() -> TowerReport:
-        levels = range(first_level, len(orbit.rows) + 1)
-        return TowerReport(first_level, last_level, tuple(_certify_level(orbit, n) for n in levels))
-
     try:
-        orbit.walk(last_level, max_bits)
+        orbit = critical_orbit(map, last_level, max_bits)
     except DigitBudgetError as err:
-        err.partial = report()
+        err.partial = _tower_report(CriticalOrbit(map, err.partial), first_level, last_level)
         raise
-    return report()
+    return _tower_report(orbit, first_level, last_level)
 
 
 def _nonzero_level(map: SpecializedMap, n: int, max_bits: int) -> CriticalOrbit:
@@ -450,7 +448,7 @@ def primitive_divisor_exact(
     prime divisors: odd primes with odd valuation there and zero valuation
     at all lower levels.  2 is reported separately via two_primitive.
 
-    The critical orbit is walked once to level n (critical_orbit), which
+    The critical orbit is walked to level n by critical_orbit, which
     decides the bit budget and the zero check.  A prime p is new at level n
     when v_k mod p is nonzero for every k < n, so a lower value 0 leaves no
     prime new.  A factorization that does not complete raises
@@ -484,7 +482,7 @@ def primitive_divisor_certificate(
     """Certify a square-free primitive prime divisor at level n without
     factoring.
 
-    The critical orbit is walked once to level n (_nonzero_level), which
+    The critical orbit is walked to level n by _nonzero_level, which
     decides the bit budget and refuses a zero level value.  The status and
     the decimal text of R, the stripped cofactor of the level-n value, come
     from the routine certify uses (stripped_witness): above a zero,

@@ -5,15 +5,15 @@ under a configurable bit budget (bigpoly.DEFAULT_MAX_BITS by default) and
 converts runaway growth into a clean bigpoly.DigitBudgetError carrying
 whatever was already computed; both are imported from bigpoly, not from here.
 
-Every walked orbit is one Orbit: walked once in exact decimal arithmetic
-(bigpoly.decimal_orbit(map, start), self-checked by map.apply_mod; a second
-walk raises ValueError), which checks the budget and gives the printed rows,
-an OrbitRows, and stepped in ints only as far as exact values are read
-(Orbit.value) or read modulo m from the last exact one (Orbit.residue).
-orbit() walks the orbit of b from index 0.  The critical orbit is the Orbit
-of gamma_a read from index 1, a CriticalOrbit, which adds the square test
-and the stripped witnesses, none at or above a zero; critical_orbit walks
-one for every verdict of galois but certify_tower, which walks its own.
+Every orbit is walked by one function, _walk, in exact decimal arithmetic
+(bigpoly.decimal_orbit(map, start), self-checked by map.apply_mod), which
+checks the budget and gives the printed rows, an OrbitRows.  orbit() returns
+the rows of the orbit of b from index 0.  An Orbit is the exact prefix of an
+orbit in ints, stepped only as far as exact values are read (Orbit.value) or
+read modulo m from the last exact one (Orbit.residue).  The critical orbit
+is the orbit of gamma_a read from index 1, a CriticalOrbit built on its
+walked rows, which adds the square test and the stripped witnesses, none at
+or above a zero; critical_orbit walks one for every verdict of galois.
 """
 
 from __future__ import annotations
@@ -50,39 +50,28 @@ class OrbitRows(list):
         return (f"{r['n']}: {r['value']} ({r['bits']} bits)" for r in self.to_json_dict())
 
 
+def _walk(map: SpecializedMap, start: int, first: int, count: int, max_bits: int) -> OrbitRows:
+    """The count values phi_a^n(start) from index first on, stepped in
+    exact decimal arithmetic (decimal_orbit); one over max_bits raises
+    DigitBudgetError carrying the rows below it.  The values before index
+    first are skipped, not checked."""
+    if count < 1:
+        raise ValueError("depth must be >= 1")
+    rows = OrbitRows(first)
+    for x in islice(decimal_orbit(map, start), first, first + count):
+        check_bits(x, max_bits, "orbit value", rows)
+        rows.append(x)
+    return rows
+
+
 class Orbit:
-    """The orbit phi_a^n(start), read from index first on: 0 for the orbit
-    of b, 1 for the critical orbit.
+    """The exact prefix v = [start, phi_a(start), ...] of the orbit of
+    start, as ints: value(k) grows it only as far as it is read, and
+    residue(k, m) steps modulo m from its last value."""
 
-    walk(count, max_bits) steps the orbit once in exact decimal arithmetic
-    (decimal_orbit) and keeps the count values from index first on as rows,
-    an OrbitRows(first), which the orbit command prints; an orbit is walked
-    once.  value(k) and values build exact ints from start (the exact prefix
-    v) only when they are read, and residue(k, m) steps modulo m from the
-    last of them.
-    """
-
-    def __init__(self, map: SpecializedMap, start: int, first: int = 0):
+    def __init__(self, map: SpecializedMap, start: int):
         self.map = map
-        self.start = start
-        self.rows = OrbitRows(first)  # as walked, from index first
         self.v = [start]  # phi_a^0(start), phi_a^1(start), ... as ints
-
-    def walk(self, count: int, max_bits: int = DEFAULT_MAX_BITS) -> Orbit:
-        """Walk the count values from index first on, each an exact
-        decimal.Decimal; one over max_bits raises DigitBudgetError carrying
-        the rows below it.  The values before index first are skipped, not
-        checked.  An orbit that already has rows raises ValueError: a second
-        walk would append a second copy of them."""
-        if count < 1:
-            raise ValueError("depth must be >= 1")
-        rows = self.rows
-        if rows:
-            raise ValueError("an orbit is walked once")
-        for x in islice(decimal_orbit(self.map, self.start), rows.first, rows.first + count):
-            check_bits(x, max_bits, "orbit value", rows)
-            rows.append(x)
-        return self
 
     def value(self, k: int) -> int:
         """phi_a^k(start), exactly; the values up to index k are kept."""
@@ -105,23 +94,16 @@ class Orbit:
             x = self.map.apply_mod(x, m)
         return x
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        """The walked values as ints."""
-        first = self.rows.first
-        last = first + len(self.rows) - 1
-        self.value(last)
-        return tuple(self.v[first:last + 1])
-
 
 class CriticalOrbit(Orbit):
     """The critical orbit v_n = phi_a^n(gamma_a) read from v_1 = c_a, the
-    one critical-orbit object: critical_orbit returns one walked, which the
-    verdicts of galois read; only certify_tower walks its own.
+    one critical-orbit object, built on its walked rows (an OrbitRows(1)):
+    critical_orbit returns one, which every verdict of galois reads.
 
-    Besides what every Orbit gives (rows, values, value(k), residue(n, m)),
-    the walked orbit is read through:
+    Besides the exact prefix of every Orbit (value(k), residue(n, m)), the
+    walked orbit is read through:
 
+    - values: the walked values as ints, built from the exact prefix;
     - first_zero: the first walked level whose value is 0, read off rows;
     - condition_one_holds: whether v_1 and v_2 are nonzero, the
       nonsingularity hypothesis behind the curve models;
@@ -139,9 +121,16 @@ class CriticalOrbit(Orbit):
     rigid gcds extend whichever orbit is smaller (see _rigid_gcd).
     """
 
-    def __init__(self, map: SpecializedMap):
-        super().__init__(map, map.gamma_a, first=1)
+    def __init__(self, map: SpecializedMap, rows: OrbitRows):
+        super().__init__(map, map.gamma_a)
+        self.rows = rows  # v_1, v_2, ... as walked
         self.w = Orbit(map, 0)  # the orbit of 0, read by _rigid_gcd
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The walked values v_1, v_2, ... as ints."""
+        self.value(len(self.rows))
+        return tuple(self.v[1:len(self.rows) + 1])
 
     @property
     def first_zero(self) -> int | None:
@@ -258,18 +247,18 @@ class CriticalOrbit(Orbit):
         return text, certified
 
 
-def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> Orbit:
-    """The Orbit of b walked to depth: b, ..., phi^depth(b); one value over
-    max_bits raises DigitBudgetError carrying those below."""
+def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> OrbitRows:
+    """The rows of the orbit of b walked to depth: b, ..., phi^depth(b); one
+    value over max_bits raises DigitBudgetError carrying those below."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return Orbit(map, int(b)).walk(depth + 1, max_bits)
+    return _walk(map, int(b), 0, depth + 1, max_bits)
 
 
 def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> CriticalOrbit:
     """The CriticalOrbit of map walked to depth: critical values
     phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a)."""
-    return CriticalOrbit(map).walk(depth, max_bits)
+    return CriticalOrbit(map, _walk(map, map.gamma_a, 1, depth, max_bits))
 
 
 def canonical_height(

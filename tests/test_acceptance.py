@@ -29,7 +29,7 @@ from quadtower.galois import (
     primitive_divisor_exact,
     verify_forced_point,
 )
-from quadtower.orbit import canonical_height, critical_orbit, orbit
+from quadtower.orbit import Orbit, canonical_height, critical_orbit, orbit
 
 from conftest import ACCEPTANCE_MAPS, JONES_A, compose, naive_orbit_member
 
@@ -55,7 +55,9 @@ def criterion(num, desc):
 def test_criterion_01_fermat_fixture():
     start = time.perf_counter()
     m = SpecializedMap(1, 1)
-    values = orbit(m, 3, 5).values
+    exact = Orbit(m, 3)
+    values = tuple(exact.value(k) for k in range(6))
+    assert orbit(m, 3, 5) == list(values)  # the printed rows, walked in decimal
     assert values[1:] == (5, 17, 257, 65537, 4294967297)
     fac = factorize(4294967297)
     assert fac.complete

@@ -31,7 +31,7 @@ from quadtower.family import (
     QuadraticFamily,
 )
 from quadtower.galois import certify_tower
-from quadtower.orbit import critical_orbit, orbit
+from quadtower.orbit import Orbit, critical_orbit, orbit
 
 from conftest import ACCEPTANCE_MAPS, CorpusEntry, lift_int_limit
 
@@ -279,7 +279,8 @@ def test_orbit_rows_print_as_decimal_str(capsys):
     code, out, _ = run(capsys, "critical-orbit", *args, "--json")
     assert [row["value"] for row in json.loads(out)["values"]] == list(map(decimal_str, values))
 
-    values = orbit(m, -5, 18).values
+    exact = Orbit(m, -5)
+    values = [exact.value(k) for k in range(19)]
     code, out, _ = run(capsys, "orbit", *args, "--b=-5", "--json")
     assert code == 0
     assert [json.loads(line) for line in out.splitlines()] == [
@@ -582,6 +583,11 @@ def test_traced_cli_sees_every_layer():
     fam = ("--gamma", "0", "--c", "0,1", "--a", "1")
     with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
         assert quadtower.cli.main(["certify", *fam, "--to", "6"]) == 0
+        # certify gets its orbit from critical_orbit, as every verdict does
+        names = [s.name for s in tracer.spans]
+        assert names.count("orbit.critical_orbit") == 1
+        walk = tracer.spans[names.index("orbit.critical_orbit")]
+        assert tracer.spans[walk.parent].name == "galois.certify_tower"
         assert quadtower.cli.main(["curve", *fam, "--level", "4"]) == 0
     assert {s.name for s in tracer.spans} >= {
         "cli.main", "galois.certify_tower", "orbit.critical_orbit",
@@ -729,11 +735,20 @@ def test_discriminant_at_level_one_is_four_times_c(capsys, direct):
         assert (data["direct"], data["agree"]) == ("28", True)
 
 
-def test_density_bad_checkpoints_exit_one(capsys):
-    code, out, err = run(capsys, "density", "--gamma", "0", "--c", "0,1", "--a", "1",
-                         "--b", "0", "--X", "100", "--checkpoints", "10,x")
-    assert (code, out) == (1, "")
-    assert err.startswith("quadtower: error: bad integer list for --checkpoints")
+def test_density_bad_checkpoints_exit_one(capsys, tmp_path):
+    fam = ("--gamma", "0", "--c", "0,1", "--a", "1", "--b", "0", "--X", "100")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"checkpoints": []}))
+    for argv, message in [
+        (("--checkpoints", "10,x"), "bad integer list for --checkpoints"),
+        (("--checkpoints", "10,5"), "checkpoints must be strictly increasing\n"),
+        (("--checkpoints", ","), "checkpoints must not be empty\n"),
+        (("--checkpoints", ""), "checkpoints must not be empty\n"),
+        (("--config", str(config)), "checkpoints must not be empty\n"),
+    ]:
+        code, out, err = run(capsys, "density", *fam, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"quadtower: error: {message}"), (argv, err)
 
 
 def test_missing_config_file_exits_one(capsys, tmp_path):

@@ -233,12 +233,12 @@ def _no_binary_orbit(*args, **kwargs):
 
 def test_verdict_commands_read_the_orbit_only_through_critical_residues(monkeypatch):
     # certify, stability and both primitive-divisors methods walk the decimal
-    # orbit once; none may build the binary orbit (Orbit.values) or
+    # orbit once; none may build the binary orbit (CriticalOrbit.values) or
     # square-test it
     import quadtower.galois
-    from quadtower.orbit import Orbit
+    from quadtower.orbit import CriticalOrbit
 
-    monkeypatch.setattr(Orbit, "values", property(_no_binary_orbit))
+    monkeypatch.setattr(CriticalOrbit, "values", property(_no_binary_orbit))
     monkeypatch.setattr(quadtower.galois, "is_perfect_square", _no_binary_orbit)
     calls = [(argv, want) for argv, want in zip(ARGVS, _expected())
              if argv[0] in ("certify", "stability", "primitive-divisors")]

@@ -153,7 +153,9 @@ def test_density_shard_determinism():
 
 
 def test_density_checkpoint_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^checkpoints must not be empty$"):
+        density_curve(X2P1, 0, 100, checkpoints=[])
+    with pytest.raises(ValueError, match="^checkpoints must be strictly increasing$"):
         density_curve(X2P1, 0, 100, checkpoints=[50, 50])
     with pytest.raises(ValueError):
         density_curve(X2P1, 0, 100, checkpoints=[200])

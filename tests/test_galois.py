@@ -259,6 +259,26 @@ def test_certify_tower_partial_on_budget():
         assert partial.certificates == certify_tower(X2P2, first, last, max_bits=256).certificates
 
 
+def test_a_refused_certify_walks_the_orbit_once(monkeypatch):
+    # certify_tower reads the orbit that critical_orbit walks; refused, it
+    # certifies the rows the refusal carries instead of walking them again
+    orbit_mod = importlib.import_module("quadtower.orbit")
+    walks = []
+    decimal_orbit = orbit_mod.decimal_orbit
+
+    def counting_orbit(*args):
+        walks.append(args)
+        return decimal_orbit(*args)
+
+    monkeypatch.setattr(orbit_mod, "decimal_orbit", counting_orbit)
+    with pytest.raises(DigitBudgetError) as err:
+        certify_tower(X2P2, 1, 40, max_bits=256)
+    assert len(walks) == 1
+    partial = err.value.partial.certificates
+    assert 1 <= len(partial) < 12
+    assert partial == certify_tower(X2P2, 1, 12).certificates[:len(partial)]
+
+
 @pytest.mark.parametrize("call, least", [
     (lambda m: critical_orbit(m, 0), 1),
     (lambda m: stability_scan(m, 0), 1),
@@ -384,7 +404,8 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
     # |c| of 1000 or more puts levels 13 and 14 above 2^15 bits, so some
     # witnesses are far wider than one decimal_str leaf
     m = QuadraticFamily.of(gamma, c).specialize(a)
-    values = critical_orbit(m, depth).values
+    walked = critical_orbit(m, depth)
+    values = walked.values
     assert certify_tower(m, 1, depth).certificates == tuple(
         _strip_certificate(values, n) for n in range(1, depth + 1)
     )
@@ -394,7 +415,7 @@ def test_witness_strs_and_rigid_gcds_match_direct(gamma, c, a, depth):
             # every v_k exact, and none: then the smaller of the two orbits
             # steps until v_k or w_(n-k) is exact
             for exact in (True, False):
-                orbit = CriticalOrbit(m)
+                orbit = CriticalOrbit(m, walked.rows)
                 if exact:
                     orbit.value(n)
                 assert [orbit._rigid_gcd(n, k) for k in range(1, n)] == direct
@@ -412,16 +433,16 @@ def test_rigid_gcd_matches_gcd_of_exact_values(gamma, c):
     # with both orbits exact to level 12 cover every mix of exact and reduced
     # values
     m = SpecializedMap(gamma, c)
-    values = critical_orbit(m, 12).values
+    rows = critical_orbit(m, 12).rows
+    exact = CriticalOrbit(m, rows)
+    values = exact.values
     pairs = [(n, k) for n in range(2, 13) for k in range(1, n) if values[k - 1]]
-    exact = CriticalOrbit(m)
-    exact.value(12)
     exact.w.value(12)
     for order in (pairs, pairs[::-1]):
-        shared = CriticalOrbit(m)
+        shared = CriticalOrbit(m, rows)
         for n, k in order:
             direct = math.gcd(values[n - 1], values[k - 1])
-            assert CriticalOrbit(m)._rigid_gcd(n, k) == direct
+            assert CriticalOrbit(m, rows)._rigid_gcd(n, k) == direct
             assert shared._rigid_gcd(n, k) == direct
             assert exact._rigid_gcd(n, k) == direct
 
@@ -446,7 +467,7 @@ def test_certificates_on_squares_and_orbits_through_zero(gamma, c, depth):
     assert certify_tower(m, 1, depth).certificates == expected
     if c == (-9,) or gamma == (0, 1):
         assert expected[-1].status == FAILED_SQUARE_OVER_Q
-    reader = CriticalOrbit(m).walk(depth)
+    reader = critical_orbit(m, depth)
     for n in range(1, depth + 1):
         if 0 in values[:n]:
             break
@@ -507,8 +528,9 @@ def test_certify_tower_builds_no_binary_value_above_half_depth(monkeypatch):
     assert biggest and max(biggest) == limit
     # on its own, _cofactor(n) makes exactly v_1..v_(n // 2) exact (v_1 at n = 1);
     # reader.v also holds v_0 = gamma_a
+    rows = critical_orbit(X2P2, 20).rows
     for n in range(1, 21):
-        reader = CriticalOrbit(X2P2)
+        reader = CriticalOrbit(X2P2, rows)
         reader._cofactor(n)
         assert len(reader.v) - 1 == max(1, n // 2)
 

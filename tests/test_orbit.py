@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from quadtower.family import QuadraticFamily, SpecializedMap
 from quadtower.bigpoly import DigitBudgetError, height_int
-from quadtower.orbit import CriticalOrbit, Orbit, canonical_height, critical_orbit, orbit
+from quadtower.orbit import (CriticalOrbit, Orbit, OrbitRows, canonical_height, critical_orbit,
+                             orbit)
 
 from conftest import CORPUS, JONES_A
 
@@ -16,19 +17,26 @@ FERMAT = SpecializedMap(1, 1)       # (x-1)^2 + 1
 X2P1 = SpecializedMap(0, 1)         # x^2 + 1
 
 
+def _exact(m, b, first, last):
+    """phi^k(b) for k = first..last as ints, stepped by Orbit.value, beside
+    the decimal walk that gives the rows."""
+    exact = Orbit(m, b)
+    return [exact.value(k) for k in range(first, last + 1)]
+
+
 def test_orbit_fermat_numbers():
-    sl = orbit(FERMAT, 3, 4)
-    assert sl.values == (3, 5, 17, 257, 65537)
-    assert sl.values[0] == sl.start
+    rows = orbit(FERMAT, 3, 4)
+    assert rows.first == 0
+    assert rows == _exact(FERMAT, 3, 0, 4) == [3, 5, 17, 257, 65537]
 
 
 def test_orbit_fixed_point():
     m = SpecializedMap(0, 0)  # x^2
-    assert orbit(m, 1, 10).values == (1,) * 11
+    assert orbit(m, 1, 10) == _exact(m, 1, 0, 10) == [1] * 11
 
 
 def test_orbit_x2p1():
-    assert orbit(X2P1, 0, 6).values == (0, 1, 2, 5, 26, 677, 458330)
+    assert orbit(X2P1, 0, 6) == _exact(X2P1, 0, 0, 6) == [0, 1, 2, 5, 26, 677, 458330]
 
 
 def test_orbit_budget_guard():
@@ -43,14 +51,14 @@ def test_critical_orbit_is_the_orbit_of_gamma_from_index_1(entry, depth):
     m = entry.map()
     crit, whole = critical_orbit(m, depth), orbit(m, m.gamma_a, depth)
     assert crit.rows.first == 1
-    assert crit.rows == whole.rows[1:]
-    assert crit.values == whole.values[1:]
+    assert crit.rows == whole[1:]
+    assert list(crit.values) == _exact(m, m.gamma_a, 1, depth)
 
 
 def _reader(entry, which, b):
-    """A fresh orbit of entry's map: the orbit of b, the critical orbit or
-    its orbit w of 0."""
-    crit = CriticalOrbit(entry.map())
+    """A fresh orbit of entry's map: the orbit of b, the critical orbit
+    walked to level 1 or its orbit w of 0."""
+    crit = critical_orbit(entry.map(), 1)
     return {"b": Orbit(crit.map, b), "critical": crit, "w": crit.w}[which]
 
 
@@ -78,15 +86,19 @@ def test_critical_orbit_x2p1():
     assert crit.condition_one_holds
 
 
-def test_an_orbit_is_walked_once():
-    # a second walk appended a second copy of the rows, 1, 2, 5, 1, 2 for
-    # x^2 + 1, so every reader of rows took v_4 for 1
-    crit = CriticalOrbit(X2P1).walk(3)
-    with pytest.raises(ValueError, match="walked once"):
-        crit.walk(2)
-    assert crit.rows == [1, 2, 5]
-    with pytest.raises(ValueError, match="walked once"):
-        orbit(X2P1, 0, 2).walk(1)
+def test_an_orbit_is_built_walked():
+    # a walk that could run again appended a second copy of the rows,
+    # 1, 2, 5, 1, 2 for x^2 + 1, so every reader of rows took v_4 for 1; now
+    # the walk gives the rows and no orbit object can be walked
+    for cls in (Orbit, CriticalOrbit):
+        assert not hasattr(cls, "walk"), cls
+    assert not any(hasattr(Orbit(X2P1, 0), name) for name in ("rows", "start", "first"))
+    with pytest.raises(TypeError):
+        CriticalOrbit(X2P1)
+    rows = orbit(X2P1, 0, 2)
+    assert type(rows) is OrbitRows and rows == [0, 1, 2]
+    crit = critical_orbit(X2P1, 3)
+    assert type(crit.rows) is OrbitRows and crit.rows == [1, 2, 5]
 
 
 def test_critical_orbit_constant_when_v_zero():
@@ -114,10 +126,10 @@ def test_stripped_witness_at_and_above_a_zero():
     # x^2 - 1: -1, 0, -1, 0, ...; every prime divides 0, so from level 2 on
     # no prime is primitive and no cofactor is stripped
     m = SpecializedMap(0, -1)
-    assert CriticalOrbit(m).walk(5).stripped_witness(1) == ("1", False)
+    assert critical_orbit(m, 5).stripped_witness(1) == ("1", False)
     for n in (2, 5):
         with _time_limit(1):
-            assert CriticalOrbit(m).walk(n).stripped_witness(n) == (None, False)
+            assert critical_orbit(m, n).stripped_witness(n) == (None, False)
 
 
 def test_critical_orbit_condition_one_failure():
