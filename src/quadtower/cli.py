@@ -29,8 +29,9 @@ divisors (family.MAX_DIVISORS).  A value
 above 2,048 bits (factor.MAX_FACTOR_BITS) is not factored, so curve,
 primitive-divisors --method exact and family-info stop there as incomplete
 factorizations, and all three name the cap the same way ("a 2408-bit value is
-not factored; factoring stops at 2048 bits"); below it, each names the budget
-that ran out in its own words.  primitive-divisors --method certificate takes
+not factored; factoring stops at 2048 bits"); below it, all three name the
+cofactor the budget ran out on ("budget exhausted on cofactor 38350334059"),
+the cofactor of the partial.  primitive-divisors --method certificate takes
 the effort flags too, but factors nothing with them: its courtesy
 factorization of the witness uses the fixed galois._COURTESY_BUDGET.
 

@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 from array import array
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from quadtower.bigpoly import BudgetError, FrozenSlots, decimal_str, is_perfect_square
 
@@ -473,28 +473,25 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     return Factorization(sign=sign, factors=tuple(sorted(counts.items())), cofactor=cofactor)
 
 
-def factorize_fully(
-    n: int, budget: Budget, refusal: Callable[[Factorization], str]
-) -> Factorization:
+def factorize_fully(n: int, budget: Budget) -> Factorization:
     """factorize(n, budget) when it completes; otherwise the one refusal of
     an incomplete factorization, an IncompleteFactorizationError carrying it.
 
     A value factorize returned untried, above MAX_FACTOR_BITS, is refused by
-    naming the cap; one the budget ran out on by refusal(fac), the caller's
-    text, which is only built then.
+    naming the cap; one the budget ran out on by naming the cofactor left.
+    Every caller shares these two texts.
     """
     fac = factorize(n, budget)
     if not fac.complete:
         bits = fac.cofactor.bit_length()
         raise IncompleteFactorizationError(
             f"a {bits}-bit value is not factored; factoring stops at {MAX_FACTOR_BITS} bits"
-            if bits > MAX_FACTOR_BITS else refusal(fac), fac)
+            if bits > MAX_FACTOR_BITS
+            else f"budget exhausted on cofactor {decimal_str(fac.cofactor)}", fac)
     return fac
 
 
-def squarefree_decompose(
-    n: int, budget: Budget = DEFAULT_BUDGET
-) -> SquareFreeDecomposition:
+def squarefree_decompose(n: int, budget: Budget = DEFAULT_BUDGET) -> SquareFreeDecomposition:
     """Write n as 2^e * d * y^2 with d odd square-free carrying the sign.
 
     The 2-adic valuation v2 contributes v2 mod 2 to e and floor(v2/2) to y.
@@ -502,10 +499,7 @@ def squarefree_decompose(
     >>> squarefree_decompose(-8)
     SquareFreeDecomposition(e=1, d=-1, y=2)
     """
-    if n == 0:
-        raise ZeroInputError("cannot decompose 0")
-    fac = factorize_fully(
-        n, budget, lambda fac: f"budget exhausted on cofactor {decimal_str(fac.cofactor)}")
+    fac = factorize_fully(n, budget)
     e, d, y = 0, 1, 1
     for p, k in fac.factors:
         if p == 2:

@@ -448,8 +448,7 @@ def _integer_roots(polys, budget: Budget) -> set[int]:
             roots.add(0)
         if k == p.degree:
             continue
-        fac = factorize_fully(abs(p.coeffs[k]), budget,
-                              lambda _: "cannot enumerate divisors of the trailing coefficient")
+        fac = factorize_fully(abs(p.coeffs[k]), budget)
         if math.prod(e + 1 for _, e in fac.factors) > MAX_DIVISORS:
             raise BudgetError(
                 f"the trailing coefficient of P_phi has more than {MAX_DIVISORS} divisors")

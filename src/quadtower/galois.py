@@ -455,8 +455,7 @@ def primitive_divisor_exact(
     factor.factorize_fully's IncompleteFactorizationError carrying it.
     """
     orbit = _nonzero_level(map, n, max_bits)
-    fac = factorize_fully(orbit.value(n), budget,
-                          lambda _: f"level {n} value resists the factoring budget")
+    fac = factorize_fully(orbit.value(n), budget)
     primes = []
     two_primitive = False
     for p, k in fac.factors:

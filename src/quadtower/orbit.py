@@ -103,7 +103,8 @@ class CriticalOrbit(Orbit):
     Besides the exact prefix of every Orbit (value(k), residue(n, m)), the
     walked orbit is read through:
 
-    - values: the walked values as ints, built from the exact prefix;
+    - values: the walked values as ints, from an Orbit of their own, so a
+      read leaves the exact prefix the verdicts extend as it was;
     - first_zero: the first walked level whose value is 0, read off rows;
     - condition_one_holds: whether v_1 and v_2 are nonzero, the
       nonsingularity hypothesis behind the curve models;
@@ -112,7 +113,8 @@ class CriticalOrbit(Orbit):
       v_n above) when a_n is a square;
     - stripped_witness(n): the stripped cofactor R = |v_n| / q in decimal,
       and whether it certifies a primitive divisor; (None, False) at and
-      above a zero, where every prime divides some value up to level n.
+      above a zero, where every prime divides some value up to level n;
+      both refuse a level outside 1..len(rows) with a ValueError.
 
     The orbit w_j = phi_a^j(0) of 0 is the Orbit w, so both orbits keep
     exact prefixes from index 0 (v_0 = gamma_a, w_0 = 0), grown by
@@ -129,8 +131,8 @@ class CriticalOrbit(Orbit):
     @property
     def values(self) -> tuple[int, ...]:
         """The walked values v_1, v_2, ... as ints."""
-        self.value(len(self.rows))
-        return tuple(self.v[1:len(self.rows) + 1])
+        orbit = Orbit(self.map, self.map.gamma_a)
+        return tuple(orbit.value(k) for k in range(1, len(self.rows) + 1))
 
     @property
     def first_zero(self) -> int | None:
@@ -159,6 +161,7 @@ class CriticalOrbit(Orbit):
         |y|.  Otherwise s^2 - y^2 = c_a forces |y| <= |c_a|, so only a y that
         small is tested, as an int.
         """
+        self._check_level(n)
         c = self.map.c_a
         if n == 1:
             a = -c
@@ -171,6 +174,10 @@ class CriticalOrbit(Orbit):
             a = parse_int(str(y)) ** 2 + c  # int(y) is quadratic in y's digits
         root = is_perfect_square(a)
         return None if root is None else _to_decimal(root)
+
+    def _check_level(self, n: int) -> None:
+        if not 1 <= n <= len(self.rows):  # rows[n - 1] is v_n only there
+            raise ValueError("level must be in 1..the orbit's depth")
 
     def _rigid_gcd(self, n: int, k: int) -> int:
         """gcd(v_n, v_k) for 1 <= k < n, where v_k is nonzero.
@@ -232,6 +239,7 @@ class CriticalOrbit(Orbit):
         is_perfect_square finds a root of R, read back from its decimal text
         by parse_int; almost no non-square gets that far.
         """
+        self._check_level(n)
         if (zero := self.first_zero) is not None and zero <= n:
             return None, False
         x, q = self.rows[n - 1], self._cofactor(n)

@@ -634,7 +634,26 @@ def test_family_info_exits_two_when_the_trailing_coefficient_resists(capsys):
     data = json.loads(out)
     assert data["error"] == "incomplete-factorization"
     assert data["partial"] == {"sign": 1, "factors": [], "cofactor": str(n), "complete": False}
-    assert err == "quadtower: budget: cannot enumerate divisors of the trailing coefficient\n"
+    assert err == f"quadtower: budget: budget exhausted on cofactor {n}\n"
+
+
+_TRAILING = 10007 * 10009  # family-info's trailing coefficient, two primes above 100
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "6"),
+    ("primitive-divisors", "--gamma", "0", "--c", "0,1", "--a", "2", "--level", "6",
+     "--method", "exact"),
+    ("family-info", "--gamma", str(_TRAILING), "--c", f"{_TRAILING},1"),
+])
+def test_factoring_commands_name_the_cofactor_the_budget_ran_out_on(capsys, argv):
+    # factor.factorize_fully words the refusal for every caller, so all three
+    # commands print one text, naming the cofactor of the partial they print
+    code, out, err = run(capsys, *argv, "--trial-bound", "100", "--rho-iters", "10")
+    assert code == 2
+    partial = json.loads(out)["partial"]
+    assert partial["complete"] is False and int(partial["cofactor"]) > 1
+    assert err == f"quadtower: budget: budget exhausted on cofactor {partial['cofactor']}\n"
 
 
 @pytest.mark.parametrize("argv", [("curve",), ("primitive-divisors", "--method", "exact")])

@@ -130,7 +130,7 @@ BUDGET_STDERR = [
     "direct discriminant at level 11 is refused; --direct goes up to level 10",
     "budget exhausted on cofactor 38350334059",
     "budget exhausted on cofactor 38350334059",
-    "level 6 value resists the factoring budget",
+    "budget exhausted on cofactor 38350334059",
 ]
 # usage errors: exit 1 with nothing on stdout
 ARGVS += [

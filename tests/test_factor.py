@@ -634,7 +634,7 @@ def _list_exact(map, n, budget, max_bits):
         raise ZeroInputError("level value is zero")
     fac = factorize(value, budget)
     if not fac.complete:
-        raise IncompleteFactorizationError(f"level {n} value resists the factoring budget", fac)
+        raise IncompleteFactorizationError(f"budget exhausted on cofactor {fac.cofactor}", fac)
     primes, two_primitive = [], False
     for p, k in fac.factors:
         if k % 2 == 0:

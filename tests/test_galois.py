@@ -668,10 +668,15 @@ def test_forced_point_rejects_wrong_decomposition():
     (lambda: curve_model(X2P1, 2, squarefree_decompose(2), genus=3), "genus must be 1 or 2"),
     (lambda: search_integral_points(curve_model(X2P1, 2, squarefree_decompose(2)), 0),
      "xbound must be >= 1"),
+    *[(lambda read=read, n=n: getattr(critical_orbit(X2P2, 5), read)(n),
+       "level must be in 1..the orbit's depth")
+      for read in ("stripped_witness", "square_root") for n in (0, -1, 6)],
 ])
 def test_library_guards_refuse_with_their_own_message(call, message):
     # the CLI's range checks stop these inputs first, so only a library
-    # call reaches the guards
+    # call reaches the guards.  A level outside the walked 1..depth once read
+    # rows[n - 1] from the wrong end, and stripped_witness(0) on x^2 + 2
+    # never returned: with gamma_a = 0 its modulus was squared for ever
     with pytest.raises(ValueError) as err:
         call()
     assert type(err.value) is ValueError and str(err.value) == message

@@ -101,6 +101,29 @@ def test_an_orbit_is_built_walked():
     assert type(crit.rows) is OrbitRows and crit.rows == [1, 2, 5]
 
 
+def test_reading_values_leaves_the_verdicts_prefix_as_it_was(monkeypatch):
+    # values once grew the shared exact prefix to full depth, so a later
+    # stripped_witness reduced the orbit of 0 modulo full-size critical
+    # values, a path no verdict that skips values takes
+    m = SpecializedMap(0, 3)  # x^2 + 3
+    apply_mod = SpecializedMap.apply_mod
+    widest, witnesses = [], []
+    for read in (False, True):
+        crit = critical_orbit(m, 20)
+        if read:
+            prefix = len(crit.v)
+            assert len(crit.values) == 20
+            assert len(crit.v) == prefix
+        moduli = []
+        monkeypatch.setattr(SpecializedMap, "apply_mod",
+                            lambda self, x, p: moduli.append(p) or apply_mod(self, x, p))
+        witnesses.append(crit.stripped_witness(20))
+        monkeypatch.undo()
+        widest.append(max(moduli))
+    assert widest[0] == widest[1]
+    assert witnesses[0] == witnesses[1]
+
+
 def test_critical_orbit_constant_when_v_zero():
     m = SpecializedMap(5, 5)  # gamma = c = t at a = 5
     crit = critical_orbit(m, 5)
