@@ -2,7 +2,6 @@
 density for one-parameter quadratic families (x - gamma(t))^2 + c(t)."""
 
 from quadtower.bigpoly import (
-    DEFAULT_MAX_BITS,
     BudgetError,
     DigitBudgetError,
     IntPolynomial,

@@ -20,9 +20,6 @@ class ZeroPolynomialError(ValueError):
     """The operation needed a nonzero (or nonconstant) polynomial."""
 
 
-# phi^15(gamma) of a small map is already ~32k bits; 2^20 bits of headroom
-# keeps desk-scale work comfortable while stopping runaway doubling early.
-DEFAULT_MAX_BITS = 1 << 20
 _LOG2_10 = math.log2(10)
 
 

@@ -12,6 +12,8 @@ density --shards above X - 1 counts as X - 1.
 
 A call builds two small parsers: the top-level one reads the command name,
 and the command's own parser, built from the COMMANDS table, reads its flags.
+The library call gets one factor.Budget of --bits (max_bits) and the effort
+flags; a field whose flag the command lacks or was not given keeps its default.
 
 Exit codes: 0 success, 1 usage errors, 2 budget errors.  A budget error is
 a bigpoly.BudgetError; it prints {"error", "partial"} as JSON, with its kind
@@ -32,8 +34,8 @@ factorizations, and all three name the cap the same way ("a 2408-bit value is
 not factored; factoring stops at 2048 bits"); below it, all three name the
 cofactor the budget ran out on ("budget exhausted on cofactor 38350334059"),
 the cofactor of the partial.  primitive-divisors --method certificate takes
-the effort flags too, but factors nothing with them: its courtesy
-factorization of the witness uses the fixed galois._COURTESY_BUDGET.
+the effort flags too, but reads only --bits: its courtesy factorization of
+the witness uses the fixed galois._COURTESY_BUDGET.
 
 Each integer flag declares its accepted range beside it in GROUPS or COMMANDS,
 and `quadtower <command> -h` prints it; a flag its command needs is marked
@@ -59,9 +61,9 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from quadtower.bigpoly import DEFAULT_MAX_BITS, BudgetError, IntPolynomial, parse_int
+from quadtower.bigpoly import BudgetError, IntPolynomial, parse_int
 from quadtower.density import density_curve
-from quadtower.factor import DEFAULT_BUDGET, MAX_RHO_ITERS, MAX_TRIAL_BOUND, Budget
+from quadtower.factor import MAX_BITS, MAX_RHO_ITERS, MAX_TRIAL_BOUND, Budget
 from quadtower.family import HallLangConstants, QuadraticFamily, index_bound
 from quadtower.galois import (
     certify_tower,
@@ -78,10 +80,6 @@ class UsageError(ValueError):
     pass
 
 
-# The largest --bits.  At 2^22 bits the slowest command, discriminant just
-# past its budget, took about 1.5 s (2^23: 6 s, 2^24: 13 s; Python 3.11,
-# 2 vCPUs).
-MAX_BITS = 1 << 22
 # The largest level flag.  An escaping orbit's bit length about doubles per
 # level, so none gets past level 23 within MAX_BITS; a larger level only steps
 # a bounded orbit, such as x^2 - 1's -1, 0, -1, ..., which never trips the bit
@@ -115,7 +113,8 @@ def _checkpoints(args: argparse.Namespace) -> list[int] | None:
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    return Budget(trial_bound=args.trial_bound, rho_iters=args.rho_iters, seed=args.seed)
+    """The Budget of the fields given by flags; every other field defaults."""
+    return Budget(**{k: v for k, v in vars(args).items() if k in Budget._fields and v is not None})
 
 
 def _family(args: argparse.Namespace) -> QuadraticFamily:
@@ -152,13 +151,11 @@ GROUPS = {
     # critical-orbit and stability start at level 1; orbit declares its own --depth from 0
     "depth": (_flag("--depth", type=int, range=(1, MAX_LEVEL), default=10),),
     "level": (_flag("--level", type=int, range=(1, MAX_LEVEL), default=1),),
-    "bits": (_flag("--bits", type=int, range=(1, MAX_BITS), default=DEFAULT_MAX_BITS,
+    "bits": (_flag("--bits", dest="max_bits", metavar="BITS", type=int, range=(1, MAX_BITS),
                    help="orbit bit budget per value"),),
-    "effort": (_flag("--trial-bound", dest="trial_bound", type=int, range=(2, MAX_TRIAL_BOUND),
-                     default=DEFAULT_BUDGET.trial_bound),
-               _flag("--rho-iters", dest="rho_iters", type=int, range=(0, MAX_RHO_ITERS),
-                     default=DEFAULT_BUDGET.rho_iters),
-               _flag("--seed", type=int, range=None, default=DEFAULT_BUDGET.seed)),
+    "effort": (_flag("--trial-bound", dest="trial_bound", type=int, range=(2, MAX_TRIAL_BOUND)),
+               _flag("--rho-iters", dest="rho_iters", type=int, range=(0, MAX_RHO_ITERS)),
+               _flag("--seed", type=int, range=None)),
 }
 
 
@@ -178,38 +175,37 @@ COMMANDS = {
         lambda a: _family(a).info(_budget(a))),
     "orbit": Command(
         "orbit of b under phi_a", ("fam", "spot", "start", "bits"),
-        lambda a: orbit(_map(a), a.b, a.depth, a.bits),
+        lambda a: orbit(_map(a), a.b, a.depth, _budget(a)),
         flags=(_flag("--depth", type=int, range=(0, MAX_LEVEL), default=10),),
         formats={"json": lambda rows: map(json.dumps, rows.to_json_dict())}),
     "critical-orbit": Command(
         "critical values phi_a^n(gamma_a)", ("fam", "spot", "depth", "bits"),
-        lambda a: critical_orbit(_map(a), a.depth, a.bits)),
+        lambda a: critical_orbit(_map(a), a.depth, _budget(a))),
     "stability": Command(
         "scan the adjusted critical orbit for perfect squares", ("fam", "spot", "depth", "bits"),
-        lambda a: stability_scan(_map(a), a.depth, a.bits)),
+        lambda a: stability_scan(_map(a), a.depth, _budget(a))),
     "certify": Command(
         "level-maximality certificates for a level range", ("fam", "spot", "bits"),
-        lambda a: certify_tower(_map(a), a.from_level, a.to_level, a.bits),
+        lambda a: certify_tower(_map(a), a.from_level, a.to_level, _budget(a)),
         flags=(_flag("--from", dest="from_level", type=int, range=(1, MAX_LEVEL), default=1),
                _flag("--to", dest="to_level", type=int, range=(1, MAX_LEVEL), default=6))),
     "primitive-divisors": Command(
         "square-free primitive prime divisors at a level",
         ("fam", "spot", "level", "bits", "effort"),
-        lambda a: (primitive_divisor_exact(_map(a), a.level, _budget(a), a.bits)
-                   if a.method == "exact" else
-                   primitive_divisor_certificate(_map(a), a.level, a.bits)),
+        lambda a: (primitive_divisor_exact if a.method == "exact" else
+                   primitive_divisor_certificate)(_map(a), a.level, _budget(a)),
         flags=(_flag("--method", choices=("exact", "certificate"), default="certificate",
                      help="only exact reads --trial-bound, --rho-iters and --seed"),)),
     "discriminant": Command(
         "|disc(phi_a^n)| via the recurrence", ("fam", "spot", "bits"),
-        lambda a: discriminant_report(_map(a), a.level, a.direct, a.bits),
+        lambda a: discriminant_report(_map(a), a.level, a.direct, _budget(a)),
         flags=(_flag("--level", type=int, range=(1, None), default=1),
                _flag("--direct", action="store_true",
                      help="also compute the resultant-based discriminant"))),
     "curve": Command(
         "emit the level curve, verify its forced point, optionally search",
         ("fam", "spot", "level", "bits", "effort"),
-        lambda a: curve_report(_map(a), a.level, a.genus, a.search, _budget(a), a.bits),
+        lambda a: curve_report(_map(a), a.level, a.genus, a.search, _budget(a)),
         flags=(_flag("--genus", type=int, choices=(1, 2), default=1),
                _flag("--search", type=int, range=(0, MAX_SEARCH), default=0,
                      help="integral-point search bound (0 = skip)"))),
@@ -228,7 +224,7 @@ COMMANDS = {
         flags=tuple(_flag(f"--kappa{i}", type=float, required=True) for i in (1, 2, 3))),
     "index-bound": Command(
         "the uniform index bound 2^(2^n - n - 1)", ("bits",),
-        lambda a: index_bound(a.n, a.bits),
+        lambda a: index_bound(a.n, _budget(a)),
         flags=(_flag("--n", type=int, range=(1, None), required=True),)),
 }
 

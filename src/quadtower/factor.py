@@ -45,6 +45,9 @@ MAX_TRIAL_BOUND = 10 ** 7
 # That product took 0.02 s to build at the default 10^7, 0.1 s at the cap and
 # 3 s at 10^8, where its growth is quadratic (Python 3.11, 2 vCPUs)
 MAX_RHO_ITERS = 2 * 10 ** 7
+# The largest max_bits: at 2^22 the slowest command, discriminant just past
+# its budget, took about 1.5 s (2^23: 6 s, 2^24: 13 s; Python 3.11, 2 vCPUs).
+MAX_BITS = 1 << 22
 # factorize returns a number above this many bits unfactored.  On a 2,048-bit
 # semiprime the default budget's p-1 took 2.5 s, rho 3.7 s and each of its
 # 164 ECM curves 1.0 s, about 175 s in all (CPython 3.11.7, 2 vCPUs); level
@@ -53,7 +56,7 @@ MAX_FACTOR_BITS = 2048
 
 
 class Budget(FrozenSlots):
-    """Effort knobs for factorize; defaults favour reproducibility over speed.
+    """The limits of one call, each an int; defaults favour reproducibility.
 
     trial_bound -- trial-divide by primes up to this bound, at most 10^7
     rho_iters   -- factoring effort per composite cofactor, in Brent rho
@@ -65,18 +68,28 @@ class Budget(FrozenSlots):
                    60,000 rho iterations of wall time; up to 2^17 no curve
                    runs
     seed        -- seeds rho parameters and the large Miller-Rabin bases
+    max_bits    -- the bit budget, at most 2^22: an orbit value, discriminant
+                   or index bound above it raises bigpoly.DigitBudgetError;
+                   the default 2^20 (phi^15(gamma) of a small map is ~32k
+                   bits) stops runaway doubling early
     """
 
-    __slots__ = _fields = ("trial_bound", "rho_iters", "seed")
+    __slots__ = _fields = ("trial_bound", "rho_iters", "seed", "max_bits")
 
-    def __init__(self, trial_bound: int = 10 ** 6, rho_iters: int = 10 ** 7, seed: int = 0):
+    def __init__(self, trial_bound: int = 10 ** 6, rho_iters: int = 10 ** 7, seed: int = 0,
+                 max_bits: int = 1 << 20):
+        values = (trial_bound, rho_iters, seed, max_bits)
+        if wrong := [name for name, v in zip(self._fields, values) if not isinstance(v, int)]:
+            raise ValueError(f"{wrong[0]} must be an int")
         if not 2 <= trial_bound <= MAX_TRIAL_BOUND:
             raise ValueError(f"trial_bound must be in [2, {MAX_TRIAL_BOUND}]")
         if rho_iters < 0:
             raise ValueError("rho_iters must be >= 0")
         if rho_iters > MAX_RHO_ITERS:
             raise ValueError(f"rho_iters must be <= {MAX_RHO_ITERS}")
-        self._set(trial_bound, rho_iters, seed)
+        if not 1 <= max_bits <= MAX_BITS:
+            raise ValueError(f"max_bits must be in [1, {MAX_BITS}]")
+        self._set(*values)
 
 
 DEFAULT_BUDGET = Budget()

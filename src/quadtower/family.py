@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple
 
 from quadtower.bigpoly import (
-    DEFAULT_MAX_BITS,
     BudgetError,
     DigitBudgetError,
     FrozenSlots,
@@ -424,17 +423,17 @@ class QuadraticFamily(FrozenSlots):
             return 1 + max(6, math.ceil(2 * log_m_phi / ln2 + 19))
 
 
-def index_bound(n_phi: int, max_bits: int = DEFAULT_MAX_BITS) -> IndexBound:
+def index_bound(n_phi: int, budget: Budget = DEFAULT_BUDGET) -> IndexBound:
     """The IndexBound report of 2^(2^n_phi - n_phi - 1), an exact big integer.
 
     The value needs 2^n_phi - n_phi >= 2^(n_phi - 1) bits; DigitBudgetError
-    is raised before anything that size is built when that exceeds max_bits.
+    refuses more than budget.max_bits before anything that size is built.
     """
     if n_phi < 1:
         raise ValueError("n_phi must be >= 1")
-    if n_phi > max_bits.bit_length() + 1 or (1 << n_phi) - n_phi > max_bits:
+    if n_phi > budget.max_bits.bit_length() + 1 or (1 << n_phi) - n_phi > budget.max_bits:
         n = decimal_str(n_phi)
-        raise DigitBudgetError(f"index bound needs 2^{n} - {n} bits; budget is {max_bits}")
+        raise DigitBudgetError(f"index bound needs 2^{n} - {n} bits; budget is {budget.max_bits}")
     return IndexBound(n_phi, 1 << ((1 << n_phi) - n_phi - 1))
 
 

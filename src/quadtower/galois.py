@@ -25,7 +25,6 @@ import decimal
 from typing import NamedTuple
 
 from quadtower.bigpoly import (
-    DEFAULT_MAX_BITS,
     DigitBudgetError,
     IntPolynomial,
     check_bits,
@@ -278,21 +277,21 @@ class DiscriminantReport(NamedTuple):
 
 
 def stability_scan(
-    map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS
+    map: SpecializedMap, depth: int, budget: Budget = DEFAULT_BUDGET
 ) -> StabilityReport:
     """Square-test the adjusted critical orbit -c_a, phi_a^n(gamma_a) for
     n = 2..depth: level 1 is Q(sqrt(-c_a)), level n >= 2 adjoins
     sqrt(phi_a^n(gamma_a)) over level n - 1.  The orbit is walked in
-    decimal by critical_orbit; a value over max_bits raises DigitBudgetError
-    carrying the critical values below it."""
-    orbit = critical_orbit(map, depth, max_bits)
+    decimal by critical_orbit; a value over budget.max_bits raises
+    DigitBudgetError carrying the critical values below it."""
+    orbit = critical_orbit(map, depth, budget)
     roots = ((n, orbit.square_root(n)) for n in range(1, depth + 1))
     # a root Decimal('0') is a square too, so test for None, not truth
     return StabilityReport(depth, tuple((n, r) for n, r in roots if r is not None))
 
 
 def discriminant_report(
-    map: SpecializedMap, n: int, direct: bool = False, max_bits: int = DEFAULT_MAX_BITS
+    map: SpecializedMap, n: int, direct: bool = False, budget: Budget = DEFAULT_BUDGET
 ) -> DiscriminantReport:
     """|disc(phi_a^n)| by the recurrence and, with direct, from the
     polynomial map.phi_polynomial(n), which is refused above
@@ -301,7 +300,7 @@ def discriminant_report(
 
     The recurrence |D_k| = D_{k-1}^2 * 2^(2^k) * |phi_a^k(gamma_a)| from
     D_0 = 1 (so D_1 = 4|c_a|) multiplies the decimal critical values of the
-    orbit walked to level n, exactly; a D_k over max_bits raises
+    orbit walked to level n, exactly; a D_k over budget.max_bits raises
     DigitBudgetError."""
     if n < 1:
         raise ValueError("level must be >= 1")
@@ -310,17 +309,18 @@ def discriminant_report(
             f"direct discriminant at level {decimal_str(n)} is refused; "
             f"--direct goes up to level {DIRECT_DISCRIMINANT_MAX_LEVEL}"
         )
-    # from level 2 on, 2^n > max_bits makes the factor 2^(2^n) alone outgrow
-    # the budget: refuse at once, naming the first such level
-    first = max(2, max_bits.bit_length())
+    # from level 2 on, 2^n > budget.max_bits makes the factor 2^(2^n) alone
+    # outgrow the budget: refuse at once, naming the first such level
+    first = max(2, budget.max_bits.bit_length())
     if n >= first:
-        raise DigitBudgetError(f"discriminant at level {first} needs more than {max_bits} bits")
+        raise DigitBudgetError(
+            f"discriminant at level {first} needs more than {budget.max_bits} bits")
     delta, power = decimal.Decimal(1), decimal.Decimal(2)  # D_0 and 2^(2^0)
-    for row in critical_orbit(map, n, max_bits).rows:
+    for row in critical_orbit(map, n, budget).rows:
         power = decimal_product(power, power)  # 2^(2^k)
         # the two small factors first: one big product besides the square
         delta = decimal_product(power, row.copy_abs(), decimal_product(delta, delta))
-        check_bits(delta, max_bits, "discriminant")
+        check_bits(delta, budget.max_bits, "discriminant")
     exact = abs(discriminant_direct(map.phi_polynomial(n))) if direct else None
     return DiscriminantReport(level=n, recurrence=delta, direct=exact)
 
@@ -350,10 +350,7 @@ def _tower_report(orbit: CriticalOrbit, first_level: int, last_level: int) -> To
 
 
 def certify_tower(
-    map: SpecializedMap,
-    first_level: int,
-    last_level: int,
-    max_bits: int = DEFAULT_MAX_BITS,
+    map: SpecializedMap, first_level: int, last_level: int, budget: Budget = DEFAULT_BUDGET
 ) -> TowerReport:
     """Per-level certificates over an inclusive level range.
 
@@ -370,17 +367,17 @@ def certify_tower(
     if not 1 <= first_level <= last_level:
         raise ValueError("need 1 <= first_level <= last_level")
     try:
-        orbit = critical_orbit(map, last_level, max_bits)
+        orbit = critical_orbit(map, last_level, budget)
     except DigitBudgetError as err:
         err.partial = _tower_report(CriticalOrbit(map, err.partial), first_level, last_level)
         raise
     return _tower_report(orbit, first_level, last_level)
 
 
-def _nonzero_level(map: SpecializedMap, n: int, max_bits: int) -> CriticalOrbit:
+def _nonzero_level(map: SpecializedMap, n: int, budget: Budget) -> CriticalOrbit:
     """The critical orbit walked to level n, refused when its level-n value is
     zero, which neither a curve model nor a primitive divisor can read."""
-    orbit = critical_orbit(map, n, max_bits)
+    orbit = critical_orbit(map, n, budget)
     if orbit.rows[-1].is_zero():
         raise ZeroInputError("level value is zero")
     return orbit
@@ -404,14 +401,13 @@ def curve_model(
 
 
 def curve_report(
-    map: SpecializedMap, n: int, genus: int = 1, search: int = 0,
-    budget: Budget = DEFAULT_BUDGET, max_bits: int = DEFAULT_MAX_BITS,
+    map: SpecializedMap, n: int, genus: int = 1, search: int = 0, budget: Budget = DEFAULT_BUDGET
 ) -> CurveReport:
     """The level-n curve pipeline: the critical orbit walked to level n, the
     square-free decomposition of its exact level-n value, the model, the
     forced point checked on the genus-1 model from level 2 on, and the
     integral points with |X| <= search when search is nonzero."""
-    crit = _nonzero_level(map, n, max_bits)
+    crit = _nonzero_level(map, n, budget)
     dec = squarefree_decompose(crit.value(n), budget)
     model = curve_model(map, n, dec, genus)
     verified = verify_forced_point(model, crit, dec) if genus == 1 and n >= 2 else None
@@ -441,20 +437,20 @@ def verify_forced_point(
 
 
 def primitive_divisor_exact(
-    map: SpecializedMap, n: int, budget: Budget = DEFAULT_BUDGET,
-    max_bits: int = DEFAULT_MAX_BITS,
+    map: SpecializedMap, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> PrimitiveDivisorReport:
     """Factor the level-n critical value and list its square-free primitive
     prime divisors: odd primes with odd valuation there and zero valuation
     at all lower levels.  2 is reported separately via two_primitive.
 
-    The critical orbit is walked to level n by critical_orbit, which
-    decides the bit budget and the zero check.  A prime p is new at level n
-    when v_k mod p is nonzero for every k < n, so a lower value 0 leaves no
-    prime new.  A factorization that does not complete raises
-    factor.factorize_fully's IncompleteFactorizationError carrying it.
+    The critical orbit is walked to level n by _nonzero_level, which
+    decides the bit budget and the zero check; then v_n is factored within
+    budget.  A prime p is new at level n when v_k mod p is nonzero for every
+    k < n, so a lower value 0 leaves no prime new.  A factorization that
+    does not complete raises factor.factorize_fully's
+    IncompleteFactorizationError carrying it.
     """
-    orbit = _nonzero_level(map, n, max_bits)
+    orbit = _nonzero_level(map, n, budget)
     fac = factorize_fully(orbit.value(n), budget)
     primes = []
     two_primitive = False
@@ -476,22 +472,23 @@ def primitive_divisor_exact(
 
 
 def primitive_divisor_certificate(
-    map: SpecializedMap, n: int, max_bits: int = DEFAULT_MAX_BITS
+    map: SpecializedMap, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> PrimitiveDivisorReport:
     """Certify a square-free primitive prime divisor at level n without
     factoring.
 
     The critical orbit is walked to level n by _nonzero_level, which
-    decides the bit budget and refuses a zero level value.  The status and
-    the decimal text of R, the stripped cofactor of the level-n value, come
-    from the routine certify uses (stripped_witness): above a zero,
+    decides the bit budget (only budget.max_bits is read) and refuses a zero
+    level value.  The status and the decimal text of R, the stripped
+    cofactor of the level-n value, come from the routine certify uses
+    (stripped_witness): above a zero,
     certified=False with no witness.  R > 1 and R not a perfect square
     force some prime of R to divide level n to odd order while dividing
     nothing earlier.  One-sided: not certified only means unknown.  R's
     primes are listed when a small courtesy factorization finds them, which
     is not tried above _COURTESY_MAX_BITS.
     """
-    orbit = _nonzero_level(map, n, max_bits)
+    orbit = _nonzero_level(map, n, budget)
     text, certified = orbit.stripped_witness(n)
     primes: tuple[int, ...] = ()
     # 2^1024 has 309 digits, so the digit count rules out most large R unparsed

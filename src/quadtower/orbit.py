@@ -1,9 +1,9 @@
 """Exact big-integer orbits and canonical heights.
 
 Orbit values double in bit length per step, so every iterating routine runs
-under a configurable bit budget (bigpoly.DEFAULT_MAX_BITS by default) and
-converts runaway growth into a clean bigpoly.DigitBudgetError carrying
-whatever was already computed; both are imported from bigpoly, not from here.
+under budget.max_bits, the bit budget of a factor.Budget (2^20 by default),
+and turns runaway growth into a clean bigpoly.DigitBudgetError carrying
+whatever was already computed; the error is imported from bigpoly, not here.
 
 Every orbit is walked by one function, _walk, in exact decimal arithmetic
 (bigpoly.decimal_orbit(map, start), self-checked by map.apply_mod), which
@@ -22,10 +22,10 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from quadtower.bigpoly import (DEFAULT_MAX_BITS, _to_decimal, check_bits, decimal_bit_length,
-                               decimal_difference, decimal_orbit, decimal_quotient, height_int,
-                               is_perfect_square, parse_int, passes_square_filter,
-                               square_filter_modulus)
+from quadtower.bigpoly import (_to_decimal, check_bits, decimal_bit_length, decimal_difference,
+                               decimal_orbit, decimal_quotient, height_int, is_perfect_square,
+                               parse_int, passes_square_filter, square_filter_modulus)
+from quadtower.factor import DEFAULT_BUDGET, Budget
 from quadtower.family import SpecializedMap
 
 _LOG2 = math.log(2.0)
@@ -50,16 +50,16 @@ class OrbitRows(list):
         return (f"{r['n']}: {r['value']} ({r['bits']} bits)" for r in self.to_json_dict())
 
 
-def _walk(map: SpecializedMap, start: int, first: int, count: int, max_bits: int) -> OrbitRows:
+def _walk(map: SpecializedMap, start: int, first: int, count: int, budget: Budget) -> OrbitRows:
     """The count values phi_a^n(start) from index first on, stepped in
-    exact decimal arithmetic (decimal_orbit); one over max_bits raises
+    exact decimal arithmetic (decimal_orbit); one over budget.max_bits raises
     DigitBudgetError carrying the rows below it.  The values before index
     first are skipped, not checked."""
     if count < 1:
         raise ValueError("depth must be >= 1")
     rows = OrbitRows(first)
     for x in islice(decimal_orbit(map, start), first, first + count):
-        check_bits(x, max_bits, "orbit value", rows)
+        check_bits(x, budget.max_bits, "orbit value", rows)
         rows.append(x)
     return rows
 
@@ -255,25 +255,23 @@ class CriticalOrbit(Orbit):
         return text, certified
 
 
-def orbit(map: SpecializedMap, b: int, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> OrbitRows:
+def orbit(map: SpecializedMap, b: int, depth: int, budget: Budget = DEFAULT_BUDGET) -> OrbitRows:
     """The rows of the orbit of b walked to depth: b, ..., phi^depth(b); one
-    value over max_bits raises DigitBudgetError carrying those below."""
+    value over budget.max_bits raises DigitBudgetError carrying those below."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _walk(map, int(b), 0, depth + 1, max_bits)
+    return _walk(map, int(b), 0, depth + 1, budget)
 
 
-def critical_orbit(map: SpecializedMap, depth: int, max_bits: int = DEFAULT_MAX_BITS) -> CriticalOrbit:
+def critical_orbit(map: SpecializedMap, depth: int,
+                   budget: Budget = DEFAULT_BUDGET) -> CriticalOrbit:
     """The CriticalOrbit of map walked to depth: critical values
     phi_a^n(gamma_a) for n = 1..depth (so values[0] = c_a)."""
-    return CriticalOrbit(map, _walk(map, map.gamma_a, 1, depth, max_bits))
+    return CriticalOrbit(map, _walk(map, map.gamma_a, 1, depth, budget))
 
 
 def canonical_height(
-    map: SpecializedMap,
-    x: "int | Fraction",
-    eps: float,
-    max_bits: int = DEFAULT_MAX_BITS,
+    map: SpecializedMap, x: "int | Fraction", eps: float, budget: Budget = DEFAULT_BUDGET
 ) -> float:
     """Canonical height of x under sigma_a = x^2 + v_a, within eps.
 
@@ -281,7 +279,7 @@ def canonical_height(
     (h(v_a) + log 2) / 2^k <= eps; the depth is fixed a priori from that
     error bound, so results are deterministic.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
     err = height_int(map.v_a) + _LOG2
     k = 0
@@ -290,6 +288,6 @@ def canonical_height(
     cur = Fraction(x)
     for _ in range(k):
         cur = map.apply_sigma(cur)
-        check_bits(max(abs(cur.numerator), cur.denominator), max_bits, "orbit value")
+        check_bits(max(abs(cur.numerator), cur.denominator), budget.max_bits, "orbit value")
     return height_int(cur) / (1 << k)
 

@@ -76,7 +76,7 @@ def test_criterion_02_conjugation_identity():
         m = fam.specialize(rng.randint(-30, 30))
         # sigma_a^n(0) == phi_a^n(gamma_a) - gamma_a, each side computed on its own
         sig = 0
-        for phi in critical_orbit(m, 8, max_bits=1 << 20).values:
+        for phi in critical_orbit(m, 8, Budget(max_bits=1 << 20)).values:
             sig = m.apply_sigma(sig)
             assert sig == phi - m.gamma_a, m
 
@@ -246,8 +246,8 @@ def test_criterion_11_ingram_floor():
     # (depth ~21 doubles values past 2^20 bits, so raise the budget knob)
     for v in (1, 2):
         m = SpecializedMap(0, v)
-        est = canonical_height(m, 0, 1e-6, max_bits=1 << 22)
-        refined = canonical_height(m, 0, 5e-7, max_bits=1 << 22)
+        est = canonical_height(m, 0, 1e-6, Budget(max_bits=1 << 22))
+        refined = canonical_height(m, 0, 5e-7, Budget(max_bits=1 << 22))
         assert abs(est - refined) <= 1e-6
 
 

@@ -21,7 +21,7 @@ import quadtower.cli
 from quadtower.cli import COMMANDS, GROUPS, MAX_BITS, MAX_CONFIG_BYTES, MAX_LEVEL, main
 from quadtower.density import MAX_SHARDS
 import quadtower.factor
-from quadtower.factor import MAX_RHO_ITERS
+from quadtower.factor import MAX_RHO_ITERS, Budget
 import quadtower.family
 from quadtower.family import (
     MAX_DIVISORS,
@@ -257,7 +257,7 @@ def test_certify_partial_report_prints_as_decimal_str(capsys, fmt):
     # levels 17 and 18 of x^2+2 (85 and 170 kbit) fit 200,000 bits, level 19 not
     m = QuadraticFamily.of([0], [0, 1]).specialize(2)
     with pytest.raises(DigitBudgetError) as err:
-        certify_tower(m, 1, 20, max_bits=200_000)
+        certify_tower(m, 1, 20, Budget(max_bits=200_000))
     partial = err.value.partial
     assert len(partial.certificates) == 18
     code, out, _ = run(capsys, "certify", "--gamma", "0", "--c", "0,1", "--a", "2",
@@ -920,7 +920,7 @@ def test_integer_flag_outside_its_range_exits_one(capsys, name, flag, lo, hi):
 def test_no_escaping_orbit_reaches_the_level_cap(a, b):
     m = QuadraticFamily.of([0], [0, 1]).specialize(a)
     with pytest.raises(DigitBudgetError) as err:
-        orbit(m, b, MAX_LEVEL, MAX_BITS)
+        orbit(m, b, MAX_LEVEL, Budget(max_bits=MAX_BITS))
     assert len(err.value.partial) == 24
 
 

@@ -39,12 +39,20 @@ def _x2(c):
 
 def test_budget_bounds_trial_bound():
     # the trial-division table takes 2.7 MB and 0.4 s at 10^7, so the bound is
-    # capped there
+    # capped there.  Every field is an int in its range, checked once by the
+    # constructor: a float trial_bound once failed deep in prime_table, a
+    # float rho_iters ran p-1 and rho on float bounds, and a library call
+    # with max_bits -3 reported "budget is -3"
     assert Budget(trial_bound=2).trial_bound == 2
     assert Budget(trial_bound=10 ** 7).trial_bound == 10 ** 7
-    for bound in (1, 10 ** 7 + 1, 10 ** 10):
-        with pytest.raises(ValueError, match="trial_bound"):
-            Budget(trial_bound=bound)
+    assert (Budget(max_bits=1).max_bits, Budget(max_bits=1 << 22).max_bits) == (1, 1 << 22)
+    assert Budget().max_bits == 1 << 20
+    bad = [("trial_bound", bound) for bound in (1, 10 ** 7 + 1, 10 ** 10, 2.5)]
+    bad += [("rho_iters", 1e5), ("seed", 1.0), ("max_bits", 0), ("max_bits", -3),
+            ("max_bits", (1 << 22) + 1), ("max_bits", 2.0 ** 20)]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            Budget(**{field: value})
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
@@ -625,10 +633,10 @@ def test_primitive_divisor_exact_x2p1():
     assert rep.two_primitive is True
 
 
-def _list_exact(map, n, budget, max_bits):
+def _list_exact(map, n, budget):
     """Reference: the exact route over the full binary critical orbit, each
     prime tested against every lower value by e % p."""
-    values = critical_orbit(map, n, max_bits).values
+    values = critical_orbit(map, n, budget).values
     value = values[n - 1]
     if value == 0:
         raise ZeroInputError("level value is zero")
@@ -659,15 +667,15 @@ def _outcome(route, *args):
 def test_primitive_divisor_exact_matches_the_list_oracle():
     # a small budget and a 512-bit cap, so that zero values, incomplete
     # factorizations and bit-budget refusals all occur beside the reports
-    budget = Budget(trial_bound=1000, rho_iters=1000)
+    budget = Budget(trial_bound=1000, rho_iters=1000, max_bits=512)
     seen = set()
     for gamma, c in [([0], [0, 1]), ([0, 1], [1, 1]), ([1], [3]), ([0], [-1, 0, 1])]:
         family = QuadraticFamily.of(gamma, c)
         for a in range(-25, 26):
             m = family.specialize(a)
             for n in range(1, 10):
-                want = _outcome(_list_exact, m, n, budget, 512)
-                assert _outcome(primitive_divisor_exact, m, n, budget, 512) == want, (c, a, n)
+                want = _outcome(_list_exact, m, n, budget)
+                assert _outcome(primitive_divisor_exact, m, n, budget) == want, (c, a, n)
                 seen.add(bool(want.primes) if isinstance(want, PrimitiveDivisorReport)
                          else want[0])
     assert seen == {True, False, ZeroInputError, IncompleteFactorizationError,

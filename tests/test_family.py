@@ -461,6 +461,6 @@ def test_index_bound_bit_budget():
     assert index_bound(20).value.bit_length() == 2 ** 20 - 20
     with pytest.raises(DigitBudgetError):
         index_bound(21)
-    assert index_bound(6, max_bits=58).value == 1 << 57
+    assert index_bound(6, Budget(max_bits=58)).value == 1 << 57
     with pytest.raises(DigitBudgetError):
-        index_bound(7, max_bits=120)
+        index_bound(7, Budget(max_bits=120))

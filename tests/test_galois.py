@@ -37,7 +37,7 @@ from quadtower.galois import (
     stability_scan,
     verify_forced_point,
 )
-from quadtower.orbit import CriticalOrbit, critical_orbit, orbit
+from quadtower.orbit import CriticalOrbit, canonical_height, critical_orbit, orbit
 
 from conftest import (
     ACCEPTANCE_MAPS,
@@ -157,7 +157,7 @@ def test_stability_square_test_takes_no_decimal_root(monkeypatch):
     monkeypatch.setattr(orbit_mod, "is_perfect_square",
                         refuse_large(is_perfect_square, int.bit_length))
     monkeypatch.setattr(orbit_mod, "parse_int", refuse_large(bigpoly_mod.parse_int, len))
-    report = stability_scan(SpecializedMap(3, 0), 22, max_bits=4194304)
+    report = stability_scan(SpecializedMap(3, 0), 22, Budget(max_bits=4194304))
     assert [n for n, _ in report.squares_found] == list(range(1, 23))
 
 
@@ -248,15 +248,16 @@ def test_certify_tower_v_zero_degenerate():
 def test_certify_tower_partial_on_budget():
     # the partial certifies every level walked within the budget, the same
     # certificates as a call that stops at the last of them
+    budget = Budget(max_bits=256)
     with pytest.raises(DigitBudgetError) as walked:
-        critical_orbit(X2P2, 40, max_bits=256)
+        critical_orbit(X2P2, 40, budget)
     last = len(walked.value.partial)
     for first in (1, 3):
         with pytest.raises(DigitBudgetError) as err:
-            certify_tower(X2P2, first, 40, max_bits=256)
+            certify_tower(X2P2, first, 40, budget)
         partial = err.value.partial
         assert [c.level for c in partial.certificates] == list(range(first, last + 1))
-        assert partial.certificates == certify_tower(X2P2, first, last, max_bits=256).certificates
+        assert partial.certificates == certify_tower(X2P2, first, last, budget).certificates
 
 
 def test_a_refused_certify_walks_the_orbit_once(monkeypatch):
@@ -272,7 +273,7 @@ def test_a_refused_certify_walks_the_orbit_once(monkeypatch):
 
     monkeypatch.setattr(orbit_mod, "decimal_orbit", counting_orbit)
     with pytest.raises(DigitBudgetError) as err:
-        certify_tower(X2P2, 1, 40, max_bits=256)
+        certify_tower(X2P2, 1, 40, Budget(max_bits=256))
     assert len(walks) == 1
     partial = err.value.partial.certificates
     assert 1 <= len(partial) < 12
@@ -671,12 +672,14 @@ def test_forced_point_rejects_wrong_decomposition():
     *[(lambda read=read, n=n: getattr(critical_orbit(X2P2, 5), read)(n),
        "level must be in 1..the orbit's depth")
       for read in ("stripped_witness", "square_root") for n in (0, -1, 6)],
+    (lambda: canonical_height(SpecializedMap(0, 1), 0, float("nan")), "eps must be positive"),
 ])
 def test_library_guards_refuse_with_their_own_message(call, message):
     # the CLI's range checks stop these inputs first, so only a library
     # call reaches the guards.  A level outside the walked 1..depth once read
     # rows[n - 1] from the wrong end, and stripped_witness(0) on x^2 + 2
-    # never returned: with gamma_a = 0 its modulus was squared for ever
+    # never returned: with gamma_a = 0 its modulus was squared for ever.  A
+    # NaN eps once passed `eps <= 0` and returned h(x) as if converged
     with pytest.raises(ValueError) as err:
         call()
     assert type(err.value) is ValueError and str(err.value) == message

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quadtower.family import QuadraticFamily, SpecializedMap
 from quadtower.bigpoly import DigitBudgetError, height_int
+from quadtower.factor import Budget
 from quadtower.orbit import (CriticalOrbit, Orbit, OrbitRows, canonical_height, critical_orbit,
                              orbit)
 
@@ -41,7 +42,7 @@ def test_orbit_x2p1():
 
 def test_orbit_budget_guard():
     with pytest.raises(DigitBudgetError) as err:
-        orbit(X2P1, 0, 64, max_bits=64)
+        orbit(X2P1, 0, 64, Budget(max_bits=64))
     assert err.value.partial == [0, 1, 2, 5, 26, 677, 458330, 210066388901]
 
 
@@ -171,11 +172,11 @@ def test_critical_orbit_jones_fixture():
         assert cur == prev * prev + 1
 
 
-def _assert_sigma_orbit_identity(m, depth, max_bits=1 << 20):
+def _assert_sigma_orbit_identity(m, depth):
     # sigma_a^n(0) == phi_a^n(gamma_a) - gamma_a for n <= depth, each side
     # computed on its own: sigma's by apply_sigma, phi's by critical_orbit
     sig = 0
-    for n, phi in enumerate(critical_orbit(m, depth, max_bits).values, start=1):
+    for n, phi in enumerate(critical_orbit(m, depth).values, start=1):
         sig = m.apply_sigma(sig)
         assert sig == phi - m.gamma_a, (m, n)
 

@@ -58,7 +58,7 @@ _FAMILY = "QuadraticFamily(gamma=IntPolynomial(coeffs=()), c=IntPolynomial(coeff
 # (a function building one instance, its repr)
 CASES = [
     (lambda: IntPolynomial([0, 1]), "IntPolynomial(coeffs=(0, 1))"),
-    (lambda: Budget(), "Budget(trial_bound=1000000, rho_iters=10000000, seed=0)"),
+    (lambda: Budget(), "Budget(trial_bound=1000000, rho_iters=10000000, seed=0, max_bits=1048576)"),
     (lambda: Factorization(-1, ((2, 3),), 1),
      "Factorization(sign=-1, factors=((2, 3),), cofactor=1)"),
     (lambda: SquareFreeDecomposition(1, -1, 2), "SquareFreeDecomposition(e=1, d=-1, y=2)"),
@@ -152,5 +152,5 @@ def test_derived_fields_are_properties_not_arguments():
 
 def test_a_slots_value_is_not_equal_to_the_tuple_of_its_fields():
     # NamedTuple records are; Budget, a FrozenSlots class, compares by class first
-    assert (Budget() == (10 ** 6, 10 ** 7, 0)) is False
-    assert Budget() != (10 ** 6, 10 ** 7, 0)
+    assert (Budget() == (10 ** 6, 10 ** 7, 0, 1 << 20)) is False
+    assert Budget() != (10 ** 6, 10 ** 7, 0, 1 << 20)
